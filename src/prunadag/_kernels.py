@@ -1,17 +1,12 @@
-"""Fused single-iteration kernels.
+"""The production iteration kernel.
 
 The optimizer's inner loop is the hot path: at desk scale (n in the
-hundreds, 10^4 iterations, dozens of seeds) the per-call overhead of
-the granular numpy operations in :mod:`prunadag.steps` dominates. This
-module provides one fused kernel per iteration, compiled with numba
-when available, and a pure-numpy fallback that composes the granular
-operations.
-
-Path selection: numba is used when importable unless the environment
-variable ``PRUNADAG_NO_NUMBA`` is set to a non-empty value other than
-``0``. Both paths compute the same arithmetic; they may differ in the
-last ulp of the rescaled lower-bound sequence because reduction order
-differs.
+hundreds, 10^4 iterations, dozens of seeds) the cost of one iteration
+is the number of numpy calls it makes, not the arithmetic. ``iterate``
+fuses the steps of :mod:`prunadag.steps` into one pass over boolean
+masks: the top-T set is selected once, no index arrays are built, and
+every reduction sums the same compacted entries in the same order as
+the reference, so the two agree bit for bit.
 
 Kernel outputs, for pre-step iterate ``x`` and gradient ``g``:
 
@@ -25,8 +20,6 @@ Kernel outputs, for pre-step iterate ``x`` and gradient ``g``:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import steps
@@ -37,126 +30,39 @@ CODE_ACCEPTABLE = 1
 CODE_DECREASABLE = 2
 
 
-def _env_disables_numba() -> bool:
-    v = os.environ.get("PRUNADAG_NO_NUMBA", "")
-    return v not in ("", "0")
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-        return deco
-
-
-def numba_enabled() -> bool:
-    return _HAVE_NUMBA and not _env_disables_numba()
-
-
-@njit(cache=True)
-def _iterate_jit(x, g, w_opt_prev, w_dec_prev, k, T,
-                 rescale, bound_b, relevant_only):
-    n = x.shape[0]
-    absg = np.abs(g)
-
-    # Top-T selection with lowest-index tie-break: strict winners first,
-    # then fill with threshold-valued indices in increasing order.
-    thr = np.sort(absg)[n - T]
-    r_mask = np.zeros(n, dtype=np.bool_)
-    count = 0
-    for i in range(n):
-        if absg[i] > thr:
-            r_mask[i] = True
-            count += 1
-    for i in range(n):
-        if count >= T:
-            break
-        if (not r_mask[i]) and absg[i] == thr:
-            r_mask[i] = True
-            count += 1
-
+def iterate(x, g, w_opt_prev, w_dec_prev, k, T, variant: Variant):
+    """One iteration of the pruning-aware method; see the module doc."""
+    r = steps.relevant_mask(g, T)
+    match = steps.sign_match_mask(x, g)
     w_tent = np.sqrt(w_opt_prev ** 2 + g ** 2)
+    abs_x = np.abs(x)
 
-    match = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        match[i] = (np.sign(x[i]) == np.sign(g[i])) and x[i] != 0.0 and g[i] != 0.0
+    # lower bound a_i of the acceptable-set test (used off R only)
+    a = abs_x / (k + 1)
+    if variant.rescales_lower_bound:
+        denom = float(np.sqrt(np.sum(x[~r & match] ** 2)))
+        if denom > 0.0:
+            a *= float(np.sqrt(np.sum(g[r] ** 2))) / denom
 
-    scale = 1.0
-    if rescale:
-        denom_sq = 0.0
-        num_sq = 0.0
-        for i in range(n):
-            if r_mask[i]:
-                num_sq += g[i] * g[i]
-            elif match[i]:
-                denom_sq += x[i] * x[i]
-        if denom_sq > 0.0:
-            scale = np.sqrt(num_sq) / np.sqrt(denom_sq)
+    o = r
+    if variant is not Variant.RELEVANT_ONLY:
+        ratio = np.abs(g) / w_tent
+        acceptable = ~r & match & (a <= ratio)
+        if variant.bounds_step_by_iterate:
+            acceptable &= ratio <= abs_x
+        o = r | acceptable
+    d = ~o
+    in_S = d & match
 
-    codes = np.empty(n, dtype=np.int8)
-    in_S = np.zeros(n, dtype=np.bool_)
-    s = np.zeros(n, dtype=np.float64)
-    w_opt = w_opt_prev.copy()
-    w_dec = w_dec_prev.copy()
-    a_vec = np.zeros(n, dtype=np.float64)
+    w_opt = np.where(o, w_tent, w_opt_prev)
+    w_dec = np.where(d, np.sqrt(w_dec_prev ** 2 + x ** 2), w_dec_prev)
+    limit = abs_x / w_dec
+    s_dec = np.where(in_S, -np.sign(x) * np.minimum(a, limit), 0.0)
+    # s_dec is zero off S, so checking every entry checks D
+    steps.check_trust_region(g, s_dec, limit)
+    s = np.where(o, -g / w_tent, 0.0) + s_dec
 
-    for i in range(n):
-        if r_mask[i]:
-            codes[i] = CODE_RELEVANT
-            continue
-        a_vec[i] = np.abs(x[i]) / (k + 1) * scale
-        b_i = np.abs(x[i]) if bound_b else np.inf
-        ratio = absg[i] / w_tent[i]
-        if (not relevant_only) and match[i] and a_vec[i] <= ratio <= b_i:
-            codes[i] = CODE_ACCEPTABLE
-        else:
-            codes[i] = CODE_DECREASABLE
-
-    for i in range(n):
-        if codes[i] == CODE_DECREASABLE:
-            w_dec[i] = np.sqrt(w_dec_prev[i] ** 2 + x[i] ** 2)
-            if match[i]:
-                in_S[i] = True
-                s_limit = np.abs(x[i]) / w_dec[i]
-                s[i] = -np.sign(x[i]) * min(a_vec[i], s_limit)
-        else:
-            w_opt[i] = w_tent[i]
-            s[i] = -g[i] / w_tent[i]
-
+    codes = np.full(x.shape[0], CODE_DECREASABLE, dtype=np.int8)
+    codes[o] = CODE_ACCEPTABLE
+    codes[r] = CODE_RELEVANT
     return s, w_opt, w_dec, codes, in_S
-
-
-def _iterate_numpy(x, g, w_opt_prev, w_dec_prev, k, T, variant):
-    w_tent = steps.tentative_opt_weights(w_opt_prev, g)
-    r_mask = steps.relevant_mask(g, T)
-    a, b = steps.bounding_sequences(x, g, k, variant, r_mask)
-    cls = steps.classify(x, g, w_tent, a, b, T, variant)
-    w_opt, w_dec = steps.commit_weights(w_opt_prev, w_dec_prev, w_tent, x, cls)
-    s = steps.optimisable_step(g, w_tent, cls.O)
-    s += steps.decreasable_step(x, g, w_dec, cls, a)
-    n = x.shape[0]
-    codes = np.full(n, CODE_DECREASABLE, dtype=np.int8)
-    codes[cls.R] = CODE_RELEVANT
-    codes[cls.A] = CODE_ACCEPTABLE
-    in_S = np.zeros(n, dtype=bool)
-    in_S[cls.S] = True
-    return s, w_opt, w_dec, codes, in_S
-
-
-def iterate(x, g, w_opt_prev, w_dec_prev, k, T, variant: Variant,
-            force_numpy: bool = False):
-    """One fused iteration; dispatches to the jitted or numpy path."""
-    if numba_enabled() and not force_numpy:
-        return _iterate_jit(
-            x, g, w_opt_prev, w_dec_prev, k, T,
-            variant.rescales_lower_bound,
-            variant.bounds_step_by_iterate,
-            variant is Variant.RELEVANT_ONLY,
-        )
-    return _iterate_numpy(x, g, w_opt_prev, w_dec_prev, k, T, variant)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import DivergedError, Problem, RunRecord
-from .optimizer import DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS, DEFAULT_VARSIGMA
+from .core import Problem, RunRecord
+from .optimizer import DEFAULT_VARSIGMA, drive
 from .steps import relevant_mask
 
 
@@ -31,45 +30,18 @@ def adagrad_step(x: np.ndarray, g: np.ndarray, w_prev: np.ndarray
 
 
 def adagrad_run(problem: Problem, x0: np.ndarray,
-                varsigma: float = DEFAULT_VARSIGMA,
-                grad_tol: float = DEFAULT_GRAD_TOL,
-                max_iters: int = DEFAULT_MAX_ITERS,
-                delta_trace: float = 1e-3,
-                record_objective: bool = True) -> RunRecord:
-    """Standalone Adagrad loop producing the common trace format."""
-    x = np.array(x0, dtype=np.float64)
-    n = x.shape[0]
+                varsigma: float = DEFAULT_VARSIGMA, **stop) -> RunRecord:
+    """Standalone Adagrad through :func:`prunadag.optimizer.drive`;
+    ``stop`` takes drive's keyword arguments."""
+    n = problem.dim
     w = np.full(n, np.sqrt(varsigma))
-    grad_norms, below, objective, max_abs = [], [], [], []
-    reason = "max iterations"
-    for _ in range(max_iters):
-        g = problem.gradient(x)
-        if not np.all(np.isfinite(g)):
-            raise DivergedError("non-finite gradient in adagrad run")
-        if record_objective:
-            objective.append(problem.value(x))
-        below.append(int(np.count_nonzero(np.abs(x) < delta_trace)))
-        max_abs.append(float(np.max(np.abs(x))))
-        gn = float(np.linalg.norm(g))
-        grad_norms.append(gn)
+
+    def step(x, g, grad_norm, k):
+        nonlocal w
         x, w = adagrad_step(x, g, w)
-        if gn <= grad_tol:
-            reason = "gradient tolerance"
-            break
-    k = len(grad_norms)
-    gn_arr = np.array(grad_norms)
-    trace = RunRecord(
-        grad_norm=gn_arr, grad_norm_opt=gn_arr.copy(),
-        below_delta=np.array(below, dtype=np.int64),
-        card_R=np.full(k, n, dtype=np.int64),
-        card_A=np.zeros(k, dtype=np.int64),
-        card_D=np.zeros(k, dtype=np.int64),
-        max_abs_x=np.array(max_abs), x_final=x, reason=reason,
-        objective=np.array(objective) if record_objective else None,
-    )
-    if record_objective:
-        trace.objective_final = problem.value(x)
-    return trace
+        return x, (grad_norm, n, 0, 0)
+
+    return drive(problem, x0, step, **stop)
 
 
 class FwRate(enum.Enum):
@@ -95,6 +67,17 @@ class FwConfig:
             raise ValueError("beta must be in (0, 1) for the rescaled rate")
 
 
+def _lmo(g: np.ndarray, cfg: FwConfig) -> tuple[np.ndarray, float]:
+    """:func:`fw_lmo` that also returns ||g||_R, selecting the top-T set
+    of ``g`` once."""
+    mask = relevant_mask(g, min(cfg.T, g.shape[0]))
+    v = np.zeros_like(g)
+    norm_r = float(np.sqrt(np.sum(g[mask] ** 2)))
+    if norm_r != 0.0:
+        v[mask] = -cfg.tau * g[mask] / norm_r
+    return v, norm_r
+
+
 def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
     """Closed-form linear minimization oracle over the support-norm ball.
 
@@ -102,69 +85,35 @@ def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
     largest-magnitude gradient components; returns 0 when that masked
     norm vanishes (stationary convention, keeps batch runs total).
     """
-    v = np.zeros_like(g)
-    mask = relevant_mask(g, min(cfg.T, g.shape[0]))
-    norm_r = float(np.sqrt(np.sum(g[mask] ** 2)))
-    if norm_r == 0.0:
-        return v
-    v[mask] = -cfg.tau * g[mask] / norm_r
-    return v
+    return _lmo(g, cfg)[0]
 
 
-def fw_step(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig) -> np.ndarray:
-    """x + eta_k (v_k - x) with the configured learning rate."""
-    v = fw_lmo(g, cfg)
+def _fw_update(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig
+               ) -> tuple[np.ndarray, float]:
+    """:func:`fw_step` that also returns ||g||_R."""
+    v, norm_r = _lmo(g, cfg)
     if cfg.rate is FwRate.LINEAR:
         eta = 1.0 / (k + 1)
     else:
         diff = float(np.linalg.norm(v - x))
-        if diff == 0.0:
-            eta = 1.0
-        else:
-            mask = relevant_mask(g, min(cfg.T, g.shape[0]))
-            norm_r = float(np.sqrt(np.sum(g[mask] ** 2)))
-            eta = min(cfg.beta * norm_r / diff, 1.0)
-    return x + eta * (v - x)
+        eta = 1.0 if diff == 0.0 else min(cfg.beta * norm_r / diff, 1.0)
+    return x + eta * (v - x), norm_r
+
+
+def fw_step(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig) -> np.ndarray:
+    """x + eta_k (v_k - x) with the configured learning rate."""
+    return _fw_update(x, g, k, cfg)[0]
 
 
 def fw_run(problem: Problem, x0: np.ndarray, cfg: FwConfig,
-           grad_tol: float = DEFAULT_GRAD_TOL,
-           max_iters: int = DEFAULT_MAX_ITERS,
-           delta_trace: float = 1e-3,
-           record_objective: bool = True) -> RunRecord:
-    """Frank-Wolfe loop producing the common trace format."""
-    x = np.array(x0, dtype=np.float64)
-    n = x.shape[0]
+           **stop) -> RunRecord:
+    """Frank-Wolfe through :func:`prunadag.optimizer.drive`; ``stop``
+    takes drive's keyword arguments."""
+    n = problem.dim
     T = min(cfg.T, n)
-    grad_norms, grad_norms_r, below, objective, max_abs = [], [], [], [], []
-    reason = "max iterations"
-    for k in range(max_iters):
-        g = problem.gradient(x)
-        if not np.all(np.isfinite(g)):
-            raise DivergedError("non-finite gradient in frank-wolfe run")
-        if record_objective:
-            objective.append(problem.value(x))
-        below.append(int(np.count_nonzero(np.abs(x) < delta_trace)))
-        max_abs.append(float(np.max(np.abs(x))))
-        gn = float(np.linalg.norm(g))
-        grad_norms.append(gn)
-        mask = relevant_mask(g, T)
-        grad_norms_r.append(float(np.sqrt(np.sum(g[mask] ** 2))))
-        x = fw_step(x, g, k, cfg)
-        if gn <= grad_tol:
-            reason = "gradient tolerance"
-            break
-    k = len(grad_norms)
-    trace = RunRecord(
-        grad_norm=np.array(grad_norms),
-        grad_norm_opt=np.array(grad_norms_r),
-        below_delta=np.array(below, dtype=np.int64),
-        card_R=np.full(k, T, dtype=np.int64),
-        card_A=np.zeros(k, dtype=np.int64),
-        card_D=np.full(k, n - T, dtype=np.int64),
-        max_abs_x=np.array(max_abs), x_final=x, reason=reason,
-        objective=np.array(objective) if record_objective else None,
-    )
-    if record_objective:
-        trace.objective_final = problem.value(x)
-    return trace
+
+    def step(x, g, grad_norm, k):
+        x, norm_r = _fw_update(x, g, k, cfg)
+        return x, (norm_r, T, 0, n - T)
+
+    return drive(problem, x0, step, **stop)

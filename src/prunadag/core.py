@@ -9,7 +9,7 @@ completed optimizer run leaves behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,7 +110,6 @@ class RunRecord:
     sum_gO2_over_wO: Optional[np.ndarray] = None
     sum_gO2_over_wO2: Optional[np.ndarray] = None
     sum_xD2_over_wD2: Optional[np.ndarray] = None
-    history: Optional[list] = field(default=None, repr=False)
 
     @property
     def iterations(self) -> int:

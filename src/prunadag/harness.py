@@ -22,7 +22,6 @@ import configparser
 import csv
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -73,7 +72,7 @@ class ExperimentConfig:
     record_objective: bool = True
 
     def resolved_T(self, n: int) -> int:
-        return self.T if self.T is not None else max(2, math.ceil(n / 10))
+        return self.T if self.T is not None else optimizer.default_target(n)
 
 
 _SCHEMA = {
@@ -85,6 +84,13 @@ _SCHEMA = {
     "pruning": {"sigma", "delta", "delta_trace"},
     "output": {"dir", "jobs", "master_seed", "record_objective"},
 }
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _float_list(raw: str) -> list[float]:
@@ -192,8 +198,7 @@ def load_config(path) -> ExperimentConfig:
         out_dir=get("output", "dir", str, default="results"),
         jobs=get("output", "jobs", int, default=1),
         master_seed=get("output", "master_seed", int, default=0),
-        record_objective=get("output", "record_objective",
-                             lambda s: s.lower() in ("1", "true", "yes"),
+        record_objective=get("output", "record_objective", _bool,
                              default=True),
     )
 

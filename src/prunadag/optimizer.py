@@ -1,18 +1,23 @@
-"""The pruning-aware adaptive gradient optimizer.
+"""The pruning-aware adaptive gradient optimizer and the driver loop
+shared by every optimizer in the package.
 
 Each iteration classifies the parameters into optimisable indices
 (updated by an Adagrad-like step -g_i/w_i built from past optimisable
 gradients) and decreasable indices (shrunk toward zero by a
 trust-region style step bounded by -x_i/w_i built from past decreasable
-magnitudes). See :mod:`prunadag.steps` for the per-step contracts and
-:mod:`prunadag._kernels` for the fused fast path.
+magnitudes). :mod:`prunadag._kernels` performs one iteration;
+:mod:`prunadag.steps` states the per-step contracts.
+
+:func:`drive` is the one loop around every optimizer: it calls the
+oracles, treats a non-finite value as divergence, and keeps the trace.
+An optimizer supplies only its step function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,10 +29,95 @@ DEFAULT_VARSIGMA = 0.01   # weight floor constant
 DEFAULT_GRAD_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
 
+# (x_next, (grad_norm_opt, card_R, card_A, card_D[, three theory sums]))
+StepFn = Callable[[np.ndarray, np.ndarray, float, int],
+                  tuple[np.ndarray, tuple]]
+
 
 def default_target(n: int) -> int:
     """Default number of relevant parameters: ceil(n/10), floored at 2."""
     return max(2, math.ceil(n / 10))
+
+
+def _checked_gradient(problem: Problem, x: np.ndarray, k: int) -> np.ndarray:
+    g = problem.gradient(x)
+    if not np.all(np.isfinite(g)):
+        raise DivergedError(f"non-finite gradient at iteration {k}")
+    return g
+
+
+def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
+    f = problem.value(x)
+    if not math.isfinite(f):
+        raise DivergedError(f"non-finite objective at iteration {k}")
+    return f
+
+
+def drive(problem: Problem, x0: np.ndarray, step: StepFn,
+          theory: bool = False, grad_tol: float = DEFAULT_GRAD_TOL,
+          max_iters: int = DEFAULT_MAX_ITERS, delta_trace: float = 1e-3,
+          record_objective: bool = True) -> RunRecord:
+    """Iterate ``step`` from ``x0`` until the gradient norm drops below
+    ``grad_tol`` or ``max_iters`` iterations have been performed.
+
+    ``step(x, g, grad_norm, k)`` returns the next iterate and the
+    optimizer's trace entries for iteration k: ``(grad_norm_opt,
+    card_R, card_A, card_D)``, followed by the three weighted sums of
+    :class:`RunRecord` when ``theory`` is set. Row k of the trace
+    describes x_k, before step k.
+
+    Raises :class:`DivergedError`, with the trace up to the failing
+    iterate attached, if the gradient or the objective oracle returns a
+    non-finite value.
+    """
+    if grad_tol <= 0:
+        raise ValueError("grad_tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    x = np.array(x0, dtype=np.float64)
+    rows: list[tuple] = []
+    reason = "max iterations"
+    try:
+        for k in range(max_iters):
+            g = _checked_gradient(problem, x, k)
+            f = _checked_value(problem, x, k) if record_objective else 0.0
+            abs_x = np.abs(x)
+            grad_norm = float(np.linalg.norm(g))
+            row = (grad_norm, np.count_nonzero(abs_x < delta_trace),
+                   float(abs_x.max()), f)
+            x, stats = step(x, g, grad_norm, k)
+            rows.append(row + stats)
+            if grad_norm <= grad_tol:
+                reason = "gradient tolerance"
+                break
+        f_final = (_checked_value(problem, x, len(rows))
+                   if record_objective else None)
+    except DivergedError as err:
+        err.record = _assemble(rows, x, "diverged", theory, record_objective)
+        raise
+    record = _assemble(rows, x, reason, theory, record_objective)
+    record.objective_final = f_final
+    return record
+
+
+def _assemble(rows: list[tuple], x: np.ndarray, reason: str, theory: bool,
+              record_objective: bool) -> RunRecord:
+    """Transpose the trace rows of :func:`drive` into a RunRecord."""
+    cols = np.array(rows, dtype=np.float64).reshape(len(rows), 8 + 3 * theory)
+    cols = cols.T.copy()
+    (grad_norm, below, max_abs_x, objective, grad_norm_opt,
+     card_R, card_A, card_D) = cols[:8]
+    return RunRecord(
+        grad_norm=grad_norm, grad_norm_opt=grad_norm_opt,
+        below_delta=below.astype(np.int64),
+        card_R=card_R.astype(np.int64), card_A=card_A.astype(np.int64),
+        card_D=card_D.astype(np.int64), max_abs_x=max_abs_x,
+        x_final=x, reason=reason,
+        objective=objective if record_objective else None,
+        sum_gO2_over_wO=cols[8] if theory else None,
+        sum_gO2_over_wO2=cols[9] if theory else None,
+        sum_xD2_over_wD2=cols[10] if theory else None,
+    )
 
 
 @dataclass
@@ -68,14 +158,14 @@ class PrunAdagState:
 
 @dataclass
 class IterationRecord:
-    """Snapshot of one iteration, for traces and invariant replay."""
+    """Snapshot of one iteration, for invariant replay in tests."""
 
     grad_norm: float
+    max_abs_x: float
     grad_norm_opt: float
     card_R: int
     card_A: int
     card_D: int
-    max_abs_x: float
     sum_gO2_over_wO: float
     sum_gO2_over_wO2: float
     sum_xD2_over_wD2: float
@@ -84,106 +174,61 @@ class IterationRecord:
     step: Optional[np.ndarray] = None
 
 
-def prunadag_iterate(state: PrunAdagState, problem: Problem,
-                     keep_history: bool = False,
-                     force_numpy: bool = False) -> IterationRecord:
-    """Advance ``state`` by one full iteration and return its record."""
-    g = problem.gradient(state.x)
-    if not np.all(np.isfinite(g)):
-        raise DivergedError(f"non-finite gradient at iteration {state.k}")
-    x_prev = state.x
+def _advance(state: PrunAdagState, g: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Take one kernel step from ``state.x`` at gradient ``g``.
+
+    Returns the step, the membership codes and the trace entries
+    ``(grad_norm_opt, card_R, card_A, card_D, sum_gO2_over_wO,
+    sum_gO2_over_wO2, sum_xD2_over_wD2)``.
+    """
+    x = state.x
     s, w_opt, w_dec, codes, _ = _kernels.iterate(
-        x_prev, g, state.w_opt, state.w_dec, state.k, state.T,
-        state.variant, force_numpy=force_numpy)
-
-    o_mask = codes != _kernels.CODE_DECREASABLE
-    d_mask = ~o_mask
-    gO = g[o_mask]
-    wO = w_opt[o_mask]
-    xD = x_prev[d_mask]
-    rec = IterationRecord(
-        grad_norm=float(np.linalg.norm(g)),
-        grad_norm_opt=float(np.sqrt(np.sum(gO ** 2))),
-        card_R=int(np.count_nonzero(codes == _kernels.CODE_RELEVANT)),
-        card_A=int(np.count_nonzero(codes == _kernels.CODE_ACCEPTABLE)),
-        card_D=int(np.count_nonzero(d_mask)),
-        max_abs_x=float(np.max(np.abs(x_prev))),
-        sum_gO2_over_wO=float(np.sum(gO ** 2 / wO)),
-        sum_gO2_over_wO2=float(np.sum((gO / wO) ** 2)),
-        sum_xD2_over_wD2=float(np.sum((xD / w_dec[d_mask]) ** 2)),
-    )
-    if keep_history:
-        rec.g = g
-        rec.codes = codes
-        rec.step = s.copy()
-
-    state.x = x_prev + s
+        x, g, state.w_opt, state.w_dec, state.k, state.T, state.variant)
+    d = codes == _kernels.CODE_DECREASABLE
+    o = ~d
+    gO2 = g[o] ** 2
+    wO = w_opt[o]
+    stats = (float(np.sqrt(np.sum(gO2))),
+             *np.bincount(codes, minlength=3).tolist(),
+             float(np.sum(gO2 / wO)),
+             float(np.sum((g[o] / wO) ** 2)),
+             float(np.sum((x[d] / w_dec[d]) ** 2)))
+    state.x = x + s
     state.w_opt = w_opt
     state.w_dec = w_dec
     state.k += 1
+    return s, codes, stats
+
+
+def prunadag_iterate(state: PrunAdagState, problem: Problem,
+                     keep_history: bool = False) -> IterationRecord:
+    """Advance ``state`` by one full iteration and return its record."""
+    x = state.x
+    g = _checked_gradient(problem, x, state.k)
+    s, codes, stats = _advance(state, g)
+    rec = IterationRecord(float(np.linalg.norm(g)), float(np.max(np.abs(x))),
+                          *stats)
+    if keep_history:
+        rec.g, rec.codes, rec.step = g, codes, s
     return rec
 
 
 def run(problem: Problem, x0: np.ndarray, T: Optional[int] = None,
         variant: Variant = Variant.V3, varsigma: float = DEFAULT_VARSIGMA,
-        grad_tol: float = DEFAULT_GRAD_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-        delta_trace: float = 1e-3, record_objective: bool = True,
-        keep_history: bool = False, force_numpy: bool = False) -> RunRecord:
-    """Run the optimizer until the gradient norm drops below ``grad_tol``
-    or ``max_iters`` iterations have been performed.
+        **stop) -> RunRecord:
+    """Run the pruning-aware optimizer through :func:`drive`.
 
-    Raises :class:`DivergedError` (with the partial trace attached) if
-    an oracle returns a non-finite value.
+    ``stop`` takes the keyword arguments of :func:`drive`: ``grad_tol``,
+    ``max_iters``, ``delta_trace`` and ``record_objective``.
     """
-    if grad_tol <= 0:
-        raise ValueError("grad_tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     if T is None:
         T = default_target(problem.dim)
     state = PrunAdagState(x=x0, T=T, variant=variant, varsigma=varsigma)
-    records: list[IterationRecord] = []
-    below: list[int] = []
-    objective: list[float] = []
-    reason = "max iterations"
-    try:
-        for _ in range(max_iters):
-            below_count = int(np.count_nonzero(np.abs(state.x) < delta_trace))
-            if record_objective:
-                objective.append(problem.value(state.x))
-            rec = prunadag_iterate(state, problem, keep_history=keep_history,
-                                   force_numpy=force_numpy)
-            records.append(rec)
-            below.append(below_count)
-            if rec.grad_norm <= grad_tol:
-                reason = "gradient tolerance"
-                break
-    except DivergedError as err:
-        err.record = _assemble(records, below, objective, state, "diverged",
-                               record_objective, keep_history)
-        raise
-    trace = _assemble(records, below, objective, state, reason,
-                      record_objective, keep_history)
-    if record_objective:
-        trace.objective_final = problem.value(state.x)
-    return trace
 
+    def step(x, g, grad_norm, k):
+        # drive's iterate is state.x, which _advance steps from
+        stats = _advance(state, g)[2]
+        return state.x, stats
 
-def _assemble(records, below, objective, state, reason,
-              record_objective, keep_history) -> RunRecord:
-    return RunRecord(
-        grad_norm=np.array([r.grad_norm for r in records]),
-        grad_norm_opt=np.array([r.grad_norm_opt for r in records]),
-        below_delta=np.array(below, dtype=np.int64),
-        card_R=np.array([r.card_R for r in records], dtype=np.int64),
-        card_A=np.array([r.card_A for r in records], dtype=np.int64),
-        card_D=np.array([r.card_D for r in records], dtype=np.int64),
-        max_abs_x=np.array([r.max_abs_x for r in records]),
-        x_final=state.x.copy(),
-        reason=reason,
-        objective=np.array(objective) if record_objective else None,
-        sum_gO2_over_wO=np.array([r.sum_gO2_over_wO for r in records]),
-        sum_gO2_over_wO2=np.array([r.sum_gO2_over_wO2 for r in records]),
-        sum_xD2_over_wD2=np.array([r.sum_xD2_over_wD2 for r in records]),
-        history=records if keep_history else None,
-    )
+    return drive(problem, state.x, step, theory=True, **stop)

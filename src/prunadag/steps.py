@@ -1,8 +1,9 @@
 """Single-iteration building blocks of the pruning-aware optimizer.
 
-These are the plain-numpy reference implementations. The fused fast
-path in :mod:`prunadag._kernels` composes the exact same arithmetic in
-one jitted loop; tests cross-check the two against each other.
+These are the readable reference implementations, one function per
+step of the method. The production kernel in :mod:`prunadag._kernels`
+fuses the same arithmetic into one mask-based pass; tests check that a
+step-by-step composition of these functions matches it bit for bit.
 
 Index-set conventions used throughout:
 
@@ -85,12 +86,12 @@ def relevant_mask(g: np.ndarray, T: int) -> np.ndarray:
     if not 1 <= T <= n:
         raise ValueError(f"T must be in [1, {n}], got {T}")
     absg = np.abs(g)
-    thr = np.sort(absg)[n - T]
+    thr = np.partition(absg, n - T)[n - T]
     mask = absg > thr
+    # at most T-1 entries exceed the T-th largest value, so at least one
+    # threshold-valued entry is always needed to fill the set
     short = T - int(np.count_nonzero(mask))
-    if short > 0:
-        at_thr = np.flatnonzero(~mask & (absg == thr))
-        mask[at_thr[:short]] = True
+    mask[np.flatnonzero(absg == thr)[:short]] = True
     return mask
 
 
@@ -110,7 +111,7 @@ def tentative_opt_weights(w_opt_prev: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def sign_match_mask(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sign(x_i) == sign(g_i) with both nonzero."""
-    return (np.sign(x) == np.sign(g)) & (x != 0.0) & (g != 0.0)
+    return np.sign(x) * np.sign(g) > 0.0
 
 
 def bounding_sequences(x: np.ndarray, g: np.ndarray, k: int,
@@ -165,20 +166,41 @@ def optimisable_step(g: np.ndarray, w_opt: np.ndarray,
     return s
 
 
+class TrustRegionError(RuntimeError):
+    """A decreasable step broke its trust-region conditions.
+
+    The construction of the step guarantees both conditions, so this
+    signals an implementation bug, not bad data.
+    """
+
+
+def check_trust_region(g: np.ndarray, s: np.ndarray,
+                       limit: np.ndarray) -> None:
+    """Raise :class:`TrustRegionError` unless |s_i| <= limit_i for every
+    entry and g.s <= 0, where the entries are those of the decreasable
+    set and ``limit`` = |x_i|/w_i with the updated decrease weights.
+
+    Explicit raises rather than asserts, so the checks survive
+    ``python -O``.
+    """
+    if not np.all(np.abs(s) <= limit):
+        raise TrustRegionError("decreasable step exceeds |x_i|/w_i")
+    if not float(np.dot(g, s)) <= 0.0:
+        raise TrustRegionError("decreasable step is not a descent direction")
+
+
 def decreasable_step(x: np.ndarray, g: np.ndarray, w_dec: np.ndarray,
                      cls: Classification, a: np.ndarray) -> np.ndarray:
     """Magnitude-shrinking step on the decreasable indices.
 
     ``w_dec`` must already hold the updated weights for indices in D.
     The construction guarantees |s_i| <= |x_i/w_i| on D and
-    sum_{i in D} g_i s_i <= 0; both are asserted because a failure
-    signals an implementation bug, not bad data.
+    sum_{i in D} g_i s_i <= 0; :func:`check_trust_region` enforces both.
     """
     s = np.zeros_like(x)
     s_limit = -x[cls.S] / w_dec[cls.S]
     s[cls.S] = -np.sign(x[cls.S]) * np.minimum(a[cls.S], np.abs(s_limit))
-    assert np.all(np.abs(s[cls.D]) <= np.abs(x[cls.D] / w_dec[cls.D]))
-    assert float(np.dot(g[cls.D], s[cls.D])) <= 0.0
+    check_trust_region(g[cls.D], s[cls.D], np.abs(x[cls.D] / w_dec[cls.D]))
     return s
 
 

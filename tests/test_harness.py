@@ -96,6 +96,20 @@ class TestConfigParsing:
             load_config(write_config(
                 tmp_path, BASE_CONFIG.replace("0.3, 0.5", "1.5")))
 
+    @pytest.mark.parametrize("raw, expected", [
+        ("true", True), ("Yes", True), ("1", True), ("on", True),
+        ("false", False), ("no", False), ("0", False), ("OFF", False)])
+    def test_record_objective_boolean_states(self, tmp_path, raw, expected):
+        text = BASE_CONFIG + f"record_objective = {raw}\n"
+        assert load_config(write_config(tmp_path, text)).record_objective \
+            is expected
+
+    @pytest.mark.parametrize("raw", ["ture", "2", "enabled"])
+    def test_record_objective_rejects_unknown_strings(self, tmp_path, raw):
+        text = BASE_CONFIG + f"record_objective = {raw}\n"
+        with pytest.raises(ConfigError, match="record_objective"):
+            load_config(write_config(tmp_path, text))
+
     def test_libsvm_path_must_exist(self, tmp_path):
         text = """\
 [problem]

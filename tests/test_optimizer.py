@@ -1,13 +1,16 @@
-"""Tests for the full optimizer loop and its fused kernel paths."""
+"""Tests for the optimizer, its driver loop and the fused kernel."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
-from prunadag._kernels import (CODE_DECREASABLE, CODE_RELEVANT, iterate,
-                               numba_enabled)
+from prunadag import _kernels, steps
+from prunadag._kernels import CODE_DECREASABLE, CODE_RELEVANT, iterate
+from prunadag.baselines import FwConfig, FwRate, adagrad_run, fw_run
 from prunadag.core import DivergedError, Problem
 from prunadag.optimizer import (DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
                                 DEFAULT_VARSIGMA, default_target)
@@ -66,7 +69,7 @@ class TestHandTrace:
         g = np.array([2.0, 0.5])
         w0 = np.full(2, 0.1)
         s, w_opt, w_dec, codes, in_s = iterate(x, g, w0, w0.copy(), 0, 1,
-                                               Variant.V2, force_numpy=True)
+                                               Variant.V2)
         # R = {0}; index 1: |g/w~| = 0.5/sqrt(0.26) ~ 0.980581 < a = 1
         # so it is decreasable and sign-matched.
         assert codes[0] == CODE_RELEVANT
@@ -135,51 +138,175 @@ class TestRunLoop:
 
 
 class TestKernelPathsAgree:
-    """The fused jitted kernel and the composed numpy path must produce
-    bitwise-identical results; any drift means the two implementations
-    have silently diverged."""
+    """The fused kernel must reproduce a step-by-step composition of the
+    :mod:`prunadag.steps` reference bit for bit, on all five outputs;
+    any drift means the two implementations have silently diverged."""
+
+    @staticmethod
+    def reference(x, g, w_opt_prev, w_dec_prev, k, T, variant):
+        w_tent = steps.tentative_opt_weights(w_opt_prev, g)
+        r_mask = steps.relevant_mask(g, T)
+        a, b = steps.bounding_sequences(x, g, k, variant, r_mask)
+        cls = steps.classify(x, g, w_tent, a, b, T, variant)
+        w_opt, w_dec = steps.commit_weights(w_opt_prev, w_dec_prev,
+                                            w_tent, x, cls)
+        s = steps.optimisable_step(g, w_tent, cls.O)
+        s += steps.decreasable_step(x, g, w_dec, cls, a)
+        codes = np.full(x.shape[0], CODE_DECREASABLE, dtype=np.int8)
+        codes[cls.R] = CODE_RELEVANT
+        codes[cls.A] = _kernels.CODE_ACCEPTABLE
+        in_S = np.zeros(x.shape[0], dtype=bool)
+        in_S[cls.S] = True
+        return s, w_opt, w_dec, codes, in_S
+
+    @staticmethod
+    def assert_bitwise(out, ref):
+        for got, want in zip(out, ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def assert_trajectory_bitwise(self, variant):
+        # kernel and reference agree at every iterate of a 300-step run,
+        # with a fifth of the start at exactly zero
+        for n in (50, 200):
+            ls = gen_least_squares("A1", 10, n, seed=7)
+            problem = ls.problem()
+            rng = np.random.default_rng(3)
+            x0 = rng.standard_normal(n)
+            x0[rng.random(n) < 0.2] = 0.0
+            state = PrunAdagState(x=x0, T=n // 10, variant=variant)
+            for _ in range(300):
+                g = problem.gradient(state.x)
+                args = (state.x, g, state.w_opt, state.w_dec, state.k,
+                        state.T, variant)
+                out = iterate(*args)
+                self.assert_bitwise(out, self.reference(*args))
+                state.x = state.x + out[0]
+                state.w_opt, state.w_dec = out[1], out[2]
+                state.k += 1
 
     @pytest.mark.parametrize("variant", [Variant.V2, Variant.V4])
     def test_bitwise_equal_iterates_unscaled_variants(self, variant):
-        # without the rescaled lower bound every operation is elementwise
-        # and the two paths must agree bit for bit over a whole run
-        ls = gen_least_squares("A1", 10, 50, seed=7)
-        problem = ls.problem()
-        rng = np.random.default_rng(3)
-        x0 = rng.standard_normal(50)
-        rec_np = run(problem, x0, T=5, variant=variant, max_iters=300,
-                     force_numpy=True)
-        rec_jit = run(problem, x0, T=5, variant=variant, max_iters=300,
-                      force_numpy=False)
-        assert np.array_equal(rec_np.x_final, rec_jit.x_final)
-        assert np.array_equal(rec_np.grad_norm, rec_jit.grad_norm)
-        assert np.array_equal(rec_np.card_A, rec_jit.card_A)
+        self.assert_trajectory_bitwise(variant)
 
     @pytest.mark.parametrize("variant",
                              [Variant.V1, Variant.V3, Variant.RELEVANT_ONLY])
     def test_rescaled_variants_agree_per_iteration(self, variant):
-        # the rescaled lower bound sums squares in a different reduction
-        # order on the two paths, so agreement is to the last ulp per
-        # iteration rather than bitwise over a trajectory
-        ls = gen_least_squares("A1", 10, 50, seed=7)
-        problem = ls.problem()
-        rng = np.random.default_rng(3)
-        state = PrunAdagState(x=rng.standard_normal(50), T=5, variant=variant)
-        for _ in range(100):
-            g = problem.gradient(state.x)
-            out_np = iterate(state.x, g, state.w_opt, state.w_dec,
-                             state.k, state.T, variant, force_numpy=True)
-            out_jit = iterate(state.x, g, state.w_opt, state.w_dec,
-                              state.k, state.T, variant, force_numpy=False)
-            assert np.array_equal(out_np[3], out_jit[3])   # codes
-            assert np.allclose(out_np[0], out_jit[0], rtol=1e-12, atol=0)
-            state.x = state.x + out_jit[0]
-            state.w_opt, state.w_dec = out_jit[1], out_jit[2]
-            state.k += 1
+        # the rescaled lower bound sums the same compacted entries in the
+        # same order on both sides, so agreement is bitwise here too
+        self.assert_trajectory_bitwise(variant)
 
-    def test_numba_toggle_reports(self):
-        # whichever way the env flag points, the call must not crash
-        assert numba_enabled() in (True, False)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(ALL_VARIANTS))
+    def test_bitwise_equal_with_ties_and_zeros(self, seed, variant):
+        # small integer grids make ties at the top-T threshold, zeros in
+        # x and g, and exact sign matches common
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        T = int(rng.integers(1, n + 1))
+        x = rng.integers(-3, 4, n) * float(rng.choice([1.0, 0.5, 1e-3]))
+        g = rng.integers(-3, 4, n) * float(rng.choice([1.0, 0.25, 7.0]))
+        w_opt = np.sqrt(0.01 + rng.random(n))
+        w_dec = np.sqrt(0.01 + rng.random(n))
+        args = (x, g, w_opt, w_dec, int(rng.integers(0, 50)), T, variant)
+        self.assert_bitwise(iterate(*args), self.reference(*args))
+
+
+class TestTrustRegionChecks:
+    def test_kernel_raises_when_S_holds_a_sign_mismatch(self, monkeypatch):
+        # a sign-match test that accepts opposite signs puts an index with
+        # g_i s_i > 0 into S; the kernel's descent check must catch it
+        monkeypatch.setattr(steps, "sign_match_mask",
+                            lambda x, g: (x != 0.0) & (g != 0.0))
+        x = np.array([1.0, -1.0])
+        g = np.array([5.0, 0.5])
+        w = np.full(2, 0.1)
+        with pytest.raises(steps.TrustRegionError):
+            iterate(x, g, w, w.copy(), 0, 1, Variant.V2)
+
+
+class TestDriver:
+    """Every optimizer goes through ``optimizer.drive``; a non-finite
+    oracle value ends the run with a partial record that validates."""
+
+    RUNNERS = {
+        "v3": lambda p, x0, **kw: run(p, x0, T=2, **kw),
+        "adagrad": lambda p, x0, **kw: adagrad_run(p, x0, **kw),
+        "fw1": lambda p, x0, **kw: fw_run(p, x0, FwConfig(T=2, tau=5.0),
+                                          **kw),
+        "fw2": lambda p, x0, **kw: fw_run(
+            p, x0, FwConfig(T=2, tau=5.0, rate=FwRate.RESCALED), **kw),
+    }
+
+    @staticmethod
+    def failing_after(calls, value):
+        count = {"n": 0}
+
+        def oracle(x):
+            count["n"] += 1
+            return value(x) if count["n"] <= calls else value(x) * np.nan
+        return oracle
+
+    @pytest.mark.parametrize("method", sorted(RUNNERS))
+    def test_nan_gradient_attaches_valid_record(self, method):
+        problem = Problem(dim=4, grad=self.failing_after(3, lambda x: x - 0.3),
+                          objective=lambda x: 0.5 * float(np.sum(x ** 2)))
+        with pytest.raises(DivergedError) as exc:
+            self.RUNNERS[method](problem, np.ones(4), max_iters=100)
+        rec = exc.value.record
+        assert rec is not None
+        rec.validate()
+        assert rec.reason == "diverged"
+        assert rec.iterations == 3
+        assert rec.objective.shape == (3,)
+
+    @pytest.mark.parametrize("method", sorted(RUNNERS))
+    def test_nan_objective_is_divergence(self, method):
+        objective = self.failing_after(
+            5, lambda x: 0.5 * float(np.sum(x ** 2)))
+        problem = Problem(dim=4, grad=lambda x: x - 0.3, objective=objective)
+        with pytest.raises(DivergedError, match="objective") as exc:
+            self.RUNNERS[method](problem, np.ones(4), max_iters=100)
+        rec = exc.value.record
+        rec.validate()
+        assert rec.reason == "diverged"
+        assert rec.iterations == 5
+        assert np.all(np.isfinite(rec.objective))
+
+    def test_nan_final_objective_is_divergence(self):
+        objective = self.failing_after(
+            7, lambda x: 0.5 * float(np.sum(x ** 2)))
+        problem = Problem(dim=4, grad=lambda x: x.copy(), objective=objective)
+        with pytest.raises(DivergedError) as exc:
+            run(problem, np.ones(4), T=2, max_iters=7)
+        exc.value.record.validate()
+        assert exc.value.record.iterations == 7
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_run_trace_matches_single_steps(self, variant):
+        # row k of run's trace must describe x_k, and step k must start
+        # from it: replaying prunadag_iterate reproduces the run bitwise
+        problem = gen_least_squares("A3", 8, 40, seed=5).problem()
+        x0 = np.random.default_rng(8).standard_normal(40)
+        rec = run(problem, x0, T=4, variant=variant, max_iters=60)
+        state = PrunAdagState(x=x0, T=4, variant=variant)
+        recs = [prunadag_iterate(state, problem) for _ in range(60)]
+        assert np.array_equal(rec.x_final, state.x)
+        for name in ("grad_norm", "max_abs_x", "grad_norm_opt", "card_R",
+                     "card_A", "card_D", "sum_gO2_over_wO",
+                     "sum_gO2_over_wO2", "sum_xD2_over_wD2"):
+            assert np.array_equal(getattr(rec, name),
+                                  [getattr(r, name) for r in recs]), name
+
+    def test_without_objective_no_objective_calls(self):
+        def objective(x):
+            raise AssertionError("objective oracle called")
+        problem = Problem(dim=4, grad=lambda x: x.copy(), objective=objective)
+        for method in sorted(self.RUNNERS):
+            rec = self.RUNNERS[method](problem, np.ones(4), max_iters=5,
+                                       record_objective=False)
+            rec.validate()
+            assert rec.objective is None and rec.objective_final is None
 
 
 class TestWeightClosedForms:

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prunadag.steps import (Classification, Variant, bounding_sequences,
-                            classify, commit_weights, decreasable_step,
+from prunadag.steps import (Classification, TrustRegionError, Variant,
+                            bounding_sequences, check_trust_region, classify,
+                            commit_weights, decreasable_step,
                             optimisable_step, relevant_mask, select_relevant,
                             sign_match_mask, tentative_opt_weights)
 
@@ -254,6 +255,22 @@ class TestDecreasableStep:
         s = decreasable_step(x, g, w, cls, np.array([0.2]))
         assert s[0] == pytest.approx(0.2)
         assert abs(x[0] + s[0]) <= abs(x[0])
+
+    def test_sign_mismatched_index_in_S_raises(self):
+        # a Classification that puts a sign-mismatched index into S would
+        # step the iterate uphill; the descent check raises, also under -O
+        cls = Classification(R=np.array([], dtype=np.int64),
+                             A=np.array([], dtype=np.int64),
+                             O=np.array([], dtype=np.int64),
+                             D=np.array([0]), S=np.array([0]))
+        with pytest.raises(TrustRegionError, match="descent"):
+            decreasable_step(np.array([0.5]), np.array([-1.0]),
+                             np.array([1.0]), cls, np.array([0.5]))
+
+    def test_step_beyond_limit_raises(self):
+        with pytest.raises(TrustRegionError, match="exceeds"):
+            check_trust_region(np.array([1.0]), np.array([-2.0]),
+                               np.array([1.0]))
 
     @settings(max_examples=200)
     @given(hnp.arrays(np.float64, 8, elements=st.floats(-20, 20)),
