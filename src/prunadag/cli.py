@@ -35,10 +35,6 @@ def _add_run_args(sub):
                      help="master seed override")
 
 
-def _float_list(raw):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prunadag",
@@ -56,9 +52,9 @@ def main(argv=None) -> int:
     p_prune = subs.add_parser("prune", help="prune a stored solution vector")
     p_prune.add_argument("solution", help="solution file (binary or CSV)")
     group = p_prune.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sigma", type=_float_list,
+    group.add_argument("--sigma", type=harness._float_list,
                        help="comma-separated sparsity fractions")
-    group.add_argument("--delta", type=_float_list,
+    group.add_argument("--delta", type=harness._float_list,
                        help="comma-separated magnitude thresholds")
     p_prune.add_argument("--config", default=None,
                          help="experiment config supplying the problem "
@@ -77,9 +73,9 @@ def main(argv=None) -> int:
             result = harness.run_experiment(cfg)
         else:
             result = harness.ablation_relevant_only(cfg)
-        done = len(result.records) - len(result.failures)
+        done = len(result.records.keys() - result.failures.keys())
         print(f"completed {done} runs "
-              f"({len(result.failures)} diverged) -> {cfg.out_dir}")
+              f"({len(result.failures)} failed) -> {cfg.out_dir}")
         return 0
 
     if args.command == "verify":
@@ -102,18 +98,14 @@ def main(argv=None) -> int:
     if args.config is not None:
         cfg = harness.load_config(args.config)
         problem = harness.build_problem(cfg, 0).problem
-    sigmas = args.sigma or []
-    deltas = args.delta or []
     header = "target_kind,target_value,achieved_sparsity,nonzeros"
     if problem is not None:
         header += ",rho,omega"
     print(header)
-    for kind, values in (("sigma", sigmas), ("delta", deltas)):
+    for kind, values in (("sigma", args.sigma or []),
+                         ("delta", args.delta or [])):
         for v in values:
-            if kind == "sigma":
-                xp, _ = pruning.prune_to_sparsity(x, v)
-            else:
-                xp = pruning.prune_threshold(x, v)
+            xp = pruning.prune(x, kind, v)
             sparsity = float((xp == 0.0).mean())
             line = f"{kind},{v!r},{sparsity!r},{int((xp != 0).sum())}"
             if problem is not None:

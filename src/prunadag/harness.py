@@ -21,9 +21,11 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -285,13 +287,17 @@ class ExperimentResult:
     records: dict = field(default_factory=dict)    # (method, seed) -> RunRecord
     failures: dict = field(default_factory=dict)   # (method, seed) -> reason
     prune_rows: dict = field(default_factory=dict)  # (method, seed) -> list
-    accuracy: dict = field(default_factory=dict)   # (method, seed, kind, val) -> acc
     instances: dict = field(default_factory=dict)  # seed -> ProblemInstance
 
 
 def run_experiment(cfg: ExperimentConfig,
                    extra_methods: tuple = ()) -> ExperimentResult:
-    """Execute the full (optimizer x seed) grid and write the bundle."""
+    """Execute the full (optimizer x seed) grid and write the bundle.
+
+    A cell whose run or pruning sweep raises records the failure as
+    ``"<ExceptionClass>: <message>"``, keeps whatever run record exists,
+    and does not stop the other cells.
+    """
     methods = list(cfg.methods) + [m for m in extra_methods
                                    if m not in cfg.methods]
     result = ExperimentResult(cfg=cfg)
@@ -302,10 +308,17 @@ def run_experiment(cfg: ExperimentConfig,
 
     def work(task):
         method, i = task
+        instance = result.instances[i]
+        record = None
         try:
-            return task, _run_one(cfg, method, i, result.instances[i]), None
-        except DivergedError as err:
-            return task, err.record, str(err)
+            record = _run_one(cfg, method, i, instance)
+            rows = pruning.prune_report(record.x_final, instance.problem,
+                                        sigmas=cfg.sigmas, deltas=cfg.deltas,
+                                        test=instance.test)
+            return task, record, rows, None
+        except Exception as err:  # a DivergedError carries a partial trace
+            record = record or getattr(err, "record", None)
+            return task, record, None, f"{type(err).__name__}: {err}"
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -313,28 +326,13 @@ def run_experiment(cfg: ExperimentConfig,
     else:
         outcomes = [work(t) for t in tasks]
 
-    for (method, i), record, failure in outcomes:
-        if failure is not None:
-            result.failures[(method, i)] = failure
-            if record is not None:
-                result.records[(method, i)] = record
-            continue
-        result.records[(method, i)] = record
-        instance = result.instances[i]
-        rows = pruning.prune_report(record.x_final, instance.problem,
-                                    sigmas=cfg.sigmas, deltas=cfg.deltas)
-        result.prune_rows[(method, i)] = rows
-        if instance.test is not None:
-            for row in rows:
-                if row.target_kind == "sigma":
-                    xp, _ = pruning.prune_to_sparsity(record.x_final,
-                                                      row.target_value)
-                else:
-                    xp = pruning.prune_threshold(record.x_final,
-                                                 row.target_value)
-                acc = problems.classify_accuracy(xp, instance.test)
-                result.accuracy[(method, i, row.target_kind,
-                                 row.target_value)] = acc
+    for task, record, rows, failure in outcomes:
+        if record is not None:
+            result.records[task] = record
+        if failure is None:
+            result.prune_rows[task] = rows
+        else:
+            result.failures[task] = failure
 
     write_bundle(result, methods)
     return result
@@ -349,20 +347,41 @@ def ablation_relevant_only(cfg: ExperimentConfig) -> ExperimentResult:
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+def _column(name: str, attr: Optional[str] = None, dtype=np.float64):
+    return name, attr or name, dtype
+
+
+# The per-iteration files, for writing and reading: (optimizer, seed, k)
+# and then (CSV column, RunRecord field, dtype) entries. theory.csv holds
+# the pruning-aware runs only; a run without objectives leaves f empty.
+RUN_KEY_COLUMNS = ("optimizer", "seed", "k")
+TRACE_COLUMNS = (
+    _column("grad_norm"), _column("grad_norm_O", "grad_norm_opt"),
+    _column("f", "objective"),
+    _column("below_delta_count", "below_delta", np.int64),
+    _column("card_R", dtype=np.int64), _column("card_A", dtype=np.int64),
+    _column("card_D", dtype=np.int64),
+)
+THEORY_COLUMNS = (
+    _column("sum_gO2_over_wO"), _column("sum_gO2_over_wO2"),
+    _column("sum_xD2_over_wD2"), _column("max_abs_x"),
+)
+
+
+def _trace_rows(method: str, seed: int, rec: RunRecord, columns):
+    """One run's rows of a per-iteration file, built column by column."""
+    cols = [[""] * rec.iterations if getattr(rec, attr) is None
+            else getattr(rec, attr).tolist() for _, attr, _ in columns]
+    return zip(itertools.repeat(method), itertools.repeat(seed),
+               range(rec.iterations), *cols)
 
 
 def _write_csv(path, header, rows):
+    # csv writes a Python float as its repr, which round-trips exactly
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_bundle(result: ExperimentResult, methods: list[str]) -> None:
@@ -370,39 +389,19 @@ def write_bundle(result: ExperimentResult, methods: list[str]) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
 
-    trace_rows = []
-    theory_rows = []
-    for method, i in keys:
-        rec = result.records[(method, i)]
-        has_theory = rec.sum_gO2_over_wO is not None
-        for k in range(rec.iterations):
-            f_k = rec.objective[k] if rec.objective is not None else ""
-            trace_rows.append((method, i, k, rec.grad_norm[k],
-                               rec.grad_norm_opt[k], f_k,
-                               rec.below_delta[k], rec.card_R[k],
-                               rec.card_A[k], rec.card_D[k]))
-            if has_theory:
-                theory_rows.append((method, i, k,
-                                    rec.sum_gO2_over_wO[k],
-                                    rec.sum_gO2_over_wO2[k],
-                                    rec.sum_xD2_over_wD2[k],
-                                    rec.max_abs_x[k]))
-    _write_csv(os.path.join(cfg.out_dir, "trace.csv"),
-               ["optimizer", "seed", "k", "grad_norm", "grad_norm_O", "f",
-                "below_delta_count", "card_R", "card_A", "card_D"],
-               trace_rows)
-    _write_csv(os.path.join(cfg.out_dir, "theory.csv"),
-               ["optimizer", "seed", "k", "sum_gO2_over_wO",
-                "sum_gO2_over_wO2", "sum_xD2_over_wD2", "max_abs_x"],
-               theory_rows)
+    runs = [(key, result.records[key]) for key in keys]
+    theory_runs = [(key, rec) for key, rec in runs
+                   if rec.sum_gO2_over_wO is not None]
+    for name, columns, chosen in (("trace.csv", TRACE_COLUMNS, runs),
+                                  ("theory.csv", THEORY_COLUMNS, theory_runs)):
+        _write_csv(os.path.join(cfg.out_dir, name),
+                   [*RUN_KEY_COLUMNS, *(col for col, _, _ in columns)],
+                   itertools.chain.from_iterable(
+                       _trace_rows(*key, rec, columns) for key, rec in chosen))
 
-    prune_out = []
-    for method, i in keys:
-        for row in result.prune_rows.get((method, i), []):
-            acc = result.accuracy.get((method, i, row.target_kind,
-                                       row.target_value), "")
-            prune_out.append((method, i, row.target_kind, row.target_value,
-                              row.achieved_sparsity, row.rho, row.omega, acc))
+    # csv writes a missing accuracy (None) as an empty field
+    prune_out = [(*key, *dataclasses.astuple(row)) for key in keys
+                 for row in result.prune_rows.get(key, [])]
     _write_csv(os.path.join(cfg.out_dir, "prune.csv"),
                ["optimizer", "seed", "target_kind", "target_value",
                 "achieved_sparsity", "rho", "omega",
@@ -412,42 +411,31 @@ def write_bundle(result: ExperimentResult, methods: list[str]) -> None:
     # seed-averaged plot data; at iteration k the mean runs over the
     # seeds still active at k, so curves of unequal length aggregate
     # deterministically.
-    grad_rows, spars_rows = [], []
+    grad, spars, rho, omega = [], [], [], []
     for method in methods:
         recs = [result.records[(method, i)] for i in range(cfg.seeds)
                 if (method, i) in result.records
                 and (method, i) not in result.failures]
-        if not recs:
-            continue
-        n = recs[0].x_final.shape[0]
-        kmax = max(r.iterations for r in recs)
-        for k in range(kmax):
-            gn = [r.grad_norm[k] for r in recs if k < r.iterations]
-            bd = [r.below_delta[k] / n for r in recs if k < r.iterations]
-            grad_rows.append((method, k, float(np.mean(gn)), len(gn)))
-            spars_rows.append((method, k, float(np.mean(bd)), len(bd)))
-    _write_csv(os.path.join(cfg.out_dir, "plot_grad_norm.csv"),
-               ["optimizer", "k", "mean_grad_norm", "num_seeds"], grad_rows)
-    _write_csv(os.path.join(cfg.out_dir, "plot_sparsity.csv"),
-               ["optimizer", "k", "mean_below_delta_frac", "num_seeds"],
-               spars_rows)
-
-    rho_rows, omega_rows = [], []
-    for method in methods:
+        for k in range(max((r.iterations for r in recs), default=0)):
+            active = [r for r in recs if k < r.iterations]
+            grad.append((method, k, [r.grad_norm[k] for r in active]))
+            spars.append((method, k, [r.below_delta[k] / r.x_final.shape[0]
+                                      for r in active]))
         for sigma in cfg.sigmas:
-            vals = [(row.rho, row.omega)
-                    for i in range(cfg.seeds)
+            rows = [row for i in range(cfg.seeds)
                     for row in result.prune_rows.get((method, i), [])
                     if row.target_kind == "sigma" and row.target_value == sigma]
-            if not vals:
-                continue
-            rhos, omegas = zip(*vals)
-            rho_rows.append((method, sigma, float(np.mean(rhos)), len(vals)))
-            omega_rows.append((method, sigma, float(np.mean(omegas)), len(vals)))
-    _write_csv(os.path.join(cfg.out_dir, "plot_rho.csv"),
-               ["optimizer", "sigma", "mean_rho", "num_seeds"], rho_rows)
-    _write_csv(os.path.join(cfg.out_dir, "plot_omega.csv"),
-               ["optimizer", "sigma", "mean_omega", "num_seeds"], omega_rows)
+            rho.append((method, sigma, [row.rho for row in rows]))
+            omega.append((method, sigma, [row.omega for row in rows]))
+    for name, x, mean, groups in (
+            ("plot_grad_norm.csv", "k", "mean_grad_norm", grad),
+            ("plot_sparsity.csv", "k", "mean_below_delta_frac", spars),
+            ("plot_rho.csv", "sigma", "mean_rho", rho),
+            ("plot_omega.csv", "sigma", "mean_omega", omega)):
+        _write_csv(os.path.join(cfg.out_dir, name),
+                   ["optimizer", x, mean, "num_seeds"],
+                   [(method, v, float(np.mean(values)), len(values))
+                    for method, v, values in groups if values])
 
     runs_info = []
     for method, i in keys:
@@ -478,9 +466,7 @@ def write_bundle(result: ExperimentResult, methods: list[str]) -> None:
         "diverged": [{"optimizer": m, "seed": i, "reason": r}
                      for (m, i), r in sorted(result.failures.items())],
     }
-    with open(os.path.join(cfg.out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(cfg.out_dir, "runs.json"), "w") as fh:
-        json.dump(runs_info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, data in (("meta.json", meta), ("runs.json", runs_info)):
+        with open(os.path.join(cfg.out_dir, name), "w") as fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+            fh.write("\n")

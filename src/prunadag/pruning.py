@@ -3,15 +3,18 @@
 Pruning zeroes small-magnitude components of a solution either below a
 fixed threshold delta or down to a target sparsity fraction sigma
 (fraction of components zeroed). Robustness is measured by
-rho = ||g(x_pruned)|| and omega = sqrt(|f(x_pruned) - f(x)|).
+rho = ||g(x_pruned)|| and omega = sqrt(|f(x_pruned) - f(x)|), and by
+test accuracy when a classification test split is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from . import problems
 from .core import DivergedError, Problem
 
 
@@ -49,6 +52,16 @@ def prune_to_sparsity(x: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
     return out, float(np.max(np.abs(x[zeroed])))
 
 
+def prune(x: np.ndarray, kind: str, value: float) -> np.ndarray:
+    """Prune ``x`` to one target: a sparsity fraction (``kind`` "sigma")
+    or a magnitude threshold ("delta")."""
+    if kind == "sigma":
+        return prune_to_sparsity(x, value)[0]
+    if kind == "delta":
+        return prune_threshold(x, value)
+    raise ValueError(f"pruning target kind must be sigma or delta, got {kind!r}")
+
+
 def robustness(x: np.ndarray, x_pruned: np.ndarray,
                problem: Problem) -> tuple[float, float]:
     """(rho, omega) = (||g(x_pruned)||, sqrt(|f(x_pruned) - f(x)|))."""
@@ -69,22 +82,21 @@ class PruneRow:
     achieved_sparsity: float
     rho: float
     omega: float
+    accuracy: Optional[float] = None   # test accuracy, with a test split
 
 
-def prune_report(x: np.ndarray, problem: Problem,
-                 sigmas=(), deltas=()) -> list[PruneRow]:
-    """Sweep pruning targets over a solution and collect metrics."""
+def prune_report(x: np.ndarray, problem: Problem, sigmas=(), deltas=(),
+                 test: Optional[problems.LogisticProblem] = None
+                 ) -> list[PruneRow]:
+    """Sweep pruning targets over a solution and collect metrics; with a
+    ``test`` split, also each pruned vector's test accuracy."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
     rows = []
-    for sigma in sigmas:
-        xp, _ = prune_to_sparsity(x, sigma)
-        rho, omega = robustness(x, xp, problem)
-        rows.append(PruneRow("sigma", float(sigma),
-                             float(np.mean(xp == 0.0)), rho, omega))
-    for delta in deltas:
-        xp = prune_threshold(x, delta)
-        rho, omega = robustness(x, xp, problem)
-        rows.append(PruneRow("delta", float(delta),
-                             float(np.mean(xp == 0.0)), rho, omega))
+    for kind, values in (("sigma", sigmas), ("delta", deltas)):
+        for value in values:
+            xp = prune(x, kind, value)
+            rho, omega = robustness(x, xp, problem)
+            rows.append(PruneRow(
+                kind, float(value), float(np.mean(xp == 0.0)), rho, omega,
+                None if test is None else problems.classify_accuracy(xp, test)))
     return rows

@@ -90,38 +90,45 @@ class BoundInputs:
         return self.varsigma <= (8.0 * self.n * self.lipschitz / 3.0) ** 2
 
 
-def theta_bound(inp: BoundInputs, k: int) -> float:
-    """The complexity envelope: max of four closed-form branches."""
-    n, L = inp.n, inp.lipschitz
-    nL = n * L
+def _theta(inp: BoundInputs, k: np.ndarray, kappa_x: np.ndarray) -> np.ndarray:
+    """theta at iterations ``k`` with iterate bounds ``kappa_x``: the max
+    of three k-independent branches and the logarithmic branch b4."""
+    nL = inp.n * inp.lipschitz
     arg = -math.sqrt(inp.varsigma) / (8.0 * nL)
-    assert arg >= -1.0 / math.e, "varsigma assumption violated"
+    if not arg >= -1.0 / math.e:
+        raise ValueError(f"varsigma assumption violated: the Lambert W "
+                         f"argument {arg} is below -1/e")
     b1 = inp.varsigma
     b2 = 0.5 * inp.varsigma * math.exp(inp.gamma0 / nL)
     b3 = 32.0 * nL ** 2 * lambert_w_minus1(arg) ** 2
-    b4 = 2.0 * (inp.gamma0
-                + nL * math.log1p((k + 1) * inp.kappa_x ** 2 / inp.varsigma)) ** 2
-    return max(b1, b2, b3, b4)
+    # libm's log1p: numpy's SIMD log1p differs from it in the last bit
+    # for some inputs, depending on the CPU.
+    z = ((k + 1) * kappa_x ** 2 / inp.varsigma).tolist()
+    b4 = 2.0 * (inp.gamma0 + nL * np.array([math.log1p(v) for v in z])) ** 2
+    return np.maximum(max(b1, b2, b3), b4)
+
+
+def theta_bound(inp: BoundInputs, k: int) -> float:
+    """The complexity envelope: max of four closed-form branches.
+    Raises ValueError when varsigma leaves Lambert W's domain."""
+    return float(_theta(inp, np.array([k]), np.array([inp.kappa_x]))[0])
 
 
 def check_gradient_bound(trace: RunRecord, inp: BoundInputs) -> np.ndarray:
     """Check avg_{j<=k} ||g_j||^2 <= ceil(n/T) theta(k)/(k+1) for all k.
 
     kappa_x is read from the trace's running maximum, so the check is a
-    posteriori. Returns a boolean pass array per k.
+    posteriori; ``inp.kappa_x`` is not used. Returns a boolean pass
+    array per k.
     """
     if not inp.varsigma_assumption_holds():
         warnings.warn("varsigma exceeds (8nL/3)^2; skipping the bound check")
         return np.ones(trace.iterations, dtype=bool)
     factor = math.ceil(inp.n / inp.T)
-    avg = np.cumsum(trace.grad_norm ** 2) / np.arange(1, trace.iterations + 1)
+    k = np.arange(trace.iterations)
+    avg = np.cumsum(trace.grad_norm ** 2) / (k + 1)
     kappa_running = np.maximum.accumulate(trace.max_abs_x)
-    passes = np.empty(trace.iterations, dtype=bool)
-    for k in range(trace.iterations):
-        inp_k = BoundInputs(inp.n, inp.T, inp.varsigma, inp.lipschitz,
-                            inp.gamma0, float(kappa_running[k]))
-        passes[k] = avg[k] <= factor * theta_bound(inp_k, k) / (k + 1)
-    return passes
+    return avg <= factor * _theta(inp, k, kappa_running) / (k + 1)
 
 
 def check_descent_lemma(trace: RunRecord, lipschitz: float,
@@ -132,17 +139,22 @@ def check_descent_lemma(trace: RunRecord, lipschitz: float,
                 + (L/2) sum (xD)^2/wD^2
 
     with additive tolerance tol_scale * (1 + |f(x_j)|). Requires the
-    trace to carry objective values and the masked weighted sums.
+    trace to carry objective values and the masked weighted sums. A
+    trace without a final objective (a diverged run) is checked on the
+    transitions between its recorded objectives, j < K-1.
     """
-    if trace.objective is None or trace.objective_final is None:
+    if trace.objective is None:
         raise ValueError("descent check needs a trace with recorded objectives")
     if trace.sum_gO2_over_wO is None:
         raise ValueError("descent check needs the masked weighted sums")
-    f = np.append(trace.objective, trace.objective_final)
+    f = trace.objective
+    if trace.objective_final is not None:
+        f = np.append(f, trace.objective_final)
+    j = slice(0, len(f) - 1)
     rhs = (f[:-1]
-           - trace.sum_gO2_over_wO
-           + 0.5 * lipschitz * trace.sum_gO2_over_wO2
-           + 0.5 * lipschitz * trace.sum_xD2_over_wD2)
+           - trace.sum_gO2_over_wO[j]
+           + 0.5 * lipschitz * trace.sum_gO2_over_wO2[j]
+           + 0.5 * lipschitz * trace.sum_xD2_over_wD2[j])
     tol = tol_scale * (1.0 + np.abs(f[:-1]))
     return f[1:] <= rhs + tol
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import itertools
 import json
 import os
-from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,61 +28,56 @@ class VerifyOutcome:
         return self.descent_ok and self.gradient_bound_ok
 
 
-def _read_grouped(path, key_cols=("optimizer", "seed")):
-    grouped = defaultdict(list)
+def _read_runs(path, columns) -> dict:
+    """(optimizer, seed) -> {RunRecord field: array} from one of the
+    per-iteration files, whose format ``columns`` gives. A column left
+    empty reads as None."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            grouped[(row["optimizer"], int(row["seed"]))].append(row)
-    return grouped
+        reader = csv.reader(fh)
+        header = [*harness.RUN_KEY_COLUMNS, *(col for col, _, _ in columns)]
+        if next(reader) != header:
+            raise ValueError(f"{path}: columns are not {header}")
+        runs = {}
+        # write_bundle writes each run's rows together, in order of k
+        for (method, seed), rows in itertools.groupby(reader, itemgetter(0, 1)):
+            values = list(zip(*rows))[len(harness.RUN_KEY_COLUMNS):]
+            runs[(method, int(seed))] = {
+                attr: None if col[0] == "" else np.array(col, dtype=dtype)
+                for (_, attr, dtype), col in zip(columns, values)}
+    return runs
 
 
 def load_bundle(trace_dir):
-    """Reconstruct per-run traces from a results directory."""
+    """Reconstruct per-run traces from a results directory.
+
+    Only the stored columns come back: ``x_final`` reads as zeros, and
+    so does ``max_abs_x`` of runs without theory.csv rows.
+    """
     with open(os.path.join(trace_dir, "meta.json")) as fh:
         meta = json.load(fh)
     with open(os.path.join(trace_dir, "runs.json")) as fh:
         runs = {(r["optimizer"], r["seed"]): r for r in json.load(fh)}
-    traces = _read_grouped(os.path.join(trace_dir, "trace.csv"))
-    theory_rows = _read_grouped(os.path.join(trace_dir, "theory.csv"))
+    traces = _read_runs(os.path.join(trace_dir, "trace.csv"),
+                        harness.TRACE_COLUMNS)
+    theory_cols = _read_runs(os.path.join(trace_dir, "theory.csv"),
+                             harness.THEORY_COLUMNS)
 
     records = {}
-    for key, rows in traces.items():
-        rows.sort(key=lambda r: int(r["k"]))
-        k = len(rows)
+    for key, cols in traces.items():
         info = runs[key]
-        has_f = rows[0]["f"] != ""
-        rec = RunRecord(
-            grad_norm=np.array([float(r["grad_norm"]) for r in rows]),
-            grad_norm_opt=np.array([float(r["grad_norm_O"]) for r in rows]),
-            below_delta=np.array([int(r["below_delta_count"]) for r in rows]),
-            card_R=np.array([int(r["card_R"]) for r in rows]),
-            card_A=np.array([int(r["card_A"]) for r in rows]),
-            card_D=np.array([int(r["card_D"]) for r in rows]),
-            max_abs_x=np.zeros(k),
-            x_final=np.zeros(meta["n"]),
-            reason=info["reason"],
-            objective=(np.array([float(r["f"]) for r in rows])
-                       if has_f else None),
-            objective_final=info["f_final"],
-        )
-        trows = theory_rows.get(key)
-        if trows:
-            trows.sort(key=lambda r: int(r["k"]))
-            rec.sum_gO2_over_wO = np.array(
-                [float(r["sum_gO2_over_wO"]) for r in trows])
-            rec.sum_gO2_over_wO2 = np.array(
-                [float(r["sum_gO2_over_wO2"]) for r in trows])
-            rec.sum_xD2_over_wD2 = np.array(
-                [float(r["sum_xD2_over_wD2"]) for r in trows])
-            rec.max_abs_x = np.array([float(r["max_abs_x"]) for r in trows])
-        records[key] = rec
+        iterations = len(next(iter(cols.values())))
+        rec = RunRecord(**cols, max_abs_x=np.zeros(iterations),
+                        x_final=np.zeros(meta["n"]), reason=info["reason"],
+                        objective_final=info["f_final"])
+        records[key] = dataclasses.replace(rec, **theory_cols.get(key, {}))
     return meta, runs, records
 
 
 def verify_bundle(trace_dir) -> list[VerifyOutcome]:
     """Run descent and gradient-bound checks on every pruning-aware run.
 
-    Baseline runs lack the masked weighted sums and are skipped.
+    Baseline runs lack the masked weighted sums and are skipped. A run
+    that diverged is checked over the trace it recorded.
     """
     meta, runs, records = load_bundle(trace_dir)
     outcomes = []

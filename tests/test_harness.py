@@ -1,13 +1,16 @@
 """Tests for the experiment harness, config parsing, and the CLI."""
 
 import csv
+import dataclasses
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from prunadag import cli
+from prunadag import cli, harness
+from prunadag.core import RunRecord
 from prunadag.harness import (ConfigError, build_problem, derive_seed,
                               load_config, run_experiment, starting_point)
 from prunadag.problems import save_matrix
@@ -239,6 +242,151 @@ class TestRunExperiment:
         # only the pruning-aware runs are verifiable
         assert {o.optimizer for o in outcomes} == {"v3"}
         assert all(o.ok for o in outcomes)
+
+
+class TestBundleFormat:
+    @pytest.mark.parametrize("record_objective", [True, False])
+    def test_round_trip_is_bitwise(self, tmp_path, record_objective):
+        cfg = load_config(write_config(tmp_path))
+        cfg.record_objective = record_objective
+        result = run_experiment(cfg)
+        _, _, loaded = load_bundle(cfg.out_dir)
+        assert loaded.keys() == result.records.keys()
+        theory_fields = {"sum_gO2_over_wO", "sum_gO2_over_wO2",
+                         "sum_xD2_over_wD2"}
+        for key, rec in result.records.items():
+            back = loaded[key]
+            assert back.reason == rec.reason
+            assert back.objective_final == rec.objective_final
+            # x_final is not stored; max_abs_x only for pruning-aware runs
+            skip = {"x_final", "reason", "objective_final"}
+            if key[0] == "adagrad":
+                skip |= {"max_abs_x"}
+                for name in theory_fields:
+                    assert getattr(back, name) is None
+            for f in dataclasses.fields(RunRecord):
+                if f.name in skip:
+                    continue
+                ours, theirs = getattr(rec, f.name), getattr(back, f.name)
+                if ours is None:
+                    assert theirs is None, f"{key} {f.name}"
+                    continue
+                assert theirs.dtype == ours.dtype, f"{key} {f.name}"
+                assert theirs.tobytes() == ours.tobytes(), f"{key} {f.name}"
+            assert (rec.objective is None) == (not record_objective)
+
+
+def _fault_at(call, fault, seed_index):
+    """build_problem whose gradient oracle for one seed answers its
+    ``call``-th call (counted from 1) with ``fault(x)``."""
+    real = harness.build_problem
+
+    def build(cfg, i):
+        instance = real(cfg, i)
+        if i != seed_index:
+            return instance
+        calls = itertools.count(1)
+        grad = instance.problem.grad
+
+        def faulty(x):
+            return fault(x) if next(calls) == call else grad(x)
+
+        problem = dataclasses.replace(instance.problem, grad=faulty)
+        return harness.ProblemInstance(problem, instance.test)
+
+    return build
+
+
+def _raise(exc):
+    def fault(x):
+        raise exc
+    return fault
+
+
+def _nan(x):
+    return np.full_like(x, np.nan)
+
+
+class TestFailures:
+    """Every failing grid cell leaves an attributed outcome; the rest of
+    the grid still runs and the bundle is written."""
+
+    def test_non_diverged_oracle_exception_is_recorded(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(harness, "build_problem",
+                            _fault_at(10, _raise(ZeroDivisionError("boom")), 1))
+        cfg = load_config(write_config(tmp_path))
+        result = run_experiment(cfg)
+        assert result.failures == {("v3", 1): "ZeroDivisionError: boom"}
+        # the exception carries no partial record
+        assert set(result.records) == {("v3", 0), ("adagrad", 0),
+                                       ("adagrad", 1)}
+        assert set(result.prune_rows) == set(result.records)
+        with open(os.path.join(cfg.out_dir, "meta.json")) as fh:
+            meta = json.load(fh)
+        assert meta["diverged_count"] == 1
+        assert meta["diverged"] == [{"optimizer": "v3", "seed": 1,
+                                     "reason": "ZeroDivisionError: boom"}]
+        outcomes = verify_bundle(cfg.out_dir)
+        assert [(o.optimizer, o.seed, o.ok) for o in outcomes] == [
+            ("v3", 0, True)]
+
+    def test_pruning_time_divergence_is_recorded(self, tmp_path,
+                                                 monkeypatch):
+        # v3 on seed 1 runs its 40 iterations (40 gradient calls); the
+        # first gradient call of its pruning sweep returns NaN
+        monkeypatch.setattr(harness, "build_problem", _fault_at(41, _nan, 1))
+        cfg = load_config(write_config(tmp_path))
+        result = run_experiment(cfg)
+        assert result.failures == {
+            ("v3", 1): "DivergedError: non-finite oracle output in "
+                       "robustness evaluation"}
+        rec = result.records[("v3", 1)]
+        assert rec.iterations == 40 and rec.reason == "max iterations"
+        assert set(result.prune_rows) == {("v3", 0), ("adagrad", 0),
+                                          ("adagrad", 1)}
+        with open(os.path.join(cfg.out_dir, "prune.csv")) as fh:
+            pruned = {(r["optimizer"], r["seed"]) for r in csv.DictReader(fh)}
+        assert pruned == {("v3", "0"), ("adagrad", "0"), ("adagrad", "1")}
+
+    def test_keyboard_interrupt_aborts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "build_problem",
+                            _fault_at(10, _raise(KeyboardInterrupt()), 0))
+        cfg = load_config(write_config(tmp_path))
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+
+    def _diverged_bundle(self, tmp_path, monkeypatch):
+        """A 1-seed v3/adagrad grid whose v3 run meets a NaN gradient at
+        call 10, i.e. at iteration 9."""
+        monkeypatch.setattr(harness, "build_problem", _fault_at(10, _nan, 0))
+        path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 2",
+                                                          "seeds = 1"))
+        return path, load_config(path)
+
+    def test_verify_checks_the_recorded_prefix(self, tmp_path, monkeypatch):
+        _, cfg = self._diverged_bundle(tmp_path, monkeypatch)
+        result = run_experiment(cfg)
+        assert result.failures == {
+            ("v3", 0): "DivergedError: non-finite gradient at iteration 9"}
+        with open(os.path.join(cfg.out_dir, "runs.json")) as fh:
+            runs = {r["optimizer"]: r for r in json.load(fh)}
+        assert runs["v3"]["f_final"] is None
+        assert runs["v3"]["reason"] == "diverged"
+        _, _, records = load_bundle(cfg.out_dir)
+        assert records[("v3", 0)].iterations == 9
+        outcomes = verify_bundle(cfg.out_dir)
+        assert [(o.optimizer, o.seed, o.ok) for o in outcomes] == [
+            ("v3", 0, True)]
+
+    def test_cli_reports_failed_and_verifies(self, tmp_path, monkeypatch,
+                                             capsys):
+        path, _ = self._diverged_bundle(tmp_path, monkeypatch)
+        out = str(tmp_path / "results")
+        assert cli.main(["run", str(path), "--out", out]) == 0
+        assert "completed 1 runs (1 failed)" in capsys.readouterr().out
+        assert cli.main(["verify", out]) == 0
+        assert "PASS v3 seed=0" in capsys.readouterr().out
 
 
 class TestCli:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prunadag.core import DivergedError, Problem
-from prunadag.pruning import (prune_report, prune_threshold,
+from prunadag.problems import classify_accuracy, gen_separable_classification
+from prunadag.pruning import (prune, prune_report, prune_threshold,
                               prune_to_sparsity, robustness)
 
 
@@ -108,7 +109,31 @@ class TestRobustness:
             robustness(np.ones(1), np.zeros(1), p)
 
 
+class TestPrune:
+    def test_dispatches_on_kind(self):
+        x = np.array([0.5, -1e-4, 2.0, 0.01])
+        np.testing.assert_array_equal(prune(x, "sigma", 0.5),
+                                      prune_to_sparsity(x, 0.5)[0])
+        np.testing.assert_array_equal(prune(x, "delta", 0.1),
+                                      prune_threshold(x, 0.1))
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="sigma or delta"):
+            prune(np.ones(3), "gamma", 0.5)
+
+
 class TestPruneReport:
+    def test_accuracy_with_test_split(self):
+        train, test = gen_separable_classification(20, 5, 100, seed=3)
+        x = np.random.default_rng(0).standard_normal(20)
+        rows = prune_report(x, train.problem(), sigmas=[0.5], deltas=[0.3],
+                            test=test)
+        assert [r.accuracy for r in rows] == [
+            classify_accuracy(prune_to_sparsity(x, 0.5)[0], test),
+            classify_accuracy(prune_threshold(x, 0.3), test)]
+        rows = prune_report(x, train.problem(), sigmas=[0.5])
+        assert rows[0].accuracy is None
+
     def test_sweep_shape_and_ordering(self):
         p = Problem(dim=3, grad=lambda x: x.copy(),
                     objective=lambda x: 0.5 * float(np.sum(x ** 2)))

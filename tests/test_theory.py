@@ -1,5 +1,6 @@
 """Tests for the runtime verification of the convergence guarantees."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prunadag import Variant, run
+from prunadag import Variant, run, theory
 from prunadag.baselines import adagrad_run
 from prunadag.problems import gen_least_squares
 from prunadag.theory import (BoundInputs, check_descent_lemma,
@@ -99,6 +100,13 @@ class TestThetaBound:
         values = [theta_bound(inp, k) for k in range(0, 2000, 97)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_violated_assumption_raises(self):
+        # -sqrt(0.9) / (8 * 0.1) is below -1/e, outside Lambert W's domain
+        inp = BoundInputs(n=1, T=1, varsigma=0.9, lipschitz=0.1,
+                          gamma0=1.0, kappa_x=0.0)
+        with pytest.raises(ValueError, match="varsigma assumption"):
+            theta_bound(inp, 0)
+
 
 class TestGradientBound:
     def _trace(self, variant=Variant.V3, T=5):
@@ -133,6 +141,37 @@ class TestGradientBound:
         manual = rec.grad_norm[0] ** 2 <= math.ceil(40 / 5) * theta_bound(inp0, 0)
         assert bool(passes[0]) == bool(manual)
 
+    def test_matches_per_k_theta_bound(self):
+        """Every k against theta_bound at the running max of |x|, on a
+        trace scaled so that the check both passes and fails."""
+        rec, inp = self._trace()
+        K = rec.iterations
+        factor = math.ceil(inp.n / inp.T)
+        kappa = np.maximum.accumulate(rec.max_abs_x)
+        limit = np.array([
+            factor * theta_bound(dataclasses.replace(inp, kappa_x=float(kappa[k])),
+                                 k) / (k + 1)
+            for k in range(K)])
+        avg = np.cumsum(rec.grad_norm ** 2) / np.arange(1, K + 1)
+        scale = math.sqrt(np.median(limit / avg))
+        scaled = dataclasses.replace(rec, grad_norm=rec.grad_norm * scale)
+        avg = np.cumsum(scaled.grad_norm ** 2) / np.arange(1, K + 1)
+        manual = np.array([avg[k] <= limit[k] for k in range(K)])
+        passes = check_gradient_bound(scaled, inp)
+        assert passes.any() and not passes.all()
+        assert passes.dtype == bool
+        np.testing.assert_array_equal(passes, manual)
+
+    def test_one_lambert_solve_per_check(self, monkeypatch):
+        rec, inp = self._trace()
+        calls = []
+        solve = theory.lambert_w_minus1
+        monkeypatch.setattr(theory, "lambert_w_minus1",
+                            lambda y: calls.append(y) or solve(y))
+        check_gradient_bound(rec, inp)
+        assert rec.iterations > 1
+        assert len(calls) == 1
+
     def test_warns_when_assumption_fails(self):
         rec, _ = self._trace()
         inp = BoundInputs(n=1, T=1, varsigma=0.9, lipschitz=0.1,
@@ -157,6 +196,14 @@ class TestDescentLemma:
     def test_negative_control_underestimated_constant(self):
         rec, L = self._trace()
         assert not np.all(check_descent_lemma(rec, L / 100.0))
+
+    def test_diverged_trace_checks_recorded_transitions(self):
+        rec, L = self._trace()
+        full = check_descent_lemma(rec, L)
+        rec.objective_final = None
+        partial = check_descent_lemma(rec, L)
+        assert partial.shape == (rec.iterations - 1,)
+        np.testing.assert_array_equal(partial, full[:-1])
 
     def test_requires_objectives(self):
         rec, L = self._trace()
