@@ -3,7 +3,6 @@
 Subcommands:
 
 * ``run <config>``      -- execute the experiment grid from a config file
-* ``ablation <config>`` -- same, with the relevant-only ablation added
 * ``verify <dir>``      -- run the theory checks on a stored bundle
 * ``prune <solution>``  -- prune a stored solution vector over a sweep
 """
@@ -26,24 +25,20 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _add_run_args(sub):
-    sub.add_argument("config", help="experiment config file")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="parallel workers (default from config)")
-    sub.add_argument("--out", default=None, help="output directory override")
-    sub.add_argument("--master-seed", type=int, default=None,
-                     help="master seed override")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prunadag",
         description="Pruning-aware adaptive gradient experiment harness")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_run_args(subs.add_parser("run", help="run an experiment config"))
-    _add_run_args(subs.add_parser(
-        "ablation", help="run with the relevant-only ablation added"))
+    p_run = subs.add_parser("run", help="run an experiment config")
+    p_run.add_argument("config", help="experiment config file")
+    p_run.add_argument("--jobs", type=int, default=None,
+                       help="parallel workers (default from config)")
+    p_run.add_argument("--out", default=None,
+                       help="output directory override")
+    p_run.add_argument("--master-seed", type=int, default=None,
+                       help="master seed override")
 
     p_verify = subs.add_parser(
         "verify", help="run theory checks on stored traces")
@@ -62,17 +57,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command in ("run", "ablation"):
+    if args.command == "run":
         try:
             cfg = harness.load_config(args.config)
         except harness.ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return 2
-        cfg = _apply_overrides(cfg, args)
-        if args.command == "run":
-            result = harness.run_experiment(cfg)
-        else:
-            result = harness.ablation_relevant_only(cfg)
+        result = harness.run_experiment(_apply_overrides(cfg, args))
         done = len(result.records.keys() - result.failures.keys())
         print(f"completed {done} runs "
               f"({len(result.failures)} failed) -> {cfg.out_dir}")

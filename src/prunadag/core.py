@@ -19,7 +19,8 @@ class DivergedError(RuntimeError):
     """Raised when an oracle returns a non-finite value mid-run.
 
     The partial trace collected up to the failing iteration is attached
-    as ``record`` when available.
+    as ``record`` when available; ``optimizer.drive`` attaches it to any
+    exception raised inside its loop.
     """
 
     def __init__(self, message: str, record: Optional["RunRecord"] = None):
@@ -85,15 +86,38 @@ def masked_norm(v: np.ndarray, s) -> float:
     return float(np.sqrt(np.sum(v[s] ** 2)))
 
 
+# The per-iteration trace, declared once: (RunRecord field, trace.csv
+# column, dtype), in column order. ``optimizer.drive`` fills the first
+# three entries and an optimizer's step the following ones, in order.
+# The tail from ``max_abs_x`` on is the theory group, which only the
+# pruning-aware step fills. A field that is not recorded is None in the
+# record and an empty field in trace.csv.
+TRACE_FIELDS = (
+    ("grad_norm", "grad_norm", np.float64),
+    ("objective", "f", np.float64),
+    ("below_delta", "below_delta_count", np.int64),
+    ("grad_norm_opt", "grad_norm_O", np.float64),
+    ("card_R", "card_R", np.int64),
+    ("card_A", "card_A", np.int64),
+    ("card_D", "card_D", np.int64),
+    ("max_abs_x", "max_abs_x", np.float64),
+    ("sum_gO2_over_wO", "sum_gO2_over_wO", np.float64),
+    ("sum_gO2_over_wO2", "sum_gO2_over_wO2", np.float64),
+    ("sum_xD2_over_wD2", "sum_xD2_over_wD2", np.float64),
+)
+
+
 @dataclass
 class RunRecord:
     """Per-iteration trace of an optimizer run.
 
-    All arrays have length equal to the number of iterations performed.
+    The per-iteration fields are those of :data:`TRACE_FIELDS`; each
+    present one has length equal to the number of iterations performed.
     ``grad_norm[j]`` etc. refer to quantities at iterate ``x_j`` before
-    the j-th step was taken. The theory columns (``sum_*``) carry the
-    masked sums needed by the descent-lemma check and are only filled
-    by the optimizers that maintain split weight vectors.
+    the j-th step was taken. The theory group (``max_abs_x`` and the
+    masked sums ``sum_*`` needed by the descent-lemma and gradient-bound
+    checks) is only filled by the optimizers that maintain split weight
+    vectors.
     """
 
     grad_norm: np.ndarray
@@ -102,11 +126,11 @@ class RunRecord:
     card_R: np.ndarray
     card_A: np.ndarray
     card_D: np.ndarray
-    max_abs_x: np.ndarray
     x_final: np.ndarray
     reason: str
     objective: Optional[np.ndarray] = None
     objective_final: Optional[float] = None
+    max_abs_x: Optional[np.ndarray] = None
     sum_gO2_over_wO: Optional[np.ndarray] = None
     sum_gO2_over_wO2: Optional[np.ndarray] = None
     sum_xD2_over_wD2: Optional[np.ndarray] = None
@@ -117,15 +141,11 @@ class RunRecord:
 
     def validate(self) -> None:
         n_iter = self.iterations
-        arrays = [
-            self.grad_norm, self.grad_norm_opt, self.below_delta,
-            self.card_R, self.card_A, self.card_D, self.max_abs_x,
-        ]
-        if self.objective is not None:
-            arrays.append(self.objective)
-        for a in arrays:
-            if a.shape[0] != n_iter:
-                raise ValueError("trace arrays have inconsistent lengths")
+        for attr, _, _ in TRACE_FIELDS:
+            a = getattr(self, attr)
+            if a is not None and a.shape[0] != n_iter:
+                raise ValueError(f"trace array {attr} has length "
+                                 f"{a.shape[0]}, expected {n_iter}")
         n = self.x_final.shape[0]
         if np.any(self.card_R + self.card_A + self.card_D != n):
             raise ValueError("set cardinalities do not partition {0..n-1}")

@@ -4,9 +4,8 @@ Parses an INI-style config, runs every (optimizer, seed) pair in a
 thread pool, prunes the final iterates over the configured sweep, and
 writes deterministic CSV outputs:
 
-* ``trace.csv``  -- per-iteration trace per run,
-* ``theory.csv`` -- masked weighted sums needed by the verification
-  passes (pruning-aware runs only),
+* ``trace.csv``  -- per-iteration trace per run, the columns of
+  :data:`prunadag.core.TRACE_FIELDS`,
 * ``prune.csv``  -- robustness metrics per pruning target,
 * ``runs.json`` / ``meta.json`` -- per-run and experiment metadata,
 * ``plot_*.csv`` -- seed-averaged curves ready for any plotting tool.
@@ -32,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import baselines, optimizer, problems, pruning
-from .core import DivergedError, Problem, RunRecord
+from .core import TRACE_FIELDS, Problem, RunRecord
 from .steps import Variant
 
 
@@ -290,21 +289,18 @@ class ExperimentResult:
     instances: dict = field(default_factory=dict)  # seed -> ProblemInstance
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   extra_methods: tuple = ()) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (optimizer x seed) grid and write the bundle.
 
     A cell whose run or pruning sweep raises records the failure as
     ``"<ExceptionClass>: <message>"``, keeps whatever run record exists,
     and does not stop the other cells.
     """
-    methods = list(cfg.methods) + [m for m in extra_methods
-                                   if m not in cfg.methods]
     result = ExperimentResult(cfg=cfg)
     for i in range(cfg.seeds):
         result.instances[i] = build_problem(cfg, i)
 
-    tasks = [(m, i) for m in methods for i in range(cfg.seeds)]
+    tasks = [(m, i) for m in cfg.methods for i in range(cfg.seeds)]
 
     def work(task):
         method, i = task
@@ -316,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig,
                                         sigmas=cfg.sigmas, deltas=cfg.deltas,
                                         test=instance.test)
             return task, record, rows, None
-        except Exception as err:  # a DivergedError carries a partial trace
+        except Exception as err:  # drive attaches the partial trace
             record = record or getattr(err, "record", None)
             return task, record, None, f"{type(err).__name__}: {err}"
 
@@ -334,44 +330,23 @@ def run_experiment(cfg: ExperimentConfig,
         else:
             result.failures[task] = failure
 
-    write_bundle(result, methods)
+    write_bundle(result)
     return result
-
-
-def ablation_relevant_only(cfg: ExperimentConfig) -> ExperimentResult:
-    """run_experiment with the no-acceptable-set ablation added."""
-    return run_experiment(cfg, extra_methods=("relevant-only",))
 
 
 # ---------------------------------------------------------------------------
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _column(name: str, attr: Optional[str] = None, dtype=np.float64):
-    return name, attr or name, dtype
-
-
-# The per-iteration files, for writing and reading: (optimizer, seed, k)
-# and then (CSV column, RunRecord field, dtype) entries. theory.csv holds
-# the pruning-aware runs only; a run without objectives leaves f empty.
+# trace.csv: the run key, then the columns of TRACE_FIELDS
 RUN_KEY_COLUMNS = ("optimizer", "seed", "k")
-TRACE_COLUMNS = (
-    _column("grad_norm"), _column("grad_norm_O", "grad_norm_opt"),
-    _column("f", "objective"),
-    _column("below_delta_count", "below_delta", np.int64),
-    _column("card_R", dtype=np.int64), _column("card_A", dtype=np.int64),
-    _column("card_D", dtype=np.int64),
-)
-THEORY_COLUMNS = (
-    _column("sum_gO2_over_wO"), _column("sum_gO2_over_wO2"),
-    _column("sum_xD2_over_wD2"), _column("max_abs_x"),
-)
 
 
-def _trace_rows(method: str, seed: int, rec: RunRecord, columns):
-    """One run's rows of a per-iteration file, built column by column."""
+def _trace_rows(method: str, seed: int, rec: RunRecord):
+    """One run's trace.csv rows, built column by column; a field that
+    is None is written as empty."""
     cols = [[""] * rec.iterations if getattr(rec, attr) is None
-            else getattr(rec, attr).tolist() for _, attr, _ in columns]
+            else getattr(rec, attr).tolist() for attr, _, _ in TRACE_FIELDS]
     return zip(itertools.repeat(method), itertools.repeat(seed),
                range(rec.iterations), *cols)
 
@@ -384,20 +359,16 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def write_bundle(result: ExperimentResult, methods: list[str]) -> None:
+def write_bundle(result: ExperimentResult) -> None:
     cfg = result.cfg
+    methods = cfg.methods
     os.makedirs(cfg.out_dir, exist_ok=True)
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
 
-    runs = [(key, result.records[key]) for key in keys]
-    theory_runs = [(key, rec) for key, rec in runs
-                   if rec.sum_gO2_over_wO is not None]
-    for name, columns, chosen in (("trace.csv", TRACE_COLUMNS, runs),
-                                  ("theory.csv", THEORY_COLUMNS, theory_runs)):
-        _write_csv(os.path.join(cfg.out_dir, name),
-                   [*RUN_KEY_COLUMNS, *(col for col, _, _ in columns)],
-                   itertools.chain.from_iterable(
-                       _trace_rows(*key, rec, columns) for key, rec in chosen))
+    _write_csv(os.path.join(cfg.out_dir, "trace.csv"),
+               [*RUN_KEY_COLUMNS, *(col for _, col, _ in TRACE_FIELDS)],
+               itertools.chain.from_iterable(
+                   _trace_rows(*key, result.records[key]) for key in keys))
 
     # csv writes a missing accuracy (None) as an empty field
     prune_out = [(*key, *dataclasses.astuple(row)) for key in keys

@@ -22,14 +22,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .core import DivergedError, Problem, RunRecord
+from .core import TRACE_FIELDS, DivergedError, Problem, RunRecord
 from .steps import Variant
 
 DEFAULT_VARSIGMA = 0.01   # weight floor constant
 DEFAULT_GRAD_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
 
-# (x_next, (grad_norm_opt, card_R, card_A, card_D[, three theory sums]))
+# (x_next, stats): stats fill the TRACE_FIELDS entries after drive's own
 StepFn = Callable[[np.ndarray, np.ndarray, float, int],
                   tuple[np.ndarray, tuple]]
 
@@ -54,21 +54,24 @@ def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
 
 
 def drive(problem: Problem, x0: np.ndarray, step: StepFn,
-          theory: bool = False, grad_tol: float = DEFAULT_GRAD_TOL,
+          grad_tol: float = DEFAULT_GRAD_TOL,
           max_iters: int = DEFAULT_MAX_ITERS, delta_trace: float = 1e-3,
           record_objective: bool = True) -> RunRecord:
     """Iterate ``step`` from ``x0`` until the gradient norm drops below
     ``grad_tol`` or ``max_iters`` iterations have been performed.
 
+    Row k of the trace describes x_k, before step k. drive records the
+    first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
+    norm, objective, count below ``delta_trace``);
     ``step(x, g, grad_norm, k)`` returns the next iterate and the
-    optimizer's trace entries for iteration k: ``(grad_norm_opt,
-    card_R, card_A, card_D)``, followed by the three weighted sums of
-    :class:`RunRecord` when ``theory`` is set. Row k of the trace
-    describes x_k, before step k.
+    values of the fields after them, in table order: ``(grad_norm_opt,
+    card_R, card_A, card_D)``, optionally followed by the theory group.
+    The fields a step does not report are None in the record.
 
-    Raises :class:`DivergedError`, with the trace up to the failing
-    iterate attached, if the gradient or the objective oracle returns a
-    non-finite value.
+    Raises :class:`DivergedError` if the gradient or the objective
+    oracle returns a non-finite value. Any exception raised in the loop
+    carries the trace up to the failing iterate as ``record``, with
+    reason ``"diverged"`` for a DivergedError and ``"failed"`` otherwise.
     """
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
@@ -81,10 +84,8 @@ def drive(problem: Problem, x0: np.ndarray, step: StepFn,
         for k in range(max_iters):
             g = _checked_gradient(problem, x, k)
             f = _checked_value(problem, x, k) if record_objective else 0.0
-            abs_x = np.abs(x)
             grad_norm = float(np.linalg.norm(g))
-            row = (grad_norm, np.count_nonzero(abs_x < delta_trace),
-                   float(abs_x.max()), f)
+            row = (grad_norm, f, np.count_nonzero(np.abs(x) < delta_trace))
             x, stats = step(x, g, grad_norm, k)
             rows.append(row + stats)
             if grad_norm <= grad_tol:
@@ -92,32 +93,27 @@ def drive(problem: Problem, x0: np.ndarray, step: StepFn,
                 break
         f_final = (_checked_value(problem, x, len(rows))
                    if record_objective else None)
-    except DivergedError as err:
-        err.record = _assemble(rows, x, "diverged", theory, record_objective)
+    except Exception as err:
+        reason = "diverged" if isinstance(err, DivergedError) else "failed"
+        err.record = _assemble(rows, x, reason, record_objective)
         raise
-    record = _assemble(rows, x, reason, theory, record_objective)
+    record = _assemble(rows, x, reason, record_objective)
     record.objective_final = f_final
     return record
 
 
-def _assemble(rows: list[tuple], x: np.ndarray, reason: str, theory: bool,
+def _assemble(rows: list[tuple], x: np.ndarray, reason: str,
               record_objective: bool) -> RunRecord:
-    """Transpose the trace rows of :func:`drive` into a RunRecord."""
-    cols = np.array(rows, dtype=np.float64).reshape(len(rows), 8 + 3 * theory)
-    cols = cols.T.copy()
-    (grad_norm, below, max_abs_x, objective, grad_norm_opt,
-     card_R, card_A, card_D) = cols[:8]
-    return RunRecord(
-        grad_norm=grad_norm, grad_norm_opt=grad_norm_opt,
-        below_delta=below.astype(np.int64),
-        card_R=card_R.astype(np.int64), card_A=card_A.astype(np.int64),
-        card_D=card_D.astype(np.int64), max_abs_x=max_abs_x,
-        x_final=x, reason=reason,
-        objective=objective if record_objective else None,
-        sum_gO2_over_wO=cols[8] if theory else None,
-        sum_gO2_over_wO2=cols[9] if theory else None,
-        sum_xD2_over_wD2=cols[10] if theory else None,
-    )
+    """Transpose the trace rows of :func:`drive` into a RunRecord: entry
+    i of a row is field i of TRACE_FIELDS. Without rows, every field is
+    an empty array."""
+    width = len(rows[0]) if rows else len(TRACE_FIELDS)
+    cols = np.array(rows, dtype=np.float64).reshape(len(rows), width).T
+    trace = {attr: col.astype(dtype)
+             for (attr, _, dtype), col in zip(TRACE_FIELDS, cols)}
+    if not record_objective:
+        trace["objective"] = None
+    return RunRecord(**trace, x_final=x, reason=reason)
 
 
 @dataclass
@@ -161,11 +157,11 @@ class IterationRecord:
     """Snapshot of one iteration, for invariant replay in tests."""
 
     grad_norm: float
-    max_abs_x: float
     grad_norm_opt: float
     card_R: int
     card_A: int
     card_D: int
+    max_abs_x: float
     sum_gO2_over_wO: float
     sum_gO2_over_wO2: float
     sum_xD2_over_wD2: float
@@ -179,8 +175,8 @@ def _advance(state: PrunAdagState, g: np.ndarray
     """Take one kernel step from ``state.x`` at gradient ``g``.
 
     Returns the step, the membership codes and the trace entries
-    ``(grad_norm_opt, card_R, card_A, card_D, sum_gO2_over_wO,
-    sum_gO2_over_wO2, sum_xD2_over_wD2)``.
+    ``(grad_norm_opt, card_R, card_A, card_D, max_abs_x,
+    sum_gO2_over_wO, sum_gO2_over_wO2, sum_xD2_over_wD2)``.
     """
     x = state.x
     s, w_opt, w_dec, codes, _ = _kernels.iterate(
@@ -191,6 +187,7 @@ def _advance(state: PrunAdagState, g: np.ndarray
     wO = w_opt[o]
     stats = (float(np.sqrt(np.sum(gO2))),
              *np.bincount(codes, minlength=3).tolist(),
+             float(np.abs(x).max()),
              float(np.sum(gO2 / wO)),
              float(np.sum((g[o] / wO) ** 2)),
              float(np.sum((x[d] / w_dec[d]) ** 2)))
@@ -207,8 +204,7 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem,
     x = state.x
     g = _checked_gradient(problem, x, state.k)
     s, codes, stats = _advance(state, g)
-    rec = IterationRecord(float(np.linalg.norm(g)), float(np.max(np.abs(x))),
-                          *stats)
+    rec = IterationRecord(float(np.linalg.norm(g)), *stats)
     if keep_history:
         rec.g, rec.codes, rec.step = g, codes, s
     return rec
@@ -231,4 +227,4 @@ def run(problem: Problem, x0: np.ndarray, T: Optional[int] = None,
         stats = _advance(state, g)[2]
         return state.x, stats
 
-    return drive(problem, state.x, step, theory=True, **stop)
+    return drive(problem, state.x, step, **stop)

@@ -121,6 +121,8 @@ def check_gradient_bound(trace: RunRecord, inp: BoundInputs) -> np.ndarray:
     posteriori; ``inp.kappa_x`` is not used. Returns a boolean pass
     array per k.
     """
+    if trace.max_abs_x is None:
+        raise ValueError("gradient bound check needs max |x| per iteration")
     if not inp.varsigma_assumption_holds():
         warnings.warn("varsigma exceeds (8nL/3)^2; skipping the bound check")
         return np.ones(trace.iterations, dtype=bool)

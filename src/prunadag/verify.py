@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -13,7 +12,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import harness, theory
-from .core import RunRecord
+from .core import TRACE_FIELDS, RunRecord
 
 
 @dataclass
@@ -28,13 +27,13 @@ class VerifyOutcome:
         return self.descent_ok and self.gradient_bound_ok
 
 
-def _read_runs(path, columns) -> dict:
-    """(optimizer, seed) -> {RunRecord field: array} from one of the
-    per-iteration files, whose format ``columns`` gives. A column left
-    empty reads as None."""
+def _read_trace(path) -> dict:
+    """(optimizer, seed) -> {RunRecord field: array} from trace.csv, read
+    through TRACE_FIELDS. A column left empty reads as None."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [*harness.RUN_KEY_COLUMNS, *(col for col, _, _ in columns)]
+        header = [*harness.RUN_KEY_COLUMNS,
+                  *(col for _, col, _ in TRACE_FIELDS)]
         if next(reader) != header:
             raise ValueError(f"{path}: columns are not {header}")
         runs = {}
@@ -43,33 +42,24 @@ def _read_runs(path, columns) -> dict:
             values = list(zip(*rows))[len(harness.RUN_KEY_COLUMNS):]
             runs[(method, int(seed))] = {
                 attr: None if col[0] == "" else np.array(col, dtype=dtype)
-                for (_, attr, dtype), col in zip(columns, values)}
+                for (attr, _, dtype), col in zip(TRACE_FIELDS, values)}
     return runs
 
 
 def load_bundle(trace_dir):
     """Reconstruct per-run traces from a results directory.
 
-    Only the stored columns come back: ``x_final`` reads as zeros, and
-    so does ``max_abs_x`` of runs without theory.csv rows.
+    Only the stored columns come back: ``x_final`` reads as zeros.
     """
     with open(os.path.join(trace_dir, "meta.json")) as fh:
         meta = json.load(fh)
     with open(os.path.join(trace_dir, "runs.json")) as fh:
         runs = {(r["optimizer"], r["seed"]): r for r in json.load(fh)}
-    traces = _read_runs(os.path.join(trace_dir, "trace.csv"),
-                        harness.TRACE_COLUMNS)
-    theory_cols = _read_runs(os.path.join(trace_dir, "theory.csv"),
-                             harness.THEORY_COLUMNS)
-
-    records = {}
-    for key, cols in traces.items():
-        info = runs[key]
-        iterations = len(next(iter(cols.values())))
-        rec = RunRecord(**cols, max_abs_x=np.zeros(iterations),
-                        x_final=np.zeros(meta["n"]), reason=info["reason"],
-                        objective_final=info["f_final"])
-        records[key] = dataclasses.replace(rec, **theory_cols.get(key, {}))
+    traces = _read_trace(os.path.join(trace_dir, "trace.csv"))
+    records = {key: RunRecord(**cols, x_final=np.zeros(meta["n"]),
+                              reason=runs[key]["reason"],
+                              objective_final=runs[key]["f_final"])
+               for key, cols in traces.items()}
     return meta, runs, records
 
 

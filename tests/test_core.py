@@ -98,6 +98,12 @@ class TestRunRecord:
         with pytest.raises(ValueError):
             rec.validate()
 
+    def test_validate_checks_theory_columns(self):
+        rec = self._record()
+        rec.sum_gO2_over_wO = np.ones(2)
+        with pytest.raises(ValueError, match="sum_gO2_over_wO"):
+            rec.validate()
+
     def test_validate_catches_bad_partition(self):
         rec = self._record()
         rec.card_D = np.zeros(3, dtype=np.int64)

@@ -273,6 +273,23 @@ class TestDriver:
         assert rec.iterations == 5
         assert np.all(np.isfinite(rec.objective))
 
+    @pytest.mark.parametrize("method", sorted(RUNNERS))
+    def test_other_exception_attaches_failed_record(self, method):
+        calls = iter(range(4))
+
+        def grad(x):
+            if next(calls) == 3:
+                raise ZeroDivisionError("boom")
+            return x - 0.3
+        problem = Problem(dim=4, grad=grad,
+                          objective=lambda x: 0.5 * float(np.sum(x ** 2)))
+        with pytest.raises(ZeroDivisionError) as exc:
+            self.RUNNERS[method](problem, np.ones(4), max_iters=100)
+        rec = exc.value.record
+        rec.validate()
+        assert rec.reason == "failed"
+        assert rec.iterations == 3
+
     def test_nan_final_objective_is_divergence(self):
         objective = self.failing_after(
             7, lambda x: 0.5 * float(np.sum(x ** 2)))

@@ -127,10 +127,17 @@ class TestGradientBound:
         ls = gen_least_squares("A1", 8, 40, seed=13)
         problem = ls.problem()
         x0 = np.random.default_rng(1).standard_normal(40) * 0.1
-        rec = adagrad_run(problem, x0, max_iters=500)
+        ada = adagrad_run(problem, x0, max_iters=500)
         inp = BoundInputs(n=40, T=40, varsigma=0.01,
                           lipschitz=problem.lipschitz,
-                          gamma0=float(rec.objective[0]), kappa_x=0.0)
+                          gamma0=float(ada.objective[0]), kappa_x=0.0)
+        # Adagrad records no max |x|; the pruning-aware run at T = n is
+        # Adagrad bit for bit and records it
+        with pytest.raises(ValueError, match="max"):
+            check_gradient_bound(ada, inp)
+        rec = run(problem, x0, T=40, max_iters=500)
+        assert np.array_equal(rec.x_final, ada.x_final)
+        assert np.array_equal(rec.grad_norm, ada.grad_norm)
         assert np.all(check_gradient_bound(rec, inp))
 
     def test_k0_specialization(self):
