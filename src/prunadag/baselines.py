@@ -13,35 +13,47 @@ places mass on the T largest-magnitude gradient components.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import Problem, RunRecord
-from .optimizer import DEFAULT_VARSIGMA, drive
+from .optimizer import DEFAULT_VARSIGMA, Outcome, drive, unwrap
 from .steps import relevant_mask
 
 
 def adagrad_step(x: np.ndarray, g: np.ndarray, w_prev: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """One Adagrad update: w = sqrt(w_prev^2 + g^2), x - g/w."""
+    """One Adagrad update: w = sqrt(w_prev^2 + g^2), x - g/w; entrywise,
+    so ``x`` may be one iterate or a (B, n) block."""
     w = np.sqrt(w_prev ** 2 + g ** 2)
     return x + (-g / w), w
 
 
+def _adagrad_step(X, G, grad_norm, k, state):
+    X, state["w"] = adagrad_step(X, G, state["w"])
+    B, n = X.shape
+    return X, (grad_norm, np.full(B, n), np.zeros(B), np.zeros(B))
+
+
+def adagrad_batch(problems: Sequence[Problem], X0: np.ndarray,
+                  varsigma: float = DEFAULT_VARSIGMA, **stop
+                  ) -> list[Outcome]:
+    """Standalone Adagrad on a (B, n) block through
+    :func:`prunadag.optimizer.drive`; ``stop`` takes drive's keyword
+    arguments."""
+    X0 = np.asarray(X0, dtype=np.float64)
+    state = {"w": np.full(X0.shape, np.sqrt(varsigma))}
+    return drive(problems, X0, _adagrad_step, state, **stop)
+
+
 def adagrad_run(problem: Problem, x0: np.ndarray,
                 varsigma: float = DEFAULT_VARSIGMA, **stop) -> RunRecord:
-    """Standalone Adagrad through :func:`prunadag.optimizer.drive`;
-    ``stop`` takes drive's keyword arguments."""
-    n = problem.dim
-    w = np.full(n, np.sqrt(varsigma))
-
-    def step(x, g, grad_norm, k):
-        nonlocal w
-        x, w = adagrad_step(x, g, w)
-        return x, (grad_norm, n, 0, 0)
-
-    return drive(problem, x0, step, **stop)
+    """:func:`adagrad_batch` on one row; raises the exception that ends
+    the run."""
+    return unwrap(adagrad_batch([problem], [x0], varsigma, **stop))
 
 
 class FwRate(enum.Enum):
@@ -67,15 +79,28 @@ class FwConfig:
             raise ValueError("beta must be in (0, 1) for the rescaled rate")
 
 
-def _lmo(g: np.ndarray, cfg: FwConfig) -> tuple[np.ndarray, float]:
-    """:func:`fw_lmo` that also returns ||g||_R, selecting the top-T set
-    of ``g`` once."""
-    mask = relevant_mask(g, min(cfg.T, g.shape[0]))
-    v = np.zeros_like(g)
-    norm_r = float(np.sqrt(np.sum(g[mask] ** 2)))
-    if norm_r != 0.0:
-        v[mask] = -cfg.tau * g[mask] / norm_r
-    return v, norm_r
+def _fw_state(cfgs: Sequence[FwConfig]) -> dict:
+    """Per-row Frank-Wolfe parameters, one config per row."""
+    return {"tau": np.array([c.tau for c in cfgs]),
+            "rescaled": np.array([c.rate is FwRate.RESCALED for c in cfgs]),
+            "beta": np.array([c.beta for c in cfgs])}
+
+
+def _lmo(G: np.ndarray, T: int, tau: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fw_lmo` for each row of a (B, n) block with radii ``tau``,
+    also returning ||g||_R per row; selects each top-T set once."""
+    top = np.flatnonzero(relevant_mask(G, T))
+    # every row holds exactly T entries, so (B, T) rows sum as 1-D arrays
+    g_r = G.take(top).reshape(-1, T)
+    norm_r = np.sqrt((g_r ** 2).sum(axis=1))
+    nonzero = norm_r != 0.0
+    V = np.zeros_like(G)
+    V.ravel()[top] = (-tau[:, None] * g_r
+                      / np.where(nonzero, norm_r, 1.0)[:, None]).ravel()
+    if not nonzero.all():
+        V[~nonzero] = 0.0
+    return V, norm_r
 
 
 def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
@@ -85,35 +110,50 @@ def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
     largest-magnitude gradient components; returns 0 when that masked
     norm vanishes (stationary convention, keeps batch runs total).
     """
-    return _lmo(g, cfg)[0]
+    return _lmo(g[None], min(cfg.T, g.shape[0]), np.array([cfg.tau]))[0][0]
 
 
-def _fw_update(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig
-               ) -> tuple[np.ndarray, float]:
-    """:func:`fw_step` that also returns ||g||_R."""
-    v, norm_r = _lmo(g, cfg)
-    if cfg.rate is FwRate.LINEAR:
-        eta = 1.0 / (k + 1)
-    else:
-        diff = float(np.linalg.norm(v - x))
-        eta = 1.0 if diff == 0.0 else min(cfg.beta * norm_r / diff, 1.0)
-    return x + eta * (v - x), norm_r
+def _fw_update(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fw_step` for each row of a (B, n) block with the per-row
+    parameters of :func:`_fw_state`; also returns ||g||_R per row."""
+    V, norm_r = _lmo(G, T, state["tau"])
+    D = V - X
+    eta = np.full(X.shape[0], 1.0 / (k + 1))
+    for b in np.flatnonzero(state["rescaled"]):
+        diff = math.sqrt(D[b].dot(D[b]))   # np.linalg.norm, bitwise
+        eta[b] = (1.0 if diff == 0.0
+                  else min(state["beta"][b] * norm_r[b] / diff, 1.0))
+    return X + eta[:, None] * D, norm_r
 
 
 def fw_step(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig) -> np.ndarray:
     """x + eta_k (v_k - x) with the configured learning rate."""
-    return _fw_update(x, g, k, cfg)[0]
+    T = min(cfg.T, x.shape[0])
+    return _fw_update(x[None], g[None], k, T, _fw_state([cfg]))[0][0]
+
+
+def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
+             cfgs: Sequence[FwConfig], **stop) -> list[Outcome]:
+    """Frank-Wolfe on a (B, n) block through
+    :func:`prunadag.optimizer.drive`, with one config per row; the
+    configs must share T. ``stop`` takes drive's keyword arguments."""
+    X0 = np.asarray(X0, dtype=np.float64)
+    if len({c.T for c in cfgs}) != 1:
+        raise ValueError("the rows of a Frank-Wolfe block must share T")
+    n = X0.shape[1]
+    T = min(cfgs[0].T, n)
+
+    def step(X, G, grad_norm, k, state):
+        X, norm_r = _fw_update(X, G, k, T, state)
+        B = X.shape[0]
+        return X, (norm_r, np.full(B, T), np.zeros(B), np.full(B, n - T))
+
+    return drive(problems, X0, step, _fw_state(cfgs), **stop)
 
 
 def fw_run(problem: Problem, x0: np.ndarray, cfg: FwConfig,
            **stop) -> RunRecord:
-    """Frank-Wolfe through :func:`prunadag.optimizer.drive`; ``stop``
-    takes drive's keyword arguments."""
-    n = problem.dim
-    T = min(cfg.T, n)
-
-    def step(x, g, grad_norm, k):
-        x, norm_r = _fw_update(x, g, k, cfg)
-        return x, (norm_r, T, 0, n - T)
-
-    return drive(problem, x0, step, **stop)
+    """:func:`fw_batch` on one row; raises the exception that ends the
+    run."""
+    return unwrap(fw_batch([problem], [x0], [cfg], **stop))

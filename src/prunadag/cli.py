@@ -34,7 +34,8 @@ def main(argv=None) -> int:
     p_run = subs.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="experiment config file")
     p_run.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (default from config)")
+                       help="optimizer batches run at once, on threads "
+                            "(default from config)")
     p_run.add_argument("--out", default=None,
                        help="output directory override")
     p_run.add_argument("--master-seed", type=int, default=None,
@@ -77,8 +78,9 @@ def main(argv=None) -> int:
         all_ok = True
         for o in outcomes:
             status = "PASS" if o.ok else "FAIL"
-            print(f"{status} {o.optimizer} seed={o.seed} "
-                  f"descent={'ok' if o.descent_ok else 'VIOLATED'} "
+            descent = {True: "ok", False: "VIOLATED",
+                       None: "not-run"}[o.descent_ok]
+            print(f"{status} {o.optimizer} seed={o.seed} descent={descent} "
                   f"gradient_bound={'ok' if o.gradient_bound_ok else 'VIOLATED'}")
             all_ok &= o.ok
         return 0 if all_ok else 1

@@ -114,10 +114,11 @@ class RunRecord:
     The per-iteration fields are those of :data:`TRACE_FIELDS`; each
     present one has length equal to the number of iterations performed.
     ``grad_norm[j]`` etc. refer to quantities at iterate ``x_j`` before
-    the j-th step was taken. The theory group (``max_abs_x`` and the
-    masked sums ``sum_*`` needed by the descent-lemma and gradient-bound
-    checks) is only filled by the optimizers that maintain split weight
-    vectors.
+    the j-th step was taken. ``objective_initial`` is f(x_0), recorded
+    also when the objective trace is not. The theory group
+    (``max_abs_x`` and the masked sums ``sum_*`` needed by the
+    descent-lemma and gradient-bound checks) is only filled by the
+    optimizers that maintain split weight vectors.
     """
 
     grad_norm: np.ndarray
@@ -129,6 +130,7 @@ class RunRecord:
     x_final: np.ndarray
     reason: str
     objective: Optional[np.ndarray] = None
+    objective_initial: Optional[float] = None
     objective_final: Optional[float] = None
     max_abs_x: Optional[np.ndarray] = None
     sum_gO2_over_wO: Optional[np.ndarray] = None

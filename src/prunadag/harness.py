@@ -1,8 +1,8 @@
 """Batch experiment driver.
 
-Parses an INI-style config, runs every (optimizer, seed) pair in a
-thread pool, prunes the final iterates over the configured sweep, and
-writes deterministic CSV outputs:
+Parses an INI-style config, runs the (optimizer, seed) pairs of each
+step family as one batch, prunes the final iterates over the configured
+sweep, and writes deterministic CSV outputs:
 
 * ``trace.csv``  -- per-iteration trace per run, the columns of
   :data:`prunadag.core.TRACE_FIELDS`,
@@ -260,24 +260,45 @@ def starting_point(n: int, T: int, seed: int) -> np.ndarray:
     return x0
 
 
-def _run_one(cfg: ExperimentConfig, method: str, seed_index: int,
-             instance: ProblemInstance) -> RunRecord:
-    prob = instance.problem
-    n = prob.dim
+def _family(method: str) -> str:
+    """The step family of a method; the runs of one family share a block."""
+    if method in PRUNADAG_METHODS:
+        return "prunadag"
+    return "fw" if method in ("fw1", "fw2") else method
+
+
+def _run_block(cfg: ExperimentConfig, cells: list, instances: dict) -> list:
+    """Run the (method, seed) cells of one family as one (B, n) block;
+    returns one :data:`prunadag.optimizer.Outcome` per cell."""
+    probs = [instances[i].problem for _, i in cells]
+    n = probs[0].dim
     T = cfg.resolved_T(n)
-    x0 = starting_point(n, T, derive_seed(cfg.master_seed, "x0", seed_index))
+    X0 = [starting_point(n, T, derive_seed(cfg.master_seed, "x0", i))
+          for _, i in cells]
     common = dict(grad_tol=cfg.grad_tol, max_iters=cfg.max_iters,
                   delta_trace=cfg.delta_trace,
                   record_objective=cfg.record_objective)
-    if method in PRUNADAG_METHODS:
-        return optimizer.run(prob, x0, T=T, variant=PRUNADAG_METHODS[method],
-                             varsigma=cfg.varsigma, **common)
-    if method == "adagrad":
-        return baselines.adagrad_run(prob, x0, varsigma=cfg.varsigma, **common)
-    rate = baselines.FwRate.LINEAR if method == "fw1" else baselines.FwRate.RESCALED
-    tau = cfg.tau1 if method == "fw1" else cfg.tau2
-    fw_cfg = baselines.FwConfig(T=T, tau=tau, rate=rate, beta=cfg.beta)
-    return baselines.fw_run(prob, x0, fw_cfg, **common)
+    family = _family(cells[0][0])
+    if family == "prunadag":
+        variants = [PRUNADAG_METHODS[m] for m, _ in cells]
+        return optimizer.run_batch(probs, X0, T, variants,
+                                   varsigma=cfg.varsigma, **common)
+    if family == "adagrad":
+        return baselines.adagrad_batch(probs, X0, varsigma=cfg.varsigma,
+                                       **common)
+    rates = {"fw1": (cfg.tau1, baselines.FwRate.LINEAR),
+             "fw2": (cfg.tau2, baselines.FwRate.RESCALED)}
+    fw_cfgs = [baselines.FwConfig(T=T, tau=rates[m][0], rate=rates[m][1],
+                                  beta=cfg.beta) for m, _ in cells]
+    return baselines.fw_batch(probs, X0, fw_cfgs, **common)
+
+
+def _run_one(cfg: ExperimentConfig, method: str, seed_index: int,
+             instance: ProblemInstance) -> RunRecord:
+    """Run one (method, seed) cell alone, as a block of one row; raises
+    the exception that ends the run."""
+    return optimizer.unwrap(_run_block(cfg, [(method, seed_index)],
+                                       {seed_index: instance}))
 
 
 @dataclass
@@ -289,40 +310,59 @@ class ExperimentResult:
     instances: dict = field(default_factory=dict)  # seed -> ProblemInstance
 
 
+def _failure(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (optimizer x seed) grid and write the bundle.
 
-    A cell whose run or pruning sweep raises records the failure as
-    ``"<ExceptionClass>: <message>"``, keeps whatever run record exists,
-    and does not stop the other cells.
+    The cells of one step family (pruning-aware, Adagrad, Frank-Wolfe)
+    and problem size run as one block of :func:`prunadag.optimizer.drive`;
+    ``cfg.jobs`` threads run blocks side by side. Each cell's run is
+    bitwise what it would be alone. A cell whose run or pruning sweep
+    raises records the failure as ``"<ExceptionClass>: <message>"``,
+    keeps whatever run record exists, and does not stop the other cells.
     """
     result = ExperimentResult(cfg=cfg)
     for i in range(cfg.seeds):
         result.instances[i] = build_problem(cfg, i)
 
-    tasks = [(m, i) for m in cfg.methods for i in range(cfg.seeds)]
+    blocks: dict = {}
+    for m in cfg.methods:
+        for i in range(cfg.seeds):
+            key = (_family(m), result.instances[i].problem.dim)
+            blocks.setdefault(key, []).append((m, i))
 
-    def work(task):
-        method, i = task
-        instance = result.instances[i]
-        record = None
+    def work(cells):
         try:
-            record = _run_one(cfg, method, i, instance)
-            rows = pruning.prune_report(record.x_final, instance.problem,
-                                        sigmas=cfg.sigmas, deltas=cfg.deltas,
-                                        test=instance.test)
-            return task, record, rows, None
-        except Exception as err:  # drive attaches the partial trace
-            record = record or getattr(err, "record", None)
-            return task, record, None, f"{type(err).__name__}: {err}"
+            outcomes = _run_block(cfg, cells, result.instances)
+        except Exception as err:  # bad parameters fail every cell
+            outcomes = [err] * len(cells)
+        done = []
+        for cell, outcome in zip(cells, outcomes):
+            if isinstance(outcome, Exception):
+                # drive attaches the partial trace
+                done.append((cell, getattr(outcome, "record", None), None,
+                             _failure(outcome)))
+                continue
+            instance = result.instances[cell[1]]
+            try:
+                rows = pruning.prune_report(
+                    outcome.x_final, instance.problem, sigmas=cfg.sigmas,
+                    deltas=cfg.deltas, test=instance.test)
+                done.append((cell, outcome, rows, None))
+            except Exception as err:
+                done.append((cell, outcome, None, _failure(err)))
+        return done
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(work, tasks))
+            outcomes = list(pool.map(work, blocks.values()))
     else:
-        outcomes = [work(t) for t in tasks]
+        outcomes = [work(cells) for cells in blocks.values()]
 
-    for task, record, rows, failure in outcomes:
+    for task, record, rows, failure in itertools.chain.from_iterable(outcomes):
         if record is not None:
             result.records[task] = record
         if failure is None:
@@ -359,6 +399,22 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _active_means(curves: list) -> tuple[list, list]:
+    """Per k, the mean of the curves longer than k and their count.
+
+    Each run of k over which the same curves are active is one
+    C-contiguous (K, S) array averaged along its rows, which is bitwise
+    ``np.mean`` of the S values at each k.
+    """
+    means, counts, start = [], [], 0
+    for end in sorted({len(c) for c in curves} - {0}):
+        active = [c[start:end] for c in curves if len(c) >= end]
+        means += np.mean(np.column_stack(active), axis=1).tolist()
+        counts += [len(active)] * (end - start)
+        start = end
+    return means, counts
+
+
 def write_bundle(result: ExperimentResult) -> None:
     cfg = result.cfg
     methods = cfg.methods
@@ -387,26 +443,28 @@ def write_bundle(result: ExperimentResult) -> None:
         recs = [result.records[(method, i)] for i in range(cfg.seeds)
                 if (method, i) in result.records
                 and (method, i) not in result.failures]
-        for k in range(max((r.iterations for r in recs), default=0)):
-            active = [r for r in recs if k < r.iterations]
-            grad.append((method, k, [r.grad_norm[k] for r in active]))
-            spars.append((method, k, [r.below_delta[k] / r.x_final.shape[0]
-                                      for r in active]))
+        for out, curves in (
+                (grad, [r.grad_norm for r in recs]),
+                (spars, [r.below_delta / r.x_final.shape[0] for r in recs])):
+            out.extend(zip(itertools.repeat(method), itertools.count(),
+                           *_active_means(curves)))
         for sigma in cfg.sigmas:
-            rows = [row for i in range(cfg.seeds)
-                    for row in result.prune_rows.get((method, i), [])
-                    if row.target_kind == "sigma" and row.target_value == sigma]
-            rho.append((method, sigma, [row.rho for row in rows]))
-            omega.append((method, sigma, [row.omega for row in rows]))
-    for name, x, mean, groups in (
+            pruned = [row for i in range(cfg.seeds)
+                      for row in result.prune_rows.get((method, i), [])
+                      if row.target_kind == "sigma"
+                      and row.target_value == sigma]
+            if pruned:
+                for out, values in ((rho, [row.rho for row in pruned]),
+                                    (omega, [row.omega for row in pruned])):
+                    out.append((method, sigma, float(np.mean(values)),
+                                len(values)))
+    for name, x, mean, rows in (
             ("plot_grad_norm.csv", "k", "mean_grad_norm", grad),
             ("plot_sparsity.csv", "k", "mean_below_delta_frac", spars),
             ("plot_rho.csv", "sigma", "mean_rho", rho),
             ("plot_omega.csv", "sigma", "mean_omega", omega)):
         _write_csv(os.path.join(cfg.out_dir, name),
-                   ["optimizer", x, mean, "num_seeds"],
-                   [(method, v, float(np.mean(values)), len(values))
-                    for method, v, values in groups if values])
+                   ["optimizer", x, mean, "num_seeds"], rows)
 
     runs_info = []
     for method, i in keys:
@@ -419,8 +477,7 @@ def write_bundle(result: ExperimentResult) -> None:
                                 if rec.iterations else None),
             "f_final": rec.objective_final,
             "lipschitz": prob.lipschitz,
-            "f0": (float(rec.objective[0])
-                   if rec.objective is not None and rec.iterations else None),
+            "f0": rec.objective_initial,
         })
     n = next(iter(result.instances.values())).problem.dim
     meta = {

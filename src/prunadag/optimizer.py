@@ -8,30 +8,43 @@ trust-region style step bounded by -x_i/w_i built from past decreasable
 magnitudes). :mod:`prunadag._kernels` performs one iteration;
 :mod:`prunadag.steps` states the per-step contracts.
 
-:func:`drive` is the one loop around every optimizer: it calls the
-oracles, treats a non-finite value as divergence, and keeps the trace.
-An optimizer supplies only its step function.
+:func:`drive` is the one loop around every optimizer: it advances a
+(B, n) block of independent runs in lockstep, calls the oracles,
+treats a non-finite value as divergence, and keeps the traces. An
+optimizer supplies only its step function. A single run is a block of
+one row.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
 from .core import TRACE_FIELDS, DivergedError, Problem, RunRecord
-from .steps import Variant
+from .steps import TrustRegionError, Variant
 
 DEFAULT_VARSIGMA = 0.01   # weight floor constant
 DEFAULT_GRAD_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
 
-# (x_next, stats): stats fill the TRACE_FIELDS entries after drive's own
-StepFn = Callable[[np.ndarray, np.ndarray, float, int],
+# step(X, G, grad_norm, k, state) -> (X_next, stats): advances a (B, n)
+# block by one iteration. ``state`` maps names to per-row arrays (leading
+# axis B) that drive shrinks along with the block when runs end; stats
+# hold one (B,) sequence per TRACE_FIELDS entry after drive's own.
+StepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, int, dict],
                   tuple[np.ndarray, tuple]]
+
+# A run's outcome: its record, or the exception that ended it, which
+# carries the partial record as ``record``.
+Outcome = Union[RunRecord, Exception]
+
+# the TRACE_FIELDS entries a step reports, in the order of its stats
+STEP_FIELDS = tuple(attr for attr, _, _ in TRACE_FIELDS[3:])
 
 
 def default_target(n: int) -> int:
@@ -39,11 +52,24 @@ def default_target(n: int) -> int:
     return max(2, math.ceil(n / 10))
 
 
-def _checked_gradient(problem: Problem, x: np.ndarray, k: int) -> np.ndarray:
+def _check_params(n: int, T: int, varsigma: float) -> None:
+    if not 2 <= T <= n:
+        raise ValueError(f"T must be in [2, {n}], got {T}")
+    if not 0.0 < varsigma < 1.0:
+        raise ValueError(f"varsigma must be in (0, 1), got {varsigma}")
+
+
+def _checked_gradient(problem: Problem, x: np.ndarray,
+                      k: int) -> tuple[np.ndarray, float]:
+    """The gradient at ``x`` and its Euclidean norm (bitwise
+    ``np.linalg.norm``); raises DivergedError on a non-finite entry."""
     g = problem.gradient(x)
-    if not np.all(np.isfinite(g)):
+    norm = math.sqrt(g.dot(g))
+    # finite entries can still overflow the norm, so only a non-finite
+    # norm needs the entries checked
+    if not math.isfinite(norm) and not np.all(np.isfinite(g)):
         raise DivergedError(f"non-finite gradient at iteration {k}")
-    return g
+    return g, norm
 
 
 def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
@@ -53,67 +79,176 @@ def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
     return f
 
 
-def drive(problem: Problem, x0: np.ndarray, step: StepFn,
-          grad_tol: float = DEFAULT_GRAD_TOL,
+def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
+          state: Optional[dict] = None, grad_tol: float = DEFAULT_GRAD_TOL,
           max_iters: int = DEFAULT_MAX_ITERS, delta_trace: float = 1e-3,
-          record_objective: bool = True) -> RunRecord:
-    """Iterate ``step`` from ``x0`` until the gradient norm drops below
+          record_objective: bool = True) -> list[Outcome]:
+    """Iterate ``step`` over a (B, n) block of runs, run b on
+    ``problems[b]`` from ``X0[b]``, until its gradient norm drops below
     ``grad_tol`` or ``max_iters`` iterations have been performed.
 
-    Row k of the trace describes x_k, before step k. drive records the
-    first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
-    norm, objective, count below ``delta_trace``);
-    ``step(x, g, grad_norm, k)`` returns the next iterate and the
-    values of the fields after them, in table order: ``(grad_norm_opt,
-    card_R, card_A, card_D)``, optionally followed by the theory group.
-    The fields a step does not report are None in the record.
+    At each iteration the oracles are called row by row, the gradient
+    and then the objective, and one ``step`` call advances every row.
+    A run that stops or fails leaves the block and the others go on;
+    its outcome is bitwise what a block of that run alone gives.
 
-    Raises :class:`DivergedError` if the gradient or the objective
-    oracle returns a non-finite value. Any exception raised in the loop
-    carries the trace up to the failing iterate as ``record``, with
-    reason ``"diverged"`` for a DivergedError and ``"failed"`` otherwise.
+    Row k of a trace describes x_k, before step k. drive records the
+    first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
+    norm, objective, count below ``delta_trace``); ``step`` returns the
+    next iterates and, per run, the values of the fields after them, in
+    table order: ``(grad_norm_opt, card_R, card_A, card_D)``,
+    optionally followed by the theory group. The fields a step does not
+    report are None in the record. The objective at x0 is evaluated
+    even when ``record_objective`` is false: it is the record's
+    ``objective_initial``.
+
+    Returns one :data:`Outcome` per run. A run ends in
+    :class:`DivergedError` if its gradient or objective oracle returns
+    a non-finite value, and in any exception its oracles raise; a
+    :class:`TrustRegionError` from the step ends the run of the row it
+    names, any other step exception every run in the block. The
+    exception carries the trace up to the failing iterate as
+    ``record``, with reason ``"diverged"`` for a DivergedError and
+    ``"failed"`` otherwise.
     """
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = np.array(x0, dtype=np.float64)
-    rows: list[tuple] = []
-    reason = "max iterations"
-    try:
-        for k in range(max_iters):
-            g = _checked_gradient(problem, x, k)
-            f = _checked_value(problem, x, k) if record_objective else 0.0
-            grad_norm = float(np.linalg.norm(g))
-            row = (grad_norm, f, np.count_nonzero(np.abs(x) < delta_trace))
-            x, stats = step(x, g, grad_norm, k)
-            rows.append(row + stats)
-            if grad_norm <= grad_tol:
-                reason = "gradient tolerance"
+    block = _Block(np.array(X0, dtype=np.float64), state or {},
+                   record_objective)
+    rows = len(block.runs)
+    if len(problems) != rows or any(len(v) != rows
+                                    for v in block.state.values()):
+        raise ValueError(f"{rows} runs need {rows} problems and state rows")
+    for k in range(max_iters):
+        X = block.X
+        G = np.empty_like(X)
+        grad_norm = np.empty(X.shape[0])
+        f = np.zeros(X.shape[0])
+        failed = {}
+        for pos, run in enumerate(block.runs):
+            problem, x = problems[run], X[pos]
+            try:
+                G[pos], grad_norm[pos] = _checked_gradient(problem, x, k)
+                if record_objective or k == 0:
+                    f[pos] = _checked_value(problem, x, k)
+            except Exception as err:
+                failed[pos] = err
+        if failed:
+            keep = block.finish(failed)
+            G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
+        below = np.count_nonzero(np.abs(block.X) < delta_trace, axis=1)
+        while block.runs:
+            try:
+                X_next, stats = step(block.X, G, grad_norm, k, block.state)
                 break
-        f_final = (_checked_value(problem, x, len(rows))
-                   if record_objective else None)
+            except Exception as err:
+                rows = ([err.row] if isinstance(err, TrustRegionError)
+                        else range(len(block.runs)))
+                keep = block.finish(dict.fromkeys(rows, err))
+                G, grad_norm, f, below = (G[keep], grad_norm[keep], f[keep],
+                                          below[keep])
+        if not block.runs:
+            break
+        block.rows.append(np.array([grad_norm, f, below, *stats]))
+        block.X = X_next
+        stopped = np.flatnonzero(grad_norm <= grad_tol)
+        if stopped.size:
+            block.finish({pos: _end(problems[block.runs[pos]], block.X[pos],
+                                    "gradient tolerance", k + 1,
+                                    record_objective)
+                          for pos in stopped})
+    block.finish({pos: _end(problems[run], block.X[pos], "max iterations",
+                            max_iters, record_objective)
+                  for pos, run in enumerate(block.runs)})
+    return block.outcomes
+
+
+def _end(problem: Problem, x: np.ndarray, reason: str, k: int,
+         record_objective: bool):
+    """How a run that took its last step ends: ``(reason, f_final)``, or
+    the exception raised by the final objective call."""
+    try:
+        return reason, (_checked_value(problem, x, k)
+                        if record_objective else None)
     except Exception as err:
-        reason = "diverged" if isinstance(err, DivergedError) else "failed"
-        err.record = _assemble(rows, x, reason, record_objective)
-        raise
-    record = _assemble(rows, x, reason, record_objective)
-    record.objective_final = f_final
-    return record
+        return err
 
 
-def _assemble(rows: list[tuple], x: np.ndarray, reason: str,
+class _Block:
+    """The runs of a :func:`drive` call that are still going, and the
+    trace each run has recorded."""
+
+    def __init__(self, X: np.ndarray, state: dict, record_objective: bool):
+        self.X = X
+        self.state = state
+        self.record_objective = record_objective
+        self.runs = list(range(X.shape[0]))    # run index of each row
+        self.outcomes: list = [None] * X.shape[0]
+        # per run, (K, F) pieces of its trace; per iteration since the
+        # last flush, an (F, rows) array of trace rows
+        self.pieces: list[list] = [[] for _ in self.runs]
+        self.rows: list[np.ndarray] = []
+
+    def finish(self, ends: dict) -> np.ndarray:
+        """End the runs at the given row positions and take them out of
+        the block. ``ends`` maps a position to ``(reason, f_final)`` or
+        to the exception that ended the run; its x_final is its row of
+        ``X``. Returns the mask of the rows kept."""
+        if self.rows:
+            trace = np.array(self.rows)
+            for pos, run in enumerate(self.runs):
+                self.pieces[run].append(trace[:, :, pos])
+            self.rows = []
+        for pos, end in ends.items():
+            run = self.runs[pos]
+            err = end if isinstance(end, Exception) else None
+            if err is None:
+                reason, f_final = end
+            else:
+                reason = ("diverged" if isinstance(err, DivergedError)
+                          else "failed")
+                f_final = None
+            record = _assemble(self.pieces[run], self.X[pos].copy(), reason,
+                               self.record_objective)
+            record.objective_final = f_final
+            if err is not None:
+                if getattr(err, "record", None) is not None:
+                    err = copy.copy(err)   # one exception ends several runs
+                err.record = record
+            self.outcomes[run] = record if err is None else err
+        keep = np.ones(len(self.runs), dtype=bool)
+        keep[list(ends)] = False
+        self.X = self.X[keep]
+        for key, value in self.state.items():
+            self.state[key] = value[keep]
+        self.runs = [run for run, kept in zip(self.runs, keep) if kept]
+        return keep
+
+
+def _assemble(pieces: list, x: np.ndarray, reason: str,
               record_objective: bool) -> RunRecord:
-    """Transpose the trace rows of :func:`drive` into a RunRecord: entry
-    i of a row is field i of TRACE_FIELDS. Without rows, every field is
-    an empty array."""
-    width = len(rows[0]) if rows else len(TRACE_FIELDS)
-    cols = np.array(rows, dtype=np.float64).reshape(len(rows), width).T
+    """Build a RunRecord from the trace pieces of :func:`drive`: column i
+    is field i of TRACE_FIELDS. Without rows, every field is an empty
+    array."""
+    cols = (np.concatenate(pieces) if pieces
+            else np.empty((0, len(TRACE_FIELDS)))).T
     trace = {attr: col.astype(dtype)
              for (attr, _, dtype), col in zip(TRACE_FIELDS, cols)}
+    f0 = float(trace["objective"][0]) if cols.shape[1] else None
     if not record_objective:
         trace["objective"] = None
-    return RunRecord(**trace, x_final=x, reason=reason)
+    return RunRecord(**trace, x_final=x, reason=reason, objective_initial=f0)
+
+
+def unwrap(outcomes: list[Outcome]) -> RunRecord:
+    """The record of a one-run block; raises the exception that ended
+    the run instead."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -137,10 +272,7 @@ class PrunAdagState:
     def __post_init__(self):
         self.x = np.array(self.x, dtype=np.float64)
         n = self.x.shape[0]
-        if not 2 <= self.T <= n:
-            raise ValueError(f"T must be in [2, {n}], got {self.T}")
-        if not 0.0 < self.varsigma < 1.0:
-            raise ValueError(f"varsigma must be in (0, 1), got {self.varsigma}")
+        _check_params(n, self.T, self.varsigma)
         root = np.sqrt(self.varsigma)
         if self.w_opt is None:
             self.w_opt = np.full(n, root)
@@ -152,79 +284,97 @@ class PrunAdagState:
         return int(self.x.shape[0])
 
 
-@dataclass
-class IterationRecord:
-    """Snapshot of one iteration, for invariant replay in tests."""
-
-    grad_norm: float
-    grad_norm_opt: float
-    card_R: int
-    card_A: int
-    card_D: int
-    max_abs_x: float
-    sum_gO2_over_wO: float
-    sum_gO2_over_wO2: float
-    sum_xD2_over_wD2: float
-    g: Optional[np.ndarray] = None
-    codes: Optional[np.ndarray] = None
-    step: Optional[np.ndarray] = None
+def _block_state(W_opt: np.ndarray, W_dec: np.ndarray,
+                 variants: Sequence[Variant]) -> dict:
+    """The per-row state of the pruning-aware step: both weight blocks
+    and the kernel's variant flags."""
+    rescale, bound, relevant_only = _kernels.variant_flags(variants)
+    return {"w_opt": W_opt, "w_dec": W_dec, "rescale": rescale,
+            "bound": bound, "relevant_only": relevant_only}
 
 
-def _advance(state: PrunAdagState, g: np.ndarray
+def _advance(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
              ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Take one kernel step from ``state.x`` at gradient ``g``.
+    """Take one kernel step from the block ``X`` at gradients ``G`` and
+    commit the weights in ``state``.
 
-    Returns the step, the membership codes and the trace entries
-    ``(grad_norm_opt, card_R, card_A, card_D, max_abs_x,
-    sum_gO2_over_wO, sum_gO2_over_wO2, sum_xD2_over_wD2)``.
+    Returns the steps, the membership codes and, per row, the trace
+    entries of :data:`STEP_FIELDS`: ``(grad_norm_opt, card_R, card_A,
+    card_D, max_abs_x, sum_gO2_over_wO, sum_gO2_over_wO2,
+    sum_xD2_over_wD2)``.
     """
-    x = state.x
-    s, w_opt, w_dec, codes, _ = _kernels.iterate(
-        x, g, state.w_opt, state.w_dec, state.k, state.T, state.variant)
+    S, W_opt, W_dec, codes, _ = _kernels.iterate(
+        X, G, state["w_opt"], state["w_dec"], k, T, state["rescale"],
+        state["bound"], state["relevant_only"])
     d = codes == _kernels.CODE_DECREASABLE
     o = ~d
-    gO2 = g[o] ** 2
-    wO = w_opt[o]
-    stats = (float(np.sqrt(np.sum(gO2))),
-             *np.bincount(codes, minlength=3).tolist(),
-             float(np.abs(x).max()),
-             float(np.sum(gO2 / wO)),
-             float(np.sum((g[o] / wO) ** 2)),
-             float(np.sum((x[d] / w_dec[d]) ** 2)))
-    state.x = x + s
-    state.w_opt = w_opt
-    state.w_dec = w_dec
-    state.k += 1
-    return s, codes, stats
+    card_O = o.sum(axis=1)
+    card_R = (codes == _kernels.CODE_RELEVANT).sum(axis=1)
+    in_O, in_D = np.flatnonzero(o), np.flatnonzero(d)
+    gO = G.take(in_O)
+    wO = W_opt.take(in_O)
+    gO2 = gO ** 2
+    sums_O = _kernels.row_sums(np.stack([gO2, gO2 / wO, (gO / wO) ** 2]),
+                               card_O)
+    sum_D = _kernels.row_sums((X.take(in_D) / W_dec.take(in_D)) ** 2,
+                              X.shape[1] - card_O)
+    stats = (np.sqrt(sums_O[:, 0]), card_R, card_O - card_R,
+             X.shape[1] - card_O, np.abs(X).max(axis=1), sums_O[:, 1],
+             sums_O[:, 2], sum_D)
+    state["w_opt"], state["w_dec"] = W_opt, W_dec
+    return S, codes, stats
 
 
 def prunadag_iterate(state: PrunAdagState, problem: Problem,
-                     keep_history: bool = False) -> IterationRecord:
-    """Advance ``state`` by one full iteration and return its record."""
-    x = state.x
-    g = _checked_gradient(problem, x, state.k)
-    s, codes, stats = _advance(state, g)
-    rec = IterationRecord(float(np.linalg.norm(g)), *stats)
+                     keep_history: bool = False) -> dict:
+    """Advance ``state`` by one full iteration, as a block of one row,
+    and return its record: ``grad_norm`` and the fields of
+    :data:`STEP_FIELDS`, plus with ``keep_history`` the gradient ``g``,
+    the membership ``codes`` and the ``step``."""
+    g, grad_norm = _checked_gradient(problem, state.x, state.k)
+    block = _block_state(state.w_opt[None], state.w_dec[None],
+                         [state.variant])
+    S, codes, stats = _advance(state.x[None], g[None], state.k, state.T,
+                               block)
+    state.x = state.x + S[0]
+    state.w_opt, state.w_dec = block["w_opt"][0], block["w_dec"][0]
+    state.k += 1
+    rec = {"grad_norm": grad_norm,
+           **{name: col[0] for name, col in zip(STEP_FIELDS, stats)}}
     if keep_history:
-        rec.g, rec.codes, rec.step = g, codes, s
+        rec.update(g=g, codes=codes[0], step=S[0])
     return rec
+
+
+def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
+              variants: Sequence[Variant],
+              varsigma: float = DEFAULT_VARSIGMA, **stop) -> list[Outcome]:
+    """Run the pruning-aware optimizer on a (B, n) block through
+    :func:`drive`: run b solves ``problems[b]`` from ``X0[b]`` with
+    ``variants[b]``; the runs share ``T`` and ``varsigma``.
+
+    ``stop`` takes the keyword arguments of :func:`drive`: ``grad_tol``,
+    ``max_iters``, ``delta_trace`` and ``record_objective``.
+    """
+    X0 = np.asarray(X0, dtype=np.float64)
+    _check_params(X0.shape[1], T, varsigma)
+    weights = np.full(X0.shape, np.sqrt(varsigma))
+    state = _block_state(weights, weights.copy(), variants)
+
+    def step(X, G, grad_norm, k, state):
+        S, _, stats = _advance(X, G, k, T, state)
+        return X + S, stats
+
+    return drive(problems, X0, step, state, **stop)
 
 
 def run(problem: Problem, x0: np.ndarray, T: Optional[int] = None,
         variant: Variant = Variant.V3, varsigma: float = DEFAULT_VARSIGMA,
         **stop) -> RunRecord:
-    """Run the pruning-aware optimizer through :func:`drive`.
-
-    ``stop`` takes the keyword arguments of :func:`drive`: ``grad_tol``,
-    ``max_iters``, ``delta_trace`` and ``record_objective``.
-    """
+    """Run the pruning-aware optimizer: :func:`run_batch` on one row.
+    Raises the exception that ends the run, with the partial record
+    attached."""
     if T is None:
         T = default_target(problem.dim)
-    state = PrunAdagState(x=x0, T=T, variant=variant, varsigma=varsigma)
-
-    def step(x, g, grad_norm, k):
-        # drive's iterate is state.x, which _advance steps from
-        stats = _advance(state, g)[2]
-        return state.x, stats
-
-    return drive(problem, state.x, step, **stop)
+    return unwrap(run_batch([problem], [x0], T, [variant], varsigma,
+                            **stop))

@@ -77,21 +77,28 @@ class Classification:
 
 
 def relevant_mask(g: np.ndarray, T: int) -> np.ndarray:
-    """Boolean mask of the T largest-magnitude components of ``g``.
+    """Boolean mask of the T largest-magnitude components of ``g``, per
+    row along the last axis.
 
     Ties are broken toward the lowest index, so the result is
     deterministic across platforms.
     """
-    n = g.shape[0]
+    n = g.shape[-1]
     if not 1 <= T <= n:
         raise ValueError(f"T must be in [1, {n}], got {T}")
     absg = np.abs(g)
-    thr = np.partition(absg, n - T)[n - T]
+    thr = np.partition(absg, n - T, axis=-1)[..., n - T, None]
+    # every row holds at least T entries >= its T-th largest value; when
+    # the count is exactly T in every row there is no tie to break
+    mask = absg >= thr
+    if np.count_nonzero(mask) == T * (g.size // n):
+        return mask
+    # at most T-1 entries exceed the threshold, so the first `short`
+    # threshold-valued entries of each row fill the set
     mask = absg > thr
-    # at most T-1 entries exceed the T-th largest value, so at least one
-    # threshold-valued entry is always needed to fill the set
-    short = T - int(np.count_nonzero(mask))
-    mask[np.flatnonzero(absg == thr)[:short]] = True
+    tie = absg == thr
+    short = T - mask.sum(axis=-1, keepdims=True)
+    mask |= tie & (np.cumsum(tie, axis=-1) <= short)
     return mask
 
 
@@ -170,8 +177,13 @@ class TrustRegionError(RuntimeError):
     """A decreasable step broke its trust-region conditions.
 
     The construction of the step guarantees both conditions, so this
-    signals an implementation bug, not bad data.
+    signals an implementation bug, not bad data. ``row`` is the row of
+    the (B, n) block that failed.
     """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 def check_trust_region(g: np.ndarray, s: np.ndarray,
@@ -179,14 +191,20 @@ def check_trust_region(g: np.ndarray, s: np.ndarray,
     """Raise :class:`TrustRegionError` unless |s_i| <= limit_i for every
     entry and g.s <= 0, where the entries are those of the decreasable
     set and ``limit`` = |x_i|/w_i with the updated decrease weights.
+    Each row of (B, n) arguments is checked on its own.
 
     Explicit raises rather than asserts, so the checks survive
     ``python -O``.
     """
-    if not np.all(np.abs(s) <= limit):
-        raise TrustRegionError("decreasable step exceeds |x_i|/w_i")
-    if not float(np.dot(g, s)) <= 0.0:
-        raise TrustRegionError("decreasable step is not a descent direction")
+    g, s, limit = np.atleast_2d(g, s, limit)
+    within = np.all(np.abs(s) <= limit, axis=1)
+    for row in range(s.shape[0]):
+        if not within[row]:
+            raise TrustRegionError(
+                f"row {row}: decreasable step exceeds |x_i|/w_i", row)
+        if not float(np.dot(g[row], s[row])) <= 0.0:
+            raise TrustRegionError(
+                f"row {row}: decreasable step is not a descent direction", row)
 
 
 def decreasable_step(x: np.ndarray, g: np.ndarray, w_dec: np.ndarray,

@@ -8,6 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Optional
 
 import numpy as np
 
@@ -17,14 +18,17 @@ from .core import TRACE_FIELDS, RunRecord
 
 @dataclass
 class VerifyOutcome:
+    """The theory checks of one run; ``descent_ok`` is None when the
+    bundle holds no objective trace, so the descent check did not run."""
+
     optimizer: str
     seed: int
-    descent_ok: bool
+    descent_ok: Optional[bool]
     gradient_bound_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.descent_ok and self.gradient_bound_ok
+        return self.descent_ok is not False and self.gradient_bound_ok
 
 
 def _read_trace(path) -> dict:
@@ -58,6 +62,7 @@ def load_bundle(trace_dir):
     traces = _read_trace(os.path.join(trace_dir, "trace.csv"))
     records = {key: RunRecord(**cols, x_final=np.zeros(meta["n"]),
                               reason=runs[key]["reason"],
+                              objective_initial=runs[key]["f0"],
                               objective_final=runs[key]["f_final"])
                for key, cols in traces.items()}
     return meta, runs, records
@@ -66,8 +71,10 @@ def load_bundle(trace_dir):
 def verify_bundle(trace_dir) -> list[VerifyOutcome]:
     """Run descent and gradient-bound checks on every pruning-aware run.
 
-    Baseline runs lack the masked weighted sums and are skipped. A run
-    that diverged is checked over the trace it recorded.
+    Baseline runs lack the masked weighted sums and are skipped, and so
+    is a run without f(x0). The gradient bound needs only f(x0); the
+    descent check runs where the bundle holds the objective trace. A
+    run that diverged is checked over the trace it recorded.
     """
     meta, runs, records = load_bundle(trace_dir)
     outcomes = []
@@ -76,14 +83,14 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
         if method not in harness.PRUNADAG_METHODS:
             continue
         rec = records[key]
-        if rec.sum_gO2_over_wO is None or rec.objective is None:
+        if rec.sum_gO2_over_wO is None or rec.objective_initial is None:
             continue
-        info = runs[key]
-        L = info["lipschitz"]
-        descent_ok = bool(np.all(theory.check_descent_lemma(rec, L)))
+        L = runs[key]["lipschitz"]
+        descent_ok = (None if rec.objective is None else
+                      bool(np.all(theory.check_descent_lemma(rec, L))))
         inp = theory.BoundInputs(
             n=meta["n"], T=meta["T"], varsigma=meta["varsigma"],
-            lipschitz=L, gamma0=info["f0"], kappa_x=0.0)
+            lipschitz=L, gamma0=rec.objective_initial, kappa_x=0.0)
         bound_ok = bool(np.all(theory.check_gradient_bound(rec, inp)))
         outcomes.append(VerifyOutcome(method, seed, descent_ok, bound_ok))
     return outcomes

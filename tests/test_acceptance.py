@@ -142,22 +142,23 @@ def test_criterion_03_algorithmic_invariants():
                 w_dec_before = state.w_dec.copy()
                 rec = prunadag_iterate(state, problem, keep_history=True)
                 total += 1
-                d = rec.codes == 2
-                if rec.card_R != T or rec.card_R + rec.card_A + rec.card_D != n:
+                d = rec["codes"] == 2
+                cards = rec["card_R"], rec["card_A"], rec["card_D"]
+                if cards[0] != T or sum(cards) != n:
                     violations.append(f"partition {variant.value}")
-                s = rec.step
+                s = rec["step"]
                 # |s_i| <= |x_i| / w_i^D on the decreasable set
                 lim = np.abs(x_before[d]) / np.sqrt(
                     w_dec_before[d] ** 2 + x_before[d] ** 2)
                 if np.any(np.abs(s[d]) > lim * (1 + 1e-12) + 1e-300):
                     violations.append(f"dis_abs {variant.value}")
-                if float(np.dot(rec.g[d], s[d])) > 1e-12:
+                if float(np.dot(rec["g"][d], s[d])) > 1e-12:
                     violations.append(f"dec_cond {variant.value}")
                 if variant.bounds_step_by_iterate:
-                    acc = rec.codes == 1
+                    acc = rec["codes"] == 1
                     if np.any(x_before[acc] * state.x[acc] < 0):
                         violations.append(f"sign_flip {variant.value}")
-                sq_opt[~d] += rec.g[~d] ** 2
+                sq_opt[~d] += rec["g"][~d] ** 2
                 sq_dec[d] += x_before[d] ** 2
             if not np.allclose(state.w_opt ** 2, VARSIGMA + sq_opt,
                                rtol=1e-10, atol=1e-12):
@@ -168,14 +169,15 @@ def test_criterion_03_algorithmic_invariants():
         if violations:
             break
     # top up to the required fuzz volume with raw step-level iterations
-    from prunadag._kernels import iterate
+    from prunadag._kernels import iterate, variant_flags
     while total < 100_000 and not violations:
         x = rng.standard_normal(n) * float(rng.uniform(0.01, 10.0))
         g = rng.standard_normal(n) * float(rng.uniform(0.01, 10.0))
         w = np.sqrt(VARSIGMA + rng.random(n))
         variant = ALL_VARIANTS[total % len(ALL_VARIANTS)]
-        s, w_opt, w_dec, codes, in_s = iterate(x, g, w, w.copy(),
-                                               total % 7, T, variant)
+        s, w_opt, w_dec, codes, in_s = (a[0] for a in iterate(
+            x[None], g[None], w[None], w[None].copy(), total % 7, T,
+            *variant_flags([variant])))
         total += 1
         d = codes == 2
         if int(np.count_nonzero(codes == 0)) != T:

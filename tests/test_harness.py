@@ -8,6 +8,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunadag import cli, harness
 from prunadag.core import RunRecord
@@ -36,6 +38,14 @@ sigma = 0.3, 0.5
 [output]
 dir = {out}
 """
+
+
+def _read_bundle(out_dir) -> dict:
+    bundle = {}
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            bundle[name] = fh.read()
+    return bundle
 
 
 def write_config(tmp_path, text=None, **fmt):
@@ -212,6 +222,19 @@ class TestRunExperiment:
         assert meta["seeds"] == 2
         assert meta["methods"] == ["v3", "adagrad"]
 
+    def test_single_cell_matches_grid(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        result = run_experiment(cfg)
+        for method in ("v3", "adagrad"):
+            rec = harness._run_one(cfg, method, 1, result.instances[1])
+            grid = result.records[(method, 1)]
+            for f in dataclasses.fields(RunRecord):
+                ours, theirs = getattr(rec, f.name), getattr(grid, f.name)
+                if isinstance(ours, np.ndarray):
+                    assert ours.tobytes() == theirs.tobytes(), f.name
+                else:
+                    assert ours == theirs, f.name
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         run_experiment(cfg)
@@ -226,13 +249,29 @@ class TestRunExperiment:
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        run_experiment(cfg)
-        with open(os.path.join(cfg.out_dir, "trace.csv"), "rb") as fh:
-            serial = fh.read()
-        cfg.jobs = 4
-        run_experiment(cfg)
-        with open(os.path.join(cfg.out_dir, "trace.csv"), "rb") as fh:
-            assert fh.read() == serial
+        bundles = []
+        for jobs in (1, 2, 4):
+            cfg.jobs = jobs
+            run_experiment(cfg)
+            bundles.append(_read_bundle(cfg.out_dir))
+        assert len(bundles[0]) == 8
+        assert bundles[1] == bundles[0] and bundles[2] == bundles[0]
+
+    def test_verify_without_objective_trace(self, tmp_path, capsys):
+        # f(x0) alone supports the gradient bound; the descent check
+        # needs the objective trace and is reported as not run
+        path = write_config(tmp_path, BASE_CONFIG + "record_objective = off\n")
+        out = str(tmp_path / "results")
+        assert cli.main(["run", str(path), "--out", out]) == 0
+        with open(os.path.join(out, "runs.json")) as fh:
+            assert all(r["f0"] is not None for r in json.load(fh))
+        outcomes = verify_bundle(out)
+        assert [(o.optimizer, o.seed, o.descent_ok, o.gradient_bound_ok,
+                 o.ok) for o in outcomes] == [("v3", 0, None, True, True),
+                                              ("v3", 1, None, True, True)]
+        capsys.readouterr()
+        assert cli.main(["verify", out]) == 0
+        assert "PASS v3 seed=0 descent=not-run" in capsys.readouterr().out
 
     def test_verify_bundle_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -247,6 +286,23 @@ class TestRunExperiment:
 
 
 class TestBundleFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=6),
+           st.integers(0, 2 ** 31 - 1))
+    def test_plot_means_match_per_k_mean(self, lengths, seed):
+        # curves of unequal length: at each k the mean over the curves
+        # still running, bitwise np.mean of those values
+        rng = np.random.default_rng(seed)
+        curves = [rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4, m)
+                  for m in lengths]
+        means, counts = harness._active_means(curves)
+        assert len(means) == len(counts) == max(lengths)
+        for k, (mean, count) in enumerate(zip(means, counts)):
+            values = [c[k] for c in curves if k < len(c)]
+            assert count == len(values)
+            assert repr(mean) == repr(float(np.mean(values)))
+
+
     @pytest.mark.parametrize("record_objective", [True, False])
     def test_round_trip_is_bitwise(self, tmp_path, record_objective):
         cfg = load_config(write_config(tmp_path))

@@ -1,5 +1,6 @@
 """Tests for the optimizer, its driver loop and the fused kernel."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,15 +10,25 @@ from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
 from prunadag import _kernels, steps
-from prunadag._kernels import CODE_DECREASABLE, CODE_RELEVANT, iterate
-from prunadag.baselines import FwConfig, FwRate, adagrad_run, fw_run
-from prunadag.core import DivergedError, Problem
+from prunadag._kernels import (CODE_DECREASABLE, CODE_RELEVANT, iterate,
+                               variant_flags)
+from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
+                                fw_batch, fw_run)
+from prunadag.core import DivergedError, Problem, RunRecord
 from prunadag.optimizer import (DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
-                                DEFAULT_VARSIGMA, default_target)
+                                DEFAULT_VARSIGMA, STEP_FIELDS, default_target,
+                                run_batch)
 from prunadag.problems import gen_least_squares
 
 ALL_VARIANTS = [Variant.V1, Variant.V2, Variant.V3, Variant.V4,
                 Variant.RELEVANT_ONLY]
+
+
+def iterate_row(x, g, w_opt_prev, w_dec_prev, k, T, variant):
+    """The kernel on a block of one row, x[None]; returns the row."""
+    out = iterate(x[None], g[None], w_opt_prev[None], w_dec_prev[None], k, T,
+                  *variant_flags([variant]))
+    return tuple(a[0] for a in out)
 
 
 def quadratic_problem(n):
@@ -68,8 +79,8 @@ class TestHandTrace:
         x = np.array([1.0, 1.0])
         g = np.array([2.0, 0.5])
         w0 = np.full(2, 0.1)
-        s, w_opt, w_dec, codes, in_s = iterate(x, g, w0, w0.copy(), 0, 1,
-                                               Variant.V2)
+        s, w_opt, w_dec, codes, in_s = iterate_row(x, g, w0, w0.copy(), 0, 1,
+                                                   Variant.V2)
         # R = {0}; index 1: |g/w~| = 0.5/sqrt(0.26) ~ 0.980581 < a = 1
         # so it is decreasable and sign-matched.
         assert codes[0] == CODE_RELEVANT
@@ -179,7 +190,7 @@ class TestKernelPathsAgree:
                 g = problem.gradient(state.x)
                 args = (state.x, g, state.w_opt, state.w_dec, state.k,
                         state.T, variant)
-                out = iterate(*args)
+                out = iterate_row(*args)
                 self.assert_bitwise(out, self.reference(*args))
                 state.x = state.x + out[0]
                 state.w_opt, state.w_dec = out[1], out[2]
@@ -209,7 +220,7 @@ class TestKernelPathsAgree:
         w_opt = np.sqrt(0.01 + rng.random(n))
         w_dec = np.sqrt(0.01 + rng.random(n))
         args = (x, g, w_opt, w_dec, int(rng.integers(0, 50)), T, variant)
-        self.assert_bitwise(iterate(*args), self.reference(*args))
+        self.assert_bitwise(iterate_row(*args), self.reference(*args))
 
 
 class TestTrustRegionChecks:
@@ -222,7 +233,7 @@ class TestTrustRegionChecks:
         g = np.array([5.0, 0.5])
         w = np.full(2, 0.1)
         with pytest.raises(steps.TrustRegionError):
-            iterate(x, g, w, w.copy(), 0, 1, Variant.V2)
+            iterate_row(x, g, w, w.copy(), 0, 1, Variant.V2)
 
 
 class TestDriver:
@@ -308,22 +319,150 @@ class TestDriver:
         rec = run(problem, x0, T=4, variant=variant, max_iters=60)
         state = PrunAdagState(x=x0, T=4, variant=variant)
         recs = [prunadag_iterate(state, problem) for _ in range(60)]
+        assert set(recs[0]) == {"grad_norm", *STEP_FIELDS}
         assert np.array_equal(rec.x_final, state.x)
         for name in ("grad_norm", "max_abs_x", "grad_norm_opt", "card_R",
                      "card_A", "card_D", "sum_gO2_over_wO",
                      "sum_gO2_over_wO2", "sum_xD2_over_wD2"):
             assert np.array_equal(getattr(rec, name),
-                                  [getattr(r, name) for r in recs]), name
+                                  [r[name] for r in recs]), name
 
-    def test_without_objective_no_objective_calls(self):
-        def objective(x):
-            raise AssertionError("objective oracle called")
-        problem = Problem(dim=4, grad=lambda x: x.copy(), objective=objective)
+    def test_without_objective_one_objective_call_at_x0(self):
+        # f(x0) is recorded for the gradient bound; no other objective call
         for method in sorted(self.RUNNERS):
+            calls = []
+
+            def objective(x):
+                calls.append(x.copy())
+                return 0.5 * float(np.sum(x ** 2))
+            problem = Problem(dim=4, grad=lambda x: x.copy(),
+                              objective=objective)
             rec = self.RUNNERS[method](problem, np.ones(4), max_iters=5,
                                        record_objective=False)
             rec.validate()
             assert rec.objective is None and rec.objective_final is None
+            assert len(calls) == 1 and np.array_equal(calls[0], np.ones(4))
+            assert rec.objective_initial == 2.0
+
+
+def assert_same_record(got: RunRecord, want: RunRecord):
+    """Every RunRecord field equal bit for bit, dtype included."""
+    for f in dataclasses.fields(RunRecord):
+        ours, theirs = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(ours, np.ndarray) or isinstance(theirs, np.ndarray):
+            assert ours.dtype == theirs.dtype, f.name
+            assert ours.shape == theirs.shape, f.name
+            assert ours.tobytes() == theirs.tobytes(), f.name
+        else:
+            assert ours == theirs, f.name
+
+
+def solo(runner):
+    """The record of a one-run call, or the record its exception carries."""
+    try:
+        return runner()
+    except Exception as err:
+        return err.record
+
+
+def tied_problem(rng, n):
+    """A quadratic whose gradient is rounded to multiples of 0.5, so ties
+    at the top-T threshold and zero entries are common."""
+    c = rng.integers(-4, 5, n) * 0.5
+    return Problem(dim=n, grad=lambda x: np.round(2.0 * (x - c)) / 2.0,
+                   objective=lambda x: 0.5 * float(np.sum((x - c) ** 2)))
+
+
+class TestBatch:
+    """A block of runs advances in lockstep, and every run in it is
+    bitwise the run advanced alone (a block of one row)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_mixed_batch_matches_solo_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        B = int(rng.integers(1, 7))
+        T = int(rng.integers(2, n + 1))
+        variants = [ALL_VARIANTS[i] for i in rng.integers(0, 5, B)]
+        problems = [tied_problem(rng, n) for _ in range(B)]
+        X0 = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 0.5, 1e-3]))
+        stop = dict(max_iters=int(rng.integers(1, 40)), grad_tol=0.25,
+                    record_objective=bool(rng.integers(2)))
+        outcomes = run_batch(problems, X0, T, variants, **stop)
+        for b in range(B):
+            assert isinstance(outcomes[b], RunRecord)
+            assert_same_record(outcomes[b], run(problems[b], X0[b], T,
+                                                 variants[b], **stop))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_baseline_batches_match_solo_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        B = int(rng.integers(1, 5))
+        problems = [tied_problem(rng, n) for _ in range(B)]
+        X0 = rng.integers(-3, 4, (B, n)) * 0.5
+        stop = dict(max_iters=int(rng.integers(1, 30)), grad_tol=0.25)
+        T = int(rng.integers(1, n + 1))
+        cfgs = [FwConfig(T=T, tau=float(rng.uniform(0.5, 20.0)),
+                         rate=FwRate.RESCALED if rng.integers(2)
+                         else FwRate.LINEAR, beta=0.3) for _ in range(B)]
+        for b, out in enumerate(fw_batch(problems, X0, cfgs, **stop)):
+            assert_same_record(out, fw_run(problems[b], X0[b], cfgs[b], **stop))
+        for b, out in enumerate(adagrad_batch(problems, X0, **stop)):
+            assert_same_record(out, adagrad_run(problems[b], X0[b], **stop))
+
+    def test_stopped_and_failed_rows_leave_the_block(self):
+        # row 1 reaches grad_tol early, row 2 meets a NaN gradient at
+        # call 10 (iteration 9); rows 0 and 3 run on, bitwise as alone
+        def problems():
+            ls = [gen_least_squares("A3", 8, 40, seed=s).problem()
+                  for s in (1, 2)]
+            nan = dataclasses.replace(ls[0], grad=TestDriver.failing_after(
+                9, ls[0].grad))
+            return [ls[0], quadratic_problem(40), nan, ls[1]]
+        rng = np.random.default_rng(4)
+        X0 = rng.standard_normal((4, 40))
+        X0[1] *= 1e-3
+        variants = [Variant.V1, Variant.V3, Variant.V2, Variant.RELEVANT_ONLY]
+        stop = dict(max_iters=60, grad_tol=1e-4)
+        outcomes = run_batch(problems(), X0, 4, variants, **stop)
+        alone = [solo(lambda: run(p, X0[b], 4, variants[b], **stop))
+                 for b, p in enumerate(problems())]
+        assert outcomes[0].reason == "max iterations"
+        assert outcomes[1].reason == "gradient tolerance"
+        assert outcomes[1].iterations < 60
+        assert isinstance(outcomes[2], DivergedError)
+        assert outcomes[2].record.reason == "diverged"
+        assert outcomes[2].record.iterations == 9
+        assert outcomes[3].iterations == 60
+        for b in range(4):
+            got = outcomes[b]
+            assert_same_record(getattr(got, "record", got), alone[b])
+
+    def test_rows_must_match(self):
+        problems = [quadratic_problem(4)] * 2
+        with pytest.raises(ValueError, match="2 runs"):
+            run_batch(problems, np.ones((2, 4)), 2, [Variant.V3])
+        with pytest.raises(ValueError, match="2 runs"):
+            adagrad_batch(problems[:1], np.ones((2, 4)))
+
+    def test_trust_region_error_ends_its_row_only(self, monkeypatch):
+        # the sign-match test of TestTrustRegionChecks lets row 0 put a
+        # sign mismatch into S; row 1 has none and runs on
+        monkeypatch.setattr(steps, "sign_match_mask",
+                            lambda x, g: (x != 0.0) & (g != 0.0))
+        g = np.array([5.0, 4.0, 0.5])
+        problems = [Problem(dim=3, grad=lambda x: g.copy(),
+                            objective=lambda x: 0.0)] * 2
+        X0 = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+        out = run_batch(problems, X0, 2, [Variant.V2] * 2, max_iters=3)
+        assert isinstance(out[0], steps.TrustRegionError)
+        assert out[0].row == 0 and out[0].record.reason == "failed"
+        assert out[0].record.iterations == 0
+        assert_same_record(out[1], run(problems[1], X0[1], 2, Variant.V2,
+                                       max_iters=3))
 
 
 class TestWeightClosedForms:
@@ -342,8 +481,8 @@ class TestWeightClosedForms:
         for _ in range(60):
             x_before = state.x.copy()
             rec = prunadag_iterate(state, problem, keep_history=True)
-            d_mask = rec.codes == CODE_DECREASABLE
-            sq_opt[~d_mask] += rec.g[~d_mask] ** 2
+            d_mask = rec["codes"] == CODE_DECREASABLE
+            sq_opt[~d_mask] += rec["g"][~d_mask] ** 2
             sq_dec[d_mask] += x_before[d_mask] ** 2
         assert np.allclose(state.w_opt ** 2, 0.01 + sq_opt,
                            rtol=1e-12, atol=1e-12)
@@ -362,6 +501,6 @@ class TestSignPreservation:
         for _ in range(100):
             x_before = state.x.copy()
             rec = prunadag_iterate(state, problem, keep_history=True)
-            acc = rec.codes == CODE_ACCEPTABLE
+            acc = rec["codes"] == CODE_ACCEPTABLE
             prod = x_before[acc] * state.x[acc]
             assert np.all(prod >= 0.0)

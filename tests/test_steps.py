@@ -55,6 +55,21 @@ class TestRelevantSelection:
             assert np.min(np.abs(g[mask])) >= np.max(np.abs(g[~mask]))
 
 
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_rows_match_lowest_index_reference(self, seed):
+        # a (B, n) block selects each row's set as a sorted scan would:
+        # strictly larger entries first, then ties by lowest index
+        rng = np.random.default_rng(seed)
+        B, n = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+        T = int(rng.integers(1, n + 1))
+        G = rng.integers(-3, 4, (B, n)) * 0.5
+        mask = relevant_mask(G, T)
+        for row, g in zip(mask, G):
+            order = sorted(range(n), key=lambda i: (-abs(g[i]), i))
+            assert np.flatnonzero(row).tolist() == sorted(order[:T])
+            assert np.array_equal(relevant_mask(g, T), row)
+
+
 class TestTentativeWeights:
     def test_direct_formula(self):
         w = tentative_opt_weights(np.array([0.1]), np.array([0.3]))
