@@ -215,8 +215,12 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass
 class ProblemInstance:
+    """A seed's problem; ``source`` is the family instance whose data and
+    oracles ``problem`` uses, and None for a problem of plain callables."""
+
     problem: Problem
     test: Optional[problems.LogisticProblem] = None
+    source: object = None
 
 
 def build_problem(cfg: ExperimentConfig, seed_index: int) -> ProblemInstance:
@@ -229,25 +233,25 @@ def build_problem(cfg: ExperimentConfig, seed_index: int) -> ProblemInstance:
     seed = derive_seed(cfg.master_seed, "problem", seed_index)
     if cfg.problem_kind == "least_squares":
         ls = problems.gen_least_squares(p["matrix"], p["m"], p["n"], seed)
-        return ProblemInstance(ls.problem())
+        return ProblemInstance(ls.problem(), source=ls)
     if cfg.problem_kind == "dct_recovery":
         ls = problems.gen_dct_sparse_recovery(p["m"], p["n"], seed,
                                               p["nnz"], p["noise"])
-        return ProblemInstance(ls.problem())
+        return ProblemInstance(ls.problem(), source=ls)
     if cfg.problem_kind == "logistic_synthetic":
         train, test = problems.gen_separable_classification(
             p["n"], p["informative"], p["samples"], seed)
-        return ProblemInstance(train.problem(), test=test)
+        return ProblemInstance(train.problem(), test=test, source=train)
     if cfg.problem_kind == "libsvm":
         train, test = problems.load_libsvm(p["path"], split_seed=seed)
-        return ProblemInstance(train.problem(), test=test)
+        return ProblemInstance(train.problem(), test=test, source=train)
     # sparse_coding: dictionary and observation are fixed files; the
     # seed only varies the starting point.
     D = problems.load_matrix(p["dict_path"])
     Y = problems.load_matrix(p["data_path"])
     y = Y[:, p["column"]] if Y.shape[1] > 1 else Y.reshape(-1)
     sc = problems.SparseCodingProblem(D=D, y=y)
-    return ProblemInstance(sc.problem())
+    return ProblemInstance(sc.problem(), source=sc)
 
 
 def starting_point(n: int, T: int, seed: int) -> np.ndarray:
@@ -267,9 +271,30 @@ def _family(method: str) -> str:
     return "fw" if method in ("fw1", "fw2") else method
 
 
-def _run_block(cfg: ExperimentConfig, cells: list, instances: dict) -> list:
+def build_problems(cfg: ExperimentConfig
+                   ) -> tuple[dict, Optional[problems.Stack]]:
+    """Every seed's instance, by :func:`build_problem`, and the
+    :class:`prunadag.problems.Stack` that holds their data, slot i for
+    seed i. Each instance moves into the stack as soon as it is built,
+    so the grid keeps one copy of its data. The stack is None when an
+    instance has no ``source``."""
+    instances, stack = {}, problems.Stack(cfg.seeds)
+    for i in range(cfg.seeds):
+        instance = instances[i] = build_problem(cfg, i)
+        if stack is not None and instance.source is not None:
+            stack.add(instance.source)
+        else:
+            stack = None
+    return instances, stack
+
+
+def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
+               stack: Optional[problems.Stack] = None) -> list:
     """Run the (method, seed) cells of one family as one (B, n) block;
-    returns one :data:`prunadag.optimizer.Outcome` per cell."""
+    returns one :data:`prunadag.optimizer.Outcome` per cell. With the
+    grid's ``stack`` and seed-major cells, the block's oracles are one
+    :class:`prunadag.problems.BlockOracle`; otherwise each row calls its
+    own problem."""
     probs = [instances[i].problem for _, i in cells]
     n = probs[0].dim
     T = cfg.resolved_T(n)
@@ -277,7 +302,9 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict) -> list:
           for _, i in cells]
     common = dict(grad_tol=cfg.grad_tol, max_iters=cfg.max_iters,
                   delta_trace=cfg.delta_trace,
-                  record_objective=cfg.record_objective)
+                  record_objective=cfg.record_objective,
+                  oracle=(stack.oracle([i for _, i in cells]) if stack
+                          else None))
     family = _family(cells[0][0])
     if family == "prunadag":
         variants = [PRUNADAG_METHODS[m] for m, _ in cells]
@@ -318,25 +345,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (optimizer x seed) grid and write the bundle.
 
     The cells of one step family (pruning-aware, Adagrad, Frank-Wolfe)
-    and problem size run as one block of :func:`prunadag.optimizer.drive`;
-    ``cfg.jobs`` threads run blocks side by side. Each cell's run is
-    bitwise what it would be alone. A cell whose run or pruning sweep
-    raises records the failure as ``"<ExceptionClass>: <message>"``,
-    keeps whatever run record exists, and does not stop the other cells.
+    and problem size run as one block of :func:`prunadag.optimizer.drive`,
+    seed-major, so that the block's oracles are one stacked evaluation
+    over the seeds' instances (:func:`build_problems`); ``cfg.jobs``
+    threads run blocks side by side. Each cell's run is bitwise what it
+    would be alone. A cell whose run or pruning sweep raises records the
+    failure as ``"<ExceptionClass>: <message>"``, keeps whatever run
+    record exists, and does not stop the other cells.
     """
     result = ExperimentResult(cfg=cfg)
-    for i in range(cfg.seeds):
-        result.instances[i] = build_problem(cfg, i)
+    result.instances, stack = build_problems(cfg)
 
     blocks: dict = {}
-    for m in cfg.methods:
-        for i in range(cfg.seeds):
+    for i in range(cfg.seeds):
+        for m in cfg.methods:
             key = (_family(m), result.instances[i].problem.dim)
             blocks.setdefault(key, []).append((m, i))
 
     def work(cells):
         try:
-            outcomes = _run_block(cfg, cells, result.instances)
+            outcomes = _run_block(cfg, cells, result.instances, stack)
         except Exception as err:  # bad parameters fail every cell
             outcomes = [err] * len(cells)
         done = []

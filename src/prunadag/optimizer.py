@@ -59,17 +59,55 @@ def _check_params(n: int, T: int, varsigma: float) -> None:
         raise ValueError(f"varsigma must be in (0, 1), got {varsigma}")
 
 
-def _checked_gradient(problem: Problem, x: np.ndarray,
-                      k: int) -> tuple[np.ndarray, float]:
-    """The gradient at ``x`` and its Euclidean norm (bitwise
-    ``np.linalg.norm``); raises DivergedError on a non-finite entry."""
-    g = problem.gradient(x)
-    norm = math.sqrt(g.dot(g))
+# oracle(X, runs, objective) -> (G, F, failed): the gradients G and,
+# where ``objective`` asks for them, the objectives F of the rows X of a
+# block, whose run indices are ``runs``. ``failed`` maps the position of
+# a row whose oracle raised to the exception; drive checks the rest.
+Oracle = Callable[[np.ndarray, Sequence[int], bool],
+                  tuple[np.ndarray, np.ndarray, dict]]
+
+
+def row_oracle(problems: Sequence[Problem]) -> Oracle:
+    """The :data:`Oracle` of plain problems: for each row in turn, its
+    gradient, then, if every entry is finite and ``objective`` is set,
+    its objective. An exception ends only its own row."""
+    def oracle(X, runs, objective):
+        G = np.empty_like(X)
+        F = np.zeros(len(runs))
+        failed = {}
+        for pos, run in enumerate(runs):
+            try:
+                G[pos] = problems[run].gradient(X[pos])
+                if objective and np.isfinite(G[pos]).all():
+                    F[pos] = problems[run].value(X[pos])
+            except Exception as err:
+                failed[pos] = err
+        return G, F, failed
+    return oracle
+
+
+def _checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
+                     k: int, objective: bool):
+    """One oracle call for the block ``X`` and its checks. Returns G,
+    the gradient norms (each bitwise ``np.linalg.norm`` of its row), F
+    and the failed rows: a row whose oracle raised, whose gradient has
+    a non-finite entry or, when ``objective`` is set, whose objective
+    is not finite, in that order, maps to its exception."""
+    G, F, failed = oracle(X, runs, objective)
+    norm = np.sqrt(G[:, None, :] @ G[:, :, None]).reshape(-1)
     # finite entries can still overflow the norm, so only a non-finite
     # norm needs the entries checked
-    if not math.isfinite(norm) and not np.all(np.isfinite(g)):
-        raise DivergedError(f"non-finite gradient at iteration {k}")
-    return g, norm
+    finite = np.isfinite(norm)
+    if not finite.all():
+        finite[~finite] = np.isfinite(G[~finite]).all(axis=1)
+        for pos in np.flatnonzero(~finite).tolist():
+            failed.setdefault(pos, DivergedError(
+                f"non-finite gradient at iteration {k}"))
+    if objective and not np.isfinite(F).all():
+        for pos in np.flatnonzero(~np.isfinite(F)).tolist():
+            failed.setdefault(pos, DivergedError(
+                f"non-finite objective at iteration {k}"))
+    return G, norm, F, failed
 
 
 def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
@@ -80,17 +118,22 @@ def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
 
 
 def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
-          state: Optional[dict] = None, grad_tol: float = DEFAULT_GRAD_TOL,
+          state: Optional[dict] = None, oracle: Optional[Oracle] = None,
+          grad_tol: float = DEFAULT_GRAD_TOL,
           max_iters: int = DEFAULT_MAX_ITERS, delta_trace: float = 1e-3,
           record_objective: bool = True) -> list[Outcome]:
     """Iterate ``step`` over a (B, n) block of runs, run b on
     ``problems[b]`` from ``X0[b]``, until its gradient norm drops below
     ``grad_tol`` or ``max_iters`` iterations have been performed.
 
-    At each iteration the oracles are called row by row, the gradient
-    and then the objective, and one ``step`` call advances every row.
-    A run that stops or fails leaves the block and the others go on;
-    its outcome is bitwise what a block of that run alone gives.
+    At each iteration one ``oracle`` call gives the gradients and, at
+    k = 0 or with ``record_objective``, the objectives of every row;
+    the default is :func:`row_oracle` over ``problems``, and
+    :class:`prunadag.problems.BlockOracle` evaluates the stacked
+    instances of a grid at once. One ``step`` call advances every row.
+    The final objective is ``problems[b].value``. A run that stops or
+    fails leaves the block and the others go on; its outcome is bitwise
+    what a block of that run alone gives.
 
     Row k of a trace describes x_k, before step k. drive records the
     first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
@@ -121,20 +164,11 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     if len(problems) != rows or any(len(v) != rows
                                     for v in block.state.values()):
         raise ValueError(f"{rows} runs need {rows} problems and state rows")
+    if oracle is None:
+        oracle = row_oracle(problems)
     for k in range(max_iters):
-        X = block.X
-        G = np.empty_like(X)
-        grad_norm = np.empty(X.shape[0])
-        f = np.zeros(X.shape[0])
-        failed = {}
-        for pos, run in enumerate(block.runs):
-            problem, x = problems[run], X[pos]
-            try:
-                G[pos], grad_norm[pos] = _checked_gradient(problem, x, k)
-                if record_objective or k == 0:
-                    f[pos] = _checked_value(problem, x, k)
-            except Exception as err:
-                failed[pos] = err
+        G, grad_norm, f, failed = _checked_oracles(
+            oracle, block.X, block.runs, k, record_objective or k == 0)
         if failed:
             keep = block.finish(failed)
             G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
@@ -331,7 +365,11 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem,
     and return its record: ``grad_norm`` and the fields of
     :data:`STEP_FIELDS`, plus with ``keep_history`` the gradient ``g``,
     the membership ``codes`` and the ``step``."""
-    g, grad_norm = _checked_gradient(problem, state.x, state.k)
+    G, norm, _, failed = _checked_oracles(row_oracle([problem]),
+                                          state.x[None], [0], state.k, False)
+    if failed:
+        raise failed[0]
+    g, grad_norm = G[0], norm[0]
     block = _block_state(state.w_opt[None], state.w_dec[None],
                          [state.variant])
     S, codes, stats = _advance(state.x[None], g[None], state.k, state.T,
@@ -353,8 +391,9 @@ def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
     :func:`drive`: run b solves ``problems[b]`` from ``X0[b]`` with
     ``variants[b]``; the runs share ``T`` and ``varsigma``.
 
-    ``stop`` takes the keyword arguments of :func:`drive`: ``grad_tol``,
-    ``max_iters``, ``delta_trace`` and ``record_objective``.
+    ``stop`` takes the keyword arguments of :func:`drive`: ``oracle``,
+    ``grad_tol``, ``max_iters``, ``delta_trace`` and
+    ``record_objective``.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     _check_params(X0.shape[1], T, varsigma)

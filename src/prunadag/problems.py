@@ -9,6 +9,10 @@ Covers three families:
 * the sparse-coding least-squares objective with a dictionary loaded
   from file, and a synthetic DCT-dictionary recovery analog.
 
+The instances of one family in a grid can share one :class:`Stack`
+of their data; its :class:`BlockOracle` then evaluates a whole block
+of iterates, every row bitwise as that row's own instance would.
+
 All randomness flows through numpy's seedable PCG64 generator with
 normal variates produced by Box-Muller, so a (kind, dims, seed) tuple
 reproduces bit-identically within this implementation and at the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,14 +73,27 @@ class LeastSquaresProblem:
     def __post_init__(self):
         self.lipschitz = float(np.linalg.norm(self.A, 2) ** 2)
 
+    # the arrays a Stack stacks, and those its instances share
+    STACKED = ("A", "b")
+    SHARED = ()
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.A.T @ (self.A @ x - self.b)
+
+    def value(self, x: np.ndarray) -> float:
+        return 0.5 * float(np.sum((self.A @ x - self.b) ** 2))
+
+    @staticmethod
+    def block_oracle(X, objective, A, b):
+        """G and F of every row of ``X`` (S, V, n) from one residual;
+        ``A`` (S, 1, m, n) and ``b`` (S, 1, m) broadcast over V."""
+        R = _matvec(A, X) - b
+        G = _matvec(A.swapaxes(-1, -2), R)
+        return G, (0.5 * np.sum(R ** 2, axis=-1) if objective else None)
+
     def problem(self) -> Problem:
-        A, b = self.A, self.b
-        return Problem(
-            dim=A.shape[1],
-            grad=lambda x: A.T @ (A @ x - b),
-            objective=lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
-            lipschitz=self.lipschitz,
-        )
+        return Problem(dim=self.A.shape[1], grad=self.gradient,
+                       objective=self.value, lipschitz=self.lipschitz)
 
 
 def gen_least_squares(kind: str, m: int, n: int, seed: int) -> LeastSquaresProblem:
@@ -150,14 +167,27 @@ class SparseCodingProblem:
     def __post_init__(self):
         self.lipschitz = float(2.0 * np.linalg.norm(self.D, 2) ** 2)
 
+    STACKED = ()
+    SHARED = ("D", "y")
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.D.T @ (self.D @ x - self.y)
+
+    def value(self, x: np.ndarray) -> float:
+        return float(np.sum((self.y - self.D @ x) ** 2))
+
+    @staticmethod
+    def block_oracle(X, objective, D, y):
+        """As :meth:`LeastSquaresProblem.block_oracle`, with the one
+        dictionary ``D`` (m, n) and observation ``y`` of every row.
+        (Dx - y)^2 equals (y - Dx)^2 bit for bit."""
+        R = _matvec(D, X) - y
+        G = _matvec(2.0 * D.T, R)
+        return G, (np.sum(R ** 2, axis=-1) if objective else None)
+
     def problem(self) -> Problem:
-        D, y = self.D, self.y
-        return Problem(
-            dim=D.shape[1],
-            grad=lambda x: 2.0 * D.T @ (D @ x - y),
-            objective=lambda x: float(np.sum((y - D @ x) ** 2)),
-            lipschitz=self.lipschitz,
-        )
+        return Problem(dim=self.D.shape[1], grad=self.gradient,
+                       objective=self.value, lipschitz=self.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +233,23 @@ class LogisticProblem:
         e = np.exp(-np.abs(t))
         sig = np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
         return -(self.samples.T @ (sig * self.labels)) / self.N
+
+    STACKED = ("samples", "labels")
+    SHARED = ()
+
+    @staticmethod
+    def block_oracle(X, objective, samples, labels):
+        """G and F of every row of ``X`` (S, V, n) from one set of
+        margins t and e = exp(-|t|); ``samples`` (S, 1, N, n) and
+        ``labels`` (S, 1, N) broadcast over V."""
+        t = labels * _matvec(samples, X)
+        e = np.exp(-np.abs(t))
+        sig = np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+        G = -_matvec(samples.swapaxes(-1, -2), sig * labels) / t.shape[-1]
+        if not objective:
+            return G, None
+        loss = np.log1p(e)
+        return G, np.mean(np.where(t >= 0, loss, -t + loss), axis=-1)
 
     def problem(self) -> Problem:
         # Hessian is bounded by (1/4N) A^T A, a valid if loose constant.
@@ -319,6 +366,119 @@ def load_libsvm(path, normalize: bool = True,
     train = LogisticProblem(X_tr, y[tr])
     test = LogisticProblem(X_te, y[te]) if te.size else None
     return train, test
+
+
+# ---------------------------------------------------------------------------
+# Stacked instances and block oracles
+# ---------------------------------------------------------------------------
+
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every vector x on the last axis of ``X``, with M
+    broadcast over the leading axes. Each product is the same BLAS gemv
+    as the one-vector ``M @ x``, so it is bitwise equal to it."""
+    return (M @ X[..., None])[..., 0]
+
+
+class Stack:
+    """The S instances of one problem family in a grid; slot s holds
+    instance s.
+
+    Each array the family lists in ``STACKED`` is one (S, ...) array,
+    and the instance's attribute is its slice, so the stack is the
+    instances' own storage, not a second copy. The arrays in ``SHARED``
+    (the sparse-coding dictionary and observation) are equal for every
+    instance and held once. :meth:`oracle` gives the block oracle of the
+    stack's instances.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.family = None
+        self.arrays: dict = {}
+        self.filled = 0
+
+    def add(self, member) -> None:
+        """Move ``member``'s data into the next slot and point the
+        member at it. A stack of one slot is a view of the member's
+        arrays; a larger one copies them in, one instance at a time."""
+        if self.family is None:
+            self.family = type(member)
+        if type(member) is not self.family or self.filled == self.size:
+            raise ValueError(f"a stack holds {self.size} instances of one "
+                             "family")
+        slot = self.filled
+        for name in self.family.STACKED:
+            value = getattr(member, name)
+            if self.size == 1:
+                self.arrays[name] = value[None]
+                continue
+            if name not in self.arrays:
+                self.arrays[name] = np.empty((self.size, *value.shape))
+            elif self.arrays[name].shape[1:] != value.shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected "
+                                 f"{self.arrays[name].shape[1:]}")
+            self.arrays[name][slot] = value
+            setattr(member, name, self.arrays[name][slot])
+        for name in self.family.SHARED:
+            value = getattr(member, name)
+            if name not in self.arrays:
+                self.arrays[name] = value
+            elif not np.array_equal(value, self.arrays[name]):
+                raise ValueError(f"the instances of a stack share {name}")
+            setattr(member, name, self.arrays[name])
+        self.filled += 1
+
+    def oracle(self, slots: Sequence[int]) -> Optional["BlockOracle"]:
+        """The block oracle of the rows whose instances are ``slots``, or
+        None unless the rows are seed-major: every slot of the full
+        stack in order, the same number of rows each."""
+        rows = len(slots) // self.size
+        if (self.filled < self.size or not rows
+                or list(slots) != [s for s in range(self.size)
+                                   for _ in range(rows)]):
+            return None
+        return BlockOracle(self, rows)
+
+
+class BlockOracle:
+    """Gradients and objectives of the S * V rows of a block over a
+    :class:`Stack`, all from one stacked evaluation; row s * V + v runs
+    on instance s. Each row is bitwise its instance's ``gradient`` and
+    ``value``.
+
+    ``oracle(X, runs, objective)`` is called by
+    :func:`prunadag.optimizer.drive` with the iterates of the rows
+    still running and their row indices ``runs``. When some rows have
+    stopped, the running rows are copied into a full-size buffer and
+    read back out; a stopped row keeps its last value there, or zero,
+    which touches only its own row. Returns ``(G, F, {})``; F holds
+    zeros unless ``objective`` asks for it.
+    """
+
+    def __init__(self, stack: Stack, rows_per_slot: int):
+        family = stack.family
+        self.shape = (stack.size, rows_per_slot)
+        self.evaluate = family.block_oracle
+        self.arrays = {name: stack.arrays[name][:, None]
+                       for name in family.STACKED}
+        self.arrays.update((name, stack.arrays[name])
+                           for name in family.SHARED)
+        self.buffer = None
+
+    def __call__(self, X: np.ndarray, runs: Sequence[int], objective: bool):
+        S, V = self.shape
+        partial = len(runs) < S * V
+        if partial:
+            if self.buffer is None:
+                self.buffer = np.zeros((S * V, X.shape[1]))
+            self.buffer[runs] = X
+            X = self.buffer
+        G, F = self.evaluate(X.reshape(S, V, -1), objective, **self.arrays)
+        G = G.reshape(S * V, -1)
+        F = F.reshape(S * V) if objective else np.zeros(S * V)
+        if partial:
+            G, F = G[runs], F[runs]
+        return G, F, {}
 
 
 # ---------------------------------------------------------------------------

@@ -188,23 +188,27 @@ class TrustRegionError(RuntimeError):
 
 def check_trust_region(g: np.ndarray, s: np.ndarray,
                        limit: np.ndarray) -> None:
-    """Raise :class:`TrustRegionError` unless |s_i| <= limit_i for every
-    entry and g.s <= 0, where the entries are those of the decreasable
-    set and ``limit`` = |x_i|/w_i with the updated decrease weights.
-    Each row of (B, n) arguments is checked on its own.
+    """Raise :class:`TrustRegionError` unless |s_i| <= limit_i and
+    g_i s_i <= 0 for every entry, where the entries are those of the
+    decreasable set and ``limit`` = |x_i|/w_i with the updated decrease
+    weights. The entrywise descent test is exact and implies g.s <= 0:
+    s_i is nonzero only where sign(x_i) = sign(g_i). The first failing
+    row of (B, n) arguments is raised.
 
     Explicit raises rather than asserts, so the checks survive
     ``python -O``.
     """
     g, s, limit = np.atleast_2d(g, s, limit)
     within = np.all(np.abs(s) <= limit, axis=1)
-    for row in range(s.shape[0]):
+    descent = np.all(g * s <= 0.0, axis=1)
+    failing = np.flatnonzero(~(within & descent))
+    if failing.size:
+        row = int(failing[0])
         if not within[row]:
             raise TrustRegionError(
                 f"row {row}: decreasable step exceeds |x_i|/w_i", row)
-        if not float(np.dot(g[row], s[row])) <= 0.0:
-            raise TrustRegionError(
-                f"row {row}: decreasable step is not a descent direction", row)
+        raise TrustRegionError(
+            f"row {row}: decreasable step is not a descent direction", row)
 
 
 def decreasable_step(x: np.ndarray, g: np.ndarray, w_dec: np.ndarray,

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunadag import cli, harness
-from prunadag.core import RunRecord
+from prunadag import cli, harness, pruning
+from prunadag.core import Problem, RunRecord
 from prunadag.harness import (ConfigError, build_problem, derive_seed,
                               load_config, run_experiment, starting_point)
 from prunadag.problems import save_matrix
@@ -283,6 +283,54 @@ class TestRunExperiment:
         # only the pruning-aware runs are verifiable
         assert {o.optimizer for o in outcomes} == {"v3"}
         assert all(o.ok for o in outcomes)
+
+
+class TestStackedGrid:
+    """A grid of built-in problems evaluates its oracles through the
+    stack of its instances."""
+
+    CONFIGS = {
+        "least_squares": "kind = least_squares\nmatrix = A3\nm = 6\nn = 30",
+        "logistic": ("kind = logistic_synthetic\nn = 30\ninformative = 4\n"
+                     "samples = 40"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_drive_makes_no_per_row_gradient_calls(self, tmp_path,
+                                                   monkeypatch, kind):
+        text = BASE_CONFIG.replace(
+            "kind = least_squares\nmatrix = A1\nm = 6\nn = 30",
+            self.CONFIGS[kind]).replace("v3, adagrad", "v1, v3, adagrad, fw2")
+        calls = {"sweep": 0, "other": 0}
+        sweeping = []
+        gradient, prune_report = Problem.gradient, pruning.prune_report
+
+        def counted(self, x):
+            calls["sweep" if sweeping else "other"] += 1
+            return gradient(self, x)
+
+        def sweep(*args, **kwargs):
+            sweeping.append(True)
+            try:
+                return prune_report(*args, **kwargs)
+            finally:
+                sweeping.pop()
+        monkeypatch.setattr(Problem, "gradient", counted)
+        monkeypatch.setattr(pruning, "prune_report", sweep)
+        result = run_experiment(load_config(write_config(tmp_path, text)))
+        assert not result.failures and len(result.records) == 8
+        assert calls == {"sweep": 8 * 2, "other": 0}
+
+    def test_instances_share_the_stack(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        instances, stack = harness.build_problems(cfg)
+        assert stack.filled == cfg.seeds == 2
+        for i, instance in instances.items():
+            assert instance.source.A.base is stack.arrays["A"]
+            x = np.arange(30.0)
+            alone = build_problem(cfg, i).problem
+            assert np.array_equal(instance.problem.gradient(x),
+                                  alone.gradient(x))
 
 
 class TestBundleFormat:

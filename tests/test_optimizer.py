@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
-from prunadag import _kernels, steps
+from prunadag import _kernels, baselines, steps
 from prunadag._kernels import (CODE_DECREASABLE, CODE_RELEVANT, iterate,
                                variant_flags)
 from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
                                 fw_batch, fw_run)
-from prunadag.core import DivergedError, Problem, RunRecord
+from prunadag.core import TRACE_FIELDS, DivergedError, Problem, RunRecord
 from prunadag.optimizer import (DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
                                 DEFAULT_VARSIGMA, STEP_FIELDS, default_target,
                                 run_batch)
-from prunadag.problems import gen_least_squares
+from prunadag.problems import LeastSquaresProblem, Stack, gen_least_squares
 
 ALL_VARIANTS = [Variant.V1, Variant.V2, Variant.V3, Variant.V4,
                 Variant.RELEVANT_ONLY]
@@ -463,6 +464,130 @@ class TestBatch:
         assert out[0].record.iterations == 0
         assert_same_record(out[1], run(problems[1], X0[1], 2, Variant.V2,
                                        max_iters=3))
+
+
+class TestBlockOracle:
+    """A block that evaluates its oracles through a stack: a fault in one
+    row ends that row alone, exactly as on the per-row path."""
+
+    S, V, ITERS = 2, 2, 12
+
+    def block(self):
+        members = [gen_least_squares("A3", 8, 40, seed=s)
+                   for s in range(self.S)]
+        stack = Stack(self.S)
+        for member in members:
+            stack.add(member)
+        rows = [member.problem() for member in members
+                for _ in range(self.V)]
+        X0 = np.random.default_rng(3).standard_normal((len(rows), 40))
+        return rows, X0, stack.oracle(np.repeat(np.arange(self.S), self.V))
+
+    @pytest.mark.parametrize("record_objective", [True, False])
+    @pytest.mark.parametrize("fault", ["nan", "overflow"])
+    def test_fault_ends_only_its_row(self, monkeypatch, fault,
+                                     record_objective):
+        # after step 4, row 2's iterate turns NaN (a non-finite gradient
+        # at iteration 5) or so large that f overflows while every
+        # gradient entry stays finite (a non-finite objective, which
+        # only ends the run when the objective is evaluated)
+        rows, X0, oracle = self.block()
+        stop = dict(max_iters=self.ITERS, record_objective=record_objective)
+        alone = [adagrad_run(p, X0[b], **stop) for b, p in enumerate(rows)]
+        real = baselines._adagrad_step
+
+        def faulty_step(X, G, grad_norm, k, state):
+            X_next, stats = real(X, G, grad_norm, k, state)
+            if k == 4:
+                X_next[2] = np.nan if fault == "nan" else 1e155
+            return X_next, stats
+        monkeypatch.setattr(baselines, "_adagrad_step", faulty_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_row = adagrad_batch(rows, X0, **stop)
+            with monkeypatch.context() as m:
+                m.setattr(Problem, "gradient", None)   # the block path only
+                stacked = adagrad_batch(rows, X0, oracle=oracle, **stop)
+        for b in range(len(rows)):
+            got, want = stacked[b], per_row[b]
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert_same_record(getattr(got, "record", got),
+                               getattr(want, "record", want))
+            if b != 2:
+                assert_same_record(got, alone[b])
+        ends = {"nan": "non-finite gradient at iteration 5",
+                "overflow": "non-finite objective at iteration 5"}[fault]
+        if fault == "overflow" and not record_objective:
+            assert stacked[2].reason == "max iterations"
+            assert stacked[2].iterations == self.ITERS
+            return
+        assert isinstance(stacked[2], DivergedError)
+        assert str(stacked[2]) == ends
+        rec = stacked[2].record
+        rec.validate()
+        assert rec.reason == "diverged" and rec.iterations == 5
+        # the rows before the fault are the run's own
+        for attr, _, _ in TRACE_FIELDS:
+            ours, theirs = getattr(rec, attr), getattr(alone[2], attr)
+            if theirs is not None:
+                assert ours.tobytes() == theirs[:5].tobytes(), attr
+
+    @pytest.mark.parametrize("record_objective", [True, False])
+    def test_nan_objective_after_x0(self, monkeypatch, record_objective):
+        # row 2's objective is NaN from iteration 1 on, its gradient is
+        # fine: the run ends only when the objective is recorded
+        real = LeastSquaresProblem.block_oracle
+        calls = iter(range(10 ** 6))
+
+        def nan_objective(X, objective, **arrays):
+            G, F = real(X, True, **arrays)
+            if next(calls) > 0:
+                F[1, 0] = np.nan    # instance 1, its first row: row 2
+            return G, F
+        monkeypatch.setattr(LeastSquaresProblem, "block_oracle",
+                            staticmethod(nan_objective))
+        rows, X0, oracle = self.block()
+        out = adagrad_batch(rows, X0, oracle=oracle, max_iters=6,
+                            record_objective=record_objective)
+        ended = isinstance(out[2], DivergedError)
+        assert ended == record_objective
+        if ended:
+            assert str(out[2]) == "non-finite objective at iteration 1"
+            assert out[2].record.iterations == 1
+        for b, outcome in enumerate(out):
+            if b != 2 or not ended:
+                assert outcome.reason == "max iterations"
+                assert outcome.iterations == 6
+
+
+class TestPickling:
+    """The exceptions that end a run keep their partial record (and
+    TrustRegionError its row) through pickle, so that outcomes can cross
+    a process boundary."""
+
+    def test_diverged_error_keeps_record(self):
+        problem = Problem(dim=4, grad=TestDriver.failing_after(
+            3, lambda x: x - 0.3), objective=lambda x: 0.0)
+        (err,) = run_batch([problem], np.ones((1, 4)), 2, [Variant.V3])
+        assert isinstance(err, DivergedError) and err.record.iterations == 3
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergedError and str(back) == str(err)
+        assert_same_record(back.record, err.record)
+
+    def test_trust_region_error_keeps_row_and_record(self, monkeypatch):
+        monkeypatch.setattr(steps, "sign_match_mask",
+                            lambda x, g: (x != 0.0) & (g != 0.0))
+        g = np.array([5.0, 4.0, 0.5])
+        problem = Problem(dim=3, grad=lambda x: g.copy(),
+                          objective=lambda x: 0.0)
+        X0 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+        err = run_batch([problem] * 2, X0, 2, [Variant.V2] * 2,
+                        max_iters=3)[1]
+        assert isinstance(err, steps.TrustRegionError) and err.row == 1
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is steps.TrustRegionError and back.row == 1
+        assert str(back) == str(err)
+        assert_same_record(back.record, err.record)
 
 
 class TestWeightClosedForms:

@@ -1,11 +1,16 @@
-"""Tests for the problem generators, loaders, and file formats."""
+"""Tests for the problem generators, loaders, stacks and file formats."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prunadag.core import finite_difference_gradient
 from prunadag.problems import (LS_KINDS, LibsvmParseError, LogisticProblem,
-                               SparseCodingProblem, classify_accuracy,
+                               SparseCodingProblem, Stack, classify_accuracy,
                                dct_matrix, gen_dct_sparse_recovery,
                                gen_least_squares,
                                gen_separable_classification, load_libsvm,
@@ -247,3 +252,115 @@ class TestMatrixFormat:
         save_matrix(path, np.ones((3, 3)))
         with pytest.raises(ValueError):
             load_solution(path)
+
+
+FAMILIES = (*LS_KINDS, "dct_recovery", "sparse_coding", "logistic_synthetic",
+            "libsvm")
+
+
+def family_members(family, S, m, n, seed, tmpdir):
+    """S instances of one built-in family: m rows (samples) by n."""
+    rng = np.random.default_rng(seed)
+    if family in LS_KINDS:
+        return [gen_least_squares(family, m, n, seed + s) for s in range(S)]
+    if family == "dct_recovery":
+        return [gen_dct_sparse_recovery(m, n, seed + s, nnz=min(3, n),
+                                        noise=0.1) for s in range(S)]
+    if family == "sparse_coding":
+        D, y = rng.standard_normal((m, n)), rng.standard_normal(m)
+        return [SparseCodingProblem(D=D.copy(), y=y.copy()) for _ in range(S)]
+    if family == "logistic_synthetic":
+        return [gen_separable_classification(n, min(3, n), m + 2, seed + s)[0]
+                for s in range(S)]
+    path = os.path.join(tmpdir, "data.txt")
+    with open(path, "w") as fh:
+        for _ in range(m + 2):
+            cols = np.flatnonzero(rng.random(n) < 0.7) + 1
+            feats = " ".join(f"{c}:{rng.standard_normal()!r}" for c in cols)
+            fh.write(f"{rng.integers(2)} {n}:1.5 {feats}\n")
+    return [load_libsvm(path, split_seed=seed + s)[0] for s in range(S)]
+
+
+def stacked(members):
+    stack = Stack(len(members))
+    for member in members:
+        stack.add(member)
+    return stack
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestStack:
+    """A stack's block oracle is bitwise each row's own Problem oracle,
+    on the full block and on the rows still running."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(1, 3),
+           st.integers(2, 40), st.data())
+    def test_block_oracle_is_bitwise_the_solo_oracle(self, family, S, V, n,
+                                                     data):
+        m = data.draw(st.integers(1, n - 1), label="m")
+        seed = data.draw(st.integers(0, 2 ** 20), label="seed")
+        with tempfile.TemporaryDirectory() as tmpdir:
+            members = family_members(family, S, m, n, seed, tmpdir)
+        stack = stacked(members)
+        solo = [member.problem() for member in members]
+        n = solo[0].dim
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((S * V, n)) * 10.0 ** rng.integers(-2, 3)
+        oracle = stack.oracle(np.repeat(np.arange(S), V))
+        runs = list(range(S * V))
+        G, F, failed = oracle(X, runs, True)
+        assert failed == {}
+        for b in runs:
+            assert same_bits(G[b], solo[b // V].gradient(X[b])), b
+            assert same_bits(F[b], solo[b // V].value(X[b])), b
+        G_only, F_zero, _ = oracle(X, runs, False)
+        assert same_bits(G_only, G) and not F_zero.any()
+        # the rows still running, through the full-size buffer
+        keep = sorted(data.draw(st.sets(st.sampled_from(runs), min_size=1),
+                                label="running"))
+        G_part, F_part, _ = oracle(X[keep], keep, True)
+        assert same_bits(G_part, G[keep]) and same_bits(F_part, F[keep])
+
+    def test_instances_hold_views_of_the_stack(self):
+        members = [gen_least_squares("A3", 5, 20, seed=s) for s in range(3)]
+        A1 = members[1].A.copy()
+        stack = stacked(members)
+        assert stack.arrays["A"].shape == (3, 5, 20)
+        for member in members:
+            assert member.A.base is stack.arrays["A"]
+            assert member.b.base is stack.arrays["b"]
+        assert np.array_equal(members[1].A, A1)
+        # one slot is the instance's own array, not a copy
+        ls = gen_least_squares("A3", 5, 20, seed=0)
+        one = stacked([ls])
+        assert np.shares_memory(one.arrays["A"], ls.A)
+
+    def test_sparse_coding_holds_one_dictionary(self):
+        rng = np.random.default_rng(0)
+        D, y = rng.standard_normal((6, 15)), rng.standard_normal(6)
+        members = [SparseCodingProblem(D=D.copy(), y=y.copy())
+                   for _ in range(3)]
+        stack = stacked(members)
+        assert all(member.D is stack.arrays["D"] for member in members)
+        other = SparseCodingProblem(D=D + 1.0, y=y)
+        with pytest.raises(ValueError, match="share D"):
+            stacked([SparseCodingProblem(D=D, y=y), other])
+
+    def test_rejects_mixed_or_mismatched_instances(self):
+        ls = gen_least_squares("A1", 4, 10, seed=0)
+        train, _ = gen_separable_classification(10, 2, 20, seed=0)
+        with pytest.raises(ValueError, match="one family"):
+            stacked([ls, train])
+        with pytest.raises(ValueError, match="shape"):
+            stacked([ls, gen_least_squares("A1", 5, 10, seed=1)])
+
+    def test_oracle_needs_seed_major_rows(self):
+        stack = stacked([gen_least_squares("A1", 4, 10, seed=s)
+                         for s in range(2)])
+        assert stack.oracle([0, 0, 1, 1]) is not None
+        for slots in ([0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0], [0, 0], []):
+            assert stack.oracle(slots) is None

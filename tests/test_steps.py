@@ -282,6 +282,22 @@ class TestDecreasableStep:
             decreasable_step(np.array([0.5]), np.array([-1.0]),
                              np.array([1.0]), cls, np.array([0.5]))
 
+    def test_entrywise_descent_check(self):
+        # row 1's g.s = -1 <= 0, but g_1 s_1 = 1 > 0: a decreasable entry
+        # moved uphill, which the summed test would let pass
+        g = np.array([[1.0, 1.0], [1.0, 1.0]])
+        s = np.array([[-1.0, 0.0], [-2.0, 1.0]])
+        with pytest.raises(TrustRegionError, match="row 1: .*descent") as exc:
+            check_trust_region(g, s, np.full((2, 2), 3.0))
+        assert exc.value.row == 1
+
+    def test_first_failing_row_is_raised(self):
+        g = np.ones((3, 2))
+        s = np.array([[-1.0, 0.0], [-5.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(TrustRegionError, match="row 1: .*exceeds") as exc:
+            check_trust_region(g, s, np.full((3, 2), 2.0))
+        assert exc.value.row == 1
+
     def test_step_beyond_limit_raises(self):
         with pytest.raises(TrustRegionError, match="exceeds"):
             check_trust_region(np.array([1.0]), np.array([-2.0]),
