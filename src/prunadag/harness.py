@@ -292,9 +292,9 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
                stack: Optional[problems.Stack] = None) -> list:
     """Run the (method, seed) cells of one family as one (B, n) block;
     returns one :data:`prunadag.optimizer.Outcome` per cell. With the
-    grid's ``stack`` and seed-major cells, the block's oracles are one
-    :class:`prunadag.problems.BlockOracle`; otherwise each row calls its
-    own problem."""
+    grid's ``stack``, the block's oracles are one
+    :class:`prunadag.problems.BlockOracle`, and the cells must be
+    seed-major; without one each row calls its own problem."""
     probs = [instances[i].problem for _, i in cells]
     n = probs[0].dim
     T = cfg.resolved_T(n)
@@ -303,8 +303,8 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
     common = dict(grad_tol=cfg.grad_tol, max_iters=cfg.max_iters,
                   delta_trace=cfg.delta_trace,
                   record_objective=cfg.record_objective,
-                  oracle=(stack.oracle([i for _, i in cells]) if stack
-                          else None))
+                  oracle=(None if stack is None
+                          else stack.oracle([i for _, i in cells])))
     family = _family(cells[0][0])
     if family == "prunadag":
         variants = [PRUNADAG_METHODS[m] for m, _ in cells]

@@ -70,9 +70,10 @@ Oracle = Callable[[np.ndarray, Sequence[int], bool],
 def row_oracle(problems: Sequence[Problem]) -> Oracle:
     """The :data:`Oracle` of plain problems: for each row in turn, its
     gradient, then, if every entry is finite and ``objective`` is set,
-    its objective. An exception ends only its own row."""
+    its objective. An exception ends only its own row, whose gradient
+    is left zero."""
     def oracle(X, runs, objective):
-        G = np.empty_like(X)
+        G = np.zeros_like(X)
         F = np.zeros(len(runs))
         failed = {}
         for pos, run in enumerate(runs):
@@ -167,6 +168,8 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     if oracle is None:
         oracle = row_oracle(problems)
     for k in range(max_iters):
+        if not block.runs:
+            break
         G, grad_norm, f, failed = _checked_oracles(
             oracle, block.X, block.runs, k, record_objective or k == 0)
         if failed:

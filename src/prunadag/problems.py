@@ -428,15 +428,17 @@ class Stack:
             setattr(member, name, self.arrays[name])
         self.filled += 1
 
-    def oracle(self, slots: Sequence[int]) -> Optional["BlockOracle"]:
-        """The block oracle of the rows whose instances are ``slots``, or
-        None unless the rows are seed-major: every slot of the full
-        stack in order, the same number of rows each."""
+    def oracle(self, slots: Sequence[int]) -> "BlockOracle":
+        """The block oracle of the rows whose instances are ``slots``.
+        Raises ValueError unless the stack is full and the rows are
+        seed-major: every slot in order, the same number of rows each."""
         rows = len(slots) // self.size
         if (self.filled < self.size or not rows
                 or list(slots) != [s for s in range(self.size)
                                    for _ in range(rows)]):
-            return None
+            raise ValueError(f"a block oracle needs seed-major rows over all "
+                             f"{self.size} instances, got slots {list(slots)} "
+                             f"with {self.filled} filled")
         return BlockOracle(self, rows)
 
 
@@ -448,11 +450,14 @@ class BlockOracle:
 
     ``oracle(X, runs, objective)`` is called by
     :func:`prunadag.optimizer.drive` with the iterates of the rows
-    still running and their row indices ``runs``. When some rows have
-    stopped, the running rows are copied into a full-size buffer and
-    read back out; a stopped row keeps its last value there, or zero,
-    which touches only its own row. Returns ``(G, F, {})``; F holds
-    zeros unless ``objective`` asks for it.
+    still running and their ascending row indices ``runs``. While every
+    row runs, ``X`` is evaluated as it is. Once some have stopped, only
+    the slots from the first to the last with a running row are
+    evaluated, each with as many rows as the slot with the most running
+    rows has: the running rows of a slot are packed into the first
+    places of a zero buffer, and a stopped row is never evaluated.
+    Returns ``(G, F, {})``; F holds zeros unless ``objective`` asks for
+    it.
     """
 
     def __init__(self, stack: Stack, rows_per_slot: int):
@@ -461,24 +466,41 @@ class BlockOracle:
         self.evaluate = family.block_oracle
         self.arrays = {name: stack.arrays[name][:, None]
                        for name in family.STACKED}
-        self.arrays.update((name, stack.arrays[name])
-                           for name in family.SHARED)
-        self.buffer = None
+        self.shared = {name: stack.arrays[name] for name in family.SHARED}
+        self.runs = None   # the running rows the packed layout holds
 
     def __call__(self, X: np.ndarray, runs: Sequence[int], objective: bool):
         S, V = self.shape
-        partial = len(runs) < S * V
-        if partial:
-            if self.buffer is None:
-                self.buffer = np.zeros((S * V, X.shape[1]))
-            self.buffer[runs] = X
-            X = self.buffer
-        G, F = self.evaluate(X.reshape(S, V, -1), objective, **self.arrays)
-        G = G.reshape(S * V, -1)
-        F = F.reshape(S * V) if objective else np.zeros(S * V)
-        if partial:
-            G, F = G[runs], F[runs]
-        return G, F, {}
+        if len(runs) == S * V:
+            G, F = self.evaluate(X.reshape(S, V, -1), objective,
+                                 **self.arrays, **self.shared)
+            return (G.reshape(S * V, -1),
+                    F.reshape(S * V) if objective else np.zeros(S * V), {})
+        if list(runs) != self.runs:
+            self._pack(list(runs), X.shape[1])
+        flat = self.buffer.reshape(-1, X.shape[1])
+        flat[self.place] = X
+        G, F = self.evaluate(self.buffer, objective, **self.packed,
+                             **self.shared)
+        G = G.reshape(len(flat), -1)[self.place]
+        return (G, F.reshape(-1)[self.place] if objective
+                else np.zeros(len(runs)), {})
+
+    def _pack(self, runs: list, n: int) -> None:
+        """Lay out the running rows ``runs``: slot s - lo of the buffer
+        holds slot s's running rows in order, and ``place`` is each
+        row's place in the flattened buffer."""
+        slot = np.array(runs) // self.shape[1]
+        lo = int(slot[0])
+        counts = np.bincount(slot - lo)
+        width = int(counts.max())
+        column = np.arange(len(runs)) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        self.place = (slot - lo) * width + column
+        self.buffer = np.zeros((len(counts), width, n))
+        self.packed = {name: array[lo:lo + len(counts)]
+                       for name, array in self.arrays.items()}
+        self.runs = runs
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,8 @@ def decreasable_step(x: np.ndarray, g: np.ndarray, w_dec: np.ndarray,
     """Magnitude-shrinking step on the decreasable indices.
 
     ``w_dec`` must already hold the updated weights for indices in D.
-    The construction guarantees |s_i| <= |x_i/w_i| on D and
-    sum_{i in D} g_i s_i <= 0; :func:`check_trust_region` enforces both.
+    The construction guarantees |s_i| <= |x_i/w_i| and g_i s_i <= 0 for
+    each i in D; :func:`check_trust_region` enforces both.
     """
     s = np.zeros_like(x)
     s_limit = -x[cls.S] / w_dec[cls.S]

@@ -55,6 +55,15 @@ def write_config(tmp_path, text=None, **fmt):
     return path
 
 
+def assert_same_record(got: RunRecord, want: RunRecord):
+    for f in dataclasses.fields(RunRecord):
+        ours, theirs = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(ours, np.ndarray):
+            assert ours.tobytes() == theirs.tobytes(), f.name
+        else:
+            assert ours == theirs, f.name
+
+
 class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -227,13 +236,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         for method in ("v3", "adagrad"):
             rec = harness._run_one(cfg, method, 1, result.instances[1])
-            grid = result.records[(method, 1)]
-            for f in dataclasses.fields(RunRecord):
-                ours, theirs = getattr(rec, f.name), getattr(grid, f.name)
-                if isinstance(ours, np.ndarray):
-                    assert ours.tobytes() == theirs.tobytes(), f.name
-                else:
-                    assert ours == theirs, f.name
+            assert_same_record(rec, result.records[(method, 1)])
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -320,6 +323,27 @@ class TestStackedGrid:
         result = run_experiment(load_config(write_config(tmp_path, text)))
         assert not result.failures and len(result.records) == 8
         assert calls == {"sweep": 8 * 2, "other": 0}
+
+    def test_stopping_rows_match_solo_runs(self, tmp_path):
+        # the rows of a block stop at different iterations or never, and
+        # every row of the Adagrad block stops: each record is bitwise
+        # the cell's run alone
+        text = (BASE_CONFIG.replace("A1", "A3")
+                .replace("seeds = 2", "seeds = 3")
+                .replace("v3, adagrad", "v1, v2, v3, v4, adagrad, fw1, fw2")
+                .replace("max_iters = 40", "grad_tol = 0.01\nmax_iters = 300"))
+        cfg = load_config(write_config(tmp_path, text))
+        result = run_experiment(cfg)
+        assert not result.failures and len(result.records) == 21
+        reasons = {m: {result.records[(m, i)].reason for i in range(3)}
+                   for m in cfg.methods}
+        assert reasons["adagrad"] == {"gradient tolerance"}
+        assert reasons["fw1"] == {"max iterations"}
+        assert set().union(*reasons.values()) == {"gradient tolerance",
+                                                  "max iterations"}
+        for (method, i), grid in result.records.items():
+            assert_same_record(harness._run_one(cfg, method, i,
+                                                result.instances[i]), grid)
 
     def test_instances_share_the_stack(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

@@ -358,9 +358,58 @@ class TestStack:
         with pytest.raises(ValueError, match="shape"):
             stacked([ls, gen_least_squares("A1", 5, 10, seed=1)])
 
+    @pytest.mark.parametrize("family, m, n", [
+        ("A3", 300, 600),                   # past numpy's 128-term pairwise sums
+        ("A3", 500, 5000),                  # the wide grid's size and BLAS
+        ("logistic_synthetic", 998, 200),   # 700 training samples
+        ("logistic_synthetic", 1427, 200),  # 1,000 training samples
+    ])
+    def test_block_oracle_is_bitwise_at_grid_size(self, family, m, n):
+        S, V = 2, 2
+        members = family_members(family, S, m, n, seed=7, tmpdir=None)
+        solo = [member.problem() for member in members]
+        oracle = stacked(members).oracle([0, 0, 1, 1])
+        X = np.random.default_rng(7).standard_normal((S * V, n))
+        G, F, _ = oracle(X, [0, 1, 2, 3], True)
+        for b in range(S * V):
+            assert same_bits(G[b], solo[b // V].gradient(X[b])), b
+            assert same_bits(F[b], solo[b // V].value(X[b])), b
+        for keep in ([1], [0, 3], [1, 2], [2, 3], [0, 1, 3]):
+            G_part, F_part, _ = oracle(X[keep], keep, True)
+            assert same_bits(G_part, G[keep]), keep
+            assert same_bits(F_part, F[keep]), keep
+
+    def test_stopped_rows_are_not_evaluated(self):
+        members = [gen_least_squares("A1", 4, 10, seed=s) for s in range(3)]
+        solo = [member.problem() for member in members]
+        oracle = stacked(members).oracle(np.repeat(np.arange(3), 4))
+        shapes, evaluate = [], oracle.evaluate
+
+        def recorded(X, *args, **kwargs):
+            shapes.append(X.shape)
+            return evaluate(X, *args, **kwargs)
+        oracle.evaluate = recorded
+        X = np.random.default_rng(0).standard_normal((12, 10))
+        # the slots from the first to the last running row, each as wide
+        # as the slot with the most running rows
+        for runs, shape in ((list(range(12)), (3, 4, 10)),
+                            ([4, 5, 6, 7, 8], (2, 4, 10)),
+                            ([1, 3, 6], (2, 2, 10)), ([1, 3, 6], (2, 2, 10)),
+                            ([0, 11], (3, 1, 10)), ([5], (1, 1, 10))):
+            G, F, _ = oracle(X[runs], runs, True)
+            assert shapes.pop() == shape
+            for pos, b in enumerate(runs):
+                assert same_bits(G[pos], solo[b // 4].gradient(X[b]))
+                assert same_bits(F[pos], solo[b // 4].value(X[b]))
+
     def test_oracle_needs_seed_major_rows(self):
         stack = stacked([gen_least_squares("A1", 4, 10, seed=s)
                          for s in range(2)])
-        assert stack.oracle([0, 0, 1, 1]) is not None
+        assert stack.oracle([0, 0, 1, 1]).shape == (2, 2)
         for slots in ([0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0], [0, 0], []):
-            assert stack.oracle(slots) is None
+            with pytest.raises(ValueError, match="seed-major"):
+                stack.oracle(slots)
+        partial = Stack(2)
+        partial.add(gen_least_squares("A1", 4, 10, seed=0))
+        with pytest.raises(ValueError, match="seed-major"):
+            partial.oracle([0, 1])
