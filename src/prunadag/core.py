@@ -86,12 +86,13 @@ def masked_norm(v: np.ndarray, s) -> float:
     return float(np.sqrt(np.sum(v[s] ** 2)))
 
 
-# The per-iteration trace, declared once: (RunRecord field, trace.csv
-# column, dtype), in column order. ``optimizer.drive`` fills the first
+# The per-iteration trace, declared once: (RunRecord field, field of
+# trace.npy, dtype), in field order. ``optimizer.drive`` fills the first
 # three entries and an optimizer's step the following ones, in order.
 # The tail from ``max_abs_x`` on is the theory group, which only the
 # pruning-aware step fills. A field that is not recorded is None in the
-# record and an empty field in trace.csv.
+# record; trace.npy holds zeros there, and the run's ``untraced`` list
+# in runs.json names it.
 TRACE_FIELDS = (
     ("grad_norm", "grad_norm", np.float64),
     ("objective", "f", np.float64),
@@ -105,6 +106,7 @@ TRACE_FIELDS = (
     ("sum_gO2_over_wO2", "sum_gO2_over_wO2", np.float64),
     ("sum_xD2_over_wD2", "sum_xD2_over_wD2", np.float64),
 )
+TRACE_DTYPE = np.dtype([(col, dtype) for _, col, dtype in TRACE_FIELDS])
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 Parses an INI-style config, runs the (optimizer, seed) pairs of each
 step family as one batch, prunes the final iterates over the configured
-sweep, and writes deterministic CSV outputs:
+sweep, and writes a deterministic bundle:
 
-* ``trace.csv``  -- per-iteration trace per run, the columns of
-  :data:`prunadag.core.TRACE_FIELDS`,
+* ``trace.npy``  -- every run's per-iteration trace, one structured array
+  of :data:`prunadag.core.TRACE_DTYPE` whose index is ``runs.json``,
 * ``prune.csv``  -- robustness metrics per pruning target,
 * ``runs.json`` / ``meta.json`` -- per-run and experiment metadata,
 * ``plot_*.csv`` -- seed-averaged curves ready for any plotting tool.
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import baselines, optimizer, problems, pruning
-from .core import TRACE_FIELDS, Problem, RunRecord
+from .core import TRACE_DTYPE, TRACE_FIELDS, Problem, RunRecord
 from .steps import Variant
 
 
@@ -406,17 +406,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # Output bundle
 # ---------------------------------------------------------------------------
 
-# trace.csv: the run key, then the columns of TRACE_FIELDS
-RUN_KEY_COLUMNS = ("optimizer", "seed", "k")
-
-
-def _trace_rows(method: str, seed: int, rec: RunRecord):
-    """One run's trace.csv rows, built column by column; a field that
-    is None is written as empty."""
-    cols = [[""] * rec.iterations if getattr(rec, attr) is None
-            else getattr(rec, attr).tolist() for attr, _, _ in TRACE_FIELDS]
-    return zip(itertools.repeat(method), itertools.repeat(seed),
-               range(rec.iterations), *cols)
+def _write_trace(path, records: list) -> None:
+    """trace.npy: the rows of each record in turn, as one array of
+    TRACE_DTYPE. A field a record does not hold stays zero."""
+    trace = np.zeros(sum(rec.iterations for rec in records), TRACE_DTYPE)
+    start = 0
+    for rec in records:
+        stop = start + rec.iterations
+        for attr, col, _ in TRACE_FIELDS:
+            if getattr(rec, attr) is not None:
+                trace[col][start:stop] = getattr(rec, attr)
+        start = stop
+    np.save(path, trace)
 
 
 def _write_csv(path, header, rows):
@@ -449,10 +450,8 @@ def write_bundle(result: ExperimentResult) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
 
-    _write_csv(os.path.join(cfg.out_dir, "trace.csv"),
-               [*RUN_KEY_COLUMNS, *(col for _, col, _ in TRACE_FIELDS)],
-               itertools.chain.from_iterable(
-                   _trace_rows(*key, result.records[key]) for key in keys))
+    _write_trace(os.path.join(cfg.out_dir, "trace.npy"),
+                 [result.records[key] for key in keys])
 
     # csv writes a missing accuracy (None) as an empty field
     prune_out = [(*key, *dataclasses.astuple(row)) for key in keys
@@ -506,6 +505,8 @@ def write_bundle(result: ExperimentResult) -> None:
             "f_final": rec.objective_final,
             "lipschitz": prob.lipschitz,
             "f0": rec.objective_initial,
+            "untraced": [col for attr, col, _ in TRACE_FIELDS
+                         if getattr(rec, attr) is None],
         })
     n = next(iter(result.instances.values())).problem.dim
     meta = {

@@ -69,8 +69,7 @@ class BoundInputs:
     """Constants entering the complexity envelope theta(k).
 
     ``gamma0`` is f(x0) minus a lower bound on f (0 for least-squares
-    and logistic losses); ``kappa_x`` is the largest iterate magnitude
-    observed along the run.
+    and logistic losses).
     """
 
     n: int
@@ -78,10 +77,9 @@ class BoundInputs:
     varsigma: float
     lipschitz: float
     gamma0: float
-    kappa_x: float
 
     def __post_init__(self):
-        for name in ("varsigma", "lipschitz", "gamma0", "kappa_x"):
+        for name in ("varsigma", "lipschitz", "gamma0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -108,18 +106,20 @@ def _theta(inp: BoundInputs, k: np.ndarray, kappa_x: np.ndarray) -> np.ndarray:
     return np.maximum(max(b1, b2, b3), b4)
 
 
-def theta_bound(inp: BoundInputs, k: int) -> float:
-    """The complexity envelope: max of four closed-form branches.
-    Raises ValueError when varsigma leaves Lambert W's domain."""
-    return float(_theta(inp, np.array([k]), np.array([inp.kappa_x]))[0])
+def theta_bound(inp: BoundInputs, k: int, kappa_x: float) -> float:
+    """The complexity envelope at k for iterates bounded by ``kappa_x``:
+    max of four closed-form branches. Raises ValueError when kappa_x is
+    negative or varsigma leaves Lambert W's domain."""
+    if kappa_x < 0:
+        raise ValueError("kappa_x must be nonnegative")
+    return float(_theta(inp, np.array([k]), np.array([kappa_x]))[0])
 
 
 def check_gradient_bound(trace: RunRecord, inp: BoundInputs) -> np.ndarray:
     """Check avg_{j<=k} ||g_j||^2 <= ceil(n/T) theta(k)/(k+1) for all k.
 
     kappa_x is read from the trace's running maximum, so the check is a
-    posteriori; ``inp.kappa_x`` is not used. Returns a boolean pass
-    array per k.
+    posteriori. Returns a boolean pass array per k.
     """
     if trace.max_abs_x is None:
         raise ValueError("gradient bound check needs max |x| per iteration")

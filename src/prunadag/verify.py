@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import csv
-import itertools
 import json
 import os
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from . import harness, theory
-from .core import TRACE_FIELDS, RunRecord
+from .core import TRACE_DTYPE, TRACE_FIELDS, RunRecord
 
 
 @dataclass
@@ -31,40 +28,38 @@ class VerifyOutcome:
         return self.descent_ok is not False and self.gradient_bound_ok
 
 
-def _read_trace(path) -> dict:
-    """(optimizer, seed) -> {RunRecord field: array} from trace.csv, read
-    through TRACE_FIELDS. A column left empty reads as None."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [*harness.RUN_KEY_COLUMNS,
-                  *(col for _, col, _ in TRACE_FIELDS)]
-        if next(reader) != header:
-            raise ValueError(f"{path}: columns are not {header}")
-        runs = {}
-        # write_bundle writes each run's rows together, in order of k
-        for (method, seed), rows in itertools.groupby(reader, itemgetter(0, 1)):
-            values = list(zip(*rows))[len(harness.RUN_KEY_COLUMNS):]
-            runs[(method, int(seed))] = {
-                attr: None if col[0] == "" else np.array(col, dtype=dtype)
-                for (attr, _, dtype), col in zip(TRACE_FIELDS, values)}
-    return runs
-
-
 def load_bundle(trace_dir):
-    """Reconstruct per-run traces from a results directory.
-
-    Only the stored columns come back: ``x_final`` reads as zeros.
+    """Reconstruct per-run traces from a results directory: each run of
+    runs.json, in order, takes the next ``iterations`` rows of trace.npy.
+    Its ``untraced`` fields read as None and ``x_final`` as zeros. Raises
+    ValueError when trace.npy's dtype or row count does not match.
     """
     with open(os.path.join(trace_dir, "meta.json")) as fh:
         meta = json.load(fh)
     with open(os.path.join(trace_dir, "runs.json")) as fh:
         runs = {(r["optimizer"], r["seed"]): r for r in json.load(fh)}
-    traces = _read_trace(os.path.join(trace_dir, "trace.csv"))
-    records = {key: RunRecord(**cols, x_final=np.zeros(meta["n"]),
-                              reason=runs[key]["reason"],
-                              objective_initial=runs[key]["f0"],
-                              objective_final=runs[key]["f_final"])
-               for key, cols in traces.items()}
+    path = os.path.join(trace_dir, "trace.npy")
+    trace = np.load(path)
+    if trace.dtype != TRACE_DTYPE:
+        raise ValueError(f"{path}: fields are {trace.dtype}, "
+                         f"expected {TRACE_DTYPE}")
+    total = sum(run["iterations"] for run in runs.values())
+    if trace.shape != (total,):
+        raise ValueError(f"{path}: shape {trace.shape}, but runs.json "
+                         f"lists {total} iterations")
+    # one contiguous copy per field, so that each run's arrays are
+    # contiguous slices, like the arrays the grid recorded
+    columns = {col: np.ascontiguousarray(trace[col])
+               for _, col, _ in TRACE_FIELDS}
+    records, start = {}, 0
+    for key, run in runs.items():
+        stop = start + run["iterations"]
+        records[key] = RunRecord(
+            **{attr: None if col in run["untraced"]
+               else columns[col][start:stop] for attr, col, _ in TRACE_FIELDS},
+            x_final=np.zeros(meta["n"]), reason=run["reason"],
+            objective_initial=run["f0"], objective_final=run["f_final"])
+        start = stop
     return meta, runs, records
 
 
@@ -90,7 +85,7 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
                       bool(np.all(theory.check_descent_lemma(rec, L))))
         inp = theory.BoundInputs(
             n=meta["n"], T=meta["T"], varsigma=meta["varsigma"],
-            lipschitz=L, gamma0=rec.objective_initial, kappa_x=0.0)
+            lipschitz=L, gamma0=rec.objective_initial)
         bound_ok = bool(np.all(theory.check_gradient_bound(rec, inp)))
         outcomes.append(VerifyOutcome(method, seed, descent_ok, bound_ok))
     return outcomes

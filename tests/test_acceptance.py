@@ -92,7 +92,7 @@ def test_criterion_01_gradient_norm_bound(bound_traces):
     for (kind, variant), (rec, problem) in bound_traces.items():
         inp = BoundInputs(n=N_DESK, T=T_DESK, varsigma=VARSIGMA,
                           lipschitz=problem.lipschitz,
-                          gamma0=float(rec.objective[0]), kappa_x=0.0)
+                          gamma0=float(rec.objective[0]))
         passes = check_gradient_bound(rec, inp)
         if not np.all(passes):
             k_bad = int(np.flatnonzero(~passes)[0])

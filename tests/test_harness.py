@@ -64,6 +64,21 @@ def assert_same_record(got: RunRecord, want: RunRecord):
             assert ours == theirs, f.name
 
 
+def assert_loaded(back: RunRecord, rec: RunRecord):
+    """``back``, loaded from a bundle, is ``rec`` bitwise: x_final is
+    not stored, and every other field comes back as is, None included
+    (adagrad's theory group)."""
+    for f in dataclasses.fields(RunRecord):
+        if f.name == "x_final":
+            continue
+        ours, theirs = getattr(rec, f.name), getattr(back, f.name)
+        if not isinstance(ours, np.ndarray):
+            assert theirs == ours, f.name
+            continue
+        assert theirs.dtype == ours.dtype, f.name
+        assert theirs.tobytes() == ours.tobytes(), f.name
+
+
 class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -218,14 +233,15 @@ class TestRunExperiment:
         assert sorted(os.listdir(out)) == [
             "meta.json", "plot_grad_norm.csv", "plot_omega.csv",
             "plot_rho.csv", "plot_sparsity.csv", "prune.csv", "runs.json",
-            "trace.csv"]
-        with open(os.path.join(out, "trace.csv")) as fh:
-            header = next(csv.reader(fh))
-        assert header == ["optimizer", "seed", "k", "grad_norm", "f",
-                          "below_delta_count", "grad_norm_O",
-                          "card_R", "card_A", "card_D", "max_abs_x",
-                          "sum_gO2_over_wO", "sum_gO2_over_wO2",
-                          "sum_xD2_over_wD2"]
+            "trace.npy"]
+        trace = np.load(os.path.join(out, "trace.npy"))
+        f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+        assert trace.dtype == np.dtype([
+            ("grad_norm", f8), ("f", f8), ("below_delta_count", i8),
+            ("grad_norm_O", f8), ("card_R", i8), ("card_A", i8),
+            ("card_D", i8), ("max_abs_x", f8), ("sum_gO2_over_wO", f8),
+            ("sum_gO2_over_wO2", f8), ("sum_xD2_over_wD2", f8)])
+        assert trace.shape == (4 * 40,)
         with open(os.path.join(out, "meta.json")) as fh:
             meta = json.load(fh)
         assert meta["seeds"] == 2
@@ -380,23 +396,30 @@ class TestBundleFormat:
         cfg = load_config(write_config(tmp_path))
         cfg.record_objective = record_objective
         result = run_experiment(cfg)
-        _, _, loaded = load_bundle(cfg.out_dir)
+        _, runs, loaded = load_bundle(cfg.out_dir)
         assert loaded.keys() == result.records.keys()
         for key, rec in result.records.items():
-            back = loaded[key]
-            # x_final is not stored; every other field comes back as is,
-            # None included (adagrad's theory group)
-            for f in dataclasses.fields(RunRecord):
-                if f.name == "x_final":
-                    continue
-                ours, theirs = getattr(rec, f.name), getattr(back, f.name)
-                if not isinstance(ours, np.ndarray):
-                    assert theirs == ours, f"{key} {f.name}"
-                    continue
-                assert theirs.dtype == ours.dtype, f"{key} {f.name}"
-                assert theirs.tobytes() == ours.tobytes(), f"{key} {f.name}"
+            assert_loaded(loaded[key], rec)
             assert (rec.objective is None) == (not record_objective)
             assert (rec.max_abs_x is None) == (key[0] == "adagrad")
+            assert runs[key]["untraced"] == (
+                ([] if record_objective else ["f"])
+                + (["max_abs_x", "sum_gO2_over_wO", "sum_gO2_over_wO2",
+                    "sum_xD2_over_wD2"] if key[0] == "adagrad" else []))
+
+    @pytest.mark.parametrize("corruption", ["row removed", "field renamed"])
+    def test_load_bundle_rejects_a_bad_trace(self, tmp_path, corruption):
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        path = os.path.join(cfg.out_dir, "trace.npy")
+        trace = np.load(path)
+        if corruption == "row removed":
+            trace = trace[:-1]
+        else:
+            trace.dtype.names = ("objective", *trace.dtype.names[1:])
+        np.save(path, trace)
+        with pytest.raises(ValueError, match="trace.npy"):
+            load_bundle(cfg.out_dir)
 
 
 def _fault_at(call, fault, seed_index):
@@ -458,6 +481,23 @@ class TestFailures:
         outcomes = verify_bundle(cfg.out_dir)
         assert [(o.optimizer, o.seed, o.ok) for o in outcomes] == [
             ("v3", 0, True), ("v3", 1, True)]
+
+    def test_run_failed_at_first_call_is_loaded(self, tmp_path, monkeypatch):
+        # v3 on seed 1 meets a NaN at its first gradient call, so its
+        # run has no rows; the bundle still gives it back
+        monkeypatch.setattr(harness, "build_problem", _fault_at(1, _nan, 1))
+        cfg = load_config(write_config(tmp_path))
+        result = run_experiment(cfg)
+        rec = result.records[("v3", 1)]
+        assert rec.iterations == 0 and rec.reason == "diverged"
+        _, _, loaded = load_bundle(cfg.out_dir)
+        assert loaded.keys() == result.records.keys()
+        for key, rec in result.records.items():
+            assert_loaded(loaded[key], rec)
+        # without f(x0) the run is not verifiable
+        assert loaded[("v3", 1)].objective_initial is None
+        assert [(o.optimizer, o.seed) for o in verify_bundle(cfg.out_dir)] \
+            == [("v3", 0)]
 
     def test_pruning_time_divergence_is_recorded(self, tmp_path,
                                                  monkeypatch):

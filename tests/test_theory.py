@@ -66,15 +66,15 @@ class TestBoundInputs:
     def test_rejects_negative_constants(self):
         with pytest.raises(ValueError):
             BoundInputs(n=10, T=2, varsigma=-0.01, lipschitz=1.0,
-                        gamma0=0.0, kappa_x=0.0)
+                        gamma0=0.0)
 
     def test_varsigma_assumption(self):
         ok = BoundInputs(n=10, T=2, varsigma=0.01, lipschitz=1.0,
-                         gamma0=0.0, kappa_x=0.0)
+                         gamma0=0.0)
         assert ok.varsigma_assumption_holds()
         # (8nL/3)^2 with n=1, L tiny makes the assumption fail
         bad = BoundInputs(n=1, T=1, varsigma=0.9, lipschitz=0.1,
-                          gamma0=0.0, kappa_x=0.0)
+                          gamma0=0.0)
         assert not bad.varsigma_assumption_holds()
 
 
@@ -83,7 +83,7 @@ class TestThetaBound:
         # n=10, L=1, varsigma=0.01, gamma0=0, kappa=0: the Lambert branch
         # dominates. All four branches recomputed here from scratch.
         inp = BoundInputs(n=10, T=2, varsigma=0.01, lipschitz=1.0,
-                          gamma0=0.0, kappa_x=0.0)
+                          gamma0=0.0)
         nL = 10.0
         b1 = 0.01
         b2 = 0.005 * math.exp(0.0)
@@ -91,21 +91,27 @@ class TestThetaBound:
         b3 = 32.0 * nL ** 2 * w ** 2
         b4 = 0.0
         expected = max(b1, b2, b3, b4)
-        assert theta_bound(inp, 0) == pytest.approx(expected, rel=1e-9)
-        assert theta_bound(inp, 0) == pytest.approx(b3, rel=1e-9)
+        assert theta_bound(inp, 0, 0.0) == pytest.approx(expected, rel=1e-9)
+        assert theta_bound(inp, 0, 0.0) == pytest.approx(b3, rel=1e-9)
 
     def test_nondecreasing_in_k(self):
         inp = BoundInputs(n=10, T=2, varsigma=0.01, lipschitz=1.0,
-                          gamma0=3.0, kappa_x=2.0)
-        values = [theta_bound(inp, k) for k in range(0, 2000, 97)]
+                          gamma0=3.0)
+        values = [theta_bound(inp, k, 2.0) for k in range(0, 2000, 97)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_violated_assumption_raises(self):
         # -sqrt(0.9) / (8 * 0.1) is below -1/e, outside Lambert W's domain
         inp = BoundInputs(n=1, T=1, varsigma=0.9, lipschitz=0.1,
-                          gamma0=1.0, kappa_x=0.0)
+                          gamma0=1.0)
         with pytest.raises(ValueError, match="varsigma assumption"):
-            theta_bound(inp, 0)
+            theta_bound(inp, 0, 0.0)
+
+    def test_rejects_negative_iterate_bound(self):
+        inp = BoundInputs(n=10, T=2, varsigma=0.01, lipschitz=1.0,
+                          gamma0=0.0)
+        with pytest.raises(ValueError, match="kappa_x"):
+            theta_bound(inp, 0, -1.0)
 
 
 class TestGradientBound:
@@ -116,7 +122,7 @@ class TestGradientBound:
         rec = run(problem, x0, T=T, variant=variant, max_iters=500)
         inp = BoundInputs(n=40, T=T, varsigma=0.01,
                           lipschitz=problem.lipschitz,
-                          gamma0=float(rec.objective[0]), kappa_x=0.0)
+                          gamma0=float(rec.objective[0]))
         return rec, inp
 
     def test_passes_on_real_run(self):
@@ -130,7 +136,7 @@ class TestGradientBound:
         ada = adagrad_run(problem, x0, max_iters=500)
         inp = BoundInputs(n=40, T=40, varsigma=0.01,
                           lipschitz=problem.lipschitz,
-                          gamma0=float(ada.objective[0]), kappa_x=0.0)
+                          gamma0=float(ada.objective[0]))
         # Adagrad records no max |x|; the pruning-aware run at T = n is
         # Adagrad bit for bit and records it
         with pytest.raises(ValueError, match="max"):
@@ -143,9 +149,8 @@ class TestGradientBound:
     def test_k0_specialization(self):
         rec, inp = self._trace()
         passes = check_gradient_bound(rec, inp)
-        inp0 = BoundInputs(inp.n, inp.T, inp.varsigma, inp.lipschitz,
-                           inp.gamma0, float(rec.max_abs_x[0]))
-        manual = rec.grad_norm[0] ** 2 <= math.ceil(40 / 5) * theta_bound(inp0, 0)
+        manual = rec.grad_norm[0] ** 2 <= math.ceil(40 / 5) * theta_bound(
+            inp, 0, float(rec.max_abs_x[0]))
         assert bool(passes[0]) == bool(manual)
 
     def test_matches_per_k_theta_bound(self):
@@ -156,8 +161,7 @@ class TestGradientBound:
         factor = math.ceil(inp.n / inp.T)
         kappa = np.maximum.accumulate(rec.max_abs_x)
         limit = np.array([
-            factor * theta_bound(dataclasses.replace(inp, kappa_x=float(kappa[k])),
-                                 k) / (k + 1)
+            factor * theta_bound(inp, k, float(kappa[k])) / (k + 1)
             for k in range(K)])
         avg = np.cumsum(rec.grad_norm ** 2) / np.arange(1, K + 1)
         scale = math.sqrt(np.median(limit / avg))
@@ -182,7 +186,7 @@ class TestGradientBound:
     def test_warns_when_assumption_fails(self):
         rec, _ = self._trace()
         inp = BoundInputs(n=1, T=1, varsigma=0.9, lipschitz=0.1,
-                          gamma0=1.0, kappa_x=0.0)
+                          gamma0=1.0)
         with pytest.warns(UserWarning):
             passes = check_gradient_bound(rec, inp)
         assert np.all(passes)
