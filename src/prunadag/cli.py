@@ -34,8 +34,8 @@ def main(argv=None) -> int:
     p_run = subs.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="experiment config file")
     p_run.add_argument("--jobs", type=int, default=None,
-                       help="optimizer batches run at once, on threads "
-                            "(default from config)")
+                       help="worker processes; batches are sharded by "
+                            "instance (default from config)")
     p_run.add_argument("--out", default=None,
                        help="output directory override")
     p_run.add_argument("--master-seed", type=int, default=None,

@@ -10,9 +10,10 @@ sweep, and writes a deterministic bundle:
 * ``runs.json`` / ``meta.json`` -- per-run and experiment metadata,
 * ``plot_*.csv`` -- seed-averaged curves ready for any plotting tool.
 
-Identical configs produce byte-identical outputs regardless of worker
-scheduling: results are collected into a map and written in sorted
-order.
+With ``jobs > 1`` each batch is cut into shards of whole instances
+that run in forked worker processes. Identical configs produce
+byte-identical outputs for any ``jobs``: results are collected into a
+map and written in sorted order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import hashlib
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
@@ -341,17 +341,102 @@ def _failure(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
+def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
+               stack: Optional[problems.Stack]) -> list:
+    """Run the cells of one block and prune their final iterates; one
+    ``(cell, record, prune rows, failure)`` per cell, whose failure is
+    None or ``"<ExceptionClass>: <message>"``."""
+    try:
+        outcomes = _run_block(cfg, cells, instances, stack)
+    except Exception as err:  # bad parameters fail every cell
+        outcomes = [err] * len(cells)
+    done = []
+    for cell, outcome in zip(cells, outcomes):
+        if isinstance(outcome, Exception):
+            # drive attaches the partial trace
+            done.append((cell, getattr(outcome, "record", None), None,
+                         _failure(outcome)))
+            continue
+        instance = instances[cell[1]]
+        try:
+            rows = pruning.prune_report(
+                outcome.x_final, instance.problem, sigmas=cfg.sigmas,
+                deltas=cfg.deltas, test=instance.test)
+            done.append((cell, outcome, rows, None))
+        except Exception as err:
+            done.append((cell, outcome, None, _failure(err)))
+    return done
+
+
+def _shards(blocks, jobs: int) -> list:
+    """Cut each seed-major block into ``min(jobs, seeds)`` shards, each
+    the cells of a contiguous range of whole instances."""
+    shards = []
+    for cells in blocks:
+        seeds = list(dict.fromkeys(i for _, i in cells))
+        parts = min(jobs, len(seeds))
+        for p in range(parts):
+            kept = set(seeds[len(seeds) * p // parts:
+                             len(seeds) * (p + 1) // parts])
+            shards.append([cell for cell in cells if cell[1] in kept])
+    return shards
+
+
+# The grid whose shards a pool is running: (cfg, instances, stack,
+# shards). Forked workers inherit it, so a task is a shard's index and
+# only the results of _run_cells cross the pipe.
+_GRID: tuple = ()
+
+
+def _run_shard(k: int) -> list:
+    cfg, instances, stack, shards = _GRID
+    return _run_cells(cfg, shards[k], instances, stack)
+
+
+def _run_pool(cfg: ExperimentConfig, shards: list, instances: dict,
+              stack: Optional[problems.Stack]) -> list:
+    """Run the shards in ``min(cfg.jobs, shards)`` forked processes,
+    largest first; the results come back in shard order. The cells of a
+    shard whose worker died or whose result could not be sent back fail
+    with that error."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _GRID
+    _GRID = (cfg, instances, stack, shards)
+    try:
+        with ProcessPoolExecutor(
+                max_workers=min(cfg.jobs, len(shards)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = {k: pool.submit(_run_shard, k)
+                       for k in sorted(range(len(shards)),
+                                       key=lambda k: -len(shards[k]))}
+            done = []
+            for k, cells in enumerate(shards):
+                try:
+                    done.append(futures[k].result())
+                except Exception as err:
+                    done.append([(cell, None, None, _failure(err))
+                                 for cell in cells])
+            return done
+    finally:
+        _GRID = ()
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (optimizer x seed) grid and write the bundle.
 
     The cells of one step family (pruning-aware, Adagrad, Frank-Wolfe)
     and problem size run as one block of :func:`prunadag.optimizer.drive`,
     seed-major, so that the block's oracles are one stacked evaluation
-    over the seeds' instances (:func:`build_problems`); ``cfg.jobs``
-    threads run blocks side by side. Each cell's run is bitwise what it
-    would be alone. A cell whose run or pruning sweep raises records the
-    failure as ``"<ExceptionClass>: <message>"``, keeps whatever run
-    record exists, and does not stop the other cells.
+    over the seeds' instances (:func:`build_problems`). With
+    ``cfg.jobs > 1`` each block is cut into ``min(jobs, seeds)`` shards
+    of whole instances, which run in up to ``jobs`` forked processes; a
+    user oracle's side effects stay in the worker that ran it. Each
+    cell's run is bitwise what it would be alone. A cell whose run or
+    pruning sweep raises, or whose worker is lost, records the failure
+    as ``"<ExceptionClass>: <message>"``, keeps whatever run record
+    exists, and does not stop the other cells.
     """
     result = ExperimentResult(cfg=cfg)
     result.instances, stack = build_problems(cfg)
@@ -362,33 +447,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             key = (_family(m), result.instances[i].problem.dim)
             blocks.setdefault(key, []).append((m, i))
 
-    def work(cells):
-        try:
-            outcomes = _run_block(cfg, cells, result.instances, stack)
-        except Exception as err:  # bad parameters fail every cell
-            outcomes = [err] * len(cells)
-        done = []
-        for cell, outcome in zip(cells, outcomes):
-            if isinstance(outcome, Exception):
-                # drive attaches the partial trace
-                done.append((cell, getattr(outcome, "record", None), None,
-                             _failure(outcome)))
-                continue
-            instance = result.instances[cell[1]]
-            try:
-                rows = pruning.prune_report(
-                    outcome.x_final, instance.problem, sigmas=cfg.sigmas,
-                    deltas=cfg.deltas, test=instance.test)
-                done.append((cell, outcome, rows, None))
-            except Exception as err:
-                done.append((cell, outcome, None, _failure(err)))
-        return done
-
     if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(work, blocks.values()))
+        outcomes = _run_pool(cfg, _shards(blocks.values(), cfg.jobs),
+                             result.instances, stack)
     else:
-        outcomes = [work(cells) for cells in blocks.values()]
+        outcomes = [_run_cells(cfg, cells, result.instances, stack)
+                    for cells in blocks.values()]
 
     for task, record, rows, failure in itertools.chain.from_iterable(outcomes):
         if record is not None:

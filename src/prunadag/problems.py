@@ -431,22 +431,24 @@ class Stack:
     def oracle(self, slots: Sequence[int]) -> "BlockOracle":
         """The block oracle of the rows whose instances are ``slots``.
         Raises ValueError unless the stack is full and the rows are
-        seed-major: every slot in order, the same number of rows each."""
-        rows = len(slots) // self.size
-        if (self.filled < self.size or not rows
-                or list(slots) != [s for s in range(self.size)
-                                   for _ in range(rows)]):
-            raise ValueError(f"a block oracle needs seed-major rows over all "
-                             f"{self.size} instances, got slots {list(slots)} "
-                             f"with {self.filled} filled")
-        return BlockOracle(self, rows)
+        seed-major over a range of slots: every slot from the first to
+        the last in order, the same number of rows each."""
+        slots = list(slots)
+        lo, hi = (slots[0], slots[-1] + 1) if slots else (0, 0)
+        rows = len(slots) // max(hi - lo, 1)
+        if (self.filled < self.size or not rows or lo < 0 or hi > self.size
+                or slots != [s for s in range(lo, hi) for _ in range(rows)]):
+            raise ValueError(f"a block oracle needs seed-major rows over a "
+                             f"range of the {self.size} instances, got slots "
+                             f"{slots} with {self.filled} filled")
+        return BlockOracle(self, range(lo, hi), rows)
 
 
 class BlockOracle:
-    """Gradients and objectives of the S * V rows of a block over a
-    :class:`Stack`, all from one stacked evaluation; row s * V + v runs
-    on instance s. Each row is bitwise its instance's ``gradient`` and
-    ``value``.
+    """Gradients and objectives of the S * V rows of a block over the
+    slots ``slots`` of a :class:`Stack`, all from one stacked
+    evaluation; row s * V + v runs on instance ``slots[s]``. Each row is
+    bitwise its instance's ``gradient`` and ``value``.
 
     ``oracle(X, runs, objective)`` is called by
     :func:`prunadag.optimizer.drive` with the iterates of the rows
@@ -460,11 +462,11 @@ class BlockOracle:
     it.
     """
 
-    def __init__(self, stack: Stack, rows_per_slot: int):
+    def __init__(self, stack: Stack, slots: range, rows_per_slot: int):
         family = stack.family
-        self.shape = (stack.size, rows_per_slot)
+        self.shape = (len(slots), rows_per_slot)
         self.evaluate = family.block_oracle
-        self.arrays = {name: stack.arrays[name][:, None]
+        self.arrays = {name: stack.arrays[name][slots.start:slots.stop, None]
                        for name in family.STACKED}
         self.shared = {name: stack.arrays[name] for name in family.SHARED}
         self.runs = None   # the running rows the packed layout holds

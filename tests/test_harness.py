@@ -5,13 +5,16 @@ import dataclasses
 import itertools
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunadag import cli, harness, pruning
+from prunadag import cli, harness, problems, pruning
 from prunadag.core import Problem, RunRecord
 from prunadag.harness import (ConfigError, build_problem, derive_seed,
                               load_config, run_experiment, starting_point)
@@ -304,6 +307,15 @@ class TestRunExperiment:
         assert all(o.ok for o in outcomes)
 
 
+# 3 seeds, 7 methods: the rows of each block stop at different
+# iterations or never
+STOPPING_CONFIG = (BASE_CONFIG.replace("A1", "A3")
+                   .replace("seeds = 2", "seeds = 3")
+                   .replace("v3, adagrad", "v1, v2, v3, v4, adagrad, fw1, fw2")
+                   .replace("max_iters = 40",
+                            "grad_tol = 0.01\nmax_iters = 300"))
+
+
 class TestStackedGrid:
     """A grid of built-in problems evaluates its oracles through the
     stack of its instances."""
@@ -344,11 +356,7 @@ class TestStackedGrid:
         # the rows of a block stop at different iterations or never, and
         # every row of the Adagrad block stops: each record is bitwise
         # the cell's run alone
-        text = (BASE_CONFIG.replace("A1", "A3")
-                .replace("seeds = 2", "seeds = 3")
-                .replace("v3, adagrad", "v1, v2, v3, v4, adagrad, fw1, fw2")
-                .replace("max_iters = 40", "grad_tol = 0.01\nmax_iters = 300"))
-        cfg = load_config(write_config(tmp_path, text))
+        cfg = load_config(write_config(tmp_path, STOPPING_CONFIG))
         result = run_experiment(cfg)
         assert not result.failures and len(result.records) == 21
         reasons = {m: {result.records[(m, i)].reason for i in range(3)}
@@ -371,6 +379,122 @@ class TestStackedGrid:
             alone = build_problem(cfg, i).problem
             assert np.array_equal(instance.problem.gradient(x),
                                   alone.gradient(x))
+
+
+def _raise_when_large(cfg, i):
+    """build_problem whose gradient oracle for seed 2 raises once an
+    iterate leaves the box |x_j| <= 10. The fault depends on the iterate
+    alone, so a row meets it in any process: on the stopping grid only
+    fw1 on seed 2 does, at iteration 1."""
+    instance = build_problem(cfg, i)
+    if i != 2:
+        return instance
+    grad = instance.problem.grad
+
+    def boxed(x):
+        if np.abs(x).max() > 10.0:
+            raise ValueError("iterate left the box")
+        return grad(x)
+
+    problem = dataclasses.replace(instance.problem, grad=boxed)
+    return harness.ProblemInstance(problem, instance.test)
+
+
+class Unsendable:
+    """A prune result that a worker cannot send back."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("not sent")
+
+
+class TestProcessPool:
+    """jobs > 1 runs shards of whole instances in forked processes."""
+
+    def test_shards_are_ranges_of_whole_instances(self):
+        cells = [(m, i) for i in range(3) for m in ("v3", "adagrad")]
+        assert harness._shards([cells], 1) == [cells]
+        assert harness._shards([cells], 2) == [cells[:2], cells[2:]]
+        assert harness._shards([cells, cells[:2]], 4) == [
+            cells[:2], cells[2:4], cells[4:], cells[:2]]
+
+    @pytest.mark.parametrize("raising_row", [False, True])
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch,
+                                     raising_row):
+        # 3 seeds make uneven shards at jobs = 2; rows stop at different
+        # iterations, and with raising_row fw1 on seed 2 fails
+        if raising_row:
+            monkeypatch.setattr(harness, "build_problem", _raise_when_large)
+        cfg = load_config(write_config(tmp_path, STOPPING_CONFIG))
+        runs = []
+        for jobs in (1, 2, 4):
+            cfg.jobs = jobs
+            result = run_experiment(cfg)
+            runs.append((result, _read_bundle(cfg.out_dir)))
+        serial, bundle = runs[0]
+        assert len(serial.records) == 21 and len(bundle) == 8
+        assert serial.failures == ({("fw1", 2): "ValueError: iterate left "
+                                    "the box"} if raising_row else {})
+        if raising_row:
+            assert serial.records[("fw1", 2)].iterations == 1
+        for result, files in runs[1:]:
+            assert result.records.keys() == serial.records.keys()
+            for key, rec in serial.records.items():
+                assert_same_record(result.records[key], rec)
+            assert result.failures == serial.failures
+            assert result.prune_rows == serial.prune_rows
+            assert files == bundle
+
+    def test_lost_worker_is_a_recorded_failure(self, tmp_path, monkeypatch):
+        pid, call = os.getpid(), problems.BlockOracle.__call__
+
+        def dying(self, *args):
+            if os.getpid() != pid:
+                os._exit(1)
+            return call(self, *args)
+        monkeypatch.setattr(problems.BlockOracle, "__call__", dying)
+        cfg = load_config(write_config(tmp_path))
+        cfg.jobs = 2
+        result = run_experiment(cfg)
+        assert not result.records
+        assert set(result.failures) == {(m, i) for m in ("v3", "adagrad")
+                                        for i in range(2)}
+        assert all(reason.startswith("BrokenProcessPool: ")
+                   for reason in result.failures.values())
+        with open(os.path.join(cfg.out_dir, "meta.json")) as fh:
+            assert json.load(fh)["diverged_count"] == 4
+
+    def test_unsendable_result_is_a_recorded_failure(self, tmp_path,
+                                                     monkeypatch):
+        pid, prune_report = os.getpid(), pruning.prune_report
+
+        def unsendable(*args, **kwargs):
+            rows = prune_report(*args, **kwargs)
+            return rows if os.getpid() == pid else [Unsendable()]
+        monkeypatch.setattr(pruning, "prune_report", unsendable)
+        cfg = load_config(write_config(tmp_path))
+        cfg.jobs = 2
+        result = run_experiment(cfg)
+        assert not result.records
+        assert result.failures == {(m, i): "PicklingError: not sent"
+                                   for m in ("v3", "adagrad")
+                                   for i in range(2)}
+        assert os.path.exists(os.path.join(cfg.out_dir, "meta.json"))
+
+    def test_serial_grid_imports_no_pool(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from prunadag import harness\n"
+            "cfg = harness.load_config(sys.argv[1])\n"
+            "cfg.jobs = 1\n"
+            "harness.run_experiment(cfg)\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}\n"
+            "             & set(sys.modules)))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(write_config(tmp_path))],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBundleFormat:

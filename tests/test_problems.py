@@ -405,10 +405,25 @@ class TestStack:
     def test_oracle_needs_seed_major_rows(self):
         stack = stacked([gen_least_squares("A1", 4, 10, seed=s)
                          for s in range(2)])
-        assert stack.oracle([0, 0, 1, 1]).shape == (2, 2)
-        for slots in ([0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0], [0, 0], []):
+        full = stack.oracle([0, 0, 1, 1])
+        assert full.shape == (2, 2)
+        X = np.random.default_rng(0).standard_normal((4, 10))
+        G, F, _ = full(X, [0, 1, 2, 3], True)
+        # a shard of a range of slots holds views of the stack's arrays
+        # and gives the rows of the full block
+        for slots, rows in (([0, 0], [0, 1]), ([1], [2])):
+            shard = stack.oracle(slots)
+            assert all(np.shares_memory(array, stack.arrays[name])
+                       for name, array in shard.arrays.items())
+            G_shard, F_shard, _ = shard(X[rows], range(len(rows)), True)
+            assert same_bits(G_shard, G[rows]) and same_bits(F_shard, F[rows])
+        for slots in ([0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0], [], [2]):
             with pytest.raises(ValueError, match="seed-major"):
                 stack.oracle(slots)
+        gapped = stacked([gen_least_squares("A1", 4, 10, seed=s)
+                          for s in range(3)])
+        with pytest.raises(ValueError, match="seed-major"):
+            gapped.oracle([0, 2])
         partial = Stack(2)
         partial.add(gen_least_squares("A1", 4, 10, seed=0))
         with pytest.raises(ValueError, match="seed-major"):
