@@ -86,13 +86,12 @@ def masked_norm(v: np.ndarray, s) -> float:
     return float(np.sqrt(np.sum(v[s] ** 2)))
 
 
-# The per-iteration trace, declared once: (RunRecord field, field of
-# trace.npy, dtype), in field order. ``optimizer.drive`` fills the first
-# three entries and an optimizer's step the following ones, in order.
-# The tail from ``max_abs_x`` on is the theory group, which only the
-# pruning-aware step fills. A field that is not recorded is None in the
-# record; trace.npy holds zeros there, and the run's ``untraced`` list
-# in runs.json names it.
+# The per-iteration trace, declared once: (RunRecord attribute, field
+# of trace.npy, dtype), in field order. ``optimizer.drive`` fills the
+# first three entries and an optimizer's step the following ones, in
+# order. The tail from ``max_abs_x`` on is the theory group, which only
+# the pruning-aware step fills. A field that is not recorded holds
+# zeros, is listed in the record's ``untraced`` and reads as None.
 TRACE_FIELDS = (
     ("grad_norm", "grad_norm", np.float64),
     ("objective", "f", np.float64),
@@ -113,46 +112,48 @@ TRACE_DTYPE = np.dtype([(col, dtype) for _, col, dtype in TRACE_FIELDS])
 class RunRecord:
     """Per-iteration trace of an optimizer run.
 
-    The per-iteration fields are those of :data:`TRACE_FIELDS`; each
-    present one has length equal to the number of iterations performed.
-    ``grad_norm[j]`` etc. refer to quantities at iterate ``x_j`` before
-    the j-th step was taken. ``objective_initial`` is f(x_0), recorded
-    also when the objective trace is not. The theory group
-    (``max_abs_x`` and the masked sums ``sum_*`` needed by the
-    descent-lemma and gradient-bound checks) is only filled by the
-    optimizers that maintain split weight vectors.
+    ``trace`` is a 1-D array of :data:`TRACE_DTYPE`, one row per
+    iteration: the rows the run contributes to trace.npy. Row j
+    describes the iterate x_j before the j-th step was taken. The
+    columns in ``untraced`` were not recorded and hold zeros. Each
+    attribute of :data:`TRACE_FIELDS` (``grad_norm``, ``objective``,
+    ``card_A``, ...) reads as its column, or as None when the column is
+    untraced. ``objective_initial`` is f(x_0), recorded also when the
+    objective trace is not. The theory group (``max_abs_x`` and the
+    masked sums ``sum_*`` needed by the descent-lemma and gradient-bound
+    checks) is only filled by the optimizers that maintain split weight
+    vectors.
     """
 
-    grad_norm: np.ndarray
-    grad_norm_opt: np.ndarray
-    below_delta: np.ndarray
-    card_R: np.ndarray
-    card_A: np.ndarray
-    card_D: np.ndarray
+    trace: np.ndarray
     x_final: np.ndarray
     reason: str
-    objective: Optional[np.ndarray] = None
+    untraced: tuple = ()
     objective_initial: Optional[float] = None
     objective_final: Optional[float] = None
-    max_abs_x: Optional[np.ndarray] = None
-    sum_gO2_over_wO: Optional[np.ndarray] = None
-    sum_gO2_over_wO2: Optional[np.ndarray] = None
-    sum_xD2_over_wD2: Optional[np.ndarray] = None
 
     @property
     def iterations(self) -> int:
-        return int(self.grad_norm.shape[0])
+        return int(self.trace.shape[0])
 
     def validate(self) -> None:
-        n_iter = self.iterations
-        for attr, _, _ in TRACE_FIELDS:
-            a = getattr(self, attr)
-            if a is not None and a.shape[0] != n_iter:
-                raise ValueError(f"trace array {attr} has length "
-                                 f"{a.shape[0]}, expected {n_iter}")
+        if self.trace.dtype != TRACE_DTYPE or self.trace.ndim != 1:
+            raise ValueError(f"trace must be a 1-D array of {TRACE_DTYPE}, "
+                             f"got {self.trace.ndim}-D {self.trace.dtype}")
         n = self.x_final.shape[0]
-        if np.any(self.card_R + self.card_A + self.card_D != n):
+        t = self.trace
+        if np.any(t["card_R"] + t["card_A"] + t["card_D"] != n):
             raise ValueError("set cardinalities do not partition {0..n-1}")
+
+
+def _column(col: str) -> property:
+    return property(
+        lambda rec: None if col in rec.untraced else rec.trace[col],
+        doc=f"The {col!r} column of the trace, or None when untraced.")
+
+
+for _attr, _col, _ in TRACE_FIELDS:
+    setattr(RunRecord, _attr, _column(_col))
 
 
 def finite_difference_gradient(problem: Problem, x: np.ndarray,

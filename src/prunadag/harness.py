@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import baselines, optimizer, problems, pruning
-from .core import TRACE_DTYPE, TRACE_FIELDS, Problem, RunRecord
+from .core import TRACE_DTYPE, Problem, RunRecord
 from .steps import Variant
 
 
@@ -471,17 +471,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def _write_trace(path, records: list) -> None:
-    """trace.npy: the rows of each record in turn, as one array of
-    TRACE_DTYPE. A field a record does not hold stays zero."""
-    trace = np.zeros(sum(rec.iterations for rec in records), TRACE_DTYPE)
-    start = 0
-    for rec in records:
-        stop = start + rec.iterations
-        for attr, col, _ in TRACE_FIELDS:
-            if getattr(rec, attr) is not None:
-                trace[col][start:stop] = getattr(rec, attr)
-        start = stop
-    np.save(path, trace)
+    """trace.npy: the trace rows of each record in turn."""
+    np.save(path, np.concatenate([np.zeros(0, TRACE_DTYPE),
+                                  *(rec.trace for rec in records)]))
 
 
 def _write_csv(path, header, rows):
@@ -569,8 +561,7 @@ def write_bundle(result: ExperimentResult) -> None:
             "f_final": rec.objective_final,
             "lipschitz": prob.lipschitz,
             "f0": rec.objective_initial,
-            "untraced": [col for attr, col, _ in TRACE_FIELDS
-                         if getattr(rec, attr) is None],
+            "untraced": list(rec.untraced),
         })
     n = next(iter(result.instances.values())).problem.dim
     meta = {

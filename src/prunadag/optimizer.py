@@ -25,7 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .core import TRACE_FIELDS, DivergedError, Problem, RunRecord
+from .core import (TRACE_DTYPE, TRACE_FIELDS, DivergedError, Problem,
+                   RunRecord)
 from .steps import TrustRegionError, Variant
 
 DEFAULT_VARSIGMA = 0.01   # weight floor constant
@@ -142,7 +143,7 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     next iterates and, per run, the values of the fields after them, in
     table order: ``(grad_norm_opt, card_R, card_A, card_D)``,
     optionally followed by the theory group. The fields a step does not
-    report are None in the record. The objective at x0 is evaluated
+    report are untraced in the record. The objective at x0 is evaluated
     even when ``record_objective`` is false: it is the record's
     ``objective_initial``.
 
@@ -267,16 +268,19 @@ class _Block:
 def _assemble(pieces: list, x: np.ndarray, reason: str,
               record_objective: bool) -> RunRecord:
     """Build a RunRecord from the trace pieces of :func:`drive`: column i
-    is field i of TRACE_FIELDS. Without rows, every field is an empty
-    array."""
-    cols = (np.concatenate(pieces) if pieces
-            else np.empty((0, len(TRACE_FIELDS)))).T
-    trace = {attr: col.astype(dtype)
-             for (attr, _, dtype), col in zip(TRACE_FIELDS, cols)}
-    f0 = float(trace["objective"][0]) if cols.shape[1] else None
+    is field i of TRACE_DTYPE, and the fields past the last column are
+    untraced. Without rows, every field is traced and empty."""
+    rows = (np.concatenate(pieces) if pieces
+            else np.empty((0, len(TRACE_FIELDS))))
+    trace = np.zeros(len(rows), TRACE_DTYPE)
+    for col, values in zip(TRACE_DTYPE.names, rows.T):
+        trace[col] = values
+    untraced = TRACE_DTYPE.names[rows.shape[1]:]
+    f0 = float(trace["f"][0]) if len(trace) else None
     if not record_objective:
-        trace["objective"] = None
-    return RunRecord(**trace, x_final=x, reason=reason, objective_initial=f0)
+        trace["f"] = 0.0
+        untraced = ("f", *untraced)
+    return RunRecord(trace, x, reason, untraced, objective_initial=f0)
 
 
 def unwrap(outcomes: list[Outcome]) -> RunRecord:

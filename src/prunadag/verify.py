@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import harness, theory
-from .core import TRACE_DTYPE, TRACE_FIELDS, RunRecord
+from .core import TRACE_DTYPE, RunRecord
 
 
 @dataclass
@@ -30,13 +30,15 @@ class VerifyOutcome:
 
 def load_bundle(trace_dir):
     """Reconstruct per-run traces from a results directory: each run of
-    runs.json, in order, takes the next ``iterations`` rows of trace.npy.
-    Its ``untraced`` fields read as None and ``x_final`` as zeros. Raises
-    ValueError when trace.npy's dtype or row count does not match.
+    runs.json, in order, takes the next ``iterations`` rows of trace.npy
+    as its ``trace``, and ``x_final`` reads as zeros. Raises ValueError
+    when trace.npy's dtype or row count does not match, or when a run
+    lists an ``untraced`` name that is not a trace field.
     """
     with open(os.path.join(trace_dir, "meta.json")) as fh:
         meta = json.load(fh)
-    with open(os.path.join(trace_dir, "runs.json")) as fh:
+    runs_path = os.path.join(trace_dir, "runs.json")
+    with open(runs_path) as fh:
         runs = {(r["optimizer"], r["seed"]): r for r in json.load(fh)}
     path = os.path.join(trace_dir, "trace.npy")
     trace = np.load(path)
@@ -47,18 +49,17 @@ def load_bundle(trace_dir):
     if trace.shape != (total,):
         raise ValueError(f"{path}: shape {trace.shape}, but runs.json "
                          f"lists {total} iterations")
-    # one contiguous copy per field, so that each run's arrays are
-    # contiguous slices, like the arrays the grid recorded
-    columns = {col: np.ascontiguousarray(trace[col])
-               for _, col, _ in TRACE_FIELDS}
     records, start = {}, 0
     for key, run in runs.items():
+        unknown = set(run["untraced"]).difference(TRACE_DTYPE.names)
+        if unknown:
+            raise ValueError(f"{runs_path}: run {key} lists unknown "
+                             f"untraced fields {sorted(unknown)}")
         stop = start + run["iterations"]
         records[key] = RunRecord(
-            **{attr: None if col in run["untraced"]
-               else columns[col][start:stop] for attr, col, _ in TRACE_FIELDS},
-            x_final=np.zeros(meta["n"]), reason=run["reason"],
-            objective_initial=run["f0"], objective_final=run["f_final"])
+            trace[start:stop], np.zeros(meta["n"]), run["reason"],
+            tuple(run["untraced"]), objective_initial=run["f0"],
+            objective_final=run["f_final"])
         start = stop
     return meta, runs, records
 

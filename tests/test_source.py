@@ -4,8 +4,11 @@ import ast
 import dataclasses
 import pathlib
 
+import numpy as np
+import pytest
+
 import prunadag
-from prunadag.core import TRACE_FIELDS, RunRecord
+from prunadag.core import TRACE_DTYPE, TRACE_FIELDS, RunRecord
 
 SRC = pathlib.Path(prunadag.__file__).parent
 
@@ -21,11 +24,28 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
-def test_every_trace_array_is_in_the_trace_table():
-    """A per-iteration RunRecord field that TRACE_FIELDS does not list
-    would silently miss the bundle."""
+def test_every_trace_field_reads_as_its_column():
+    """A RunRecord keeps its per-iteration values in the one trace
+    array: each TRACE_FIELDS attribute reads as its column, as None when
+    the column is untraced, and cannot be assigned."""
     arrays = [f.name for f in dataclasses.fields(RunRecord)
-              if "ndarray" in str(f.type) and f.name != "x_final"]
+              if "ndarray" in str(f.type)]
+    assert arrays == ["trace", "x_final"]
+    trace = np.zeros(3, TRACE_DTYPE)
+    for i, col in enumerate(TRACE_DTYPE.names):
+        trace[col] = np.arange(3) + 10 * i
+    rec = RunRecord(trace, np.zeros(4), "max iterations")
     listed = [attr for attr, _, _ in TRACE_FIELDS]
-    assert sorted(listed) == sorted(arrays)
-    assert len(set(listed)) == len(listed)
+    assert len(set(listed)) == len(listed) == len(TRACE_DTYPE.names)
+    for attr, col, dtype in TRACE_FIELDS:
+        column = getattr(rec, attr)
+        assert column.dtype == dtype, attr
+        assert np.shares_memory(column, trace), attr
+        assert column.tobytes() == trace[col].tobytes(), attr
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, None)
+    for attr, col, _ in TRACE_FIELDS:
+        rec.untraced = (col,)
+        assert getattr(rec, attr) is None, attr
+        assert all(getattr(rec, other) is not None
+                   for other, _, _ in TRACE_FIELDS if other != attr)

@@ -165,7 +165,9 @@ class TestGradientBound:
             for k in range(K)])
         avg = np.cumsum(rec.grad_norm ** 2) / np.arange(1, K + 1)
         scale = math.sqrt(np.median(limit / avg))
-        scaled = dataclasses.replace(rec, grad_norm=rec.grad_norm * scale)
+        trace = rec.trace.copy()
+        trace["grad_norm"] *= scale
+        scaled = dataclasses.replace(rec, trace=trace)
         avg = np.cumsum(scaled.grad_norm ** 2) / np.arange(1, K + 1)
         manual = np.array([avg[k] <= limit[k] for k in range(K)])
         passes = check_gradient_bound(scaled, inp)
@@ -218,7 +220,7 @@ class TestDescentLemma:
 
     def test_requires_objectives(self):
         rec, L = self._trace()
-        rec.objective = None
+        rec.untraced = ("f",)
         with pytest.raises(ValueError):
             check_descent_lemma(rec, L)
 
