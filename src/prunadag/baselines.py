@@ -13,7 +13,6 @@ places mass on the T largest-magnitude gradient components.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,11 +118,13 @@ def _fw_update(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
     parameters of :func:`_fw_state`; also returns ||g||_R per row."""
     V, norm_r = _lmo(G, T, state["tau"])
     D = V - X
-    eta = np.full(X.shape[0], 1.0 / (k + 1))
-    for b in np.flatnonzero(state["rescaled"]):
-        diff = math.sqrt(D[b].dot(D[b]))   # np.linalg.norm, bitwise
-        eta[b] = (1.0 if diff == 0.0
-                  else min(state["beta"][b] * norm_r[b] / diff, 1.0))
+    # ||v - x|| per row, bitwise np.linalg.norm of the row
+    diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
+    moved = diff != 0.0
+    rate = np.minimum(state["beta"] * norm_r / np.where(moved, diff, 1.0),
+                      1.0)
+    eta = np.where(state["rescaled"], np.where(moved, rate, 1.0),
+                   1.0 / (k + 1))
     return X + eta[:, None] * D, norm_r
 
 

@@ -112,17 +112,15 @@ TRACE_DTYPE = np.dtype([(col, dtype) for _, col, dtype in TRACE_FIELDS])
 class RunRecord:
     """Per-iteration trace of an optimizer run.
 
-    ``trace`` is a 1-D array of :data:`TRACE_DTYPE`, one row per
-    iteration: the rows the run contributes to trace.npy. Row j
-    describes the iterate x_j before the j-th step was taken. The
-    columns in ``untraced`` were not recorded and hold zeros. Each
-    attribute of :data:`TRACE_FIELDS` (``grad_norm``, ``objective``,
-    ``card_A``, ...) reads as its column, or as None when the column is
-    untraced. ``objective_initial`` is f(x_0), recorded also when the
-    objective trace is not. The theory group (``max_abs_x`` and the
-    masked sums ``sum_*`` needed by the descent-lemma and gradient-bound
-    checks) is only filled by the optimizers that maintain split weight
-    vectors.
+    ``trace`` holds the run's rows of trace.npy: a 1-D array of
+    :data:`TRACE_DTYPE` whose row j describes x_j, before step j. The
+    columns named in ``untraced`` were not recorded and hold zeros. Each
+    attribute of :data:`TRACE_FIELDS` (``grad_norm``, ``objective``, ...)
+    reads as its column, or as None when the column is untraced.
+    ``objective_initial`` is f(x_0), recorded also without the objective
+    trace. Only the optimizers with split weight vectors fill the theory
+    group (``max_abs_x`` and the masked sums ``sum_*`` of the
+    descent-lemma and gradient-bound checks).
     """
 
     trace: np.ndarray
@@ -141,19 +139,14 @@ class RunRecord:
             raise ValueError(f"trace must be a 1-D array of {TRACE_DTYPE}, "
                              f"got {self.trace.ndim}-D {self.trace.dtype}")
         n = self.x_final.shape[0]
-        t = self.trace
-        if np.any(t["card_R"] + t["card_A"] + t["card_D"] != n):
+        if np.any(self.card_R + self.card_A + self.card_D != n):
             raise ValueError("set cardinalities do not partition {0..n-1}")
 
 
-def _column(col: str) -> property:
-    return property(
-        lambda rec: None if col in rec.untraced else rec.trace[col],
-        doc=f"The {col!r} column of the trace, or None when untraced.")
-
-
 for _attr, _col, _ in TRACE_FIELDS:
-    setattr(RunRecord, _attr, _column(_col))
+    setattr(RunRecord, _attr, property(
+        lambda rec, col=_col: None if col in rec.untraced else rec.trace[col],
+        doc=f"The {_col!r} column of ``trace``, or None when untraced."))
 
 
 def finite_difference_gradient(problem: Problem, x: np.ndarray,

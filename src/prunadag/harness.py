@@ -145,6 +145,9 @@ def load_config(path) -> ExperimentConfig:
         else:
             params["nnz"] = get("problem", "nnz", int, required=True)
             params["noise"] = get("problem", "noise", float, default=0.0)
+        if params["m"] >= params["n"]:
+            raise ConfigError(f"problem.m must be below problem.n, got "
+                              f"m = {params['m']}, n = {params['n']}")
     elif kind == "logistic_synthetic":
         params["n"] = get("problem", "n", int, required=True)
         params["informative"] = get("problem", "informative", int, required=True)
@@ -174,6 +177,17 @@ def load_config(path) -> ExperimentConfig:
     for s in sigmas:
         if not 0.0 <= s <= 1.0:
             raise ConfigError(f"pruning.sigma values must be in [0,1], got {s}")
+    for d in deltas:
+        if not d >= 0.0:
+            raise ConfigError(f"pruning.delta values must be >= 0, got {d}")
+    grad_tol = get("stop", "grad_tol", float,
+                   default=optimizer.DEFAULT_GRAD_TOL)
+    if not grad_tol > 0.0:
+        raise ConfigError(f"stop.grad_tol must be positive, got {grad_tol}")
+    max_iters = get("stop", "max_iters", int,
+                    default=optimizer.DEFAULT_MAX_ITERS)
+    if max_iters < 1:
+        raise ConfigError(f"stop.max_iters must be >= 1, got {max_iters}")
     seeds = get("problem", "seeds", int, default=20)
     if seeds < 1:
         raise ConfigError("problem.seeds must be >= 1")
@@ -189,10 +203,8 @@ def load_config(path) -> ExperimentConfig:
         tau1=get("optimizers", "tau1", float, default=50.0),
         tau2=get("optimizers", "tau2", float, default=100.0),
         beta=get("optimizers", "beta", float, default=0.001),
-        grad_tol=get("stop", "grad_tol", float,
-                     default=optimizer.DEFAULT_GRAD_TOL),
-        max_iters=get("stop", "max_iters", int,
-                      default=optimizer.DEFAULT_MAX_ITERS),
+        grad_tol=grad_tol,
+        max_iters=max_iters,
         sigmas=sigmas,
         deltas=deltas,
         delta_trace=get("pruning", "delta_trace", float, default=1e-3),
@@ -470,12 +482,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # Output bundle
 # ---------------------------------------------------------------------------
 
-def _write_trace(path, records: list) -> None:
-    """trace.npy: the trace rows of each record in turn."""
-    np.save(path, np.concatenate([np.zeros(0, TRACE_DTYPE),
-                                  *(rec.trace for rec in records)]))
-
-
 def _write_csv(path, header, rows):
     # csv writes a Python float as its repr, which round-trips exactly
     with open(path, "w", newline="") as fh:
@@ -506,8 +512,9 @@ def write_bundle(result: ExperimentResult) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
 
-    _write_trace(os.path.join(cfg.out_dir, "trace.npy"),
-                 [result.records[key] for key in keys])
+    # the records' trace rows in the order of runs.json, their index
+    np.save(os.path.join(cfg.out_dir, "trace.npy"), np.concatenate(
+        [np.zeros(0, TRACE_DTYPE), *(result.records[k].trace for k in keys)]))
 
     # csv writes a missing accuracy (None) as an empty field
     prune_out = [(*key, *dataclasses.astuple(row)) for key in keys

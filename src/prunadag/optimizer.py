@@ -351,17 +351,13 @@ def _advance(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
     o = ~d
     card_O = o.sum(axis=1)
     card_R = (codes == _kernels.CODE_RELEVANT).sum(axis=1)
-    in_O, in_D = np.flatnonzero(o), np.flatnonzero(d)
-    gO = G.take(in_O)
-    wO = W_opt.take(in_O)
+    gO = np.where(o, G, 0.0)
     gO2 = gO ** 2
-    sums_O = _kernels.row_sums(np.stack([gO2, gO2 / wO, (gO / wO) ** 2]),
-                               card_O)
-    sum_D = _kernels.row_sums((X.take(in_D) / W_dec.take(in_D)) ** 2,
-                              X.shape[1] - card_O)
-    stats = (np.sqrt(sums_O[:, 0]), card_R, card_O - card_R,
-             X.shape[1] - card_O, np.abs(X).max(axis=1), sums_O[:, 1],
-             sums_O[:, 2], sum_D)
+    sums = np.stack([gO2, gO2 / W_opt, (gO / W_opt) ** 2,
+                     (np.where(d, X, 0.0) / W_dec) ** 2]).sum(axis=2)
+    stats = (np.sqrt(sums[0]), card_R, card_O - card_R,
+             X.shape[1] - card_O, np.abs(X).max(axis=1), sums[1], sums[2],
+             sums[3])
     state["w_opt"], state["w_dec"] = W_opt, W_dec
     return S, codes, stats
 

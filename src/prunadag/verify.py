@@ -37,9 +37,14 @@ def load_bundle(trace_dir):
     """
     with open(os.path.join(trace_dir, "meta.json")) as fh:
         meta = json.load(fh)
-    runs_path = os.path.join(trace_dir, "runs.json")
-    with open(runs_path) as fh:
+    path = os.path.join(trace_dir, "runs.json")
+    with open(path) as fh:
         runs = {(r["optimizer"], r["seed"]): r for r in json.load(fh)}
+    unknown = {name for run in runs.values()
+               for name in run["untraced"]}.difference(TRACE_DTYPE.names)
+    if unknown:
+        raise ValueError(f"{path}: untraced names {sorted(unknown)} are "
+                         f"not trace fields")
     path = os.path.join(trace_dir, "trace.npy")
     trace = np.load(path)
     if trace.dtype != TRACE_DTYPE:
@@ -51,10 +56,6 @@ def load_bundle(trace_dir):
                          f"lists {total} iterations")
     records, start = {}, 0
     for key, run in runs.items():
-        unknown = set(run["untraced"]).difference(TRACE_DTYPE.names)
-        if unknown:
-            raise ValueError(f"{runs_path}: run {key} lists unknown "
-                             f"untraced fields {sorted(unknown)}")
         stop = start + run["iterations"]
         records[key] = RunRecord(
             trace[start:stop], np.zeros(meta["n"]), run["reason"],

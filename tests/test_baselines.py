@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prunadag import PrunAdagState, Variant, prunadag_iterate
+from prunadag import PrunAdagState, Variant, baselines, prunadag_iterate
 from prunadag.baselines import (FwConfig, FwRate, adagrad_run, adagrad_step,
                                 fw_lmo, fw_run, fw_step)
 from prunadag.core import DivergedError, Problem
@@ -130,6 +130,29 @@ class TestFwStep:
         x1 = fw_step(x, g, 0, cfg)
         eta = 0.001 * 5.0 / 10.0
         assert np.allclose(x1, x + eta * (v - x))
+
+    def test_block_step_matches_the_per_row_formula(self):
+        # one block: a rescaled row, a rescaled row already at its vertex
+        # (||v - x|| = 0, so eta = 1) and a linear-rate row
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((3, 8))
+        X = rng.standard_normal((3, 8))
+        cfgs = [FwConfig(T=3, tau=2.0, rate=FwRate.RESCALED, beta=0.5),
+                FwConfig(T=3, tau=1.0, rate=FwRate.RESCALED),
+                FwConfig(T=3, tau=3.0)]
+        X[1] = fw_lmo(G[1], cfgs[1])
+        k = 4
+        got, norm_r = baselines._fw_update(X, G, k, 3,
+                                           baselines._fw_state(cfgs))
+        for b, cfg in enumerate(cfgs):
+            v = fw_lmo(G[b], cfg)
+            diff = np.linalg.norm(v - X[b])
+            if cfg.rate is FwRate.LINEAR:
+                eta = 1.0 / (k + 1)
+            else:
+                eta = (1.0 if diff == 0.0
+                       else min(cfg.beta * norm_r[b] / diff, 1.0))
+            assert got[b].tobytes() == (X[b] + eta * (v - X[b])).tobytes(), b
 
 
 class TestFwRun:

@@ -136,6 +136,24 @@ class TestConfigParsing:
             load_config(write_config(
                 tmp_path, BASE_CONFIG.replace("0.3, 0.5", "1.5")))
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("m = 6", "m = 30", "problem.m"),
+        ("m = 6", "m = 31", "problem.m"),
+        ("matrix = A1", "nnz = 3", "problem.m"),
+        ("sigma = 0.3, 0.5", "delta = 0.1, -1", "pruning.delta"),
+        ("max_iters = 40", "max_iters = 0", "stop.max_iters"),
+        ("max_iters = 40", "grad_tol = 0", "stop.grad_tol"),
+        ("max_iters = 40", "grad_tol = -1e-9", "stop.grad_tol")],
+        ids=["m == n", "m > n", "dct m == n", "negative delta",
+             "no iterations", "zero grad_tol", "negative grad_tol"])
+    def test_bad_values_rejected_at_load(self, tmp_path, old, new, match):
+        text = BASE_CONFIG.replace(old, new)
+        if new.startswith("nnz"):
+            text = text.replace("least_squares", "dct_recovery").replace(
+                "m = 6", "m = 30")
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, text))
+
     @pytest.mark.parametrize("raw, expected", [
         ("true", True), ("Yes", True), ("1", True), ("on", True),
         ("false", False), ("no", False), ("0", False), ("OFF", False)])
@@ -531,18 +549,27 @@ class TestBundleFormat:
                 + (["max_abs_x", "sum_gO2_over_wO", "sum_gO2_over_wO2",
                     "sum_xD2_over_wD2"] if key[0] == "adagrad" else []))
 
-    @pytest.mark.parametrize("corruption", ["row removed", "field renamed"])
+    @pytest.mark.parametrize("corruption", ["row removed", "field renamed",
+                                            "unknown untraced"])
     def test_load_bundle_rejects_a_bad_trace(self, tmp_path, corruption):
         cfg = load_config(write_config(tmp_path))
         run_experiment(cfg)
-        path = os.path.join(cfg.out_dir, "trace.npy")
-        trace = np.load(path)
-        if corruption == "row removed":
-            trace = trace[:-1]
+        if corruption == "unknown untraced":
+            path = os.path.join(cfg.out_dir, "runs.json")
+            with open(path) as fh:
+                runs = json.load(fh)
+            runs[-1]["untraced"].append("objective")
+            with open(path, "w") as fh:
+                json.dump(runs, fh)
         else:
-            trace.dtype.names = ("objective", *trace.dtype.names[1:])
-        np.save(path, trace)
-        with pytest.raises(ValueError, match="trace.npy"):
+            path = os.path.join(cfg.out_dir, "trace.npy")
+            trace = np.load(path)
+            if corruption == "row removed":
+                trace = trace[:-1]
+            else:
+                trace.dtype.names = ("objective", *trace.dtype.names[1:])
+            np.save(path, trace)
+        with pytest.raises(ValueError, match=os.path.basename(path)):
             load_bundle(cfg.out_dir)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
-from prunadag import _kernels, baselines, steps
+from prunadag import _kernels, baselines, optimizer, steps
 from prunadag._kernels import (CODE_DECREASABLE, CODE_RELEVANT, iterate,
                                variant_flags)
 from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
@@ -222,6 +222,41 @@ class TestKernelPathsAgree:
         w_dec = np.sqrt(0.01 + rng.random(n))
         args = (x, g, w_opt, w_dec, int(rng.integers(0, 50)), T, variant)
         self.assert_bitwise(iterate_row(*args), self.reference(*args))
+
+
+class TestTraceStatistics:
+    def test_masked_row_sums_match_the_per_row_reference(self):
+        """_advance sums whole masked rows; the reference sums each row's
+        compacted entries. The two orders agree to a few ulps (the
+        tolerance, 16 eps of float64, is fixed beforehand); the counts
+        are exact."""
+        rng = np.random.default_rng(11)
+        B, n, T = 6, 200, 20
+        X = rng.standard_normal((B, n))
+        X[rng.random((B, n)) < 0.2] = 0.0
+        G = rng.standard_normal((B, n))
+        state = optimizer._block_state(rng.uniform(0.1, 2.0, (B, n)),
+                                       rng.uniform(0.1, 2.0, (B, n)),
+                                       [*ALL_VARIANTS, Variant.V3])
+        _, codes, stats = optimizer._advance(X, G, 3, T, state)
+        stats = dict(zip(STEP_FIELDS, stats))
+        W_opt, W_dec = state["w_opt"], state["w_dec"]
+        for b in range(B):
+            O = codes[b] != CODE_DECREASABLE
+            gO, wO = G[b][O], W_opt[b][O]
+            want = {"grad_norm_opt": math.sqrt(np.sum(gO ** 2)),
+                    "sum_gO2_over_wO": np.sum(gO ** 2 / wO),
+                    "sum_gO2_over_wO2": np.sum((gO / wO) ** 2),
+                    "sum_xD2_over_wD2": np.sum((X[b][~O] / W_dec[b][~O]) ** 2)}
+            for name, value in want.items():
+                np.testing.assert_allclose(
+                    stats[name][b], value,
+                    rtol=16 * np.finfo(np.float64).eps, atol=0, err_msg=name)
+            assert stats["card_R"][b] == np.sum(codes[b] == CODE_RELEVANT)
+            assert stats["card_A"][b] == np.sum(
+                codes[b] == _kernels.CODE_ACCEPTABLE)
+            assert stats["card_D"][b] == np.sum(~O)
+            assert stats["max_abs_x"][b] == np.abs(X[b]).max()
 
 
 class TestTrustRegionChecks:
