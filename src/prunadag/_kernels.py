@@ -48,20 +48,25 @@ def compact(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return V.take(np.flatnonzero(mask))
 
 
-def row_sums(values: np.ndarray, mask: np.ndarray, rows) -> np.ndarray:
-    """Per row of a (B, n) block, the sum of ``values`` where ``mask``
-    holds; only the rows listed in ``rows`` are summed, the others read 0.
+def row_sums(values: np.ndarray, counts: np.ndarray, rows) -> np.ndarray:
+    """Sum ``values``, the entries of a (B, n) array compacted by a
+    boolean mask, row by row; ``counts`` holds each row's entry count.
+    Only the rows listed in ``rows`` are summed; the others read 0.
 
-    Each row's entries are summed alone as a 1-D array, in the order of
-    :func:`prunadag.steps.bounding_sequences`. That order is part of the
-    method's output: the rescaled lower bound divides by this sum, and
-    V1 and V3 runs amplify its last bit. Summed as masked whole rows, it
-    moved the v1 objectives of the second seed of the ``ls_desk``
-    benchmark grid (master seed 1) by up to 49, 1.8e30 relative.
+    Each row's entries are summed alone as one contiguous slice, so the
+    sum equals that of the same entries in a 1-D array bit for bit, as
+    in :func:`prunadag.steps.bounding_sequences`. That order is part of
+    the method's output: the rescaled lower bound divides by this sum,
+    and V1 and V3 runs amplify its last bit. Summed as masked whole
+    rows, it moved the v1 objectives of the second seed of the
+    ``ls_desk`` benchmark grid (master seed 1) by up to 49, 1.8e30
+    relative.
     """
-    out = np.zeros(values.shape[0])
+    ends = np.cumsum(counts).tolist()
+    starts = [0, *ends[:-1]]
+    out = np.zeros(len(ends))
     for b in rows:
-        out[b] = values[b][mask[b]].sum()
+        out[b] = values[starts[b]:ends[b]].sum()
     return out
 
 
@@ -81,7 +86,8 @@ def iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
         # every row holds exactly T relevant entries
         num = np.sqrt((compact(G, r) ** 2).reshape(-1, T).sum(axis=1))
         tilde = ~r & match
-        denom = np.sqrt(row_sums(X ** 2, tilde, np.flatnonzero(rescale)))
+        denom = np.sqrt(row_sums(compact(X, tilde) ** 2, tilde.sum(axis=1),
+                                 np.flatnonzero(rescale)))
         scaled = denom > 0.0
         if scaled.any():
             # a row left unscaled is multiplied by 1, which is exact

@@ -112,15 +112,14 @@ TRACE_DTYPE = np.dtype([(col, dtype) for _, col, dtype in TRACE_FIELDS])
 class RunRecord:
     """Per-iteration trace of an optimizer run.
 
-    ``trace`` holds the run's rows of trace.npy: a 1-D array of
-    :data:`TRACE_DTYPE` whose row j describes x_j, before step j. The
-    columns named in ``untraced`` were not recorded and hold zeros. Each
-    attribute of :data:`TRACE_FIELDS` (``grad_norm``, ``objective``, ...)
-    reads as its column, or as None when the column is untraced.
-    ``objective_initial`` is f(x_0), recorded also without the objective
-    trace. Only the optimizers with split weight vectors fill the theory
-    group (``max_abs_x`` and the masked sums ``sum_*`` of the
-    descent-lemma and gradient-bound checks).
+    ``trace`` holds the run's rows of trace.npy, a 1-D array of
+    :data:`TRACE_DTYPE`; row j describes x_j, before step j. Each
+    :data:`TRACE_FIELDS` attribute (``grad_norm``, ``objective``, ...)
+    reads as its column, or as None when ``untraced`` names the column,
+    which then holds zeros. ``objective_initial`` is f(x_0), recorded
+    also without the objective trace. Only the optimizers with split
+    weight vectors fill the theory group (``max_abs_x`` and the masked
+    sums ``sum_*`` of the descent-lemma and gradient-bound checks).
     """
 
     trace: np.ndarray

@@ -512,7 +512,8 @@ def write_bundle(result: ExperimentResult) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
 
-    # the records' trace rows in the order of runs.json, their index
+    # the records' trace rows in the order of runs.json, their index;
+    # the empty array gives the dtype when no run left a record
     np.save(os.path.join(cfg.out_dir, "trace.npy"), np.concatenate(
         [np.zeros(0, TRACE_DTYPE), *(result.records[k].trace for k in keys)]))
 
