@@ -35,7 +35,10 @@ class Problem:
     The objective oracle exists for verification and pruning metrics
     only; the optimizers themselves consume gradients exclusively.
     ``lipschitz``, when provided, is a (possibly loose) upper bound on
-    the gradient's Lipschitz constant.
+    the gradient's Lipschitz constant. The built-in families compute it
+    from :func:`prunadag.problems.spectral_norm_sq`, the top eigenvalue
+    of the smaller Gram matrix: ||A||_2^2 for least squares, 2 ||D||_2^2
+    for sparse coding and ||samples||_2^2 / 4N for the logistic loss.
     """
 
     dim: int
@@ -105,7 +108,21 @@ TRACE_FIELDS = (
     ("sum_gO2_over_wO2", "sum_gO2_over_wO2", np.float64),
     ("sum_xD2_over_wD2", "sum_xD2_over_wD2", np.float64),
 )
+# Every trace shares this one dtype object, so ``arr.dtype.names = ...``
+# would rename the fields of every record and of TRACE_DTYPE itself: use
+# ``arr.view(new_dtype)``. Checks compare names with TRACE_COLUMNS.
 TRACE_DTYPE = np.dtype([(col, dtype) for _, col, dtype in TRACE_FIELDS])
+TRACE_COLUMNS = tuple(col for _, col, _ in TRACE_FIELDS)
+
+
+def check_trace(trace: np.ndarray) -> None:
+    """Raise ValueError unless ``trace`` is a 1-D array of
+    :data:`TRACE_DTYPE` whose fields are named :data:`TRACE_COLUMNS`."""
+    if (trace.ndim != 1 or trace.dtype != TRACE_DTYPE
+            or trace.dtype.names != TRACE_COLUMNS):
+        raise ValueError(f"trace must be a 1-D array with the fields "
+                         f"{TRACE_COLUMNS} of TRACE_FIELDS, got "
+                         f"{trace.ndim}-D {trace.dtype}")
 
 
 @dataclass
@@ -134,9 +151,7 @@ class RunRecord:
         return int(self.trace.shape[0])
 
     def validate(self) -> None:
-        if self.trace.dtype != TRACE_DTYPE or self.trace.ndim != 1:
-            raise ValueError(f"trace must be a 1-D array of {TRACE_DTYPE}, "
-                             f"got {self.trace.ndim}-D {self.trace.dtype}")
+        check_trace(self.trace)
         n = self.x_final.shape[0]
         if np.any(self.card_R + self.card_A + self.card_D != n):
             raise ValueError("set cardinalities do not partition {0..n-1}")

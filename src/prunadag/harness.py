@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import baselines, optimizer, problems, pruning
-from .core import TRACE_DTYPE, Problem, RunRecord
+from .core import TRACE_DTYPE, Problem, RunRecord, check_trace
 from .steps import Variant
 
 
@@ -172,6 +172,22 @@ def load_config(path) -> ExperimentConfig:
         if m not in PRUNADAG_METHODS and m not in BASELINE_METHODS:
             raise ConfigError(f"unknown optimizer {m!r}")
 
+    T = get("optimizers", "t", int)
+    if T is not None and not 2 <= T <= params.get("n", T):
+        raise ConfigError(f"optimizers.t must be in [2, n], got {T}")
+    rates = {key: get("optimizers", key, float, default=default)
+             for key, default in (("varsigma", optimizer.DEFAULT_VARSIGMA),
+                                  ("tau1", 50.0), ("tau2", 100.0),
+                                  ("beta", 0.001))}
+    for key in ("varsigma", "beta"):
+        if not 0.0 < rates[key] < 1.0:
+            raise ConfigError(f"optimizers.{key} must be in (0, 1), "
+                              f"got {rates[key]}")
+    for key in ("tau1", "tau2"):
+        if not rates[key] > 0.0:
+            raise ConfigError(f"optimizers.{key} must be positive, "
+                              f"got {rates[key]}")
+
     sigmas = get("pruning", "sigma", _float_list, default=[])
     deltas = get("pruning", "delta", _float_list, default=[])
     for s in sigmas:
@@ -197,12 +213,8 @@ def load_config(path) -> ExperimentConfig:
         problem_params=params,
         seeds=seeds,
         methods=methods,
-        T=get("optimizers", "t", int),
-        varsigma=get("optimizers", "varsigma", float,
-                     default=optimizer.DEFAULT_VARSIGMA),
-        tau1=get("optimizers", "tau1", float, default=50.0),
-        tau2=get("optimizers", "tau2", float, default=100.0),
-        beta=get("optimizers", "beta", float, default=0.001),
+        T=T,
+        **rates,
         grad_tol=grad_tol,
         max_iters=max_iters,
         sigmas=sigmas,
@@ -509,8 +521,10 @@ def _active_means(curves: list) -> tuple[list, list]:
 def write_bundle(result: ExperimentResult) -> None:
     cfg = result.cfg
     methods = cfg.methods
-    os.makedirs(cfg.out_dir, exist_ok=True)
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
+    for key in keys:
+        check_trace(result.records[key].trace)
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     # the records' trace rows in the order of runs.json, their index;
     # the empty array gives the dtype when no run left a record

@@ -54,6 +54,20 @@ def dct_matrix(n: int) -> np.ndarray:
     return M
 
 
+def spectral_norm_sq(M: np.ndarray) -> float:
+    """||M||_2^2, the largest eigenvalue of the smaller Gram matrix.
+
+    G is ``M @ M.T`` when M has no more rows than columns and
+    ``M.T @ M`` otherwise, so the symmetric eigensolve is on
+    min(rows, cols) squared entries. This Gram-eigenvalue route
+    agrees with the full SVD's ``np.linalg.norm(M, 2) ** 2`` to about
+    1e-14 relative at a fraction of its cost, and gives exactly 0.0 for
+    a zero matrix.
+    """
+    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+    return float(np.linalg.eigvalsh(G)[-1])
+
+
 # ---------------------------------------------------------------------------
 # Least squares
 # ---------------------------------------------------------------------------
@@ -63,7 +77,8 @@ LS_KINDS = ("A1", "A2", "A3", "A4", "A5", "A6")
 
 @dataclass
 class LeastSquaresProblem:
-    """f(x) = 0.5 ||Ax - b||^2 with cached Lipschitz constant of g."""
+    """f(x) = 0.5 ||Ax - b||^2 with cached Lipschitz constant of g,
+    L = ||A||_2^2 from :func:`spectral_norm_sq`."""
 
     A: np.ndarray
     b: np.ndarray
@@ -71,7 +86,7 @@ class LeastSquaresProblem:
     lipschitz: float = field(init=False)
 
     def __post_init__(self):
-        self.lipschitz = float(np.linalg.norm(self.A, 2) ** 2)
+        self.lipschitz = spectral_norm_sq(self.A)
 
     # the arrays a Stack stacks, and those its instances share
     STACKED = ("A", "b")
@@ -165,7 +180,7 @@ class SparseCodingProblem:
     lipschitz: float = field(init=False)
 
     def __post_init__(self):
-        self.lipschitz = float(2.0 * np.linalg.norm(self.D, 2) ** 2)
+        self.lipschitz = 2.0 * spectral_norm_sq(self.D)
 
     STACKED = ()
     SHARED = ("D", "y")
@@ -253,7 +268,7 @@ class LogisticProblem:
 
     def problem(self) -> Problem:
         # Hessian is bounded by (1/4N) A^T A, a valid if loose constant.
-        L = float(np.linalg.norm(self.samples, 2) ** 2 / (4.0 * self.N))
+        L = spectral_norm_sq(self.samples) / (4.0 * self.N)
         return Problem(dim=self.dim, grad=self.gradient,
                        objective=self.value, lipschitz=L)
 

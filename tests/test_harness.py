@@ -143,9 +143,22 @@ class TestConfigParsing:
         ("sigma = 0.3, 0.5", "delta = 0.1, -1", "pruning.delta"),
         ("max_iters = 40", "max_iters = 0", "stop.max_iters"),
         ("max_iters = 40", "grad_tol = 0", "stop.grad_tol"),
-        ("max_iters = 40", "grad_tol = -1e-9", "stop.grad_tol")],
+        ("max_iters = 40", "grad_tol = -1e-9", "stop.grad_tol"),
+        ("v3, adagrad", "v3, adagrad\nt = 1", "optimizers.t"),
+        ("v3, adagrad", "v3, adagrad\nt = 31", "optimizers.t"),
+        ("v3, adagrad", "v3, adagrad\nvarsigma = 0", "optimizers.varsigma"),
+        ("v3, adagrad", "v3, adagrad\nvarsigma = 1", "optimizers.varsigma"),
+        ("v3, adagrad", "v3, adagrad\nvarsigma = 2", "optimizers.varsigma"),
+        ("v3, adagrad", "v3, adagrad\ntau1 = -1", "optimizers.tau1"),
+        ("v3, adagrad", "v3, adagrad\ntau2 = 0", "optimizers.tau2"),
+        ("v3, adagrad", "v3, adagrad\ntau1 = nan", "optimizers.tau1"),
+        ("v3, adagrad", "v3, adagrad\nbeta = 0", "optimizers.beta"),
+        ("v3, adagrad", "v3, adagrad\nbeta = 1", "optimizers.beta")],
         ids=["m == n", "m > n", "dct m == n", "negative delta",
-             "no iterations", "zero grad_tol", "negative grad_tol"])
+             "no iterations", "zero grad_tol", "negative grad_tol",
+             "t below 2", "t above n", "zero varsigma", "varsigma 1",
+             "varsigma above 1", "negative tau1", "zero tau2", "nan tau1",
+             "zero beta", "beta 1"])
     def test_bad_values_rejected_at_load(self, tmp_path, old, new, match):
         text = BASE_CONFIG.replace(old, new)
         if new.startswith("nnz"):
@@ -153,6 +166,15 @@ class TestConfigParsing:
                 "m = 6", "m = 30")
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, text))
+
+    def test_optimizer_parameters_inside_their_bounds_accepted(self, tmp_path):
+        text = BASE_CONFIG.replace("v3, adagrad", "v3, adagrad\nt = 30\n"
+                                   "varsigma = 0.999\ntau1 = 1e-9\nbeta = 1e-9")
+        cfg = load_config(write_config(tmp_path, text))
+        assert (cfg.T, cfg.varsigma, cfg.tau1, cfg.beta) == (
+            30, 0.999, 1e-9, 1e-9)
+        text = BASE_CONFIG.replace("v3, adagrad", "v3, adagrad\nt = 2")
+        assert load_config(write_config(tmp_path, text)).T == 2
 
     @pytest.mark.parametrize("raw, expected", [
         ("true", True), ("Yes", True), ("1", True), ("on", True),
@@ -571,6 +593,24 @@ class TestBundleFormat:
             np.save(path, trace)
         with pytest.raises(ValueError, match=os.path.basename(path)):
             load_bundle(cfg.out_dir)
+
+    def test_write_bundle_rejects_renamed_trace_fields(self, tmp_path):
+        """Every trace shares the dtype object TRACE_DTYPE, so renaming
+        the fields of a copy renames them in every record; the writer
+        refuses such a trace instead of saving it."""
+        result = run_experiment(load_config(write_config(tmp_path)))
+        record = next(iter(result.records.values()))
+        copy = record.trace.copy()
+        names = copy.dtype.names
+        try:
+            copy.dtype.names = ("objective", *names[1:])
+            with pytest.raises(ValueError, match="trace must be"):
+                record.validate()
+            with pytest.raises(ValueError, match="trace must be"):
+                harness.write_bundle(result)
+        finally:
+            copy.dtype.names = names
+        record.validate()
 
 
 def _fault_at(call, fault, seed_index):

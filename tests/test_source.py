@@ -24,6 +24,43 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def _dotted(node) -> str:
+    """'np.linalg.norm' for the callee of ``np.linalg.norm(...)``."""
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _is_full_svd(call: ast.Call) -> bool:
+    """A call of numpy's SVD, or of the matrix 2-norm, which is one."""
+    name = _dotted(call.func).rsplit(".", 1)[-1]
+    if name != "norm":
+        return name == "svd"
+    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+    try:
+        return any(ast.literal_eval(o) in (2, -2) for o in ords)
+    except ValueError:
+        return False
+
+
+def test_no_full_svd_on_the_set_up_path():
+    """Lipschitz constants come from problems.spectral_norm_sq, the top
+    eigenvalue of the smaller Gram matrix; a full SVD (np.linalg.svd,
+    np.linalg.norm(M, 2)) costs several times as much on a wide matrix."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and _is_full_svd(node)]
+    assert not found, f"full SVDs in the package: {found}"
+    for bad in ("np.linalg.svd(A)", "numpy.linalg.norm(A, 2)",
+                "np.linalg.norm(A, ord=2)", "linalg.norm(A, -2)",
+                "norm(A, 2)"):
+        assert _is_full_svd(ast.parse(bad).body[0].value), bad
+    for fine in ("np.linalg.norm(g)", "np.linalg.norm(A, 'fro')",
+                 "np.linalg.norm(A, ord=1)", "np.linalg.eigvalsh(A)"):
+        assert not _is_full_svd(ast.parse(fine).body[0].value), fine
+
+
 def test_every_trace_field_reads_as_its_column():
     """A RunRecord keeps its per-iteration values in the one trace
     array: each TRACE_FIELDS attribute reads as its column, as None when
