@@ -92,11 +92,22 @@ def _lmo(G: np.ndarray, T: int, tau: np.ndarray
     top = np.flatnonzero(relevant_mask(G, T))
     # every row holds exactly T entries, so (B, T) rows sum as 1-D arrays
     g_r = G.take(top).reshape(-1, T)
-    norm_r = np.sqrt((g_r ** 2).sum(axis=1))
-    nonzero = norm_r != 0.0
+    # squares below 1e-300 lose digits as subnormals and squares above
+    # 1.8e308 overflow: divide such rows by their largest magnitude first
+    with np.errstate(over="ignore"):
+        norm_r = np.sqrt((g_r ** 2).sum(axis=1))
+    odd = ~((norm_r >= 1e-150) & (norm_r < np.inf))
+    unit_norm = norm_r
+    if odd.any():
+        scale = np.abs(g_r[odd]).max(axis=1)
+        g_r[odd] /= np.where(scale != 0.0, scale, 1.0)[:, None]
+        unit_norm = norm_r.copy()
+        unit_norm[odd] = np.sqrt((g_r[odd] ** 2).sum(axis=1))
+        norm_r[odd] = scale * unit_norm[odd]
+    nonzero = unit_norm != 0.0
     V = np.zeros_like(G)
     V.ravel()[top] = (-tau[:, None] * g_r
-                      / np.where(nonzero, norm_r, 1.0)[:, None]).ravel()
+                      / np.where(nonzero, unit_norm, 1.0)[:, None]).ravel()
     if not nonzero.all():
         V[~nonzero] = 0.0
     return V, norm_r

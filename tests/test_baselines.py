@@ -87,6 +87,16 @@ class TestFwLmo:
         v = fw_lmo(g, FwConfig(T=2, tau=7.0))
         assert np.linalg.norm(v) == pytest.approx(7.0)
 
+    @pytest.mark.parametrize("size", [4.35109245e-160, 1e-300, 1e300])
+    def test_tiny_and_huge_gradients_reach_the_sphere(self, size):
+        # their squares are subnormal or overflow
+        g = np.full(15, size)
+        g[3] = -2.0 * size
+        V, norm_r = baselines._lmo(g[None], 2, np.array([3.0]))
+        assert np.linalg.norm(V[0]) == pytest.approx(3.0, rel=1e-12)
+        assert np.count_nonzero(V[0]) == 2 and V[0][3] > 0.0
+        assert norm_r[0] == pytest.approx(np.sqrt(5.0) * size, rel=1e-12)
+
     @given(hnp.arrays(np.float64, 15, elements=st.floats(-100, 100)),
            st.integers(1, 15), st.floats(0.5, 50))
     def test_support_and_norm_properties(self, g, T, tau):
