@@ -7,18 +7,18 @@ fuses the steps of :mod:`prunadag.steps` into one pass over boolean
 masks and advances a whole (B, n) block of independent runs at once:
 row b of every argument and output belongs to run b. The top-T set is
 selected once per row, no index arrays are built, and every reduction
-sums one row's compacted entries in the same order as the reference,
-so each row agrees bit for bit with the reference and with the same
-run advanced alone.
+that steers the step sums one row's compacted entries in the same order
+as the reference, so each row agrees bit for bit with the reference and
+with the same run advanced alone.
 
 Kernel outputs, for pre-step iterates ``X`` and gradients ``G``:
 
 * ``S``       -- the full steps (optimisable + decreasable parts),
 * ``W_opt``   -- committed optimisation weights,
 * ``W_dec``   -- committed decrease weights,
-* ``codes``   -- int8 membership per entry: 0 relevant, 1 acceptable,
-                 2 decreasable,
-* ``in_S``    -- boolean mask of the sign-matched decreasable subsets.
+* ``o``, ``r`` -- masks of the optimisable set O = R | A and of R,
+* ``stats``   -- per row, the trace entries of ``optimizer.STEP_FIELDS``;
+                 a sum among them runs over a whole row, zeros off its set.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ import numpy as np
 
 from . import steps
 from .steps import Variant
-
-CODE_RELEVANT = 0
-CODE_ACCEPTABLE = 1
-CODE_DECREASABLE = 2
 
 
 def variant_flags(variants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,26 +73,26 @@ def iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
     variant flags (see :func:`variant_flags`). See the module doc."""
     r = steps.relevant_mask(G, T)
     match = steps.sign_match_mask(X, G)
-    w_tent = np.sqrt(W_opt_prev ** 2 + G ** 2)
+    G2 = G ** 2
+    X2 = X ** 2
+    w_tent = np.sqrt(W_opt_prev ** 2 + G2)
     abs_x = np.abs(X)
+    tilde = ~r & match
 
     # lower bound a_i of the acceptable-set test (used off R only)
     a = abs_x / (k + 1)
     if rescale.any():
         # every row holds exactly T relevant entries
-        num = np.sqrt((compact(G, r) ** 2).reshape(-1, T).sum(axis=1))
-        tilde = ~r & match
-        denom = np.sqrt(row_sums(compact(X, tilde) ** 2, tilde.sum(axis=1),
+        num = np.sqrt(compact(G2, r).reshape(-1, T).sum(axis=1))
+        denom = np.sqrt(row_sums(compact(X2, tilde), tilde.sum(axis=1),
                                  np.flatnonzero(rescale)))
-        scaled = denom > 0.0
-        if scaled.any():
-            # a row left unscaled is multiplied by 1, which is exact
-            factor = np.ones_like(denom)
-            factor[scaled] = num[scaled] / denom[scaled]
-            a *= factor[:, None]
+        # a row left unscaled is multiplied by 1, which is exact
+        a *= np.divide(num, denom, out=np.ones_like(denom),
+                       where=denom > 0.0)[:, None]
 
-    ratio = np.abs(G) / w_tent
-    acceptable = ~r & match & (a <= ratio)
+    q = G / w_tent
+    ratio = np.abs(q)
+    acceptable = tilde & (a <= ratio)
     if bound.any():
         capped = ratio <= abs_x
         if not bound.all():
@@ -106,16 +102,19 @@ def iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
         acceptable &= ~relevant_only[:, None]
     o = r | acceptable
     d = ~o
-    in_S = d & match
 
     W_opt = np.where(o, w_tent, W_opt_prev)
-    W_dec = np.where(d, np.sqrt(W_dec_prev ** 2 + X ** 2), W_dec_prev)
+    W_dec = np.where(d, np.sqrt(W_dec_prev ** 2 + X2), W_dec_prev)
     limit = abs_x / W_dec
-    s_dec = np.where(in_S, -np.sign(X) * np.minimum(a, limit), 0.0)
+    s_dec = np.where(d & match, -np.sign(X) * np.minimum(a, limit), 0.0)
     # s_dec is zero off S, so checking every entry checks D
     steps.check_trust_region(G, s_dec, limit)
-    S = np.where(o, -G / w_tent, 0.0) + s_dec
+    S = np.where(o, -q, 0.0) + s_dec
 
-    # 2 - [i in O] - [i in R]: 0 on R, 1 on A, 2 on D
-    codes = CODE_DECREASABLE - o.view(np.int8) - r.view(np.int8)
-    return S, W_opt, W_dec, codes, in_S
+    card_O = o.sum(axis=1)
+    gO2 = np.where(o, G2, 0.0)
+    stats = (np.sqrt(gO2.sum(axis=1)), np.full(len(card_O), T), card_O - T,
+             X.shape[1] - card_O, abs_x.max(axis=1),
+             (gO2 / W_opt).sum(axis=1), np.where(o, q * q, 0.0).sum(axis=1),
+             np.where(d, limit * limit, 0.0).sum(axis=1))
+    return S, W_opt, W_dec, o, r, stats

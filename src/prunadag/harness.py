@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import json
 import os
-import dataclasses
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -519,22 +519,39 @@ def _active_means(curves: list) -> tuple[list, list]:
 
 
 def write_bundle(result: ExperimentResult) -> None:
+    """Write the bundle into a new directory beside ``cfg.out_dir`` that
+    then replaces it: an interrupted write leaves the old bundle or none,
+    and no file of an earlier bundle survives. A directory that holds
+    files but no ``meta.json`` is not a bundle and is not replaced."""
+    out = os.path.abspath(result.cfg.out_dir)
+    if os.path.isdir(out) and os.listdir(out) and not os.path.isfile(
+            os.path.join(out, "meta.json")):
+        raise FileExistsError(f"{out} is not a bundle; not replacing it")
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(out)) as stage:
+        _write_files(result, os.path.join(stage, "new"))
+        if os.path.isdir(out):
+            os.replace(out, os.path.join(stage, "old"))
+        os.replace(os.path.join(stage, "new"), out)
+
+
+def _write_files(result: ExperimentResult, out_dir: str) -> None:
     cfg = result.cfg
     methods = cfg.methods
     keys = sorted(result.records, key=lambda t: (methods.index(t[0]), t[1]))
     for key in keys:
         check_trace(result.records[key].trace)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
+    os.mkdir(out_dir)
     # the records' trace rows in the order of runs.json, their index;
     # the empty array gives the dtype when no run left a record
-    np.save(os.path.join(cfg.out_dir, "trace.npy"), np.concatenate(
+    np.save(os.path.join(out_dir, "trace.npy"), np.concatenate(
         [np.zeros(0, TRACE_DTYPE), *(result.records[k].trace for k in keys)]))
 
     # csv writes a missing accuracy (None) as an empty field
-    prune_out = [(*key, *dataclasses.astuple(row)) for key in keys
-                 for row in result.prune_rows.get(key, [])]
-    _write_csv(os.path.join(cfg.out_dir, "prune.csv"),
+    prune_out = [(*key, row.target_kind, row.target_value,
+                  row.achieved_sparsity, row.rho, row.omega, row.accuracy)
+                 for key in keys for row in result.prune_rows.get(key, [])]
+    _write_csv(os.path.join(out_dir, "prune.csv"),
                ["optimizer", "seed", "target_kind", "target_value",
                 "achieved_sparsity", "rho", "omega",
                 "accuracy_if_classification"],
@@ -568,7 +585,7 @@ def write_bundle(result: ExperimentResult) -> None:
             ("plot_sparsity.csv", "k", "mean_below_delta_frac", spars),
             ("plot_rho.csv", "sigma", "mean_rho", rho),
             ("plot_omega.csv", "sigma", "mean_omega", omega)):
-        _write_csv(os.path.join(cfg.out_dir, name),
+        _write_csv(os.path.join(out_dir, name),
                    ["optimizer", x, mean, "num_seeds"], rows)
 
     runs_info = []
@@ -601,6 +618,6 @@ def write_bundle(result: ExperimentResult) -> None:
                      for (m, i), r in sorted(result.failures.items())],
     }
     for name, data in (("meta.json", meta), ("runs.json", runs_info)):
-        with open(os.path.join(cfg.out_dir, name), "w") as fh:
+        with open(os.path.join(out_dir, name), "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")

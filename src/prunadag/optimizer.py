@@ -176,7 +176,7 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
         if failed:
             keep = block.finish(failed)
             G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
-        below = np.count_nonzero(np.abs(block.X) < delta_trace, axis=1)
+        below = (np.abs(block.X) < delta_trace).sum(axis=1)
         while block.runs:
             try:
                 X_next, stats = step(block.X, G, grad_norm, k, block.state)
@@ -335,31 +335,23 @@ def _block_state(W_opt: np.ndarray, W_dec: np.ndarray,
 
 
 def _advance(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
-             ) -> tuple[np.ndarray, np.ndarray, tuple]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Take one kernel step from the block ``X`` at gradients ``G`` and
     commit the weights in ``state``.
 
-    Returns the steps, the membership codes and, per row, the trace
-    entries of :data:`STEP_FIELDS`: ``(grad_norm_opt, card_R, card_A,
-    card_D, max_abs_x, sum_gO2_over_wO, sum_gO2_over_wO2,
-    sum_xD2_over_wD2)``.
+    Returns the steps, the masks of O and R and, per row, the trace
+    entries of :data:`STEP_FIELDS`.
     """
-    S, W_opt, W_dec, codes, _ = _kernels.iterate(
+    S, state["w_opt"], state["w_dec"], o, r, stats = _kernels.iterate(
         X, G, state["w_opt"], state["w_dec"], k, T, state["rescale"],
         state["bound"], state["relevant_only"])
-    d = codes == _kernels.CODE_DECREASABLE
-    o = ~d
-    card_O = o.sum(axis=1)
-    card_R = (codes == _kernels.CODE_RELEVANT).sum(axis=1)
-    gO = np.where(o, G, 0.0)
-    gO2 = gO ** 2
-    sums = np.stack([gO2, gO2 / W_opt, (gO / W_opt) ** 2,
-                     (np.where(d, X, 0.0) / W_dec) ** 2]).sum(axis=2)
-    stats = (np.sqrt(sums[0]), card_R, card_O - card_R,
-             X.shape[1] - card_O, np.abs(X).max(axis=1), sums[1], sums[2],
-             sums[3])
-    state["w_opt"], state["w_dec"] = W_opt, W_dec
-    return S, codes, stats
+    return S, o, r, stats
+
+
+# the membership codes of prunadag_iterate's history, one per entry
+CODE_RELEVANT = 0
+CODE_ACCEPTABLE = 1
+CODE_DECREASABLE = 2
 
 
 def prunadag_iterate(state: PrunAdagState, problem: Problem,
@@ -375,15 +367,17 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem,
     g, grad_norm = G[0], norm[0]
     block = _block_state(state.w_opt[None], state.w_dec[None],
                          [state.variant])
-    S, codes, stats = _advance(state.x[None], g[None], state.k, state.T,
-                               block)
+    S, o, r, stats = _advance(state.x[None], g[None], state.k, state.T,
+                              block)
     state.x = state.x + S[0]
     state.w_opt, state.w_dec = block["w_opt"][0], block["w_dec"][0]
     state.k += 1
     rec = {"grad_norm": grad_norm,
            **{name: col[0] for name, col in zip(STEP_FIELDS, stats)}}
     if keep_history:
-        rec.update(g=g, codes=codes[0], step=S[0])
+        # 2 - [i in O] - [i in R]
+        codes = CODE_DECREASABLE - o[0].view(np.int8) - r[0].view(np.int8)
+        rec.update(g=g, codes=codes, step=S[0])
     return rec
 
 
@@ -404,7 +398,7 @@ def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
     state = _block_state(weights, weights.copy(), variants)
 
     def step(X, G, grad_norm, k, state):
-        S, _, stats = _advance(X, G, k, T, state)
+        S, _, _, stats = _advance(X, G, k, T, state)
         return X + S, stats
 
     return drive(problems, X0, step, state, **stop)

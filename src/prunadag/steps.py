@@ -199,16 +199,17 @@ def check_trust_region(g: np.ndarray, s: np.ndarray,
     ``python -O``.
     """
     g, s, limit = np.atleast_2d(g, s, limit)
-    within = np.all(np.abs(s) <= limit, axis=1)
-    descent = np.all(g * s <= 0.0, axis=1)
-    failing = np.flatnonzero(~(within & descent))
-    if failing.size:
-        row = int(failing[0])
-        if not within[row]:
-            raise TrustRegionError(
-                f"row {row}: decreasable step exceeds |x_i|/w_i", row)
+    within = np.abs(s) <= limit     # False at a NaN
+    descent = g * s <= 0.0
+    if (within & descent).all():
+        return
+    within, descent = within.all(axis=1), descent.all(axis=1)
+    row = int(np.flatnonzero(~(within & descent))[0])
+    if not within[row]:
         raise TrustRegionError(
-            f"row {row}: decreasable step is not a descent direction", row)
+            f"row {row}: decreasable step exceeds |x_i|/w_i", row)
+    raise TrustRegionError(
+        f"row {row}: decreasable step is not a descent direction", row)
 
 
 def decreasable_step(x: np.ndarray, g: np.ndarray, w_dec: np.ndarray,

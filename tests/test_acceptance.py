@@ -175,12 +175,12 @@ def test_criterion_03_algorithmic_invariants():
         g = rng.standard_normal(n) * float(rng.uniform(0.01, 10.0))
         w = np.sqrt(VARSIGMA + rng.random(n))
         variant = ALL_VARIANTS[total % len(ALL_VARIANTS)]
-        s, w_opt, w_dec, codes, in_s = (a[0] for a in iterate(
+        s, w_opt, w_dec, o, r = (a[0] for a in iterate(
             x[None], g[None], w[None], w[None].copy(), total % 7, T,
-            *variant_flags([variant])))
+            *variant_flags([variant]))[:5])
         total += 1
-        d = codes == 2
-        if int(np.count_nonzero(codes == 0)) != T:
+        d = ~o
+        if int(np.count_nonzero(r)) != T:
             violations.append("partition (fuzz)")
         if np.any(np.abs(s[d]) > np.abs(x[d]) / w_dec[d] * (1 + 1e-12)):
             violations.append("dis_abs (fuzz)")

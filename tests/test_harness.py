@@ -537,6 +537,62 @@ class TestProcessPool:
         assert proc.stdout.strip() == "[]"
 
 
+BLAS_GRID = """\
+[problem]
+kind = least_squares
+matrix = A3
+m = {m}
+n = {n}
+seeds = {seeds}
+
+[optimizers]
+methods = {methods}
+
+[stop]
+grad_tol = 1e-300
+max_iters = {iters}
+
+[pruning]
+sigma = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9
+
+[output]
+dir = {{out}}
+"""
+
+
+@pytest.mark.parametrize("shape", [
+    # the ls_desk benchmark grid, 4 seeds and 100 iterations
+    dict(m=20, n=200, seeds=4, iters=100,
+         methods="v1, v2, v3, v4, adagrad, fw1, fw2"),
+    # the ls_wide benchmark shape: OpenBLAS gemm (Q @ G in the A3
+    # generator) and gemv give other bits at 2 threads than at 1, so the
+    # matrix, lipschitz, f0 and every trace differ; OpenBLAS runs one
+    # thread on one CPU
+    pytest.param(dict(m=500, n=5000, seeds=2, iters=20,
+                      methods="v3, adagrad, fw2"),
+                 marks=pytest.mark.xfail(
+                     len(os.sched_getaffinity(0)) >= 2, strict=True,
+                     reason="BLAS results depend on the thread count at "
+                            "this size")),
+], ids=["desk", "wide"])
+def test_bundle_independent_of_blas_threads(tmp_path, shape):
+    path = write_config(tmp_path, BLAS_GRID.format(**shape))
+    bundles = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prunadag.cli", "run", str(path),
+             "--out", out],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        bundles.append(_read_bundle(out))
+    assert len(bundles[0]) == 8
+    for name, blob in bundles[0].items():
+        assert bundles[1][name] == blob, f"{name} differs at 2 BLAS threads"
+
+
 class TestBundleFormat:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=6),
@@ -611,6 +667,43 @@ class TestBundleFormat:
         finally:
             copy.dtype.names = names
         record.validate()
+
+    def test_rerun_leaves_no_file_of_the_earlier_bundle(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        first = _read_bundle(cfg.out_dir)
+        # a file an earlier bundle format wrote and this one does not
+        with open(os.path.join(cfg.out_dir, "trace.csv"), "w") as fh:
+            fh.write("stale\n")
+        run_experiment(cfg)
+        assert _read_bundle(cfg.out_dir) == first
+        assert sorted(os.listdir(tmp_path)) == ["exp.ini", "results"]
+
+    def test_interrupted_write_keeps_the_old_bundle(self, tmp_path,
+                                                    monkeypatch):
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        first = _read_bundle(cfg.out_dir)
+        cfg.master_seed += 1
+        save = np.save
+
+        def interrupted(path, arr):
+            save(path, arr[:1])
+            raise OSError("interrupted")
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            run_experiment(cfg)
+        assert _read_bundle(cfg.out_dir) == first
+        assert sorted(os.listdir(tmp_path)) == ["exp.ini", "results"]
+
+    def test_a_directory_that_is_not_a_bundle_is_kept(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        os.makedirs(cfg.out_dir)
+        with open(os.path.join(cfg.out_dir, "notes.txt"), "w") as fh:
+            fh.write("mine\n")
+        with pytest.raises(FileExistsError, match="not a bundle"):
+            run_experiment(cfg)
+        assert _read_bundle(cfg.out_dir) == {"notes.txt": b"mine\n"}
 
 
 def _fault_at(call, fault, seed_index):

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
-from prunadag import _kernels, baselines, optimizer, steps
-from prunadag._kernels import (CODE_DECREASABLE, CODE_RELEVANT, iterate,
-                               variant_flags)
+from prunadag import baselines, optimizer, steps
+from prunadag._kernels import iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
                                 fw_batch, fw_run)
 from prunadag.core import TRACE_FIELDS, DivergedError, Problem, RunRecord
-from prunadag.optimizer import (DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
+from prunadag.optimizer import (CODE_ACCEPTABLE, CODE_DECREASABLE,
+                                DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
                                 DEFAULT_VARSIGMA, STEP_FIELDS, default_target,
                                 run_batch)
 from prunadag.problems import LeastSquaresProblem, Stack, gen_least_squares
@@ -26,10 +26,11 @@ ALL_VARIANTS = [Variant.V1, Variant.V2, Variant.V3, Variant.V4,
 
 
 def iterate_row(x, g, w_opt_prev, w_dec_prev, k, T, variant):
-    """The kernel on a block of one row, x[None]; returns the row."""
-    out = iterate(x[None], g[None], w_opt_prev[None], w_dec_prev[None], k, T,
-                  *variant_flags([variant]))
-    return tuple(a[0] for a in out)
+    """The kernel on a block of one row, x[None]; returns the row, its
+    statistics as one tuple."""
+    *out, stats = iterate(x[None], g[None], w_opt_prev[None],
+                          w_dec_prev[None], k, T, *variant_flags([variant]))
+    return (*(a[0] for a in out), tuple(col[0] for col in stats))
 
 
 def quadratic_problem(n):
@@ -80,13 +81,13 @@ class TestHandTrace:
         x = np.array([1.0, 1.0])
         g = np.array([2.0, 0.5])
         w0 = np.full(2, 0.1)
-        s, w_opt, w_dec, codes, in_s = iterate_row(x, g, w0, w0.copy(), 0, 1,
-                                                   Variant.V2)
+        s, w_opt, w_dec, o, r, _ = iterate_row(x, g, w0, w0.copy(), 0, 1,
+                                               Variant.V2)
         # R = {0}; index 1: |g/w~| = 0.5/sqrt(0.26) ~ 0.980581 < a = 1
         # so it is decreasable and sign-matched.
-        assert codes[0] == CODE_RELEVANT
-        assert codes[1] == CODE_DECREASABLE
-        assert bool(in_s[1])
+        assert r[0]
+        assert not o[1]
+        assert bool((~o & steps.sign_match_mask(x, g))[1])
         assert s[0] == pytest.approx(-2.0 / math.sqrt(4.01))
         # s^L = -1/sqrt(1.01) with magnitude < a = 1
         assert s[1] == pytest.approx(-1.0 / math.sqrt(1.01))
@@ -151,8 +152,9 @@ class TestRunLoop:
 
 class TestKernelPathsAgree:
     """The fused kernel must reproduce a step-by-step composition of the
-    :mod:`prunadag.steps` reference bit for bit, on all five outputs;
-    any drift means the two implementations have silently diverged."""
+    :mod:`prunadag.steps` reference bit for bit: the step, both weights,
+    the masks of O and R and the set S; any drift means the two
+    implementations have silently diverged."""
 
     @staticmethod
     def reference(x, g, w_opt_prev, w_dec_prev, k, T, variant):
@@ -164,12 +166,15 @@ class TestKernelPathsAgree:
                                             w_tent, x, cls)
         s = steps.optimisable_step(g, w_tent, cls.O)
         s += steps.decreasable_step(x, g, w_dec, cls, a)
-        codes = np.full(x.shape[0], CODE_DECREASABLE, dtype=np.int8)
-        codes[cls.R] = CODE_RELEVANT
-        codes[cls.A] = _kernels.CODE_ACCEPTABLE
-        in_S = np.zeros(x.shape[0], dtype=bool)
-        in_S[cls.S] = True
-        return s, w_opt, w_dec, codes, in_S
+        o, r, in_S = (np.zeros(x.shape[0], dtype=bool) for _ in range(3))
+        o[cls.O] = r[cls.R] = in_S[cls.S] = True
+        return s, w_opt, w_dec, o, r, in_S
+
+    @staticmethod
+    def kernel(x, g, *args):
+        """The kernel's row, with S = D & sign match derived from it."""
+        s, w_opt, w_dec, o, r, _ = iterate_row(x, g, *args)
+        return s, w_opt, w_dec, o, r, ~o & steps.sign_match_mask(x, g)
 
     @staticmethod
     def assert_bitwise(out, ref):
@@ -191,7 +196,7 @@ class TestKernelPathsAgree:
                 g = problem.gradient(state.x)
                 args = (state.x, g, state.w_opt, state.w_dec, state.k,
                         state.T, variant)
-                out = iterate_row(*args)
+                out = self.kernel(*args)
                 self.assert_bitwise(out, self.reference(*args))
                 state.x = state.x + out[0]
                 state.w_opt, state.w_dec = out[1], out[2]
@@ -221,12 +226,51 @@ class TestKernelPathsAgree:
         w_opt = np.sqrt(0.01 + rng.random(n))
         w_dec = np.sqrt(0.01 + rng.random(n))
         args = (x, g, w_opt, w_dec, int(rng.integers(0, 50)), T, variant)
-        self.assert_bitwise(iterate_row(*args), self.reference(*args))
+        self.assert_bitwise(self.kernel(*args), self.reference(*args))
 
 
 class TestTraceStatistics:
+    @staticmethod
+    def reference(X, G, W_opt, W_dec, o, r):
+        """The eight statistics from the masks and committed weights
+        alone, summed as one stacked (4, B, n) array."""
+        d = ~o
+        card_O = o.sum(axis=1)
+        card_R = r.sum(axis=1)
+        gO = np.where(o, G, 0.0)
+        gO2 = gO ** 2
+        sums = np.stack([gO2, gO2 / W_opt, (gO / W_opt) ** 2,
+                         (np.where(d, X, 0.0) / W_dec) ** 2]).sum(axis=2)
+        return (np.sqrt(sums[0]), card_R, card_O - card_R,
+                X.shape[1] - card_O, np.abs(X).max(axis=1), sums[1],
+                sums[2], sums[3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_kernel_statistics_bitwise_equal_the_reference(self, seed):
+        # small integer grids make ties at the top-T threshold, zeros in
+        # x and g, and exact sign matches common
+        rng = np.random.default_rng(seed)
+        B = int(rng.integers(1, 13))
+        n = int(rng.integers(2, 30))
+        T = int(rng.integers(1, n + 1))
+        X = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 0.5, 1e-3]))
+        G = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 0.25, 7.0]))
+        W_opt_prev = np.sqrt(0.01 + rng.random((B, n)))
+        W_dec_prev = np.sqrt(0.01 + rng.random((B, n)))
+        variants = [ALL_VARIANTS[i]
+                    for i in rng.integers(len(ALL_VARIANTS), size=B)]
+        _, W_opt, W_dec, o, r, stats = iterate(
+            X, G, W_opt_prev, W_dec_prev, int(rng.integers(0, 50)), T,
+            *variant_flags(variants))
+        want = self.reference(X, G, W_opt, W_dec, o, r)
+        assert len(stats) == len(want) == len(STEP_FIELDS)
+        for name, got, ref in zip(STEP_FIELDS, stats, want):
+            assert got.dtype == ref.dtype and got.shape == (B,), name
+            assert got.tobytes() == ref.tobytes(), name
+
     def test_masked_row_sums_match_the_per_row_reference(self):
-        """_advance sums whole masked rows; the reference sums each row's
+        """The kernel sums whole masked rows; the reference sums each row's
         compacted entries. The two orders agree to a few ulps (the
         tolerance, 16 eps of float64, is fixed beforehand); the counts
         are exact."""
@@ -238,11 +282,11 @@ class TestTraceStatistics:
         state = optimizer._block_state(rng.uniform(0.1, 2.0, (B, n)),
                                        rng.uniform(0.1, 2.0, (B, n)),
                                        [*ALL_VARIANTS, Variant.V3])
-        _, codes, stats = optimizer._advance(X, G, 3, T, state)
+        _, o, r, stats = optimizer._advance(X, G, 3, T, state)
         stats = dict(zip(STEP_FIELDS, stats))
         W_opt, W_dec = state["w_opt"], state["w_dec"]
         for b in range(B):
-            O = codes[b] != CODE_DECREASABLE
+            O = o[b]
             gO, wO = G[b][O], W_opt[b][O]
             want = {"grad_norm_opt": math.sqrt(np.sum(gO ** 2)),
                     "sum_gO2_over_wO": np.sum(gO ** 2 / wO),
@@ -252,9 +296,8 @@ class TestTraceStatistics:
                 np.testing.assert_allclose(
                     stats[name][b], value,
                     rtol=16 * np.finfo(np.float64).eps, atol=0, err_msg=name)
-            assert stats["card_R"][b] == np.sum(codes[b] == CODE_RELEVANT)
-            assert stats["card_A"][b] == np.sum(
-                codes[b] == _kernels.CODE_ACCEPTABLE)
+            assert stats["card_R"][b] == np.sum(r[b])
+            assert stats["card_A"][b] == np.sum(o[b] & ~r[b])
             assert stats["card_D"][b] == np.sum(~O)
             assert stats["max_abs_x"][b] == np.abs(X[b]).max()
 
@@ -660,7 +703,6 @@ class TestSignPreservation:
         problem = ls.problem()
         x0 = np.random.default_rng(9).standard_normal(40)
         state = PrunAdagState(x=x0, T=4, variant=variant)
-        from prunadag._kernels import CODE_ACCEPTABLE
         for _ in range(100):
             x_before = state.x.copy()
             rec = prunadag_iterate(state, problem, keep_history=True)

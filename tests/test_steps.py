@@ -298,6 +298,17 @@ class TestDecreasableStep:
             check_trust_region(g, s, np.full((3, 2), 2.0))
         assert exc.value.row == 1
 
+    @pytest.mark.parametrize("where", ["s", "limit"])
+    def test_nan_fails_its_row(self, where):
+        # NaN compares false, so it fails |s_i| <= limit_i in its row
+        g = np.ones((3, 2))
+        s = np.array([[-1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+        limit = np.full((3, 2), 2.0)
+        {"s": s, "limit": limit}[where][1, 1] = np.nan
+        with pytest.raises(TrustRegionError, match="row 1: .*exceeds") as exc:
+            check_trust_region(g, s, limit)
+        assert exc.value.row == 1
+
     def test_step_beyond_limit_raises(self):
         with pytest.raises(TrustRegionError, match="exceeds"):
             check_trust_region(np.array([1.0]), np.array([-2.0]),
