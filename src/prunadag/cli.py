@@ -15,16 +15,6 @@ import sys
 from . import harness, problems, pruning, verify
 
 
-def _apply_overrides(cfg, args):
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.master_seed is not None:
-        cfg.master_seed = args.master_seed
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prunadag",
@@ -33,13 +23,11 @@ def main(argv=None) -> int:
 
     p_run = subs.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="experiment config file")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="worker processes; batches are sharded by "
-                            "instance (default from config)")
-    p_run.add_argument("--out", default=None,
-                       help="output directory override")
-    p_run.add_argument("--master-seed", type=int, default=None,
-                       help="master seed override")
+    # each option overrides the [output] key named by its dest
+    p_run.add_argument("--jobs", help="worker processes; batches are "
+                       "sharded by instance (default from config)")
+    p_run.add_argument("--out", dest="dir", help="output directory override")
+    p_run.add_argument("--master-seed", help="master seed override")
 
     p_verify = subs.add_parser(
         "verify", help="run theory checks on stored traces")
@@ -57,14 +45,18 @@ def main(argv=None) -> int:
                               "(enables rho/omega; seed index 0 instance)")
 
     args = parser.parse_args(argv)
+    given = vars(args)
+    overrides = [(("output", key), given[key]) for key in
+                 ("dir", "jobs", "master_seed") if given.get(key) is not None]
+    try:
+        cfg = (None if given.get("config") is None
+               else harness.load_config(args.config, overrides))
+    except harness.ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
     if args.command == "run":
-        try:
-            cfg = harness.load_config(args.config)
-        except harness.ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-        result = harness.run_experiment(_apply_overrides(cfg, args))
+        result = harness.run_experiment(cfg)
         done = len(result.records.keys() - result.failures.keys())
         print(f"completed {done} runs "
               f"({len(result.failures)} failed) -> {cfg.out_dir}")
@@ -87,10 +79,7 @@ def main(argv=None) -> int:
 
     # prune
     x = problems.load_solution(args.solution)
-    problem = None
-    if args.config is not None:
-        cfg = harness.load_config(args.config)
-        problem = harness.build_problem(cfg, 0).problem
+    problem = None if cfg is None else harness.build_problem(cfg, 0).problem
     header = "target_kind,target_value,achieved_sparsity,nonzeros"
     if problem is not None:
         header += ",rho,omega"

@@ -19,6 +19,7 @@ map and written in sorted order.
 from __future__ import annotations
 
 import configparser
+import copy
 import csv
 import hashlib
 import itertools
@@ -47,8 +48,6 @@ PRUNADAG_METHODS = {
     "relevant-only": Variant.RELEVANT_ONLY,
 }
 BASELINE_METHODS = ("adagrad", "fw1", "fw2")
-PROBLEM_KINDS = ("least_squares", "dct_recovery", "logistic_synthetic",
-                 "libsvm", "sparse_coding")
 
 
 @dataclass
@@ -76,17 +75,6 @@ class ExperimentConfig:
         return self.T if self.T is not None else optimizer.default_target(n)
 
 
-_SCHEMA = {
-    "problem": {"kind", "matrix", "m", "n", "seeds", "nnz", "noise",
-                "informative", "samples", "path", "dict_path", "data_path",
-                "column"},
-    "optimizers": {"methods", "t", "varsigma", "tau1", "tau2", "beta"},
-    "stop": {"grad_tol", "max_iters"},
-    "pruning": {"sigma", "delta", "delta_trace"},
-    "output": {"dir", "jobs", "master_seed", "record_objective"},
-}
-
-
 def _bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -95,137 +83,159 @@ def _bool(raw: str) -> bool:
 
 
 def _float_list(raw: str) -> list[float]:
-    raw = raw.strip()
-    if not raw:
-        return []
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file, filling the standard defaults
-    (varsigma 0.01, T = ceil(n/10), grad_tol 1e-9, max_iters 10^4,
-    20 seeds)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def _one_of(options, noun: str):
+    """A parse that takes only one of ``options``."""
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"unknown {noun} {raw!r}, expected one of "
+                             f"{', '.join(options)}")
+        return raw
+    return parse
+
+
+def _methods(raw: str) -> list[str]:
+    known = _one_of([*PRUNADAG_METHODS, *BASELINE_METHODS], "optimizer")
+    methods = [known(tok.strip().lower()) for tok in raw.split(",")
+               if tok.strip()]
+    if not methods:
+        raise ValueError("lists no method")
+    return methods
+
+
+def _path(raw: str) -> str:
+    if not os.path.exists(raw):
+        raise ValueError(f"{raw} does not exist")
+    return raw
+
+
+def _sparse_coding(p: dict, seed: int):
+    # fixed files: the seed only varies the starting point
+    Y = problems.load_matrix(p["data_path"])
+    y = Y[:, p["column"]] if Y.shape[1] > 1 else Y.reshape(-1)
+    return problems.SparseCodingProblem(
+        D=problems.load_matrix(p["dict_path"]), y=y), None
+
+
+# Each problem kind: its [problem] keys, and build(params, seed) ->
+# (family instance, test split or None).
+PROBLEMS = {
+    "least_squares": (("matrix", "m", "n"), lambda p, seed: (
+        problems.gen_least_squares(p["matrix"], p["m"], p["n"], seed), None)),
+    "dct_recovery": (("m", "n", "nnz", "noise"), lambda p, seed: (
+        problems.gen_dct_sparse_recovery(p["m"], p["n"], seed, p["nnz"],
+                                         p["noise"]), None)),
+    "logistic_synthetic": (("n", "informative", "samples"), lambda p, seed:
+                           problems.gen_separable_classification(
+                               p["n"], p["informative"], p["samples"], seed)),
+    "libsvm": (("path",), lambda p, seed:
+               problems.load_libsvm(p["path"], split_seed=seed)),
+    "sparse_coding": (("dict_path", "data_path", "column"), _sparse_coding),
+}
+PROBLEM_KINDS = tuple(PROBLEMS)
+
+REQUIRED = object()
+
+
+def _at_least(lo):
+    return lambda v: v >= lo, f">= {lo}"
+
+
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+# (section, key) -> (ExperimentConfig field, or None for an entry of
+# problem_params, taken only by the kinds that list the key in PROBLEMS;
+# parse; default or REQUIRED; None or (bound, what it asks)). A bound on
+# a list checks every entry. Rows are read in order, problem.kind first.
+_KEYS = {
+    ("problem", "kind"): (
+        "problem_kind", _one_of(PROBLEMS, "problem kind"), REQUIRED, None),
+    ("problem", "seeds"): ("seeds", int, 20, _at_least(1)),
+    ("problem", "matrix"): (
+        None, _one_of(problems.LS_KINDS, "matrix kind"), REQUIRED, None),
+    ("problem", "m"): (None, int, REQUIRED, _at_least(1)),
+    ("problem", "n"): (None, int, REQUIRED, _at_least(2)),
+    ("problem", "nnz"): (None, int, REQUIRED, _at_least(0)),
+    ("problem", "noise"): (None, float, 0.0, _at_least(0.0)),
+    ("problem", "informative"): (None, int, REQUIRED, _at_least(1)),
+    ("problem", "samples"): (None, int, REQUIRED, _at_least(2)),
+    ("problem", "path"): (None, _path, REQUIRED, None),
+    ("problem", "dict_path"): (None, _path, REQUIRED, None),
+    ("problem", "data_path"): (None, _path, REQUIRED, None),
+    ("problem", "column"): (None, int, 0, None),
+    ("optimizers", "methods"): ("methods", _methods, REQUIRED, None),
+    ("optimizers", "t"): ("T", int, None, _at_least(2)),
+    ("optimizers", "varsigma"): (
+        "varsigma", float, optimizer.DEFAULT_VARSIGMA, _OPEN_UNIT),
+    ("optimizers", "tau1"): ("tau1", float, 50.0, _POSITIVE),
+    ("optimizers", "tau2"): ("tau2", float, 100.0, _POSITIVE),
+    ("optimizers", "beta"): ("beta", float, 0.001, _OPEN_UNIT),
+    ("stop", "grad_tol"): (
+        "grad_tol", float, optimizer.DEFAULT_GRAD_TOL, _POSITIVE),
+    ("stop", "max_iters"): (
+        "max_iters", int, optimizer.DEFAULT_MAX_ITERS, _at_least(1)),
+    ("pruning", "sigma"): (
+        "sigmas", _float_list, [], (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+    ("pruning", "delta"): ("deltas", _float_list, [], _at_least(0.0)),
+    ("pruning", "delta_trace"): ("delta_trace", float, 1e-3, _at_least(0.0)),
+    ("output", "dir"): ("out_dir", str, "results", None),
+    ("output", "jobs"): ("jobs", int, 1, _at_least(1)),
+    ("output", "master_seed"): ("master_seed", int, 0, None),
+    ("output", "record_objective"): ("record_objective", _bool, True, None),
+}
+
+
+def load_config(path, overrides=()) -> ExperimentConfig:
+    """Parse and check a config file by the table ``_KEYS``, filling its
+    defaults; ``overrides`` are ``((section, key), raw)`` pairs that set
+    a value as the file would, and are checked the same way."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-    if "problem" not in parser:
-        raise ConfigError("missing required section [problem]")
-    if "optimizers" not in parser:
-        raise ConfigError("missing required section [optimizers]")
-
-    def get(section, key, conv, default=None, required=False):
-        try:
-            raw = parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            if required:
-                raise ConfigError(f"missing required key {section}.{key}")
-            return default
-        try:
-            return conv(raw)
-        except ValueError as err:
-            raise ConfigError(f"bad value for {section}.{key}: {err}")
-
-    kind = get("problem", "kind", str, required=True)
-    if kind not in PROBLEM_KINDS:
-        raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-    params = {}
-    if kind in ("least_squares", "dct_recovery"):
-        params["m"] = get("problem", "m", int, required=True)
-        params["n"] = get("problem", "n", int, required=True)
-        if kind == "least_squares":
-            params["matrix"] = get("problem", "matrix", str, required=True)
-            if params["matrix"] not in problems.LS_KINDS:
-                raise ConfigError(f"problem.matrix must be one of {problems.LS_KINDS}")
+    for section in set(parser.sections()) - {s for s, _ in _KEYS}:
+        raise ConfigError(f"unknown section [{section}]")
+    given = {(s, key): raw for s in parser.sections()
+             for key, raw in parser[s].items()}
+    given.update(overrides)
+    fields, params = {}, {}
+    for (section, key), (name, parse, default, bound) in _KEYS.items():
+        if name is None and key not in PROBLEMS[fields["problem_kind"]][0]:
+            continue
+        where = f"{section}.{key}"
+        if (section, key) not in given:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key {where}")
+            value = copy.copy(default)
         else:
-            params["nnz"] = get("problem", "nnz", int, required=True)
-            params["noise"] = get("problem", "noise", float, default=0.0)
-        if params["m"] >= params["n"]:
-            raise ConfigError(f"problem.m must be below problem.n, got "
-                              f"m = {params['m']}, n = {params['n']}")
-    elif kind == "logistic_synthetic":
-        params["n"] = get("problem", "n", int, required=True)
-        params["informative"] = get("problem", "informative", int, required=True)
-        params["samples"] = get("problem", "samples", int, required=True)
-    elif kind == "libsvm":
-        params["path"] = get("problem", "path", str, required=True)
-        if not os.path.exists(params["path"]):
-            raise ConfigError(f"problem.path does not exist: {params['path']}")
-    else:  # sparse_coding
-        params["dict_path"] = get("problem", "dict_path", str, required=True)
-        params["data_path"] = get("problem", "data_path", str, required=True)
-        params["column"] = get("problem", "column", int, default=0)
-        for key in ("dict_path", "data_path"):
-            if not os.path.exists(params[key]):
-                raise ConfigError(f"problem.{key} does not exist: {params[key]}")
-
-    methods_raw = get("optimizers", "methods", str, required=True)
-    methods = [tok.strip().lower() for tok in methods_raw.split(",") if tok.strip()]
-    if not methods:
-        raise ConfigError("optimizers.methods must list at least one method")
-    for m in methods:
-        if m not in PRUNADAG_METHODS and m not in BASELINE_METHODS:
-            raise ConfigError(f"unknown optimizer {m!r}")
-
-    T = get("optimizers", "t", int)
-    if T is not None and not 2 <= T <= params.get("n", T):
-        raise ConfigError(f"optimizers.t must be in [2, n], got {T}")
-    rates = {key: get("optimizers", key, float, default=default)
-             for key, default in (("varsigma", optimizer.DEFAULT_VARSIGMA),
-                                  ("tau1", 50.0), ("tau2", 100.0),
-                                  ("beta", 0.001))}
-    for key in ("varsigma", "beta"):
-        if not 0.0 < rates[key] < 1.0:
-            raise ConfigError(f"optimizers.{key} must be in (0, 1), "
-                              f"got {rates[key]}")
-    for key in ("tau1", "tau2"):
-        if not rates[key] > 0.0:
-            raise ConfigError(f"optimizers.{key} must be positive, "
-                              f"got {rates[key]}")
-
-    sigmas = get("pruning", "sigma", _float_list, default=[])
-    deltas = get("pruning", "delta", _float_list, default=[])
-    for s in sigmas:
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"pruning.sigma values must be in [0,1], got {s}")
-    for d in deltas:
-        if not d >= 0.0:
-            raise ConfigError(f"pruning.delta values must be >= 0, got {d}")
-    grad_tol = get("stop", "grad_tol", float,
-                   default=optimizer.DEFAULT_GRAD_TOL)
-    if not grad_tol > 0.0:
-        raise ConfigError(f"stop.grad_tol must be positive, got {grad_tol}")
-    max_iters = get("stop", "max_iters", int,
-                    default=optimizer.DEFAULT_MAX_ITERS)
-    if max_iters < 1:
-        raise ConfigError(f"stop.max_iters must be >= 1, got {max_iters}")
-    seeds = get("problem", "seeds", int, default=20)
-    if seeds < 1:
-        raise ConfigError("problem.seeds must be >= 1")
-
-    return ExperimentConfig(
-        problem_kind=kind,
-        problem_params=params,
-        seeds=seeds,
-        methods=methods,
-        T=T,
-        **rates,
-        grad_tol=grad_tol,
-        max_iters=max_iters,
-        sigmas=sigmas,
-        deltas=deltas,
-        delta_trace=get("pruning", "delta_trace", float, default=1e-3),
-        out_dir=get("output", "dir", str, default="results"),
-        jobs=get("output", "jobs", int, default=1),
-        master_seed=get("output", "master_seed", int, default=0),
-        record_objective=get("output", "record_objective", _bool,
-                             default=True),
-    )
+            try:
+                value = parse(given.pop((section, key)))
+            except ValueError as err:
+                raise ConfigError(f"bad value for {where}: {err}") from None
+            entries = value if isinstance(value, list) else [value]
+            for v in entries:
+                if bound is not None and not bound[0](v):
+                    raise ConfigError(f"{where} must be {bound[1]}, got {v!r}")
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{where} lists an entry twice: {entries}")
+        (fields if name else params)[name or key] = value
+    if given:
+        raise ConfigError("unknown key " + ", ".join(
+            f"{section}.{key}" for section, key in given))
+    # the bounds that depend on problem.n
+    n = params.get("n", float("inf"))
+    for where, value, most in (
+            ("problem.m", params.get("m"), n - 1),
+            ("problem.nnz", params.get("nnz"), n),
+            ("problem.informative", params.get("informative"), n),
+            ("optimizers.t", fields["T"], n)):
+        if value is not None and value > most:
+            raise ConfigError(f"{where} must be at most {most} with "
+                              f"problem.n = {n}, got {value}")
+    return ExperimentConfig(problem_params=params, **fields)
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -248,34 +258,15 @@ class ProblemInstance:
 
 
 def build_problem(cfg: ExperimentConfig, seed_index: int) -> ProblemInstance:
-    """Materialize the seed-indexed problem instance.
+    """Materialize the seed-indexed problem instance by its kind's
+    builder in :data:`PROBLEMS`.
 
     The instance depends only on (config, seed index), so every
     optimizer on a given seed solves the same problem.
     """
-    p = cfg.problem_params
     seed = derive_seed(cfg.master_seed, "problem", seed_index)
-    if cfg.problem_kind == "least_squares":
-        ls = problems.gen_least_squares(p["matrix"], p["m"], p["n"], seed)
-        return ProblemInstance(ls.problem(), source=ls)
-    if cfg.problem_kind == "dct_recovery":
-        ls = problems.gen_dct_sparse_recovery(p["m"], p["n"], seed,
-                                              p["nnz"], p["noise"])
-        return ProblemInstance(ls.problem(), source=ls)
-    if cfg.problem_kind == "logistic_synthetic":
-        train, test = problems.gen_separable_classification(
-            p["n"], p["informative"], p["samples"], seed)
-        return ProblemInstance(train.problem(), test=test, source=train)
-    if cfg.problem_kind == "libsvm":
-        train, test = problems.load_libsvm(p["path"], split_seed=seed)
-        return ProblemInstance(train.problem(), test=test, source=train)
-    # sparse_coding: dictionary and observation are fixed files; the
-    # seed only varies the starting point.
-    D = problems.load_matrix(p["dict_path"])
-    Y = problems.load_matrix(p["data_path"])
-    y = Y[:, p["column"]] if Y.shape[1] > 1 else Y.reshape(-1)
-    sc = problems.SparseCodingProblem(D=D, y=y)
-    return ProblemInstance(sc.problem(), source=sc)
+    source, test = PROBLEMS[cfg.problem_kind][1](cfg.problem_params, seed)
+    return ProblemInstance(source.problem(), test=test, source=source)
 
 
 def starting_point(n: int, T: int, seed: int) -> np.ndarray:

@@ -5,7 +5,9 @@ import dataclasses
 import itertools
 import json
 import os
+import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
@@ -20,6 +22,8 @@ from prunadag.harness import (ConfigError, build_problem, derive_seed,
                               load_config, run_experiment, starting_point)
 from prunadag.problems import save_matrix
 from prunadag.verify import load_bundle, verify_bundle
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = """\
 [problem]
@@ -41,6 +45,74 @@ sigma = 0.3, 0.5
 [output]
 dir = {out}
 """
+
+
+# problem sections that BAD_VALUES swaps for one another
+LS = "kind = least_squares\nmatrix = A1"
+LS_MN = LS + "\nm = 6\nn = 30"
+DCT = "kind = dct_recovery\n"
+LOGISTIC = ("kind = logistic_synthetic\nn = {n}\ninformative = {informative}\n"
+            "samples = {samples}")
+
+# (old, new, match): BASE_CONFIG with old replaced by new fails to load
+# with a message that matches
+BAD_VALUES = [
+    ("m = 6", "m = 30", "problem.m"),
+    ("m = 6", "m = 31", "problem.m"),
+    ("matrix = A1", "nnz = 3", "problem.m"),
+    ("sigma = 0.3, 0.5", "delta = 0.1, -1", "pruning.delta"),
+    ("max_iters = 40", "max_iters = 0", "stop.max_iters"),
+    ("max_iters = 40", "grad_tol = 0", "stop.grad_tol"),
+    ("max_iters = 40", "grad_tol = -1e-9", "stop.grad_tol"),
+    ("v3, adagrad", "v3, adagrad\nt = 1", "optimizers.t"),
+    ("v3, adagrad", "v3, adagrad\nt = 31", "optimizers.t"),
+    ("v3, adagrad", "v3, adagrad\nvarsigma = 0", "optimizers.varsigma"),
+    ("v3, adagrad", "v3, adagrad\nvarsigma = 1", "optimizers.varsigma"),
+    ("v3, adagrad", "v3, adagrad\nvarsigma = 2", "optimizers.varsigma"),
+    ("v3, adagrad", "v3, adagrad\ntau1 = -1", "optimizers.tau1"),
+    ("v3, adagrad", "v3, adagrad\ntau2 = 0", "optimizers.tau2"),
+    ("v3, adagrad", "v3, adagrad\ntau1 = nan", "optimizers.tau1"),
+    ("v3, adagrad", "v3, adagrad\nbeta = 0", "optimizers.beta"),
+    ("v3, adagrad", "v3, adagrad\nbeta = 1", "optimizers.beta"),
+    ("m = 6", "m = 0", "problem.m"),
+    ("seeds = 2", "seeds = 0", "problem.seeds"),
+    (LS, DCT + "nnz = 31", "problem.nnz"),
+    (LS, DCT + "nnz = -1", "problem.nnz"),
+    (LS, DCT + "nnz = 3\nnoise = -0.5", "problem.noise"),
+    (LS_MN, LOGISTIC.format(n=30, informative=0, samples=10),
+     "problem.informative"),
+    (LS_MN, LOGISTIC.format(n=30, informative=31, samples=10),
+     "problem.informative"),
+    (LS_MN, LOGISTIC.format(n=30, informative=3, samples=1),
+     "problem.samples"),
+    (LS_MN, LOGISTIC.format(n=1, informative=1, samples=10), "problem.n"),
+    ("dir = {out}", "dir = {out}\njobs = -4", "output.jobs"),
+    ("dir = {out}", "dir = {out}\njobs = 0", "output.jobs"),
+    ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = -1e-3",
+     "pruning.delta_trace"),
+    ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = nan",
+     "pruning.delta_trace")]
+BAD_VALUE_IDS = [
+    "m == n", "m > n", "dct m == n", "negative delta", "no iterations",
+    "zero grad_tol", "negative grad_tol", "t below 2", "t above n",
+    "zero varsigma", "varsigma 1", "varsigma above 1", "negative tau1",
+    "zero tau2", "nan tau1", "zero beta", "beta 1", "zero m", "zero seeds",
+    "nnz above n", "negative nnz", "negative noise", "zero informative",
+    "informative above n", "one sample", "logistic n 1", "negative jobs",
+    "zero jobs", "negative delta_trace", "nan delta_trace"]
+
+DUPLICATES = [
+    ("v3, adagrad", "v3, V3", "optimizers.methods"),
+    ("sigma = 0.3, 0.5", "sigma = 0.5, 0.5", "pruning.sigma"),
+    ("sigma = 0.3, 0.5", "delta = 0.1, 0.2 0.1", "pruning.delta")]
+
+
+def bad_config(old, new):
+    text = BASE_CONFIG.replace(old, new)
+    if new.startswith("nnz"):
+        text = text.replace("least_squares", "dct_recovery").replace(
+            "m = 6", "m = 30")
+    return text
 
 
 def _read_bundle(out_dir) -> dict:
@@ -136,36 +208,37 @@ class TestConfigParsing:
             load_config(write_config(
                 tmp_path, BASE_CONFIG.replace("0.3, 0.5", "1.5")))
 
-    @pytest.mark.parametrize("old, new, match", [
-        ("m = 6", "m = 30", "problem.m"),
-        ("m = 6", "m = 31", "problem.m"),
-        ("matrix = A1", "nnz = 3", "problem.m"),
-        ("sigma = 0.3, 0.5", "delta = 0.1, -1", "pruning.delta"),
-        ("max_iters = 40", "max_iters = 0", "stop.max_iters"),
-        ("max_iters = 40", "grad_tol = 0", "stop.grad_tol"),
-        ("max_iters = 40", "grad_tol = -1e-9", "stop.grad_tol"),
-        ("v3, adagrad", "v3, adagrad\nt = 1", "optimizers.t"),
-        ("v3, adagrad", "v3, adagrad\nt = 31", "optimizers.t"),
-        ("v3, adagrad", "v3, adagrad\nvarsigma = 0", "optimizers.varsigma"),
-        ("v3, adagrad", "v3, adagrad\nvarsigma = 1", "optimizers.varsigma"),
-        ("v3, adagrad", "v3, adagrad\nvarsigma = 2", "optimizers.varsigma"),
-        ("v3, adagrad", "v3, adagrad\ntau1 = -1", "optimizers.tau1"),
-        ("v3, adagrad", "v3, adagrad\ntau2 = 0", "optimizers.tau2"),
-        ("v3, adagrad", "v3, adagrad\ntau1 = nan", "optimizers.tau1"),
-        ("v3, adagrad", "v3, adagrad\nbeta = 0", "optimizers.beta"),
-        ("v3, adagrad", "v3, adagrad\nbeta = 1", "optimizers.beta")],
-        ids=["m == n", "m > n", "dct m == n", "negative delta",
-             "no iterations", "zero grad_tol", "negative grad_tol",
-             "t below 2", "t above n", "zero varsigma", "varsigma 1",
-             "varsigma above 1", "negative tau1", "zero tau2", "nan tau1",
-             "zero beta", "beta 1"])
+    @pytest.mark.parametrize("old, new, match", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_bad_values_rejected_at_load(self, tmp_path, old, new, match):
-        text = BASE_CONFIG.replace(old, new)
-        if new.startswith("nnz"):
-            text = text.replace("least_squares", "dct_recovery").replace(
-                "m = 6", "m = 30")
         with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, bad_config(old, new)))
+
+    @pytest.mark.parametrize("old, new, key", DUPLICATES,
+                             ids=["methods", "sigma", "delta"])
+    def test_duplicate_entries_rejected(self, tmp_path, old, new, key):
+        with pytest.raises(ConfigError, match=f"{key} lists an entry twice"):
+            load_config(write_config(tmp_path, BASE_CONFIG.replace(old, new)))
+
+    def test_key_the_kind_does_not_take_rejected(self, tmp_path):
+        text = BASE_CONFIG.replace("n = 30", "n = 30\nnnz = 3")
+        with pytest.raises(ConfigError, match="unknown key problem.nnz"):
             load_config(write_config(tmp_path, text))
+
+    def test_every_shipped_config_loads(self):
+        paths = sorted(CONFIGS.glob("*.ini"))
+        assert paths
+        for path in paths:
+            assert load_config(path).methods, path.name
+
+    def test_overrides_are_checked_like_the_file(self, tmp_path):
+        path = write_config(tmp_path)
+        cfg = load_config(path, [(("output", "jobs"), "3"),
+                                 (("output", "master_seed"), "7")])
+        assert (cfg.jobs, cfg.master_seed) == (3, 7)
+        with pytest.raises(ConfigError, match="output.jobs"):
+            load_config(path, [(("output", "jobs"), "0")])
+        with pytest.raises(ConfigError, match="unknown key output.job"):
+            load_config(path, [(("output", "job"), "2")])
 
     def test_optimizer_parameters_inside_their_bounds_accepted(self, tmp_path):
         text = BASE_CONFIG.replace("v3, adagrad", "v3, adagrad\nt = 30\n"
@@ -866,6 +939,45 @@ class TestCli:
         bad.write_text("[problem]\nkind = nonsense\n")
         assert cli.main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, match", BAD_VALUES + DUPLICATES,
+        ids=BAD_VALUE_IDS + ["duplicate method", "duplicate sigma",
+                             "duplicate delta"])
+    def test_run_refuses_bad_value_before_building(
+            self, tmp_path, capsys, monkeypatch, old, new, match):
+        def never(cfg):
+            raise AssertionError("a bad config reached build_problems")
+        monkeypatch.setattr(harness, "build_problems", never)
+        path = write_config(tmp_path, bad_config(old, new))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and re.search(match, err)
+
+    def test_run_options_are_checked_overrides(self, tmp_path, capsys,
+                                               monkeypatch):
+        path = str(write_config(tmp_path))
+        assert cli.main(["run", path, "--jobs", "-3"]) == 2
+        assert "output.jobs" in capsys.readouterr().err
+        assert cli.main(["run", path, "--master-seed", "x"]) == 2
+        assert "output.master_seed" in capsys.readouterr().err
+        seen = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg: (
+            seen.append(cfg) or harness.ExperimentResult(cfg)))
+        assert cli.main(["run", path, "--jobs", "2", "--master-seed", "7",
+                         "--out", "elsewhere"]) == 0
+        assert [(c.jobs, c.master_seed, c.out_dir) for c in seen] == [
+            (2, 7, "elsewhere")]
+
+    def test_prune_with_bad_config_exits_2(self, tmp_path, capsys):
+        sol = tmp_path / "x.csv"
+        sol.write_text("1.0\n0.5\n")
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("m = 6", "m = 0"))
+        assert cli.main(["prune", str(sol), "--sigma", "0.5",
+                         "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "problem.m" in err
 
     def test_prune_subcommand(self, tmp_path, capsys):
         sol = tmp_path / "x.bin"

@@ -86,3 +86,23 @@ def test_every_trace_field_reads_as_its_column():
         assert getattr(rec, attr) is None, attr
         assert all(getattr(rec, other) is not None
                    for other, _, _ in TRACE_FIELDS if other != attr)
+
+
+def test_every_config_field_has_one_table_row():
+    """Each ExperimentConfig field but the problem's parameters is read by
+    one row of harness._KEYS, and each problem parameter row is a key of
+    some kind in harness.PROBLEMS: a field or key added without its row
+    fails here."""
+    from prunadag import harness
+
+    named = [name for name, *_ in harness._KEYS.values() if name is not None]
+    assert len(set(named)) == len(named)
+    assert set(named) | {"problem_kind", "problem_params"} == {
+        f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    params = {key for (section, key), (name, *_) in harness._KEYS.items()
+              if name is None}
+    assert all(section == "problem" for section, key in harness._KEYS
+               if key in params)
+    assert params == {key for keys, _ in harness.PROBLEMS.values()
+                      for key in keys}
+    assert harness.PROBLEM_KINDS == tuple(harness.PROBLEMS)
