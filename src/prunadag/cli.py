@@ -51,12 +51,16 @@ def main(argv=None) -> int:
     try:
         cfg = (None if given.get("config") is None
                else harness.load_config(args.config, overrides))
+        # the bounds that need the data files fail as the data is read
+        if args.command == "run":
+            result = harness.run_experiment(cfg)
+        problem = (None if cfg is None or args.command == "run"
+                   else harness.build_problem(cfg, 0).problem)
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
     if args.command == "run":
-        result = harness.run_experiment(cfg)
         done = len(result.records.keys() - result.failures.keys())
         print(f"completed {done} runs "
               f"({len(result.failures)} failed) -> {cfg.out_dir}")
@@ -79,7 +83,6 @@ def main(argv=None) -> int:
 
     # prune
     x = problems.load_solution(args.solution)
-    problem = None if cfg is None else harness.build_problem(cfg, 0).problem
     header = "target_kind,target_value,achieved_sparsity,nonzeros"
     if problem is not None:
         header += ",rho,omega"

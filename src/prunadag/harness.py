@@ -114,7 +114,10 @@ def _path(raw: str) -> str:
 def _sparse_coding(p: dict, seed: int):
     # fixed files: the seed only varies the starting point
     Y = problems.load_matrix(p["data_path"])
-    y = Y[:, p["column"]] if Y.shape[1] > 1 else Y.reshape(-1)
+    if p["column"] >= Y.shape[1]:
+        raise ConfigError(f"problem.column must be below the {Y.shape[1]} "
+                          f"columns of {p['data_path']}, got {p['column']}")
+    y = Y[:, p["column"]]
     return problems.SparseCodingProblem(
         D=problems.load_matrix(p["dict_path"]), y=y), None
 
@@ -165,7 +168,7 @@ _KEYS = {
     ("problem", "path"): (None, _path, REQUIRED, None),
     ("problem", "dict_path"): (None, _path, REQUIRED, None),
     ("problem", "data_path"): (None, _path, REQUIRED, None),
-    ("problem", "column"): (None, int, 0, None),
+    ("problem", "column"): (None, int, 0, _at_least(0)),
     ("optimizers", "methods"): ("methods", _methods, REQUIRED, None),
     ("optimizers", "t"): ("T", int, None, _at_least(2)),
     ("optimizers", "varsigma"): (
@@ -296,6 +299,9 @@ def build_problems(cfg: ExperimentConfig
     instances, stack = {}, problems.Stack(cfg.seeds)
     for i in range(cfg.seeds):
         instance = instances[i] = build_problem(cfg, i)
+        if cfg.T is not None and cfg.T > instance.problem.dim:
+            raise ConfigError(f"optimizers.t must be at most n = "
+                              f"{instance.problem.dim}, got {cfg.T}")
         if stack is not None and instance.source is not None:
             stack.add(instance.source)
         else:

@@ -33,24 +33,29 @@ MATRIX_MAGIC = b"PADM"
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Box-Muller normal variates from a seeded uniform stream."""
+    """Box-Muller normal variates from a seeded uniform stream, computed
+    in the output buffer with one half-size temporary."""
     m = int(np.prod(size)) if not np.isscalar(size) else int(size)
     half = (m + 1) // 2
-    u1 = rng.random(half)
-    u2 = rng.random(half)
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], no log(0)
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                        r * np.sin(2.0 * np.pi * u2)])[:m]
-    return z.reshape(size)
+    z = np.empty(2 * half)
+    r, theta = z.reshape(2, half)   # u1, then u2
+    rng.random(out=z)
+    np.log1p(np.negative(r, out=r), out=r)  # 1 - u1 in (0, 1], no log(0)
+    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+    cos = np.cos(np.multiply(theta, 2.0 * np.pi, out=theta))
+    np.multiply(np.sin(theta, out=theta), r, out=theta)
+    np.multiply(r, cos, out=r)
+    return z[:m].reshape(size)
 
 
-def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix: entry (k, j) = c_k cos(pi (2j+1) k / 2n)."""
-    j = np.arange(n)
-    k = np.arange(n)[:, None]
-    M = np.cos(np.pi * (2 * j + 1) * k / (2 * n))
-    M[0] *= np.sqrt(1.0 / n)
-    M[1:] *= np.sqrt(2.0 / n)
+def dct_matrix(n: int, rows=None) -> np.ndarray:
+    """Orthonormal DCT-II matrix: entry (k, j) = c_k cos(pi (2j+1) k / 2n);
+    only the ``rows`` given, bitwise ``dct_matrix(n)[rows]``."""
+    k = np.arange(n) if rows is None else np.asarray(rows)
+    M = np.multiply(np.pi * (2 * np.arange(n) + 1), k[:, None])
+    M /= 2 * n
+    np.cos(M, out=M)
+    M *= np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))[:, None]
     return M
 
 
@@ -140,8 +145,7 @@ def gen_least_squares(kind: str, m: int, n: int, seed: int) -> LeastSquaresProbl
     elif kind == "A5":
         A = (rng.random((m, n)) < 0.5).astype(np.float64)
     else:  # A6: m rows of the n-by-n DCT-II matrix, sampled by seed
-        rows = np.sort(rng.permutation(n)[:m])
-        A = dct_matrix(n)[rows]
+        A = dct_matrix(n, np.sort(rng.permutation(n)[:m]))
     x_star = standard_normal(rng, n)
     return LeastSquaresProblem(A=A, b=A @ x_star, x_star=x_star)
 
@@ -156,8 +160,7 @@ def gen_dct_sparse_recovery(m: int, n: int, seed: int, nnz: int,
     if m >= n:
         raise ValueError("sparse recovery problem must be under-determined")
     rng = np.random.default_rng(seed)
-    rows = np.sort(rng.permutation(n)[:m])
-    A = dct_matrix(n)[rows]
+    A = dct_matrix(n, np.sort(rng.permutation(n)[:m]))
     x_star = np.zeros(n)
     support = rng.permutation(n)[:nnz]
     x_star[support] = standard_normal(rng, nnz)
@@ -540,10 +543,10 @@ def load_matrix(path) -> np.ndarray:
         head = fh.read(4)
         if head == MATRIX_MAGIC:
             rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            if data.size != rows * cols:
+            data = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(data) != data.nbytes:
                 raise ValueError(f"{path}: truncated matrix payload")
-            return data.reshape(rows, cols).copy()
+            return data
     return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
 
 

@@ -979,6 +979,68 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "problem.m" in err
 
+    @staticmethod
+    def _data_config(tmp_path, kind, extra):
+        """A config over files: a 6x20 dictionary and 6x2 data for
+        sparse coding, 12 samples of 5 features for libsvm."""
+        rng = np.random.default_rng(0)
+        if kind == "sparse_coding":
+            save_matrix(tmp_path / "D.bin", rng.standard_normal((6, 20)))
+            save_matrix(tmp_path / "Y.bin", rng.standard_normal((6, 2)))
+            problem = (f"dict_path = {tmp_path / 'D.bin'}\n"
+                       f"data_path = {tmp_path / 'Y.bin'}")
+        else:
+            (tmp_path / "d.svm").write_text("".join(
+                f"{(-1) ** i} 1:{i} 3:0.5 5:{i % 3}\n" for i in range(12)))
+            problem = f"path = {tmp_path / 'd.svm'}"
+        return write_config(tmp_path, f"""\
+[problem]
+kind = {kind}
+{problem}
+seeds = 2
+
+[optimizers]
+methods = v3, adagrad
+{extra}
+
+[stop]
+max_iters = 10
+
+[output]
+dir = {{out}}
+""")
+
+    def test_column_outside_the_data_file_exits_2(self, tmp_path, capsys):
+        path = self._data_config(tmp_path, "sparse_coding", "")
+        text = path.read_text().replace("seeds", "column = 2\nseeds")
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.column")
+        assert "the 2 columns" in err
+        assert not (tmp_path / "results").exists()
+        path.write_text(text.replace("column = 2", "column = 1"))
+        assert cli.main(["run", str(path)]) == 0
+
+    def test_negative_column_refused_at_load(self, tmp_path):
+        path = self._data_config(tmp_path, "sparse_coding", "")
+        path.write_text(path.read_text().replace(
+            "seeds", "column = -1\nseeds"))
+        with pytest.raises(ConfigError, match="problem.column must be >= 0"):
+            load_config(path)
+
+    @pytest.mark.parametrize("kind, n", [("sparse_coding", 20), ("libsvm", 5)])
+    def test_t_above_the_data_dimension_exits_2(self, tmp_path, capsys,
+                                                kind, n):
+        path = self._data_config(tmp_path, kind, f"t = {n + 1}")
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: optimizers.t")
+        assert f"n = {n}, got {n + 1}" in err
+        assert not (tmp_path / "results").exists()
+        path.write_text(path.read_text().replace(f"t = {n + 1}", f"t = {n}"))
+        assert cli.main(["run", str(path)]) == 0
+
     def test_prune_subcommand(self, tmp_path, capsys):
         sol = tmp_path / "x.bin"
         save_matrix(sol, np.array([[1.0], [0.01], [-2.0], [0.3]]))

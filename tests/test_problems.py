@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,32 @@ class TestStandardNormal:
         assert standard_normal(np.random.default_rng(0), 7).shape == (7,)
 
 
+    @pytest.mark.parametrize("size", [7, 8, 1, np.int64(9), (3, 5), (4, 6),
+                                      (2, 3, 3)])
+    def test_is_the_two_halves_expression(self, size):
+        # the textbook draw: both uniform halves, then r cos and r sin
+        rng, ours = np.random.default_rng(11), np.random.default_rng(11)
+        m = int(np.prod(size))
+        half = (m + 1) // 2
+        u1, u2 = rng.random(half), rng.random(half)
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        want = np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                               r * np.sin(2.0 * np.pi * u2)])[:m].reshape(size)
+        got = standard_normal(ours, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.random() == rng.random()
+
+
 class TestDctMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 256])
+    def test_rows_only_are_rows_of_the_full_matrix(self, n):
+        full = dct_matrix(n)
+        rng = np.random.default_rng(n)
+        for rows in ([0], np.sort(rng.permutation(n)[:max(1, n // 3)]),
+                     np.arange(n), [n - 1, 0]):
+            got = dct_matrix(n, rows)
+            assert got.tobytes() == full[rows].tobytes()
+
     def test_orthonormal(self):
         M = dct_matrix(16)
         assert np.allclose(M @ M.T, np.eye(16), atol=1e-12)
@@ -126,6 +152,39 @@ class TestSpectralNormSq:
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (1, 1)])
     def test_zero_matrix_gives_exactly_zero(self, shape):
         assert spectral_norm_sq(np.zeros(shape)) == 0.0
+
+
+def traced_peak(build):
+    """``build()`` and the peak bytes traced while it ran. One untraced
+    call runs first, so numpy's one-time set-up is not counted."""
+    build()
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGeneratorMemory:
+    """A generator holds at most 2.5 times the bytes of what it returns
+    (A, b and x* of a least-squares instance) at any time."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_least_squares("A1", 100, 2000, seed=3),
+        lambda: gen_least_squares("A3", 100, 2000, seed=3),
+        lambda: gen_least_squares("A6", 100, 2000, seed=3),
+        lambda: gen_dct_sparse_recovery(100, 2000, seed=3, nnz=10, noise=0.1),
+    ], ids=["A1", "A3", "A6", "dct_recovery"])
+    def test_least_squares_peak(self, build):
+        ls, peak = traced_peak(build)
+        assert peak <= 2.5 * (ls.A.nbytes + ls.b.nbytes + ls.x_star.nbytes)
+
+    @pytest.mark.parametrize("size", [(100, 2000), 200_001])
+    def test_standard_normal_peak(self, size):
+        z, peak = traced_peak(
+            lambda: standard_normal(np.random.default_rng(3), size))
+        assert peak <= 2.5 * z.nbytes
 
 
 class TestDctRecovery:

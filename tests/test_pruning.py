@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from prunadag.core import DivergedError, Problem
 from prunadag.problems import classify_accuracy, gen_separable_classification
+from prunadag import pruning
 from prunadag.pruning import (prune, prune_report, prune_threshold,
                               prune_to_sparsity, robustness)
 
@@ -148,3 +149,49 @@ class TestPruneReport:
         assert rows[0].omega == 0.0
         assert rows[1].rho == pytest.approx(math.sqrt(1.01))
         assert rows[1].omega == pytest.approx(math.sqrt(0.01 ** 2 / 2))
+
+    @staticmethod
+    def _counting(x, calls):
+        """f = 0.5 ||x||^2, logging each oracle call as ("f" | "g",
+        whether it was called on ``x`` itself)."""
+        def log(kind, v):
+            calls.append((kind, bool(np.array_equal(v, x))))
+        return Problem(dim=x.shape[0],
+                       grad=lambda v: log("g", v) or v.copy(),
+                       objective=lambda v: log("f", v) or 0.5 * float(v @ v))
+
+    def test_rows_are_the_per_target_robustness(self):
+        x = np.array([0.3, -0.1, 0.1, 2.0, -0.3, 0.05, 0.0, 1.0])
+        calls = []
+        p = self._counting(x, calls)
+        sigmas, deltas = [0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.31]
+        rows = prune_report(x, p, sigmas=sigmas, deltas=deltas)
+        want = [(k, v, robustness(x, prune(x, k, v), p))
+                for k, vs in (("sigma", sigmas), ("delta", deltas))
+                for v in vs]
+        assert [(r.target_kind, r.target_value, (r.rho, r.omega))
+                for r in rows] == want
+
+    def test_f_of_x_and_the_sort_once_per_sweep(self, monkeypatch):
+        x = np.array([0.3, -0.1, 0.1, 2.0, -0.3, 0.05])
+        calls, sorts = [], []
+        argsort = np.argsort
+        monkeypatch.setattr(pruning.np, "argsort", lambda *a, **k: (
+            sorts.append(1) or argsort(*a, **k)))
+        prune_report(x, self._counting(x, calls), sigmas=[0.2, 0.5, 0.9],
+                     deltas=[0.2, 0.25])
+        assert calls.count(("f", True)) == 1
+        assert len(sorts) == 1
+        assert calls.count(("g", False)) == 5
+
+    def test_no_targets_evaluates_nothing(self):
+        calls = []
+        assert prune_report(np.ones(3), self._counting(np.ones(3), calls)) == []
+        assert calls == []
+
+    def test_nonfinite_f_of_x_fails_the_sweep(self):
+        p = Problem(dim=2, grad=lambda v: v.copy(), objective=lambda v: (
+            np.nan if np.all(v != 0.0) else 0.0))
+        with pytest.raises(DivergedError, match="non-finite oracle output "
+                           "in robustness evaluation"):
+            prune_report(np.ones(2), p, deltas=[2.0])
