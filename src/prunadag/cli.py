@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, problems, pruning, verify
+from . import harness, optimizer, problems, pruning, verify
 
 
 def main(argv=None) -> int:
@@ -81,22 +81,29 @@ def main(argv=None) -> int:
             all_ok &= o.ok
         return 0 if all_ok else 1
 
-    # prune
+    # prune; --sigma and --delta exclude each other
     x = problems.load_solution(args.solution)
+    kind = "sigma" if args.sigma is not None else "delta"
+    values = getattr(args, kind)
     header = "target_kind,target_value,achieved_sparsity,nonzeros"
     if problem is not None:
+        if x.shape[0] != problem.dim:
+            print(f"solution error: {args.solution} has {x.shape[0]} entries,"
+                  f" but problem n = {problem.dim}", file=sys.stderr)
+            return 2
+        (rows,) = pruning.prune_report(x[None], optimizer.row_oracle(
+            [problem]), [0], **{f"{kind}s": values})
+        if isinstance(rows, Exception):
+            raise rows
         header += ",rho,omega"
     print(header)
-    for kind, values in (("sigma", args.sigma or []),
-                         ("delta", args.delta or [])):
-        for v in values:
-            xp = pruning.prune(x, kind, v)
-            sparsity = float((xp == 0.0).mean())
-            line = f"{kind},{v!r},{sparsity!r},{int((xp != 0).sum())}"
-            if problem is not None:
-                rho, omega = pruning.robustness(x, xp, problem)
-                line += f",{rho!r},{omega!r}"
-            print(line)
+    for t, v in enumerate(values):
+        xp = pruning.prune(x, kind, v)
+        sparsity = float((xp == 0.0).mean())
+        line = f"{kind},{v!r},{sparsity!r},{int((xp != 0).sum())}"
+        if problem is not None:
+            line += f",{rows[t].rho!r},{rows[t].omega!r}"
+        print(line)
     return 0
 
 

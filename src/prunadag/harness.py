@@ -310,12 +310,10 @@ def build_problems(cfg: ExperimentConfig
 
 
 def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
-               stack: Optional[problems.Stack] = None) -> list:
-    """Run the (method, seed) cells of one family as one (B, n) block;
-    returns one :data:`prunadag.optimizer.Outcome` per cell. With the
-    grid's ``stack``, the block's oracles are one
-    :class:`prunadag.problems.BlockOracle`, and the cells must be
-    seed-major; without one each row calls its own problem."""
+               oracle: Optional[optimizer.Oracle] = None) -> list:
+    """Run the (method, seed) cells of one family as one (B, n) block
+    whose rows call ``oracle``, by default each its own problem; returns
+    one :data:`prunadag.optimizer.Outcome` per cell."""
     probs = [instances[i].problem for _, i in cells]
     n = probs[0].dim
     T = cfg.resolved_T(n)
@@ -323,9 +321,7 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
           for _, i in cells]
     common = dict(grad_tol=cfg.grad_tol, max_iters=cfg.max_iters,
                   delta_trace=cfg.delta_trace,
-                  record_objective=cfg.record_objective,
-                  oracle=(None if stack is None
-                          else stack.oracle([i for _, i in cells])))
+                  record_objective=cfg.record_objective, oracle=oracle)
     family = _family(cells[0][0])
     if family == "prunadag":
         variants = [PRUNADAG_METHODS[m] for m, _ in cells]
@@ -364,28 +360,33 @@ def _failure(err: Exception) -> str:
 
 def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
                stack: Optional[problems.Stack]) -> list:
-    """Run the cells of one block and prune their final iterates; one
-    ``(cell, record, prune rows, failure)`` per cell, whose failure is
-    None or ``"<ExceptionClass>: <message>"``."""
+    """Run the cells of one block and prune their final iterates through
+    one oracle, the ``stack``'s (the cells must be seed-major) or each
+    row's own problem; one ``(cell, record, prune rows, failure)`` per
+    cell, whose failure is None or ``"<ExceptionClass>: <message>"``."""
+    oracle = (optimizer.row_oracle([instances[i].problem for _, i in cells])
+              if stack is None else stack.oracle([i for _, i in cells]))
     try:
-        outcomes = _run_block(cfg, cells, instances, stack)
+        outcomes = _run_block(cfg, cells, instances, oracle)
     except Exception as err:  # bad parameters fail every cell
         outcomes = [err] * len(cells)
+    ran = [c for c, out in enumerate(outcomes) if isinstance(out, RunRecord)]
+    try:
+        reports = pruning.prune_report(
+            [outcomes[c].x_final for c in ran], oracle, ran,
+            sigmas=cfg.sigmas, deltas=cfg.deltas,
+            tests=[instances[cells[c][1]].test for c in ran])
+    except Exception as err:
+        reports = [err] * len(ran)
+    reports = dict(zip(ran, reports))
     done = []
-    for cell, outcome in zip(cells, outcomes):
-        if isinstance(outcome, Exception):
-            # drive attaches the partial trace
-            done.append((cell, getattr(outcome, "record", None), None,
-                         _failure(outcome)))
-            continue
-        instance = instances[cell[1]]
-        try:
-            rows = pruning.prune_report(
-                outcome.x_final, instance.problem, sigmas=cfg.sigmas,
-                deltas=cfg.deltas, test=instance.test)
-            done.append((cell, outcome, rows, None))
-        except Exception as err:
-            done.append((cell, outcome, None, _failure(err)))
+    for c, (cell, outcome) in enumerate(zip(cells, outcomes)):
+        report = reports.get(c, outcome)
+        # drive attaches the partial trace to the exception that ends a run
+        record = outcome if c in reports else getattr(outcome, "record", None)
+        failed = isinstance(report, Exception)
+        done.append((cell, record, None if failed else report,
+                     _failure(report) if failed else None))
     return done
 
 

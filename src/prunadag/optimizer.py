@@ -61,18 +61,18 @@ def _check_params(n: int, T: int, varsigma: float) -> None:
 
 
 # oracle(X, runs, objective) -> (G, F, failed): the gradients G and,
-# where ``objective`` asks for them, the objectives F of the rows X of a
-# block, whose run indices are ``runs``. ``failed`` maps the position of
-# a row whose oracle raised to the exception; drive checks the rest.
+# if ``objective``, the objectives F of the vectors X, each on the
+# problem of its run in the ascending ``runs``, which may repeat.
+# ``failed`` maps a vector whose oracle raised to the exception.
 Oracle = Callable[[np.ndarray, Sequence[int], bool],
                   tuple[np.ndarray, np.ndarray, dict]]
 
 
 def row_oracle(problems: Sequence[Problem]) -> Oracle:
-    """The :data:`Oracle` of plain problems: for each row in turn, its
-    gradient, then, if every entry is finite and ``objective`` is set,
-    its objective. An exception ends only its own row, whose gradient
-    is left zero."""
+    """The :data:`Oracle` of plain problems: for each vector in turn,
+    its gradient, then, if every entry is finite and ``objective`` is
+    set, its objective. An exception fails only its own vector, whose
+    gradient is left zero."""
     def oracle(X, runs, objective):
         G = np.zeros_like(X)
         F = np.zeros(len(runs))
@@ -88,13 +88,13 @@ def row_oracle(problems: Sequence[Problem]) -> Oracle:
     return oracle
 
 
-def _checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
-                     k: int, objective: bool):
-    """One oracle call for the block ``X`` and its checks. Returns G,
+def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
+                    objective: bool, message: Callable[[str], str]):
+    """One oracle call for the vectors ``X`` and its checks. Returns G,
     the gradient norms (each bitwise ``np.linalg.norm`` of its row), F
-    and the failed rows: a row whose oracle raised, whose gradient has
-    a non-finite entry or, when ``objective`` is set, whose objective
-    is not finite, in that order, maps to its exception."""
+    and the failed vectors, each mapped to the exception its oracle
+    raised, else to DivergedError(message(w)) when its w, "gradient" or
+    (with ``objective``) "objective", is not finite, in that order."""
     G, F, failed = oracle(X, runs, objective)
     norm = np.sqrt(G[:, None, :] @ G[:, :, None]).reshape(-1)
     # finite entries can still overflow the norm, so only a non-finite
@@ -103,20 +103,11 @@ def _checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
     if not finite.all():
         finite[~finite] = np.isfinite(G[~finite]).all(axis=1)
         for pos in np.flatnonzero(~finite).tolist():
-            failed.setdefault(pos, DivergedError(
-                f"non-finite gradient at iteration {k}"))
+            failed.setdefault(pos, DivergedError(message("gradient")))
     if objective and not np.isfinite(F).all():
         for pos in np.flatnonzero(~np.isfinite(F)).tolist():
-            failed.setdefault(pos, DivergedError(
-                f"non-finite objective at iteration {k}"))
+            failed.setdefault(pos, DivergedError(message("objective")))
     return G, norm, F, failed
-
-
-def _checked_value(problem: Problem, x: np.ndarray, k: int) -> float:
-    f = problem.value(x)
-    if not math.isfinite(f):
-        raise DivergedError(f"non-finite objective at iteration {k}")
-    return f
 
 
 def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
@@ -171,8 +162,9 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     for k in range(max_iters):
         if not block.runs:
             break
-        G, grad_norm, f, failed = _checked_oracles(
-            oracle, block.X, block.runs, k, record_objective or k == 0)
+        G, grad_norm, f, failed = checked_oracles(
+            oracle, block.X, block.runs, record_objective or k == 0,
+            lambda what: f"non-finite {what} at iteration {k}")
         if failed:
             keep = block.finish(failed)
             G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
@@ -208,10 +200,12 @@ def _end(problem: Problem, x: np.ndarray, reason: str, k: int,
     """How a run that took its last step ends: ``(reason, f_final)``, or
     the exception raised by the final objective call."""
     try:
-        return reason, (_checked_value(problem, x, k)
-                        if record_objective else None)
+        f = problem.value(x) if record_objective else None
     except Exception as err:
         return err
+    if f is not None and not math.isfinite(f):
+        return DivergedError(f"non-finite objective at iteration {k}")
+    return reason, f
 
 
 class _Block:
@@ -320,10 +314,6 @@ class PrunAdagState:
         if self.w_dec is None:
             self.w_dec = np.full(n, root)
 
-    @property
-    def dim(self) -> int:
-        return int(self.x.shape[0])
-
 
 def _block_state(W_opt: np.ndarray, W_dec: np.ndarray,
                  variants: Sequence[Variant]) -> dict:
@@ -360,8 +350,9 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem,
     and return its record: ``grad_norm`` and the fields of
     :data:`STEP_FIELDS`, plus with ``keep_history`` the gradient ``g``,
     the membership ``codes`` and the ``step``."""
-    G, norm, _, failed = _checked_oracles(row_oracle([problem]),
-                                          state.x[None], [0], state.k, False)
+    G, norm, _, failed = checked_oracles(
+        row_oracle([problem]), state.x[None], [0], False,
+        lambda what: f"non-finite {what} at iteration {state.k}")
     if failed:
         raise failed[0]
     g, grad_norm = G[0], norm[0]

@@ -73,6 +73,24 @@ def spectral_norm_sq(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(G)[-1])
 
 
+class _Family:
+    """A built-in family's ``gradient`` and ``value``: one-row calls of
+    ``block_oracle``, the one statement of its math."""
+
+    def _row(self, x: np.ndarray, objective: bool):
+        arrays = {name: getattr(self, name)[None, None]
+                  for name in self.STACKED}
+        arrays.update((name, getattr(self, name)) for name in self.SHARED)
+        return self.block_oracle(np.asarray(x, dtype=np.float64)[None, None],
+                                 objective, **arrays)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._row(x, False)[0][0, 0]
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self._row(x, True)[1][0, 0])
+
+
 # ---------------------------------------------------------------------------
 # Least squares
 # ---------------------------------------------------------------------------
@@ -81,7 +99,7 @@ LS_KINDS = ("A1", "A2", "A3", "A4", "A5", "A6")
 
 
 @dataclass
-class LeastSquaresProblem:
+class LeastSquaresProblem(_Family):
     """f(x) = 0.5 ||Ax - b||^2 with cached Lipschitz constant of g,
     L = ||A||_2^2 from :func:`spectral_norm_sq`."""
 
@@ -96,12 +114,6 @@ class LeastSquaresProblem:
     # the arrays a Stack stacks, and those its instances share
     STACKED = ("A", "b")
     SHARED = ()
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ (self.A @ x - self.b)
-
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.sum((self.A @ x - self.b) ** 2))
 
     @staticmethod
     def block_oracle(X, objective, A, b):
@@ -175,7 +187,7 @@ def gen_dct_sparse_recovery(m: int, n: int, seed: int, nnz: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SparseCodingProblem:
+class SparseCodingProblem(_Family):
     """f(x) = ||y - Dx||^2, the unconstrained sparse-coding relaxation."""
 
     D: np.ndarray
@@ -188,17 +200,10 @@ class SparseCodingProblem:
     STACKED = ()
     SHARED = ("D", "y")
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.D.T @ (self.D @ x - self.y)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(np.sum((self.y - self.D @ x) ** 2))
-
     @staticmethod
     def block_oracle(X, objective, D, y):
         """As :meth:`LeastSquaresProblem.block_oracle`, with the one
-        dictionary ``D`` (m, n) and observation ``y`` of every row.
-        (Dx - y)^2 equals (y - Dx)^2 bit for bit."""
+        dictionary ``D`` (m, n) and observation ``y`` of every row."""
         R = _matvec(D, X) - y
         G = _matvec(2.0 * D.T, R)
         return G, (np.sum(R ** 2, axis=-1) if objective else None)
@@ -213,7 +218,7 @@ class SparseCodingProblem:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LogisticProblem:
+class LogisticProblem(_Family):
     """Averaged logistic loss over (sample, label in {-1,+1}) pairs."""
 
     samples: np.ndarray   # N x n
@@ -231,27 +236,6 @@ class LogisticProblem:
     def N(self) -> int:
         return int(self.samples.shape[0])
 
-    @property
-    def dim(self) -> int:
-        return int(self.samples.shape[1])
-
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        return self.labels * (self.samples @ x)
-
-    def value(self, x: np.ndarray) -> float:
-        t = self.margins(x)
-        # log(1 + exp(-t)) without overflow for any |t|
-        loss = np.where(t >= 0, np.log1p(np.exp(-np.abs(t))),
-                        -t + np.log1p(np.exp(-np.abs(t))))
-        return float(np.mean(loss))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        t = self.margins(x)
-        # sigma(-t) = 1 / (1 + exp(t)), computed stably on both tails
-        e = np.exp(-np.abs(t))
-        sig = np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-        return -(self.samples.T @ (sig * self.labels)) / self.N
-
     STACKED = ("samples", "labels")
     SHARED = ()
 
@@ -262,17 +246,19 @@ class LogisticProblem:
         ``labels`` (S, 1, N) broadcast over V."""
         t = labels * _matvec(samples, X)
         e = np.exp(-np.abs(t))
+        # sigma(-t) = 1 / (1 + exp(t)), computed stably on both tails
         sig = np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
         G = -_matvec(samples.swapaxes(-1, -2), sig * labels) / t.shape[-1]
         if not objective:
             return G, None
+        # log(1 + exp(-t)) without overflow for any |t|
         loss = np.log1p(e)
         return G, np.mean(np.where(t >= 0, loss, -t + loss), axis=-1)
 
     def problem(self) -> Problem:
         # Hessian is bounded by (1/4N) A^T A, a valid if loose constant.
         L = spectral_norm_sq(self.samples) / (4.0 * self.N)
-        return Problem(dim=self.dim, grad=self.gradient,
+        return Problem(dim=self.samples.shape[1], grad=self.gradient,
                        objective=self.value, lipschitz=L)
 
 
@@ -468,16 +454,14 @@ class BlockOracle:
     evaluation; row s * V + v runs on instance ``slots[s]``. Each row is
     bitwise its instance's ``gradient`` and ``value``.
 
-    ``oracle(X, runs, objective)`` is called by
-    :func:`prunadag.optimizer.drive` with the iterates of the rows
-    still running and their ascending row indices ``runs``. While every
-    row runs, ``X`` is evaluated as it is. Once some have stopped, only
-    the slots from the first to the last with a running row are
-    evaluated, each with as many rows as the slot with the most running
-    rows has: the running rows of a slot are packed into the first
-    places of a zero buffer, and a stopped row is never evaluated.
-    Returns ``(G, F, {})``; F holds zeros unless ``objective`` asks for
-    it.
+    ``oracle(X, runs, objective)`` evaluates the vectors ``X`` of the
+    ascending rows ``runs``: in drive the rows still running, in the
+    pruning sweep several vectors per row. When ``runs`` is every row
+    once, ``X`` is evaluated as it is. Otherwise only the slots from the
+    first to the last in ``runs`` are, each with as many vectors as the
+    slot with the most: a slot's vectors fill the first places of a zero
+    buffer, and a row not in ``runs`` is never evaluated. Returns ``(G,
+    F, {})``; F holds zeros unless ``objective`` asks for it.
     """
 
     def __init__(self, stack: Stack, slots: range, rows_per_slot: int):
@@ -487,11 +471,12 @@ class BlockOracle:
         self.arrays = {name: stack.arrays[name][slots.start:slots.stop, None]
                        for name in family.STACKED}
         self.shared = {name: stack.arrays[name] for name in family.SHARED}
-        self.runs = None   # the running rows the packed layout holds
+        self.every = list(range(len(slots) * rows_per_slot))
+        self.runs = None   # the rows the packed layout holds
 
     def __call__(self, X: np.ndarray, runs: Sequence[int], objective: bool):
         S, V = self.shape
-        if len(runs) == S * V:
+        if len(runs) == S * V and list(runs) == self.every:
             G, F = self.evaluate(X.reshape(S, V, -1), objective,
                                  **self.arrays, **self.shared)
             return (G.reshape(S * V, -1),
@@ -507,9 +492,9 @@ class BlockOracle:
                 else np.zeros(len(runs)), {})
 
     def _pack(self, runs: list, n: int) -> None:
-        """Lay out the running rows ``runs``: slot s - lo of the buffer
-        holds slot s's running rows in order, and ``place`` is each
-        row's place in the flattened buffer."""
+        """Lay out the vectors of the rows ``runs``: slot s - lo of the
+        buffer holds the vectors of slot s's rows in order, and ``place``
+        is each vector's place in the flattened buffer."""
         slot = np.array(runs) // self.shape[1]
         lo = int(slot[0])
         counts = np.bincount(slot - lo)
@@ -547,12 +532,14 @@ def load_matrix(path) -> np.ndarray:
             if fh.readinto(data) != data.nbytes:
                 raise ValueError(f"{path}: truncated matrix payload")
             return data
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def load_solution(path) -> np.ndarray:
-    """Load a single-column solution vector from either matrix format."""
+    """Load a solution vector, one row or one column, from either matrix
+    format."""
     M = load_matrix(path)
-    if 1 not in M.shape and M.ndim == 2 and min(M.shape) != 1:
-        raise ValueError(f"{path}: expected a single-column solution, got {M.shape}")
+    if 1 not in M.shape:
+        raise ValueError(f"{path}: expected one row or one column, got "
+                         f"{M.shape}")
     return M.reshape(-1)

@@ -10,11 +10,11 @@ test accuracy when a classification test split is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import problems
+from . import optimizer, problems
 from .core import DivergedError, Problem
 
 
@@ -55,27 +55,28 @@ def prune_to_sparsity(x: np.ndarray, sigma: float,
     return out, float(np.max(np.abs(x[zeroed])))
 
 
-def prune(x: np.ndarray, kind: str, value: float) -> np.ndarray:
+def prune(x: np.ndarray, kind: str, value: float, order=None) -> np.ndarray:
     """Prune ``x`` to one target: a sparsity fraction (``kind`` "sigma")
-    or a magnitude threshold ("delta")."""
+    or a magnitude threshold ("delta"); ``order`` as for
+    :func:`prune_to_sparsity`."""
     if kind == "sigma":
-        return prune_to_sparsity(x, value)[0]
+        return prune_to_sparsity(x, value, order)[0]
     if kind == "delta":
         return prune_threshold(x, value)
     raise ValueError(f"pruning target kind must be sigma or delta, got {kind!r}")
 
 
+NON_FINITE = "non-finite oracle output in robustness evaluation"
+
+
 def robustness(x: np.ndarray, x_pruned: np.ndarray,
                problem: Problem) -> tuple[float, float]:
-    """(rho, omega) = (||g(x_pruned)||, sqrt(|f(x_pruned) - f(x)|))."""
-    return _robustness(x_pruned, problem, problem.value(x))
-
-
-def _robustness(x_pruned: np.ndarray, problem: Problem, f_orig: float):
-    g = problem.gradient(x_pruned)
-    f_pruned = problem.value(x_pruned)
+    """(rho, omega) = (||g(x_pruned)||, sqrt(|f(x_pruned) - f(x)|)) of
+    one pruned vector, the reference for :func:`prune_report`."""
+    f_orig = problem.value(x)
+    g, f_pruned = problem.gradient(x_pruned), problem.value(x_pruned)
     if not (np.all(np.isfinite(g)) and np.isfinite(f_pruned) and np.isfinite(f_orig)):
-        raise DivergedError("non-finite oracle output in robustness evaluation")
+        raise DivergedError(NON_FINITE)
     return float(np.linalg.norm(g)), float(np.sqrt(abs(f_pruned - f_orig)))
 
 
@@ -89,21 +90,33 @@ class PruneRow:
     accuracy: Optional[float] = None   # test accuracy, with a test split
 
 
-def prune_report(x: np.ndarray, problem: Problem, sigmas=(), deltas=(),
-                 test: Optional[problems.LogisticProblem] = None
-                 ) -> list[PruneRow]:
-    """Sweep pruning targets over a solution, from one f(x) and one sort
-    of |x|; with a ``test`` split, also each pruned vector's accuracy."""
-    x = np.asarray(x, dtype=np.float64)
-    f_x = problem.value(x) if len(sigmas) or len(deltas) else None
-    order = np.argsort(np.abs(x), kind="stable") if len(sigmas) else None
-    rows = []
-    for kind, values in (("sigma", sigmas), ("delta", deltas)):
-        for value in values:
-            xp = (prune_to_sparsity(x, value, order)[0] if kind == "sigma"
-                  else prune_threshold(x, value))
-            rho, omega = _robustness(xp, problem, f_x)
-            rows.append(PruneRow(
-                kind, float(value), float(np.mean(xp == 0.0)), rho, omega,
-                None if test is None else problems.classify_accuracy(xp, test)))
-    return rows
+def prune_report(X, oracle: optimizer.Oracle, runs: Sequence[int],
+                 sigmas=(), deltas=(), tests=None) -> list:
+    """Sweep every sigma, then every delta target over the final iterates
+    ``X`` of the cells in rows ``runs`` (ascending) of the block that
+    ``oracle`` evaluates, in one call of each x and its pruned vectors.
+    ``tests`` holds a test split or None per cell. Per cell, its rows,
+    each the per-target :func:`robustness` and accuracy, or the
+    exception of its first failing vector."""
+    targets = [("sigma", v) for v in sigmas] + [("delta", v) for v in deltas]
+    if not targets or not len(runs):
+        return [[] for _ in runs]
+    XP = []
+    for x in np.asarray(X, dtype=np.float64):
+        order = np.argsort(np.abs(x), kind="stable") if len(sigmas) else None
+        XP += [x] + [prune(x, kind, v, order) for kind, v in targets]
+    XP, P = np.array(XP), len(targets) + 1
+    _, rho, F, failed = optimizer.checked_oracles(
+        oracle, XP, np.repeat(runs, P), True, lambda what: NON_FINITE)
+    reports = []
+    for c in range(len(runs)):
+        cell = range(c * P, c * P + P)
+        errors = [failed[pos] for pos in cell if pos in failed]
+        test = None if tests is None else tests[c]
+        reports.append(errors[0] if errors else [PruneRow(
+            kind, float(value), float(np.mean(XP[pos] == 0.0)),
+            float(rho[pos]), float(np.sqrt(abs(F[pos] - F[cell[0]]))),
+            None if test is None else problems.classify_accuracy(XP[pos],
+                                                                 test))
+            for pos, (kind, value) in zip(cell[1:], targets)])
+    return reports

@@ -442,16 +442,23 @@ class TestStackedGrid:
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_drive_makes_no_per_row_gradient_calls(self, tmp_path,
                                                    monkeypatch, kind):
+        # drive and the pruning sweep evaluate the stack; only drive's
+        # final objectives are Problem.value calls, one per run
         text = BASE_CONFIG.replace(
             "kind = least_squares\nmatrix = A1\nm = 6\nn = 30",
             self.CONFIGS[kind]).replace("v3, adagrad", "v1, v3, adagrad, fw2")
-        calls = {"sweep": 0, "other": 0}
+        calls = {}
         sweeping = []
-        gradient, prune_report = Problem.gradient, pruning.prune_report
+        prune_report = pruning.prune_report
 
-        def counted(self, x):
-            calls["sweep" if sweeping else "other"] += 1
-            return gradient(self, x)
+        def counted(name):
+            real = getattr(Problem, name)
+
+            def call(self, x):
+                key = (name, "sweep" if sweeping else "other")
+                calls[key] = calls.get(key, 0) + 1
+                return real(self, x)
+            return call
 
         def sweep(*args, **kwargs):
             sweeping.append(True)
@@ -459,11 +466,13 @@ class TestStackedGrid:
                 return prune_report(*args, **kwargs)
             finally:
                 sweeping.pop()
-        monkeypatch.setattr(Problem, "gradient", counted)
+        for name in ("gradient", "value"):
+            monkeypatch.setattr(Problem, name, counted(name))
         monkeypatch.setattr(pruning, "prune_report", sweep)
         result = run_experiment(load_config(write_config(tmp_path, text)))
         assert not result.failures and len(result.records) == 8
-        assert calls == {"sweep": 8 * 2, "other": 0}
+        assert len(result.prune_rows) == 8
+        assert calls == {("value", "other"): 8}
 
     def test_stopping_rows_match_solo_runs(self, tmp_path):
         # the rows of a block stop at different iterations or never, and
@@ -1057,3 +1066,59 @@ dir = {{out}}
                          "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "rho" in out
+        # each line holds the per-target robustness, digit for digit
+        x = np.random.default_rng(5).standard_normal(30)
+        save_matrix(sol, x.reshape(-1, 1))
+        assert cli.main(["prune", str(sol), "--sigma", "0.3,0.5,1",
+                         "--config", str(path)]) == 0
+        problem = build_problem(load_config(path), 0).problem
+        want = ["target_kind,target_value,achieved_sparsity,nonzeros,rho,"
+                "omega"]
+        for sigma in (0.3, 0.5, 1.0):
+            xp = pruning.prune(x, "sigma", sigma)
+            rho, omega = pruning.robustness(x, xp, problem)
+            want.append(f"sigma,{sigma!r},{float((xp == 0.0).mean())!r},"
+                        f"{int((xp != 0).sum())},{rho!r},{omega!r}")
+        assert capsys.readouterr().out.splitlines() == want
+
+    def test_prune_solution_of_the_wrong_length_exits_2(self, tmp_path,
+                                                         capsys):
+        sol = tmp_path / "x.csv"
+        sol.write_text("\n".join(["0.5"] * 7) + "\n")
+        assert cli.main(["prune", str(sol), "--sigma", "0.5", "--config",
+                         str(write_config(tmp_path))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "has 7 entries" in err and "n = 30" in err
+
+    def test_one_column_csv_data_is_the_binary_data(self, tmp_path):
+        rng = np.random.default_rng(0)
+        save_matrix(tmp_path / "D.bin", rng.standard_normal((6, 20)))
+        y = rng.standard_normal((6, 1))
+        save_matrix(tmp_path / "y.bin", y)
+        np.savetxt(tmp_path / "y.csv", y, delimiter=",", fmt="%.17g")
+        bundles = []
+        for data in ("y.bin", "y.csv"):
+            out = tmp_path / data.replace(".", "_")
+            path = write_config(tmp_path, f"""\
+[problem]
+kind = sparse_coding
+dict_path = {tmp_path / 'D.bin'}
+data_path = {tmp_path / data}
+seeds = 2
+
+[optimizers]
+methods = v3, adagrad
+
+[stop]
+max_iters = 10
+
+[pruning]
+sigma = 0.5
+
+[output]
+dir = {{out}}
+""", out=str(out))
+            assert cli.main(["run", str(path)]) == 0
+            bundles.append(_read_bundle(out))
+        assert bundles[1] == bundles[0]

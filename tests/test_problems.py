@@ -339,6 +339,14 @@ class TestMatrixFormat:
         save_matrix(path, v.reshape(-1, 1))
         assert np.array_equal(load_solution(path), v)
 
+    def test_csv_row_and_column_are_one_solution(self, tmp_path):
+        v = np.array([1.5, -2.0, 3.25])
+        np.savetxt(tmp_path / "row.csv", v[None], delimiter=",")
+        np.savetxt(tmp_path / "col.csv", v[:, None], delimiter=",")
+        assert load_matrix(tmp_path / "col.csv").shape == (3, 1)
+        for name in ("row.csv", "col.csv"):
+            assert np.array_equal(load_solution(tmp_path / name), v), name
+
     def test_load_solution_rejects_matrix(self, tmp_path):
         path = tmp_path / "m.bin"
         save_matrix(path, np.ones((3, 3)))

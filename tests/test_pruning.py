@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prunadag.core import DivergedError, Problem
-from prunadag.problems import classify_accuracy, gen_separable_classification
+from prunadag.optimizer import row_oracle
+from prunadag.problems import (SparseCodingProblem, Stack, classify_accuracy,
+                               gen_least_squares,
+                               gen_separable_classification)
 from prunadag import pruning
 from prunadag.pruning import (prune, prune_report, prune_threshold,
                               prune_to_sparsity, robustness)
@@ -123,23 +126,33 @@ class TestPrune:
             prune(np.ones(3), "gamma", 0.5)
 
 
+def report(x, problem, test=None, **targets):
+    """prune_report of one cell on ``problem`` through its row oracle;
+    raises the exception that fails the cell."""
+    (rows,) = prune_report(np.asarray(x)[None], row_oracle([problem]), [0],
+                           tests=[test], **targets)
+    if isinstance(rows, Exception):
+        raise rows
+    return rows
+
+
 class TestPruneReport:
     def test_accuracy_with_test_split(self):
         train, test = gen_separable_classification(20, 5, 100, seed=3)
         x = np.random.default_rng(0).standard_normal(20)
-        rows = prune_report(x, train.problem(), sigmas=[0.5], deltas=[0.3],
-                            test=test)
+        rows = report(x, train.problem(), sigmas=[0.5], deltas=[0.3],
+                      test=test)
         assert [r.accuracy for r in rows] == [
             classify_accuracy(prune_to_sparsity(x, 0.5)[0], test),
             classify_accuracy(prune_threshold(x, 0.3), test)]
-        rows = prune_report(x, train.problem(), sigmas=[0.5])
+        rows = report(x, train.problem(), sigmas=[0.5])
         assert rows[0].accuracy is None
 
     def test_sweep_shape_and_ordering(self):
         p = Problem(dim=3, grad=lambda x: x.copy(),
                     objective=lambda x: 0.5 * float(np.sum(x ** 2)))
-        rows = prune_report(np.array([1.0, 0.1, 0.01]), p,
-                            sigmas=[0.0, 1 / 3], deltas=[0.05])
+        rows = report(np.array([1.0, 0.1, 0.01]), p,
+                      sigmas=[0.0, 1 / 3], deltas=[0.05])
         assert [r.target_kind for r in rows] == ["sigma", "sigma", "delta"]
         assert rows[0].achieved_sparsity == 0.0
         assert rows[1].achieved_sparsity == pytest.approx(1 / 3)
@@ -165,7 +178,7 @@ class TestPruneReport:
         calls = []
         p = self._counting(x, calls)
         sigmas, deltas = [0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.31]
-        rows = prune_report(x, p, sigmas=sigmas, deltas=deltas)
+        rows = report(x, p, sigmas=sigmas, deltas=deltas)
         want = [(k, v, robustness(x, prune(x, k, v), p))
                 for k, vs in (("sigma", sigmas), ("delta", deltas))
                 for v in vs]
@@ -178,15 +191,15 @@ class TestPruneReport:
         argsort = np.argsort
         monkeypatch.setattr(pruning.np, "argsort", lambda *a, **k: (
             sorts.append(1) or argsort(*a, **k)))
-        prune_report(x, self._counting(x, calls), sigmas=[0.2, 0.5, 0.9],
-                     deltas=[0.2, 0.25])
+        report(x, self._counting(x, calls), sigmas=[0.2, 0.5, 0.9],
+               deltas=[0.2, 0.25])
         assert calls.count(("f", True)) == 1
         assert len(sorts) == 1
         assert calls.count(("g", False)) == 5
 
     def test_no_targets_evaluates_nothing(self):
         calls = []
-        assert prune_report(np.ones(3), self._counting(np.ones(3), calls)) == []
+        assert report(np.ones(3), self._counting(np.ones(3), calls)) == []
         assert calls == []
 
     def test_nonfinite_f_of_x_fails_the_sweep(self):
@@ -194,4 +207,71 @@ class TestPruneReport:
             np.nan if np.all(v != 0.0) else 0.0))
         with pytest.raises(DivergedError, match="non-finite oracle output "
                            "in robustness evaluation"):
-            prune_report(np.ones(2), p, deltas=[2.0])
+            report(np.ones(2), p, deltas=[2.0])
+
+
+def family_block(family, S, m, n, seed):
+    """The stack of S instances of a built-in family, m rows (training
+    samples) by n, and each slot's test split or None."""
+    if family == "least_squares":
+        members = [gen_least_squares("A1", m, n, seed + s) for s in range(S)]
+        tests = [None] * S
+    elif family == "sparse_coding":
+        rng = np.random.default_rng(seed)
+        D, y = rng.standard_normal((m, n)), rng.standard_normal(m)
+        members = [SparseCodingProblem(D=D.copy(), y=y.copy())
+                   for _ in range(S)]
+        tests = [None] * S
+    else:
+        members, tests = zip(*(gen_separable_classification(
+            n, min(3, n), m + 2, seed + s) for s in range(S)))
+    stack = Stack(S)
+    for member in members:
+        stack.add(member)
+    return stack, [member.problem() for member in members], list(tests)
+
+
+class TestBlockSweep:
+    """The grid's sweep: one call of the block's oracle for the final
+    iterates of some of its rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["least_squares", "sparse_coding", "logistic"]),
+           st.integers(1, 3), st.integers(1, 3), st.integers(2, 12),
+           st.lists(st.floats(0, 1), max_size=3, unique=True),
+           st.lists(st.floats(0, 3), max_size=3, unique=True), st.data())
+    def test_cells_are_the_per_target_metrics(self, family, S, V, n, sigmas,
+                                              deltas, data):
+        m = data.draw(st.integers(1, n - 1), label="m")
+        seed = data.draw(st.integers(0, 2 ** 20), label="seed")
+        stack, solo, tests = family_block(family, S, m, n, seed)
+        oracle = stack.oracle(np.repeat(np.arange(S), V))
+        # the rows whose runs succeeded, one of them with a NaN entry
+        ran = sorted(data.draw(st.sets(st.integers(0, S * V - 1),
+                                       min_size=1), label="ran"))
+        bad = data.draw(st.sampled_from(ran), label="bad")
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((len(ran), n)) * rng.random((len(ran), 1))
+        X[ran.index(bad), rng.integers(n)] = np.nan
+        reports = prune_report(X, oracle, ran, sigmas=sigmas, deltas=deltas,
+                               tests=[tests[b // V] for b in ran])
+        assert len(reports) == len(ran)
+        targets = ([("sigma", v) for v in sigmas]
+                   + [("delta", v) for v in deltas])
+        for x, b, rows in zip(X, ran, reports):
+            if b == bad and targets:
+                assert isinstance(rows, DivergedError)
+                assert str(rows) == pruning.NON_FINITE
+                continue
+            assert not isinstance(rows, Exception), (b, rows)
+            assert len(rows) == len(targets)
+            for row, (kind, value) in zip(rows, targets):
+                xp = prune(x, kind, value)
+                rho, omega = robustness(x, xp, solo[b // V])
+                assert (row.target_kind, row.target_value) == (kind, value)
+                assert row.achieved_sparsity == float(np.mean(xp == 0.0))
+                assert (row.rho.hex(), row.omega.hex()) == (rho.hex(),
+                                                            omega.hex())
+                test = tests[b // V]
+                assert row.accuracy == (None if test is None
+                                        else classify_accuracy(xp, test))

@@ -106,3 +106,20 @@ def test_every_config_field_has_one_table_row():
     assert params == {key for keys, _ in harness.PROBLEMS.values()
                       for key in keys}
     assert harness.PROBLEM_KINDS == tuple(harness.PROBLEMS)
+
+
+def test_each_family_states_its_math_once():
+    """A class of problems.py that defines ``block_oracle`` takes its
+    one-vector ``gradient`` and ``value`` from the shared one-row
+    wrapper and defines no per-vector math of its own."""
+    tree = ast.parse((SRC / "problems.py").read_text())
+    families = {node.name: {f.name for f in node.body
+                            if isinstance(f, ast.FunctionDef)}
+                for node in tree.body if isinstance(node, ast.ClassDef)}
+    with_oracle = {name for name, defs in families.items()
+                   if "block_oracle" in defs}
+    assert {"LeastSquaresProblem", "SparseCodingProblem",
+            "LogisticProblem"} <= with_oracle
+    found = {name: sorted(families[name] & {"gradient", "value", "margins"})
+             for name in with_oracle}
+    assert not any(found.values()), f"math beside block_oracle: {found}"
