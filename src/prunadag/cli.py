@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from . import harness, optimizer, problems, pruning, verify
+from .core import InputFileError
 
 
 def main(argv=None) -> int:
@@ -54,10 +55,17 @@ def main(argv=None) -> int:
         # the bounds that need the data files fail as the data is read
         if args.command == "run":
             result = harness.run_experiment(cfg)
-        problem = (None if cfg is None or args.command == "run"
-                   else harness.build_problem(cfg, 0).problem)
+        elif args.command == "verify":
+            outcomes = verify.verify_bundle(args.trace_dir)
+        else:
+            problem = (None if cfg is None
+                       else harness.build_problem(cfg, 0).problem)
+            x = problems.load_solution(args.solution)
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except InputFileError as err:
+        print(f"input file error: {err}", file=sys.stderr)
         return 2
 
     if args.command == "run":
@@ -67,22 +75,18 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        outcomes = verify.verify_bundle(args.trace_dir)
         if not outcomes:
             print("no verifiable runs found (no theory trace present)")
             return 1
-        all_ok = True
         for o in outcomes:
             status = "PASS" if o.ok else "FAIL"
             descent = {True: "ok", False: "VIOLATED",
                        None: "not-run"}[o.descent_ok]
             print(f"{status} {o.optimizer} seed={o.seed} descent={descent} "
                   f"gradient_bound={'ok' if o.gradient_bound_ok else 'VIOLATED'}")
-            all_ok &= o.ok
-        return 0 if all_ok else 1
+        return 0 if all(o.ok for o in outcomes) else 1
 
     # prune; --sigma and --delta exclude each other
-    x = problems.load_solution(args.solution)
     kind = "sigma" if args.sigma is not None else "delta"
     values = getattr(args, kind)
     header = "target_kind,target_value,achieved_sparsity,nonzeros"

@@ -28,6 +28,22 @@ class DivergedError(RuntimeError):
         self.record = record
 
 
+class InputFileError(ValueError):
+    """An input file that is missing or not in its format; the message
+    names the file."""
+
+
+def read_input(path, load):
+    """``load(fh)`` of the file at ``path`` opened for binary reading; an
+    OSError or ValueError becomes an InputFileError."""
+    try:
+        with open(path, "rb") as fh:
+            return load(fh)
+    except (OSError, ValueError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise InputFileError(f"{path}: {reason}") from None
+
+
 @dataclass(frozen=True)
 class Problem:
     """A black-box optimization problem over a real n-vector.

@@ -21,30 +21,35 @@ distribution level elsewhere.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Problem
+from .core import InputFileError, Problem, read_input
 
 MATRIX_MAGIC = b"PADM"
+PAIRS = 1 << 15   # Box-Muller pairs per pass of standard_normal
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Box-Muller normal variates from a seeded uniform stream, computed
-    in the output buffer with one half-size temporary."""
+    in the output buffer, PAIRS pairs at a time through one scratch
+    buffer; every step is elementwise, as in the one-shot transform."""
     m = int(np.prod(size)) if not np.isscalar(size) else int(size)
     half = (m + 1) // 2
     z = np.empty(2 * half)
-    r, theta = z.reshape(2, half)   # u1, then u2
     rng.random(out=z)
-    np.log1p(np.negative(r, out=r), out=r)  # 1 - u1 in (0, 1], no log(0)
-    np.sqrt(np.multiply(r, -2.0, out=r), out=r)
-    cos = np.cos(np.multiply(theta, 2.0 * np.pi, out=theta))
-    np.multiply(np.sin(theta, out=theta), r, out=theta)
-    np.multiply(r, cos, out=r)
+    cos = np.empty(min(half, PAIRS))
+    for lo in range(0, half, PAIRS):
+        r, theta = z.reshape(2, half)[:, lo:lo + PAIRS]   # u1, then u2
+        np.log1p(np.negative(r, out=r), out=r)  # 1 - u1 in (0, 1], no log(0)
+        np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+        np.cos(np.multiply(theta, 2.0 * np.pi, out=theta), out=cos[:r.size])
+        np.multiply(np.sin(theta, out=theta), r, out=theta)
+        np.multiply(r, cos[:r.size], out=r)
     return z[:m].reshape(size)
 
 
@@ -152,8 +157,13 @@ def gen_least_squares(kind: str, m: int, n: int, seed: int) -> LeastSquaresProbl
         Q, _ = np.linalg.qr(standard_normal(rng, (n, m)))
         A = Q.T.copy()
     elif kind == "A3":
-        Q, _ = np.linalg.qr(standard_normal(rng, (m, m)))
-        A = Q @ standard_normal(rng, (m, n))
+        Q = np.linalg.qr(standard_normal(rng, (m, m))).Q
+        A = standard_normal(rng, (m, n))
+        # Q @ A in place, 512 columns at a time; a tail of fewer than 8
+        # columns joins the last panel, as one column would be a gemv
+        starts = [0, *range(512, n - 7, 512)]
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            A[:, lo:hi] = Q @ A[:, lo:hi]
     elif kind == "A5":
         A = (rng.random((m, n)) < 0.5).astype(np.float64)
     else:  # A6: m rows of the n-by-n DCT-II matrix, sampled by seed
@@ -302,7 +312,7 @@ def gen_separable_classification(n_features: int, n_informative: int,
             LogisticProblem(A[te], labels[te]))
 
 
-class LibsvmParseError(ValueError):
+class LibsvmParseError(InputFileError):
     pass
 
 
@@ -523,16 +533,27 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read the dense binary format, falling back to CSV."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == MATRIX_MAGIC:
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.empty((rows, cols), dtype="<f8")
-            if fh.readinto(data) != data.nbytes:
-                raise ValueError(f"{path}: truncated matrix payload")
-            return data
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Read the dense binary format, falling back to CSV; raises
+    InputFileError for a file it cannot read as either."""
+    return read_input(path, _read_matrix)
+
+
+def _read_matrix(fh) -> np.ndarray:
+    if fh.read(4) != MATRIX_MAGIC:
+        fh.seek(0)
+        return np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+    head = fh.read(8)
+    if len(head) < 8:
+        raise ValueError("truncated matrix header")
+    rows, cols = struct.unpack("<II", head)
+    size = os.fstat(fh.fileno()).st_size - 12
+    if 8 * rows * cols > size:   # checked before the payload is allocated
+        raise ValueError(f"truncated matrix payload: {rows} x {cols} in "
+                         f"{size} bytes")
+    data = np.empty((rows, cols), dtype="<f8")
+    if fh.readinto(data) != data.nbytes:
+        raise ValueError("truncated matrix payload")
+    return data
 
 
 def load_solution(path) -> np.ndarray:
@@ -540,6 +561,6 @@ def load_solution(path) -> np.ndarray:
     format."""
     M = load_matrix(path)
     if 1 not in M.shape:
-        raise ValueError(f"{path}: expected one row or one column, got "
-                         f"{M.shape}")
+        raise InputFileError(f"{path}: expected one row or one column, got "
+                             f"{M.shape}")
     return M.reshape(-1)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import harness, theory
-from .core import TRACE_DTYPE, RunRecord
+from .core import TRACE_DTYPE, InputFileError, RunRecord, read_input
 
 
 @dataclass
@@ -31,29 +31,28 @@ class VerifyOutcome:
 def load_bundle(trace_dir):
     """Reconstruct per-run traces from a results directory: each run of
     runs.json, in order, takes the next ``iterations`` rows of trace.npy
-    as its ``trace``, and ``x_final`` reads as zeros. Raises ValueError
-    when trace.npy's dtype or row count does not match, or when a run
-    lists an ``untraced`` name that is not a trace field.
+    as its ``trace``, and ``x_final`` reads as zeros. Raises
+    InputFileError, naming the file, when a file is missing or
+    unparsable, when trace.npy's dtype or row count does not match, or
+    when a run lists an ``untraced`` name that is not a trace field.
     """
-    with open(os.path.join(trace_dir, "meta.json")) as fh:
-        meta = json.load(fh)
+    meta = read_input(os.path.join(trace_dir, "meta.json"), json.load)
     path = os.path.join(trace_dir, "runs.json")
-    with open(path) as fh:
-        runs = {(r["optimizer"], r["seed"]): r for r in json.load(fh)}
+    runs = {(r["optimizer"], r["seed"]): r for r in read_input(path, json.load)}
     unknown = {name for run in runs.values()
                for name in run["untraced"]}.difference(TRACE_DTYPE.names)
     if unknown:
-        raise ValueError(f"{path}: untraced names {sorted(unknown)} are "
-                         f"not trace fields")
+        raise InputFileError(f"{path}: untraced names {sorted(unknown)} are "
+                             f"not trace fields")
     path = os.path.join(trace_dir, "trace.npy")
-    trace = np.load(path)
+    trace = read_input(path, np.load)
     if trace.dtype != TRACE_DTYPE:
-        raise ValueError(f"{path}: fields are {trace.dtype}, "
-                         f"expected {TRACE_DTYPE}")
+        raise InputFileError(f"{path}: fields are {trace.dtype}, "
+                             f"expected {TRACE_DTYPE}")
     total = sum(run["iterations"] for run in runs.values())
     if trace.shape != (total,):
-        raise ValueError(f"{path}: shape {trace.shape}, but runs.json "
-                         f"lists {total} iterations")
+        raise InputFileError(f"{path}: shape {trace.shape}, but runs.json "
+                             f"lists {total} iterations")
     records, start = {}, 0
     for key, run in runs.items():
         stop = start + run["iterations"]

@@ -1050,6 +1050,50 @@ dir = {{out}}
         path.write_text(path.read_text().replace(f"t = {n + 1}", f"t = {n}"))
         assert cli.main(["run", str(path)]) == 0
 
+    @staticmethod
+    def assert_input_file_error(capsys, name):
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("input file error: ") and name in err
+
+    @pytest.mark.parametrize("bad", ["csv", "libsvm", "header"])
+    def test_run_on_a_bad_data_file_exits_2(self, tmp_path, capsys, bad):
+        path = self._data_config(tmp_path, "libsvm" if bad == "libsvm"
+                                 else "sparse_coding", "")
+        if bad == "csv":
+            name = "Y.csv"
+            (tmp_path / name).write_text("".join(
+                f"{np.float64(i + 0.78)!r},1.0\n" for i in range(6)))
+            path.write_text(path.read_text().replace("Y.bin", name))
+        elif bad == "libsvm":
+            name = "d.svm"
+            (tmp_path / name).write_text("1 1:2\nnot-a-label 1:3\n")
+        else:
+            name = "Y.bin"
+            (tmp_path / name).write_bytes((tmp_path / name).read_bytes()[:9])
+        assert cli.main(["run", str(path)]) == 2
+        self.assert_input_file_error(capsys, name)
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("bad", ["missing", "unparsable", "matrix"])
+    def test_prune_on_a_bad_solution_file_exits_2(self, tmp_path, capsys,
+                                                  bad):
+        sol = tmp_path / "x.csv"
+        if bad != "missing":
+            sol.write_text("1.0,abc\n" if bad == "unparsable"
+                           else "1.0,2.0\n3.0,4.0\n")
+        assert cli.main(["prune", str(sol), "--sigma", "0.5"]) == 2
+        self.assert_input_file_error(capsys, "x.csv")
+
+    def test_verify_on_a_non_bundle_exits_2(self, tmp_path, capsys):
+        assert cli.main(["verify", str(tmp_path)]) == 2
+        self.assert_input_file_error(capsys, "meta.json")
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        (pathlib.Path(cfg.out_dir) / "trace.npy").write_bytes(b"not numpy")
+        assert cli.main(["verify", cfg.out_dir]) == 2
+        self.assert_input_file_error(capsys, "trace.npy")
+
     def test_prune_subcommand(self, tmp_path, capsys):
         sol = tmp_path / "x.bin"
         save_matrix(sol, np.array([[1.0], [0.01], [-2.0], [0.3]]))

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunadag.core import finite_difference_gradient
-from prunadag.problems import (LS_KINDS, LibsvmParseError, LogisticProblem,
-                               SparseCodingProblem, Stack, classify_accuracy,
-                               dct_matrix, gen_dct_sparse_recovery,
+from prunadag.core import InputFileError, finite_difference_gradient
+from prunadag.problems import (LS_KINDS, PAIRS, LibsvmParseError,
+                               LogisticProblem, SparseCodingProblem, Stack,
+                               classify_accuracy, dct_matrix,
+                               gen_dct_sparse_recovery,
                                gen_least_squares,
                                gen_separable_classification, load_libsvm,
                                load_matrix, load_solution, save_matrix,
@@ -36,9 +37,13 @@ class TestStandardNormal:
 
 
     @pytest.mark.parametrize("size", [7, 8, 1, np.int64(9), (3, 5), (4, 6),
-                                      (2, 3, 3)])
+                                      (2, 3, 3), 2, 3, 2 * PAIRS - 2,
+                                      2 * PAIRS, 2 * PAIRS + 2,
+                                      2 * (2 * PAIRS + 3), (100, 2000)])
     def test_is_the_two_halves_expression(self, size):
-        # the textbook draw: both uniform halves, then r cos and r sin
+        # the textbook draw: both uniform halves, then r cos and r sin,
+        # here in one shot; the sizes put the chunk edges of
+        # standard_normal at every place
         rng, ours = np.random.default_rng(11), np.random.default_rng(11)
         m = int(np.prod(size))
         half = (m + 1) // 2
@@ -167,24 +172,59 @@ def traced_peak(build):
 
 
 class TestGeneratorMemory:
-    """A generator holds at most 2.5 times the bytes of what it returns
-    (A, b and x* of a least-squares instance) at any time."""
+    """A generator holds at most its output (A, b and x* of a
+    least-squares instance) and fixed scratch: 1.4 times the output
+    bytes at 100 x 2000."""
 
-    @pytest.mark.parametrize("build", [
-        lambda: gen_least_squares("A1", 100, 2000, seed=3),
-        lambda: gen_least_squares("A3", 100, 2000, seed=3),
-        lambda: gen_least_squares("A6", 100, 2000, seed=3),
-        lambda: gen_dct_sparse_recovery(100, 2000, seed=3, nnz=10, noise=0.1),
-    ], ids=["A1", "A3", "A6", "dct_recovery"])
-    def test_least_squares_peak(self, build):
-        ls, peak = traced_peak(build)
-        assert peak <= 2.5 * (ls.A.nbytes + ls.b.nbytes + ls.x_star.nbytes)
+    BOUND = {**dict.fromkeys(LS_KINDS, 1.4), "dct_recovery": 1.4,
+             # np.linalg.qr copies the n x m draw and returns Q beside
+             # it, and A = Q.T is one more copy
+             "A2": 3.1, "A4": 3.1}
+
+    @pytest.mark.parametrize("kind", [*LS_KINDS, "dct_recovery"])
+    def test_least_squares_peak(self, kind):
+        ls, peak = traced_peak(
+            (lambda: gen_dct_sparse_recovery(100, 2000, seed=3, nnz=10,
+                                             noise=0.1))
+            if kind == "dct_recovery"
+            else lambda: gen_least_squares(kind, 100, 2000, seed=3))
+        output = ls.A.nbytes + ls.b.nbytes + ls.x_star.nbytes
+        assert peak <= self.BOUND[kind] * output
+
+    def test_wide_a3_peak(self):
+        # the wide grid's instance: the product overwrites the draw
+        ls, peak = traced_peak(lambda: gen_least_squares("A3", 500, 5000, 3))
+        assert peak <= 1.25 * (ls.A.nbytes + ls.b.nbytes + ls.x_star.nbytes)
 
     @pytest.mark.parametrize("size", [(100, 2000), 200_001])
     def test_standard_normal_peak(self, size):
         z, peak = traced_peak(
             lambda: standard_normal(np.random.default_rng(3), size))
-        assert peak <= 2.5 * z.nbytes
+        assert peak <= 1.4 * z.nbytes
+
+
+class TestA3Product:
+    """A3's column-panel product Q @ G against the one-shot product."""
+
+    @staticmethod
+    def one_shot(m, n, seed):
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(standard_normal(rng, (m, m))).Q
+        G = standard_normal(rng, (m, n))
+        return Q @ G, m * np.finfo(float).eps * (np.abs(Q) @ np.abs(G))
+
+    @pytest.mark.parametrize("m, n", [(20, 200), (100, 2000), (500, 5000)])
+    def test_bitwise_at_the_grid_shapes(self, m, n):
+        want, _ = self.one_shot(m, n, seed=4)
+        assert gen_least_squares("A3", m, n, seed=4).A.tobytes() == \
+            want.tobytes()
+
+    @pytest.mark.parametrize("m, n", [(37, 1023), (500, 513), (503, 5001)])
+    def test_within_the_dot_product_bound(self, m, n):
+        # where BLAS splits the one-shot product's columns otherwise
+        want, bound = self.one_shot(m, n, seed=4)
+        A = gen_least_squares("A3", m, n, seed=4).A
+        assert np.all(np.abs(A - want) <= bound)
 
 
 class TestDctRecovery:
@@ -331,6 +371,27 @@ class TestMatrixFormat:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("cut", [7, 11])
+    def test_short_header_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.bin"
+        save_matrix(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(InputFileError, match="m.bin: truncated matrix"):
+            load_matrix(path)
+
+    def test_header_checked_before_allocating(self, tmp_path):
+        # a 2^32 x 2^32 header on a 20-byte file
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"PADM" + b"\xff" * 8 + bytes(8))
+        with pytest.raises(InputFileError, match="4294967295 x 4294967295"):
+            load_matrix(path)
+
+    def test_unparsable_csv_names_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("np.float64(0.5),1.0\n")
+        with pytest.raises(InputFileError, match="m.csv: could not convert"):
             load_matrix(path)
 
     def test_load_solution_vector(self, tmp_path):
