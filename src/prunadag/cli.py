@@ -16,6 +16,16 @@ from . import harness, optimizer, problems, pruning, verify
 from .core import InputFileError
 
 
+def _key_option(section: str, key: str):
+    """An argparse type that parses a value as the config key would."""
+    def parse(raw: str):
+        try:
+            return harness.parse_key(section, key, raw)
+        except harness.ConfigError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prunadag",
@@ -37,9 +47,9 @@ def main(argv=None) -> int:
     p_prune = subs.add_parser("prune", help="prune a stored solution vector")
     p_prune.add_argument("solution", help="solution file (binary or CSV)")
     group = p_prune.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sigma", type=harness._float_list,
+    group.add_argument("--sigma", type=_key_option("pruning", "sigma"),
                        help="comma-separated sparsity fractions")
-    group.add_argument("--delta", type=harness._float_list,
+    group.add_argument("--delta", type=_key_option("pruning", "delta"),
                        help="comma-separated magnitude thresholds")
     p_prune.add_argument("--config", default=None,
                          help="experiment config supplying the problem "

@@ -40,16 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-PRUNADAG_METHODS = {
-    "v1": Variant.V1,
-    "v2": Variant.V2,
-    "v3": Variant.V3,
-    "v4": Variant.V4,
-    "relevant-only": Variant.RELEVANT_ONLY,
-}
-BASELINE_METHODS = ("adagrad", "fw1", "fw2")
-
-
 @dataclass
 class ExperimentConfig:
     problem_kind: str
@@ -75,6 +65,30 @@ class ExperimentConfig:
         return self.T if self.T is not None else optimizer.default_target(n)
 
 
+# Each method: its step family, whose runs share a block, and its
+# per-row parameter built from (config, T). A new method is one row.
+METHODS = {
+    **{v.value: ("prunadag", lambda cfg, T, v=v: v) for v in Variant},
+    "adagrad": ("adagrad", lambda cfg, T: None),
+    "fw1": ("fw", lambda cfg, T: baselines.FwConfig(
+        T, cfg.tau1, baselines.FwRate.LINEAR, cfg.beta)),
+    "fw2": ("fw", lambda cfg, T: baselines.FwConfig(
+        T, cfg.tau2, baselines.FwRate.RESCALED, cfg.beta)),
+}
+PRUNADAG_METHODS = tuple(m for m, (f, _) in METHODS.items() if f == "prunadag")
+
+# Each step family's batch entry, called as entry(problems, X0, params,
+# cfg, T, **stop) with one per-row parameter of METHODS per run.
+FAMILIES = {
+    "prunadag": lambda P, X0, params, cfg, T, **stop: optimizer.run_batch(
+        P, X0, T, params, varsigma=cfg.varsigma, **stop),
+    "adagrad": lambda P, X0, params, cfg, T, **stop: baselines.adagrad_batch(
+        P, X0, varsigma=cfg.varsigma, **stop),
+    "fw": lambda P, X0, params, cfg, T, **stop: baselines.fw_batch(
+        P, X0, params, **stop),
+}
+
+
 def _bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -97,7 +111,7 @@ def _one_of(options, noun: str):
 
 
 def _methods(raw: str) -> list[str]:
-    known = _one_of([*PRUNADAG_METHODS, *BASELINE_METHODS], "optimizer")
+    known = _one_of(METHODS, "optimizer")
     methods = [known(tok.strip().lower()) for tok in raw.split(",")
                if tok.strip()]
     if not methods:
@@ -191,6 +205,24 @@ _KEYS = {
 }
 
 
+def parse_key(section: str, key: str, raw: str):
+    """``raw`` parsed as the value of the key's :data:`_KEYS` row and
+    checked against its bound; raises ConfigError."""
+    _, parse, _, bound = _KEYS[(section, key)]
+    where = f"{section}.{key}"
+    try:
+        value = parse(raw)
+    except ValueError as err:
+        raise ConfigError(f"bad value for {where}: {err}") from None
+    entries = value if isinstance(value, list) else [value]
+    for v in entries:
+        if bound is not None and not bound[0](v):
+            raise ConfigError(f"{where} must be {bound[1]}, got {v!r}")
+    if len(set(entries)) < len(entries):
+        raise ConfigError(f"{where} lists an entry twice: {entries}")
+    return value
+
+
 def load_config(path, overrides=()) -> ExperimentConfig:
     """Parse and check a config file by the table ``_KEYS``, filling its
     defaults; ``overrides`` are ``((section, key), raw)`` pairs that set
@@ -205,25 +237,15 @@ def load_config(path, overrides=()) -> ExperimentConfig:
              for key, raw in parser[s].items()}
     given.update(overrides)
     fields, params = {}, {}
-    for (section, key), (name, parse, default, bound) in _KEYS.items():
+    for (section, key), (name, _, default, _) in _KEYS.items():
         if name is None and key not in PROBLEMS[fields["problem_kind"]][0]:
             continue
-        where = f"{section}.{key}"
-        if (section, key) not in given:
-            if default is REQUIRED:
-                raise ConfigError(f"missing required key {where}")
-            value = copy.copy(default)
+        if (section, key) in given:
+            value = parse_key(section, key, given.pop((section, key)))
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key {section}.{key}")
         else:
-            try:
-                value = parse(given.pop((section, key)))
-            except ValueError as err:
-                raise ConfigError(f"bad value for {where}: {err}") from None
-            entries = value if isinstance(value, list) else [value]
-            for v in entries:
-                if bound is not None and not bound[0](v):
-                    raise ConfigError(f"{where} must be {bound[1]}, got {v!r}")
-            if len(set(entries)) < len(entries):
-                raise ConfigError(f"{where} lists an entry twice: {entries}")
+            value = copy.copy(default)
         (fields if name else params)[name or key] = value
     if given:
         raise ConfigError("unknown key " + ", ".join(
@@ -238,6 +260,14 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         if value is not None and value > most:
             raise ConfigError(f"{where} must be at most {most} with "
                               f"problem.n = {n}, got {value}")
+    # the bundle replaces output.dir, so the nearest existing path at or
+    # above it must be a directory
+    out = os.path.abspath(fields["out_dir"])
+    while not os.path.exists(out):
+        out = os.path.dirname(out)
+    if not os.path.isdir(out):
+        raise ConfigError(f"output.dir must be a directory or a new path, "
+                          f"but {out} is a file")
     return ExperimentConfig(problem_params=params, **fields)
 
 
@@ -282,13 +312,6 @@ def starting_point(n: int, T: int, seed: int) -> np.ndarray:
     return x0
 
 
-def _family(method: str) -> str:
-    """The step family of a method; the runs of one family share a block."""
-    if method in PRUNADAG_METHODS:
-        return "prunadag"
-    return "fw" if method in ("fw1", "fw2") else method
-
-
 def build_problems(cfg: ExperimentConfig
                    ) -> tuple[dict, Optional[problems.Stack]]:
     """Every seed's instance, by :func:`build_problem`, and the
@@ -319,22 +342,12 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
     T = cfg.resolved_T(n)
     X0 = [starting_point(n, T, derive_seed(cfg.master_seed, "x0", i))
           for _, i in cells]
-    common = dict(grad_tol=cfg.grad_tol, max_iters=cfg.max_iters,
-                  delta_trace=cfg.delta_trace,
-                  record_objective=cfg.record_objective, oracle=oracle)
-    family = _family(cells[0][0])
-    if family == "prunadag":
-        variants = [PRUNADAG_METHODS[m] for m, _ in cells]
-        return optimizer.run_batch(probs, X0, T, variants,
-                                   varsigma=cfg.varsigma, **common)
-    if family == "adagrad":
-        return baselines.adagrad_batch(probs, X0, varsigma=cfg.varsigma,
-                                       **common)
-    rates = {"fw1": (cfg.tau1, baselines.FwRate.LINEAR),
-             "fw2": (cfg.tau2, baselines.FwRate.RESCALED)}
-    fw_cfgs = [baselines.FwConfig(T=T, tau=rates[m][0], rate=rates[m][1],
-                                  beta=cfg.beta) for m, _ in cells]
-    return baselines.fw_batch(probs, X0, fw_cfgs, **common)
+    family = METHODS[cells[0][0]][0]
+    params = [METHODS[m][1](cfg, T) for m, _ in cells]
+    return FAMILIES[family](
+        probs, X0, params, cfg, T, grad_tol=cfg.grad_tol,
+        max_iters=cfg.max_iters, delta_trace=cfg.delta_trace,
+        record_objective=cfg.record_objective, oracle=oracle)
 
 
 def _run_one(cfg: ExperimentConfig, method: str, seed_index: int,
@@ -466,7 +479,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     blocks: dict = {}
     for i in range(cfg.seeds):
         for m in cfg.methods:
-            key = (_family(m), result.instances[i].problem.dim)
+            key = (METHODS[m][0], result.instances[i].problem.dim)
             blocks.setdefault(key, []).append((m, i))
 
     if cfg.jobs > 1:

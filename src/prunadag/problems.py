@@ -21,6 +21,7 @@ distribution level elsewhere.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -318,27 +319,27 @@ class LibsvmParseError(InputFileError):
 
 def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     labels, rows, max_idx = [], [], 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                label = float(parts[0])
-                feats = {}
-                for tok in parts[1:]:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    if idx < 1:
-                        raise ValueError("indices are 1-based")
-                    feats[idx] = float(val_s)
-            except (ValueError, IndexError) as err:
-                raise LibsvmParseError(f"{path}:{lineno}: malformed line ({err})")
-            labels.append(label)
-            rows.append(feats)
-            if feats:
-                max_idx = max(max_idx, max(feats))
+    lines = read_input(path, lambda fh: io.TextIOWrapper(fh).readlines())
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+            feats = {}
+            for tok in parts[1:]:
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s)
+                if idx < 1:
+                    raise ValueError("indices are 1-based")
+                feats[idx] = float(val_s)
+        except (ValueError, IndexError) as err:
+            raise LibsvmParseError(f"{path}:{lineno}: malformed line ({err})")
+        labels.append(label)
+        rows.append(feats)
+        if feats:
+            max_idx = max(max_idx, max(feats))
     if not labels:
         raise LibsvmParseError(f"{path}: empty file")
     X = np.zeros((len(labels), max_idx))

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import harness, theory
+from . import theory
 from .core import TRACE_DTYPE, InputFileError, RunRecord, read_input
 
 
@@ -28,18 +28,57 @@ class VerifyOutcome:
         return self.descent_ok is not False and self.gradient_bound_ok
 
 
+_NUMBER = (int, float)
+_OPTIONAL = (int, float, type(None))
+# The keys that verify reads from meta.json and from each entry of
+# runs.json: key -> (its JSON types, its least value or None).
+SCHEMA = {
+    "meta.json": {"n": ((int,), 1), "T": ((int,), 1),
+                  "varsigma": (_NUMBER, 0.0)},
+    "runs.json": {"optimizer": ((str,), None), "seed": ((int,), None),
+                  "iterations": ((int,), 0), "reason": ((str,), None),
+                  "untraced": ((list,), None), "lipschitz": (_NUMBER, 0.0),
+                  "f0": (_OPTIONAL, 0.0), "f_final": (_OPTIONAL, None)},
+}
+
+
+def _checked(where: str, entry, keys: dict) -> dict:
+    """``entry``, if it is a JSON object that meets ``keys``, a row of
+    :data:`SCHEMA`; else an InputFileError that names ``where``."""
+    if type(entry) is not dict:
+        raise InputFileError(f"{where}: not an object")
+    for key, (types, least) in keys.items():
+        if key not in entry:
+            raise InputFileError(f"{where}: no key {key!r}")
+        value = entry[key]
+        if type(value) not in types:
+            raise InputFileError(f"{where}: {key} is {value!r}, not "
+                                 f"{' or '.join(t.__name__ for t in types)}")
+        if least is not None and value is not None and not value >= least:
+            raise InputFileError(f"{where}: {key} must be >= {least}, "
+                                 f"got {value!r}")
+    return entry
+
+
 def load_bundle(trace_dir):
     """Reconstruct per-run traces from a results directory: each run of
     runs.json, in order, takes the next ``iterations`` rows of trace.npy
     as its ``trace``, and ``x_final`` reads as zeros. Raises
     InputFileError, naming the file, when a file is missing or
-    unparsable, when trace.npy's dtype or row count does not match, or
-    when a run lists an ``untraced`` name that is not a trace field.
+    unparsable, when meta.json or runs.json does not meet its
+    :data:`SCHEMA`, when trace.npy's dtype or row count does not match,
+    or when a run lists an ``untraced`` name that is not a trace field.
     """
-    meta = read_input(os.path.join(trace_dir, "meta.json"), json.load)
+    path = os.path.join(trace_dir, "meta.json")
+    meta = _checked(path, read_input(path, json.load), SCHEMA["meta.json"])
     path = os.path.join(trace_dir, "runs.json")
-    runs = {(r["optimizer"], r["seed"]): r for r in read_input(path, json.load)}
-    unknown = {name for run in runs.values()
+    entries = read_input(path, json.load)
+    if type(entries) is not list:
+        raise InputFileError(f"{path}: not a list of runs")
+    runs = {(r["optimizer"], r["seed"]): r for r in (
+        _checked(f"{path}: run {i}", r, SCHEMA["runs.json"])
+        for i, r in enumerate(entries))}
+    unknown = {str(name) for run in runs.values()
                for name in run["untraced"]}.difference(TRACE_DTYPE.names)
     if unknown:
         raise InputFileError(f"{path}: untraced names {sorted(unknown)} are "
@@ -65,20 +104,17 @@ def load_bundle(trace_dir):
 
 
 def verify_bundle(trace_dir) -> list[VerifyOutcome]:
-    """Run descent and gradient-bound checks on every pruning-aware run.
+    """Run descent and gradient-bound checks on every run that traced
+    the masked weighted sums, which only the pruning-aware step fills.
 
-    Baseline runs lack the masked weighted sums and are skipped, and so
-    is a run without f(x0). The gradient bound needs only f(x0); the
-    descent check runs where the bundle holds the objective trace. A
-    run that diverged is checked over the trace it recorded.
+    The others (every baseline run) are skipped, and so is a run
+    without f(x0). The gradient bound needs only f(x0); the descent
+    check runs where the bundle holds the objective trace. A run that
+    diverged is checked over the trace it recorded.
     """
     meta, runs, records = load_bundle(trace_dir)
     outcomes = []
-    for key in sorted(records):
-        method, seed = key
-        if method not in harness.PRUNADAG_METHODS:
-            continue
-        rec = records[key]
+    for key, rec in sorted(records.items()):
         if rec.sum_gO2_over_wO is None or rec.objective_initial is None:
             continue
         L = runs[key]["lipschitz"]
@@ -88,5 +124,5 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
             n=meta["n"], T=meta["T"], varsigma=meta["varsigma"],
             lipschitz=L, gamma0=rec.objective_initial)
         bound_ok = bool(np.all(theory.check_gradient_bound(rec, inp)))
-        outcomes.append(VerifyOutcome(method, seed, descent_ok, bound_ok))
+        outcomes.append(VerifyOutcome(*key, descent_ok, bound_ok))
     return outcomes

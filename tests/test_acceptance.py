@@ -19,9 +19,9 @@ from prunadag.baselines import (FwConfig, FwRate, adagrad_step, fw_lmo,
                                 fw_step)
 from prunadag.core import Problem, finite_difference_gradient
 from prunadag.harness import derive_seed, starting_point
-from prunadag.optimizer import PrunAdagState, prunadag_iterate
+from prunadag.optimizer import PrunAdagState, prunadag_iterate, unwrap
 from prunadag.problems import (LS_KINDS, LogisticProblem,
-                               SparseCodingProblem, classify_accuracy,
+                               SparseCodingProblem, Stack, classify_accuracy,
                                gen_dct_sparse_recovery, gen_least_squares,
                                gen_separable_classification, standard_normal)
 from prunadag.pruning import prune_to_sparsity, robustness
@@ -302,29 +302,40 @@ def test_criterion_09_lambert_w_accuracy():
 
 
 def test_criterion_10_classification_pruning_robustness():
-    methods = {v.value: v for v in TABLE_VARIANTS}
-    within = {m: 0 for m in methods}
-    ada_degraded = 0
-    from prunadag.baselines import adagrad_run
+    # the grid path: the 20 instances in one problems.Stack, the 80
+    # variant runs one seed-major run_batch block and the 20 Adagrad runs
+    # one adagrad_batch block, each row bitwise its solo run
+    from prunadag.baselines import adagrad_batch
+    from prunadag.optimizer import run_batch
+    stack, probs, tests = Stack(SEEDS), [], []
     for i in range(SEEDS):
         train, test = gen_separable_classification(
             N_DESK, 50, 1000, derive_seed(0, "problem", i))
-        problem = train.problem()
-        x0 = desk_x0(i)
-        for name, variant in methods.items():
-            rec = run(problem, x0, T=T_DESK, variant=variant,
-                      varsigma=VARSIGMA, max_iters=2000,
-                      record_objective=False)
-            acc = classify_accuracy(rec.x_final, test)
-            xp, _ = prune_to_sparsity(rec.x_final, 0.8)
-            if (acc - classify_accuracy(xp, test)) * 100.0 <= 2.0:
-                within[name] += 1
-        rec = adagrad_run(problem, x0, max_iters=2000,
-                          record_objective=False)
-        acc = classify_accuracy(rec.x_final, test)
-        xp, _ = prune_to_sparsity(rec.x_final, 0.8)
-        if (acc - classify_accuracy(xp, test)) * 100.0 > 5.0:
-            ada_degraded += 1
+        probs.append(train.problem())
+        stack.add(train)
+        tests.append(test)
+    X0 = [desk_x0(i) for i in range(SEEDS)]
+    stop = dict(max_iters=2000, record_objective=False)
+    rows = [(i, v) for i in range(SEEDS) for v in TABLE_VARIANTS]
+    variant_runs = run_batch(
+        [probs[i] for i, _ in rows], [X0[i] for i, _ in rows], T_DESK,
+        [v for _, v in rows], varsigma=VARSIGMA,
+        oracle=stack.oracle([i for i, _ in rows]), **stop)
+    ada_runs = adagrad_batch(probs, X0, oracle=stack.oracle(range(SEEDS)),
+                             **stop)
+
+    def pruning_loss_pp(outcome, test):
+        x = unwrap([outcome]).x_final    # raises the error that ended a run
+        acc = classify_accuracy(x, test)
+        xp, _ = prune_to_sparsity(x, 0.8)
+        return (acc - classify_accuracy(xp, test)) * 100.0
+
+    within = {v.value: 0 for v in TABLE_VARIANTS}
+    for (i, variant), rec in zip(rows, variant_runs):
+        if pruning_loss_pp(rec, tests[i]) <= 2.0:
+            within[variant.value] += 1
+    ada_degraded = sum(pruning_loss_pp(rec, test) > 5.0
+                       for rec, test in zip(ada_runs, tests))
     variants_ok = all(c > SEEDS // 2 for c in within.values())
     ada_ok = ada_degraded > SEEDS // 2
     report(10, "classification robust to 80% pruning",

@@ -1094,6 +1094,62 @@ dir = {{out}}
         assert cli.main(["verify", cfg.out_dir]) == 2
         self.assert_input_file_error(capsys, "trace.npy")
 
+    def test_run_on_a_libsvm_path_that_is_a_directory_exits_2(self, tmp_path,
+                                                              capsys):
+        path = self._data_config(tmp_path, "libsvm", "")
+        (tmp_path / "adir").mkdir()
+        path.write_text(path.read_text().replace("d.svm", "adir"))
+        assert cli.main(["run", str(path)]) == 2
+        self.assert_input_file_error(capsys, "adir")
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("runs.json", "seed", None), ("runs.json", "iterations", "x"),
+        ("meta.json", "n", -30)], ids=["missing seed", "iterations not an int",
+                                       "negative n"])
+    def test_verify_on_a_malformed_bundle_exits_2(self, tmp_path, capsys,
+                                                  name, key, value):
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        path = pathlib.Path(cfg.out_dir) / name
+        data = json.loads(path.read_text())
+        entry = data[0] if name == "runs.json" else data
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", cfg.out_dir]) == 2
+        self.assert_input_file_error(capsys, name)
+
+    @pytest.mark.parametrize("option, value, bound", [
+        ("--sigma", "1.5", "pruning.sigma must be in [0, 1], got 1.5"),
+        ("--delta", "-1", "pruning.delta must be >= 0.0, got -1.0")],
+        ids=["sigma", "delta"])
+    def test_prune_option_outside_its_key_bound_exits_2(
+            self, tmp_path, capsys, option, value, bound):
+        sol = tmp_path / "x.csv"
+        sol.write_text("1.0\n0.5\n")
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["prune", str(sol), option, value])
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].endswith(f"argument {option}: {bound}")
+
+    def test_output_dir_that_is_a_file_refused_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("a bad config reached build_problems")
+        monkeypatch.setattr(harness, "build_problems", never)
+        (tmp_path / "afile").write_text("mine\n")
+        for out in ("afile", os.path.join("afile", "results")):
+            path = write_config(tmp_path, out=str(tmp_path / out))
+            assert cli.main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: output.dir") and "afile" in err
+        assert (tmp_path / "afile").read_text() == "mine\n"
+
     def test_prune_subcommand(self, tmp_path, capsys):
         sol = tmp_path / "x.bin"
         save_matrix(sol, np.array([[1.0], [0.01], [-2.0], [0.3]]))

@@ -123,3 +123,36 @@ def test_each_family_states_its_math_once():
     found = {name: sorted(families[name] & {"gradient", "value", "margins"})
              for name in with_oracle}
     assert not any(found.values()), f"math beside block_oracle: {found}"
+
+
+def test_methods_are_named_only_in_their_tables():
+    """harness.METHODS gives each method's step family and per-row
+    parameter, and harness.FAMILIES each family's batch entry:
+    ``_run_block`` and ``run_experiment`` read the tables and name no
+    method or family, and verify picks its runs by their traced
+    columns, without importing the harness."""
+    from prunadag import harness
+
+    assert {family for family, _ in harness.METHODS.values()} == set(
+        harness.FAMILIES)
+    names = set(harness.METHODS) | set(harness.FAMILIES)
+
+    def named(node) -> list:
+        return sorted({n.value for n in ast.walk(node)
+                       if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str) and n.value in names})
+
+    tree = ast.parse((SRC / "harness.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    verify = ast.parse((SRC / "verify.py").read_text())
+    found = {name: named(funcs[name])
+             for name in ("_run_block", "run_experiment")}
+    found["verify.py"] = named(verify)
+    assert not any(found.values()), f"method or family literals: {found}"
+    imported = [part for node in ast.walk(verify)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]
+                for part in name.split(".")]
+    assert "harness" not in imported
