@@ -64,6 +64,12 @@ def main(argv=None) -> int:
                else harness.load_config(args.config, overrides))
         # the bounds that need the data files fail as the data is read
         if args.command == "run":
+            # only run writes a bundle; a directory that the bundle would
+            # not replace is refused before the grid runs
+            if harness.not_a_bundle(cfg.out_dir):
+                raise harness.ConfigError(
+                    f"output.dir {cfg.out_dir} holds files but no meta.json;"
+                    f" it is not a bundle and is not replaced")
             result = harness.run_experiment(cfg)
         elif args.command == "verify":
             outcomes = verify.verify_bundle(args.trace_dir)

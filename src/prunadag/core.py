@@ -9,6 +9,7 @@ completed optimizer run leaves behind.
 
 from __future__ import annotations
 
+import tokenize
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,11 +36,15 @@ class InputFileError(ValueError):
 
 def read_input(path, load):
     """``load(fh)`` of the file at ``path`` opened for binary reading; an
-    OSError or ValueError becomes an InputFileError."""
+    OSError or ValueError becomes an InputFileError, and so do the
+    errors that ``np.load`` raises on bad bytes besides ValueError:
+    EOFError, tokenize.TokenError and, for a header that claims more
+    data than memory holds, MemoryError."""
     try:
         with open(path, "rb") as fh:
             return load(fh)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, EOFError, MemoryError,
+            tokenize.TokenError) as err:
         reason = getattr(err, "strerror", None) or err
         raise InputFileError(f"{path}: {reason}") from None
 

@@ -529,14 +529,20 @@ def _active_means(curves: list) -> tuple[list, list]:
     return means, counts
 
 
+def not_a_bundle(out: str) -> bool:
+    """Whether ``out`` is a directory that holds files but no
+    ``meta.json``: not a bundle, so a bundle never replaces it."""
+    return (os.path.isdir(out) and bool(os.listdir(out))
+            and not os.path.isfile(os.path.join(out, "meta.json")))
+
+
 def write_bundle(result: ExperimentResult) -> None:
     """Write the bundle into a new directory beside ``cfg.out_dir`` that
     then replaces it: an interrupted write leaves the old bundle or none,
-    and no file of an earlier bundle survives. A directory that holds
-    files but no ``meta.json`` is not a bundle and is not replaced."""
+    and no file of an earlier bundle survives. A :func:`not_a_bundle`
+    directory is not replaced."""
     out = os.path.abspath(result.cfg.out_dir)
-    if os.path.isdir(out) and os.listdir(out) and not os.path.isfile(
-            os.path.join(out, "meta.json")):
+    if not_a_bundle(out):
         raise FileExistsError(f"{out} is not a bundle; not replacing it")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     with tempfile.TemporaryDirectory(dir=os.path.dirname(out)) as stage:

@@ -12,6 +12,7 @@ All checks are a posteriori passes over immutable run traces.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,12 +22,13 @@ import numpy as np
 from .core import RunRecord
 
 
+@functools.lru_cache(maxsize=256)
 def lambert_w_minus1(y: float) -> float:
     """Lower branch of Lambert W: the solution w <= -1 of w e^w = y.
 
     Defined for y in [-1/e, 0). Computed by bisection bracketing
     followed by safeguarded Newton; relative residual below 1e-12
-    across the domain.
+    across the domain. Each distinct ``y`` is solved once.
     """
     branch_point = -1.0 / math.e
     if not branch_point <= y < 0.0:
@@ -99,11 +101,18 @@ def _theta(inp: BoundInputs, k: np.ndarray, kappa_x: np.ndarray) -> np.ndarray:
     b1 = inp.varsigma
     b2 = 0.5 * inp.varsigma * math.exp(inp.gamma0 / nL)
     b3 = 32.0 * nL ** 2 * lambert_w_minus1(arg) ** 2
-    # libm's log1p: numpy's SIMD log1p differs from it in the last bit
-    # for some inputs, depending on the CPU.
-    z = ((k + 1) * kappa_x ** 2 / inp.varsigma).tolist()
-    b4 = 2.0 * (inp.gamma0 + nL * np.array([math.log1p(v) for v in z])) ** 2
-    return np.maximum(max(b1, b2, b3), b4)
+    const = max(b1, b2, b3)
+    z = (k + 1) * kappa_x ** 2 / inp.varsigma
+    b4 = 2.0 * (inp.gamma0 + nL * np.log1p(z)) ** 2
+    # numpy's SIMD log1p may differ from libm's in the last bits,
+    # depending on the CPU. An entry far below the constant branch
+    # cannot decide theta; the others, non-finite ones included, take
+    # libm's log1p, so theta's bits do not depend on the CPU.
+    near = ~(b4 < const * (1.0 - 1e-9))
+    if near.any():
+        libm = np.array([math.log1p(v) for v in z[near].tolist()])
+        b4[near] = 2.0 * (inp.gamma0 + nL * libm) ** 2
+    return np.maximum(const, b4)
 
 
 def theta_bound(inp: BoundInputs, k: int, kappa_x: float) -> float:

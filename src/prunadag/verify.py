@@ -63,13 +63,15 @@ def _checked(where: str, entry, keys: dict) -> dict:
 def load_bundle(trace_dir):
     """Reconstruct per-run traces from a results directory: each run of
     runs.json, in order, takes the next ``iterations`` rows of trace.npy
-    as its ``trace``, and ``x_final`` reads as zeros. Raises
-    InputFileError, naming the file, when a file is missing or
-    unparsable, when meta.json or runs.json does not meet its
-    :data:`SCHEMA`, when trace.npy's dtype or row count does not match,
-    or when a run lists an ``untraced`` name that is not a trace field.
+    as its ``trace``, and ``x_final`` reads as zeros (one shared
+    read-only array). Raises InputFileError, naming the file, when a
+    file is missing or unparsable, when meta.json or runs.json does not
+    meet its :data:`SCHEMA`, when trace.npy's dtype or row count does
+    not match, when a run lists an ``untraced`` name that is not a trace
+    field, or when meta.json's n is not every row's card_R + card_A +
+    card_D or its T exceeds n.
     """
-    path = os.path.join(trace_dir, "meta.json")
+    meta_path = path = os.path.join(trace_dir, "meta.json")
     meta = _checked(path, read_input(path, json.load), SCHEMA["meta.json"])
     path = os.path.join(trace_dir, "runs.json")
     entries = read_input(path, json.load)
@@ -92,11 +94,21 @@ def load_bundle(trace_dir):
     if trace.shape != (total,):
         raise InputFileError(f"{path}: shape {trace.shape}, but runs.json "
                              f"lists {total} iterations")
+    n = meta["n"]
+    if meta["T"] > n or (trace["card_R"] + trace["card_A"]
+                         + trace["card_D"] != n).any():
+        raise InputFileError(f"{meta_path}: n = {n} and T = {meta['T']} do "
+                             f"not fit trace.npy, whose rows each need "
+                             f"card_R + card_A + card_D = n, and T <= n")
+    try:
+        x_final = np.broadcast_to(0.0, (n,))
+    except ValueError as err:
+        raise InputFileError(f"{meta_path}: n = {n}: {err}") from None
     records, start = {}, 0
     for key, run in runs.items():
         stop = start + run["iterations"]
         records[key] = RunRecord(
-            trace[start:stop], np.zeros(meta["n"]), run["reason"],
+            trace[start:stop], x_final, run["reason"],
             tuple(run["untraced"]), objective_initial=run["f0"],
             objective_final=run["f_final"])
         start = stop
@@ -110,7 +122,10 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
     The others (every baseline run) are skipped, and so is a run
     without f(x0). The gradient bound needs only f(x0); the descent
     check runs where the bundle holds the objective trace. A run that
-    diverged is checked over the trace it recorded.
+    diverged is checked over the trace it recorded. Constants that the
+    checks cannot take (a ValueError, OverflowError or, when varsigma
+    and the Lipschitz constant are both 0, ZeroDivisionError) raise
+    InputFileError naming runs.json and the run.
     """
     meta, runs, records = load_bundle(trace_dir)
     outcomes = []
@@ -118,11 +133,16 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
         if rec.sum_gO2_over_wO is None or rec.objective_initial is None:
             continue
         L = runs[key]["lipschitz"]
-        descent_ok = (None if rec.objective is None else
-                      bool(np.all(theory.check_descent_lemma(rec, L))))
-        inp = theory.BoundInputs(
-            n=meta["n"], T=meta["T"], varsigma=meta["varsigma"],
-            lipschitz=L, gamma0=rec.objective_initial)
-        bound_ok = bool(np.all(theory.check_gradient_bound(rec, inp)))
+        try:
+            descent_ok = (None if rec.objective is None else
+                          bool(np.all(theory.check_descent_lemma(rec, L))))
+            inp = theory.BoundInputs(
+                n=meta["n"], T=meta["T"], varsigma=meta["varsigma"],
+                lipschitz=L, gamma0=rec.objective_initial)
+            bound_ok = bool(np.all(theory.check_gradient_bound(rec, inp)))
+        except (ValueError, OverflowError, ZeroDivisionError) as err:
+            raise InputFileError(
+                f"{os.path.join(trace_dir, 'runs.json')}: run {key[0]} seed "
+                f"{key[1]}: {err}") from None
         outcomes.append(VerifyOutcome(*key, descent_ok, bound_ok))
     return outcomes

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from prunadag import Variant, run
-from prunadag.baselines import (FwConfig, FwRate, adagrad_step, fw_lmo,
-                                fw_step)
+from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_step,
+                                fw_lmo, fw_step)
 from prunadag.core import Problem, finite_difference_gradient
 from prunadag.harness import derive_seed, starting_point
-from prunadag.optimizer import PrunAdagState, prunadag_iterate, unwrap
+from prunadag.optimizer import (PrunAdagState, prunadag_iterate, run_batch,
+                                unwrap)
 from prunadag.problems import (LS_KINDS, LogisticProblem,
                                SparseCodingProblem, Stack, classify_accuracy,
                                gen_dct_sparse_recovery, gen_least_squares,
@@ -53,37 +54,49 @@ def desk_x0(seed_index):
 
 @pytest.fixture(scope="module")
 def bound_traces():
-    """2000-iteration runs on all six ensembles for every variant."""
-    traces = {}
+    """2000-iteration runs on all six ensembles for every variant: one
+    kind-major run_batch block over a problems.Stack of the six
+    instances, each row bitwise its solo run."""
+    stack, probs = Stack(len(LS_KINDS)), []
     for kind in LS_KINDS:
         ls = gen_least_squares(kind, M_DESK, N_DESK,
                                derive_seed(0, "problem", 0))
-        problem = ls.problem()
-        x0 = desk_x0(0)
-        for variant in ALL_VARIANTS:
-            rec = run(problem, x0, T=T_DESK, variant=variant,
-                      varsigma=VARSIGMA, max_iters=2000)
-            traces[(kind, variant)] = (rec, problem)
-    return traces
+        probs.append(ls.problem())
+        stack.add(ls)
+    rows = [(s, v) for s in range(len(LS_KINDS)) for v in ALL_VARIANTS]
+    runs = run_batch(
+        [probs[s] for s, _ in rows], [desk_x0(0)] * len(rows), T_DESK,
+        [v for _, v in rows], varsigma=VARSIGMA,
+        oracle=stack.oracle([s for s, _ in rows]), max_iters=2000)
+    return {(LS_KINDS[s], v): (unwrap([rec]), probs[s])
+            for (s, v), rec in zip(rows, runs)}
 
 
 @pytest.fixture(scope="module")
 def a3_runs():
-    """Full-protocol A3 desk runs for V1/V3/relevant-only/adagrad, 20 seeds."""
-    from prunadag.baselines import adagrad_run
-    out = {}
+    """Full-protocol A3 desk runs for V1/V3/relevant-only/adagrad, 20
+    seeds: one seed-major run_batch block of the three variants and one
+    adagrad_batch block over a problems.Stack of the 20 instances, each
+    row bitwise its solo run."""
+    stack, probs = Stack(SEEDS), []
     for i in range(SEEDS):
         ls = gen_least_squares("A3", M_DESK, N_DESK,
                                derive_seed(0, "problem", i))
-        problem = ls.problem()
-        x0 = desk_x0(i)
-        for variant in (Variant.V1, Variant.V3, Variant.RELEVANT_ONLY):
-            out[(variant.value, i)] = run(
-                problem, x0, T=T_DESK, variant=variant, varsigma=VARSIGMA,
-                record_objective=False)
-        out[("adagrad", i)] = adagrad_run(problem, x0,
-                                          record_objective=False)
-        out[("problem", i)] = problem
+        probs.append(ls.problem())
+        stack.add(ls)
+    X0 = [desk_x0(i) for i in range(SEEDS)]
+    rows = [(i, v) for i in range(SEEDS)
+            for v in (Variant.V1, Variant.V3, Variant.RELEVANT_ONLY)]
+    runs = run_batch(
+        [probs[i] for i, _ in rows], [X0[i] for i, _ in rows], T_DESK,
+        [v for _, v in rows], varsigma=VARSIGMA,
+        oracle=stack.oracle([i for i, _ in rows]), record_objective=False)
+    runs += adagrad_batch(probs, X0, oracle=stack.oracle(range(SEEDS)),
+                          record_objective=False)
+    keys = [(v.value, i) for i, v in rows] + [("adagrad", i)
+                                              for i in range(SEEDS)]
+    out = {key: unwrap([rec]) for key, rec in zip(keys, runs)}
+    out.update((("problem", i), problem) for i, problem in enumerate(probs))
     return out
 
 
@@ -305,8 +318,6 @@ def test_criterion_10_classification_pruning_robustness():
     # the grid path: the 20 instances in one problems.Stack, the 80
     # variant runs one seed-major run_batch block and the 20 Adagrad runs
     # one adagrad_batch block, each row bitwise its solo run
-    from prunadag.baselines import adagrad_batch
-    from prunadag.optimizer import run_batch
     stack, probs, tests = Stack(SEEDS), [], []
     for i in range(SEEDS):
         train, test = gen_separable_classification(

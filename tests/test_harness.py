@@ -1,23 +1,28 @@
 """Tests for the experiment harness, config parsing, and the CLI."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import pickle
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prunadag import cli, harness, problems, pruning
-from prunadag.core import Problem, RunRecord
+from prunadag import cli, harness, problems, pruning, theory
+from prunadag.core import TRACE_COLUMNS, TRACE_DTYPE, Problem, RunRecord
 from prunadag.harness import (ConfigError, build_problem, derive_seed,
                               load_config, run_experiment, starting_point)
 from prunadag.problems import save_matrix
@@ -692,6 +697,18 @@ class TestBundleFormat:
             assert count == len(values)
             assert repr(mean) == repr(float(np.mean(values)))
 
+    def test_verify_solves_lambert_w_once_per_instance(self, tmp_path):
+        """An ls_desk-shaped bundle: the four variants of a seed share
+        the Lambert W argument, so its 8 checked runs need 2 solves."""
+        path = write_config(tmp_path, BASE_CONFIG.replace(
+            "m = 6\nn = 30", "m = 20\nn = 200").replace(
+            "A1", "A3").replace("v3, adagrad",
+                                "v1, v2, v3, v4, adagrad, fw1, fw2"))
+        run_experiment(load_config(path))
+        theory.lambert_w_minus1.cache_clear()
+        outcomes = verify_bundle(str(tmp_path / "results"))
+        assert len(outcomes) == 8 and all(o.ok for o in outcomes)
+        assert theory.lambert_w_minus1.cache_info().misses == 2
 
     @pytest.mark.parametrize("record_objective", [True, False])
     def test_round_trip_is_bitwise(self, tmp_path, record_objective):
@@ -1103,12 +1120,23 @@ dir = {{out}}
         self.assert_input_file_error(capsys, "adir")
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("name, key, value", [
-        ("runs.json", "seed", None), ("runs.json", "iterations", "x"),
-        ("meta.json", "n", -30)], ids=["missing seed", "iterations not an int",
-                                       "negative n"])
+    # (file, key, value, the file that the message names); the first
+    # run of runs.json is v3 at seed 0, which verify checks
+    @pytest.mark.parametrize("name, key, value, named", [
+        ("runs.json", "seed", None, "runs.json"),
+        ("runs.json", "iterations", "x", "runs.json"),
+        ("meta.json", "n", -30, "meta.json"),
+        ("meta.json", "n", 10 ** 13, "meta.json"),
+        ("meta.json", "n", 1, "meta.json"),
+        ("meta.json", "T", 10 ** 18, "meta.json"),
+        ("meta.json", "varsigma", 0, "runs.json: run v3 seed 0"),
+        ("runs.json", "lipschitz", 1e308, "runs.json: run v3 seed 0"),
+        ("runs.json", "f0", 1e308, "runs.json: run v3 seed 0")],
+        ids=["missing seed", "iterations not an int", "negative n", "huge n",
+             "n below the trace", "T above n", "zero varsigma",
+             "huge lipschitz", "huge f0"])
     def test_verify_on_a_malformed_bundle_exits_2(self, tmp_path, capsys,
-                                                  name, key, value):
+                                                  name, key, value, named):
         cfg = load_config(write_config(tmp_path))
         run_experiment(cfg)
         path = pathlib.Path(cfg.out_dir) / name
@@ -1120,7 +1148,49 @@ dir = {{out}}
             entry[key] = value
         path.write_text(json.dumps(data))
         assert cli.main(["verify", cfg.out_dir]) == 2
-        self.assert_input_file_error(capsys, name)
+        self.assert_input_file_error(capsys, named)
+
+    def test_verify_with_zero_varsigma_and_lipschitz_exits_2(self, tmp_path,
+                                                            capsys):
+        """nL = 0 meets the varsigma assumption only with varsigma = 0,
+        and then theta's Lambert W argument divides by zero."""
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        out = pathlib.Path(cfg.out_dir)
+        meta = json.loads((out / "meta.json").read_text())
+        runs = json.loads((out / "runs.json").read_text())
+        meta["varsigma"] = 0
+        for entry in runs:
+            entry["lipschitz"] = 0
+        (out / "meta.json").write_text(json.dumps(meta))
+        (out / "runs.json").write_text(json.dumps(runs))
+        assert cli.main(["verify", cfg.out_dir]) == 2
+        self.assert_input_file_error(capsys, "runs.json: run v3 seed 0")
+
+    @pytest.mark.parametrize("bad", ["empty trace, huge n",
+                                     "header claims 1e14 rows"])
+    def test_verify_on_a_bad_trace_exits_2(self, tmp_path, capsys, bad):
+        cfg = load_config(write_config(tmp_path))
+        run_experiment(cfg)
+        out = pathlib.Path(cfg.out_dir)
+        if bad == "empty trace, huge n":
+            # every run failed at its first call: no row checks n
+            for name, key, value in (("runs.json", "iterations", 0),
+                                     ("meta.json", "n", 2 ** 62)):
+                data = json.loads((out / name).read_text())
+                for entry in data if name == "runs.json" else [data]:
+                    entry[key] = value
+                (out / name).write_text(json.dumps(data))
+            np.save(out / "trace.npy", np.zeros(0, TRACE_DTYPE))
+            named = "meta.json"
+        else:
+            with open(out / "trace.npy", "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(TRACE_DTYPE),
+                    "fortran_order": False, "shape": (10 ** 14,)})
+            named = "trace.npy"
+        assert cli.main(["verify", cfg.out_dir]) == 2
+        self.assert_input_file_error(capsys, named)
 
     @pytest.mark.parametrize("option, value, bound", [
         ("--sigma", "1.5", "pruning.sigma must be in [0, 1], got 1.5"),
@@ -1149,6 +1219,34 @@ dir = {{out}}
             err = capsys.readouterr().err
             assert err.startswith("config error: output.dir") and "afile" in err
         assert (tmp_path / "afile").read_text() == "mine\n"
+
+    def test_output_dir_that_is_not_a_bundle_refused_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("a bad config reached build_problems")
+        monkeypatch.setattr(harness, "build_problems", never)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("mine\n")
+        path = write_config(tmp_path, out=str(tmp_path / "out"))
+        assert cli.main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("config error: output.dir") and "meta.json" in err
+        assert os.listdir(tmp_path / "out") == ["notes.txt"]
+
+    def test_prune_config_whose_output_dir_is_not_a_bundle(self, tmp_path,
+                                                           capsys):
+        """prune writes no bundle, so its config's output.dir may be any
+        directory."""
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("mine\n")
+        sol = tmp_path / "x.bin"
+        save_matrix(sol, np.random.default_rng(5).standard_normal((30, 1)))
+        path = write_config(tmp_path, out=str(tmp_path / "out"))
+        assert cli.main(["prune", str(sol), "--sigma", "0.5",
+                         "--config", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert os.listdir(tmp_path / "out") == ["notes.txt"]
 
     def test_prune_subcommand(self, tmp_path, capsys):
         sol = tmp_path / "x.bin"
@@ -1222,3 +1320,95 @@ dir = {{out}}
             assert cli.main(["run", str(path)]) == 0
             bundles.append(_read_bundle(out))
         assert bundles[1] == bundles[0]
+
+
+# The mutations of a bundle file: a JSON key dropped or its value set,
+# a trace.npy field dropped or one entry set, bytes cut off or
+# overwritten with random ones, or a directory in place of the file.
+RETYPED = {"string": (str, "U8"), "null": (lambda v: None, object),
+           "list": (lambda v: [v], ("<f8", 2)), "bool": (lambda v: True, "?")}
+NUMBERS = [0, -1, 10 ** 18, 1e308, math.nan, math.inf, -math.inf]
+
+
+def _mutate(path: pathlib.Path, op: str, pick: int, value) -> None:
+    """Apply one mutation to the bundle file at ``path``; ``pick``
+    chooses the key, field, row or byte offset, and ``value`` is a
+    :data:`NUMBERS` entry or a :data:`RETYPED` name."""
+    raw = path.read_bytes()
+    if op == "truncate":
+        path.write_bytes(raw[:pick % len(raw)])
+    elif op == "garbage":
+        at, size = pick % len(raw), pick % 61 + 1
+        noise = np.random.default_rng(pick).bytes(size)
+        path.write_bytes(raw[:at] + noise + raw[at + size:])
+    elif op == "directory":
+        path.unlink()
+        path.mkdir()
+    elif path.suffix == ".npy":
+        trace = np.load(path)
+        field = TRACE_COLUMNS[pick % len(TRACE_COLUMNS)]
+        if op == "drop":
+            trace = trace[[c for c in TRACE_COLUMNS if c != field]]
+        elif value in RETYPED:
+            trace = trace.astype([(c, RETYPED[value][1] if c == field
+                                   else trace.dtype[c]) for c in TRACE_COLUMNS])
+        else:
+            with np.errstate(all="ignore"):
+                trace[field][pick % len(trace)] = np.array(value).astype(
+                    trace.dtype[field])
+        np.save(path, trace)
+    else:
+        data = json.loads(raw)
+        slots = [(entry, key) for entry in (
+            data if isinstance(data, list) else [data]) for key in entry]
+        entry, key = slots[pick % len(slots)]
+        if op == "drop":
+            del entry[key]
+        else:
+            entry[key] = (RETYPED[value][0](entry[key]) if value in RETYPED
+                          else value)
+        path.write_text(json.dumps(data))
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tmp_path_factory):
+    """One seed of v3 and adagrad, 20 iterations."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    text = BASE_CONFIG.replace("seeds = 2", "seeds = 1").replace(
+        "max_iters = 40", "max_iters = 20\ngrad_tol = 1e-300")
+    cfg = load_config(write_config(tmp, text))
+    run_experiment(cfg)
+    return pathlib.Path(cfg.out_dir)
+
+
+class TestBundleMutation:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["meta.json", "runs.json", "trace.npy"]),
+           op=st.sampled_from(["drop", "set", "truncate", "garbage",
+                               "directory"]),
+           pick=st.integers(0, 2 ** 20),
+           value=st.sampled_from(NUMBERS + list(RETYPED)))
+    # the cases that ended in a traceback: v3's lipschitz and f0, meta's
+    # n and varsigma, an empty trace.npy
+    @example(name="runs.json", op="set", pick=4, value=1e308)
+    @example(name="runs.json", op="set", pick=0, value=1e308)
+    @example(name="meta.json", op="set", pick=7, value=10 ** 18)
+    @example(name="meta.json", op="set", pick=10, value=0)
+    @example(name="trace.npy", op="truncate", pick=0, value=0)
+    def test_verify_exits_0_1_or_2(self, tiny_bundle, name, op, pick,
+                                   value):
+        """``prunadag verify`` on a bundle with one file mutated ends with
+        exit status 0, 1 or 2 and no exception; status 2 prints an input
+        file error."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "bundle")
+            shutil.copytree(tiny_bundle, out)
+            _mutate(pathlib.Path(out) / name, op, pick, value)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                status = cli.main(["verify", out])
+        assert status in (0, 1, 2)
+        if status == 2:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("input file error: ")

@@ -2,15 +2,17 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prunadag import Variant, run, theory
 from prunadag.baselines import adagrad_run
+from prunadag.harness import derive_seed, starting_point
 from prunadag.problems import gen_least_squares
 from prunadag.theory import (BoundInputs, check_descent_lemma,
                              check_gradient_bound, check_series_lemma,
@@ -114,6 +116,58 @@ class TestThetaBound:
             theta_bound(inp, 0, -1.0)
 
 
+LOG1P = math.log1p
+
+
+def _all_libm_theta(inp, k, kappa_x):
+    """theta with every b4 entry through libm's log1p: the reference
+    that ``_theta`` must equal bitwise."""
+    nL = inp.n * inp.lipschitz
+    b1 = inp.varsigma
+    b2 = 0.5 * inp.varsigma * math.exp(inp.gamma0 / nL)
+    b3 = 32.0 * nL ** 2 * lambert_w_minus1(
+        -math.sqrt(inp.varsigma) / (8.0 * nL)) ** 2
+    z = ((k + 1) * kappa_x ** 2 / inp.varsigma).tolist()
+    b4 = 2.0 * (inp.gamma0 + nL * np.array([LOG1P(v) for v in z])) ** 2
+    return np.maximum(max(b1, b2, b3), b4)
+
+
+class TestThetaBitwise:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5000),
+           lipschitz=st.floats(1e-2, 1e3), varsigma=st.floats(1e-6, 1.0),
+           ratio=st.floats(0.0, 4.0),
+           rel=st.lists(st.floats(-1e-12, 1e-12), min_size=1, max_size=30),
+           k=st.integers(0, 10 ** 6))
+    def test_equals_the_all_libm_formula(self, n, lipschitz, varsigma,
+                                         ratio, rel, k):
+        """kappa placed so that b4 lies within 1e-12 relative of the
+        constant branch on both sides, beside entries far below it and
+        non-finite ones: theta is the all-libm theta bit for bit, and the
+        placed entries take libm's log1p."""
+        nL = n * lipschitz
+        inp = BoundInputs(n=n, T=1, varsigma=varsigma, lipschitz=lipschitz,
+                          gamma0=ratio * nL)
+        assume(inp.varsigma_assumption_holds())
+        const = max(varsigma, 0.5 * varsigma * math.exp(ratio),
+                    32.0 * nL ** 2 * lambert_w_minus1(
+                        -math.sqrt(varsigma) / (8.0 * nL)) ** 2)
+        # b4 = const (1 + r) where log1p(z) = (sqrt(const (1 + r) / 2)
+        # - gamma0) / nL, and z = (k + 1) kappa^2 / varsigma
+        logs = [(math.sqrt(const * (1.0 + r) / 2.0) - inp.gamma0) / nL
+                for r in rel]
+        placed = [math.sqrt(math.expm1(v) * varsigma / (k + 1))
+                  for v in logs if v > 0]
+        assume(placed)
+        kappa = np.array(placed + [0.0, 1e-3, math.inf, math.nan])
+        ks = np.full(len(kappa), k)
+        want = _all_libm_theta(inp, ks, kappa)
+        with mock.patch("math.log1p", side_effect=LOG1P) as log1p:
+            got = theory._theta(inp, ks, kappa)
+        assert got.tobytes() == want.tobytes()
+        assert log1p.call_count >= len(placed) + 2
+
+
 class TestGradientBound:
     def _trace(self, variant=Variant.V3, T=5):
         ls = gen_least_squares("A1", 8, 40, seed=13)
@@ -184,6 +238,24 @@ class TestGradientBound:
         check_gradient_bound(rec, inp)
         assert rec.iterations > 1
         assert len(calls) == 1
+
+    def test_ls_desk_run_takes_no_libm_log1p(self, monkeypatch):
+        """On an ls_desk-shaped run (A3, 20 x 200, T = 20, 400 iterations)
+        b4 stays far below the constant branch at every k, so theta
+        needs libm's log1p nowhere."""
+        problem = gen_least_squares("A3", 20, 200, seed=3).problem()
+        x0 = starting_point(200, 20, derive_seed(1, "x0", 0))
+        rec = run(problem, x0, T=20, grad_tol=1e-300, max_iters=400)
+        inp = BoundInputs(n=200, T=20, varsigma=0.01,
+                          lipschitz=problem.lipschitz,
+                          gamma0=rec.objective_initial)
+        calls = []
+        log1p = math.log1p
+        monkeypatch.setattr(math, "log1p",
+                            lambda v: calls.append(v) or log1p(v))
+        assert np.all(check_gradient_bound(rec, inp))
+        assert rec.iterations == 400
+        assert calls == []
 
     def test_warns_when_assumption_fails(self):
         rec, _ = self._trace()
