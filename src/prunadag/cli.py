@@ -114,7 +114,10 @@ def main(argv=None) -> int:
         (rows,) = pruning.prune_report(x[None], optimizer.row_oracle(
             [problem]), [0], **{f"{kind}s": values})
         if isinstance(rows, Exception):
-            raise rows
+            # the sweep ran; its evaluation failed, as a grid cell records
+            print(f"prune error: {type(rows).__name__}: {rows}",
+                  file=sys.stderr)
+            return 1
         header += ",rho,omega"
     print(header)
     for t, v in enumerate(values):

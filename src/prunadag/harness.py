@@ -131,9 +131,11 @@ def _sparse_coding(p: dict, seed: int):
     if p["column"] >= Y.shape[1]:
         raise ConfigError(f"problem.column must be below the {Y.shape[1]} "
                           f"columns of {p['data_path']}, got {p['column']}")
-    y = Y[:, p["column"]]
-    return problems.SparseCodingProblem(
-        D=problems.load_matrix(p["dict_path"]), y=y), None
+    D = problems.load_matrix(p["dict_path"])
+    if Y.shape[0] != D.shape[0]:
+        raise ConfigError(f"{p['data_path']} has {Y.shape[0]} rows, but the "
+                          f"dictionary {p['dict_path']} has {D.shape[0]}")
+    return problems.SparseCodingProblem(D=D, y=Y[:, p["column"]]), None
 
 
 # Each problem kind: its [problem] keys, and build(params, seed) ->
@@ -151,7 +153,6 @@ PROBLEMS = {
                problems.load_libsvm(p["path"], split_seed=seed)),
     "sparse_coding": (("dict_path", "data_path", "column"), _sparse_coding),
 }
-PROBLEM_KINDS = tuple(PROBLEMS)
 
 REQUIRED = object()
 
@@ -198,7 +199,7 @@ _KEYS = {
         "sigmas", _float_list, [], (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
     ("pruning", "delta"): ("deltas", _float_list, [], _at_least(0.0)),
     ("pruning", "delta_trace"): ("delta_trace", float, 1e-3, _at_least(0.0)),
-    ("output", "dir"): ("out_dir", str, "results", None),
+    ("output", "dir"): ("out_dir", str, "results", (bool, "a path")),
     ("output", "jobs"): ("jobs", int, 1, _at_least(1)),
     ("output", "master_seed"): ("master_seed", int, 0, None),
     ("output", "record_objective"): ("record_objective", _bool, True, None),
@@ -229,8 +230,11 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     a value as the file would, and are checked the same way."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot parse config file {path}: {err}") from None
     for section in set(parser.sections()) - {s for s, _ in _KEYS}:
         raise ConfigError(f"unknown section [{section}]")
     given = {(s, key): raw for s in parser.sections()
@@ -260,6 +264,9 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         if value is not None and value > most:
             raise ConfigError(f"{where} must be at most {most} with "
                               f"problem.n = {n}, got {value}")
+    if "n" in params:   # each seed's data rows and starting points
+        rows = params.get("m", params.get("samples", 0))
+        _fits(fields["seeds"] * (rows + len(fields["methods"])) * n)
     # the bundle replaces output.dir, so the nearest existing path at or
     # above it must be a directory
     out = os.path.abspath(fields["out_dir"])
@@ -269,6 +276,14 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         raise ConfigError(f"output.dir must be a directory or a new path, "
                           f"but {out} is a file")
     return ExperimentConfig(problem_params=params, **fields)
+
+
+def _fits(entries: int) -> None:
+    """Refuse a grid that needs more float64 entries than memory holds."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * entries > memory:
+        raise ConfigError(f"the grid needs at least {8 * entries} bytes, "
+                          f"more than the {memory} bytes of memory")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -325,6 +340,8 @@ def build_problems(cfg: ExperimentConfig
         if cfg.T is not None and cfg.T > instance.problem.dim:
             raise ConfigError(f"optimizers.t must be at most n = "
                               f"{instance.problem.dim}, got {cfg.T}")
+        if i == 0:   # once a data file gives n: every run's start
+            _fits(cfg.seeds * len(cfg.methods) * instance.problem.dim)
         if stack is not None and instance.source is not None:
             stack.add(instance.source)
         else:

@@ -74,9 +74,7 @@ def row_oracle(problems: Sequence[Problem]) -> Oracle:
     set, its objective. An exception fails only its own vector, whose
     gradient is left zero."""
     def oracle(X, runs, objective):
-        G = np.zeros_like(X)
-        F = np.zeros(len(runs))
-        failed = {}
+        G, F, failed = np.zeros_like(X), np.zeros(len(runs)), {}
         for pos, run in enumerate(runs):
             try:
                 G[pos] = problems[run].gradient(X[pos])
@@ -93,9 +91,14 @@ def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
     """One oracle call for the vectors ``X`` and its checks. Returns G,
     the gradient norms (each bitwise ``np.linalg.norm`` of its row), F
     and the failed vectors, each mapped to the exception its oracle
-    raised, else to DivergedError(message(w)) when its w, "gradient" or
-    (with ``objective``) "objective", is not finite, in that order."""
-    G, F, failed = oracle(X, runs, objective)
+    raised (every vector, when the call itself raises), else to
+    DivergedError(message(w)) when its w, "gradient" or (with
+    ``objective``) "objective", is not finite, in that order."""
+    try:
+        G, F, failed = oracle(X, runs, objective)
+    except Exception as err:
+        failed = dict.fromkeys(range(len(X)), err)
+        G, F = np.zeros_like(X), np.zeros(len(X))
     norm = np.sqrt(G[:, None, :] @ G[:, :, None]).reshape(-1)
     # finite entries can still overflow the norm, so only a non-finite
     # norm needs the entries checked
@@ -124,7 +127,8 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     the default is :func:`row_oracle` over ``problems``, and
     :class:`prunadag.problems.BlockOracle` evaluates the stacked
     instances of a grid at once. One ``step`` call advances every row.
-    The final objective is ``problems[b].value``. A run that stops or
+    With ``record_objective``, the final iterates of the runs that stop
+    take one more such call, with the same checks. A run that stops or
     fails leaves the block and the others go on; its outcome is bitwise
     what a block of that run alone gives.
 
@@ -140,12 +144,12 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
 
     Returns one :data:`Outcome` per run. A run ends in
     :class:`DivergedError` if its gradient or objective oracle returns
-    a non-finite value, and in any exception its oracles raise; a
-    :class:`TrustRegionError` from the step ends the run of the row it
-    names, any other step exception every run in the block. The
-    exception carries the trace up to the failing iterate as
-    ``record``, with reason ``"diverged"`` for a DivergedError and
-    ``"failed"`` otherwise.
+    a non-finite value at any iterate, x_final included, and in any
+    exception its oracles raise; a :class:`TrustRegionError` from the
+    step ends the run of the row it names, any other step exception
+    every run in the block. The exception carries the trace up to the
+    failing iterate as ``record``, with reason ``"diverged"`` for a
+    DivergedError and ``"failed"`` otherwise.
     """
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
@@ -183,29 +187,28 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
             break
         block.rows.append(np.array([grad_norm, f, below, *stats]))
         block.X = X_next
-        stopped = np.flatnonzero(grad_norm <= grad_tol)
-        if stopped.size:
-            block.finish({pos: _end(problems[block.runs[pos]], block.X[pos],
-                                    "gradient tolerance", k + 1,
-                                    record_objective)
-                          for pos in stopped})
-    block.finish({pos: _end(problems[run], block.X[pos], "max iterations",
-                            max_iters, record_objective)
-                  for pos, run in enumerate(block.runs)})
+        stopped = grad_norm <= grad_tol
+        ending = np.flatnonzero(stopped | (k + 1 == max_iters)).tolist()
+        if ending:
+            block.finish(_ends(oracle, block, ending, stopped, k + 1))
     return block.outcomes
 
 
-def _end(problem: Problem, x: np.ndarray, reason: str, k: int,
-         record_objective: bool):
-    """How a run that took its last step ends: ``(reason, f_final)``, or
-    the exception raised by the final objective call."""
-    try:
-        f = problem.value(x) if record_objective else None
-    except Exception as err:
-        return err
-    if f is not None and not math.isfinite(f):
-        return DivergedError(f"non-finite objective at iteration {k}")
-    return reason, f
+def _ends(oracle: Oracle, block: "_Block", ending: list, stopped: np.ndarray,
+          k: int) -> dict:
+    """How the runs at the row positions ``ending`` end after step k - 1,
+    on the gradient tolerance if ``stopped``, else at max_iters: in
+    ``(reason, f_final)`` or in the exception of their x_k, whose one
+    checked oracle call is made only with a recorded objective."""
+    F, failed = [None] * len(ending), {}
+    if block.record_objective:
+        _, _, F, failed = checked_oracles(
+            oracle, block.X[ending], [block.runs[pos] for pos in ending],
+            True, lambda what: f"non-finite {what} at iteration {k}")
+        F = F.tolist()
+    return {pos: failed.get(i, ("gradient tolerance" if stopped[pos]
+                                else "max iterations", F[i]))
+            for i, pos in enumerate(ending)}
 
 
 class _Block:
@@ -236,12 +239,9 @@ class _Block:
         for pos, end in ends.items():
             run = self.runs[pos]
             err = end if isinstance(end, Exception) else None
-            if err is None:
-                reason, f_final = end
-            else:
-                reason = ("diverged" if isinstance(err, DivergedError)
-                          else "failed")
-                f_final = None
+            reason, f_final = end if err is None else (
+                "diverged" if isinstance(err, DivergedError) else "failed",
+                None)
             record = _assemble(self.pieces[run], self.X[pos].copy(), reason,
                                self.record_objective)
             record.objective_final = f_final

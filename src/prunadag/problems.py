@@ -22,6 +22,7 @@ distribution level elsewhere.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -73,9 +74,11 @@ def spectral_norm_sq(M: np.ndarray) -> float:
     min(rows, cols) squared entries. This Gram-eigenvalue route
     agrees with the full SVD's ``np.linalg.norm(M, 2) ** 2`` to about
     1e-14 relative at a fraction of its cost, and gives exactly 0.0 for
-    a zero matrix.
+    a zero matrix, and inf when an entry of G is not finite.
     """
     G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+    if not np.isfinite(G).all():   # M's products overflow: no finite bound
+        return math.inf
     return float(np.linalg.eigvalsh(G)[-1])
 
 
@@ -283,17 +286,23 @@ def classify_accuracy(x: np.ndarray, problem: LogisticProblem) -> float:
     return float(np.mean(preds == problem.labels))
 
 
+def _split(rng: np.random.Generator, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 70:30 train/test split of N samples: the first round(0.7 N)
+    entries of a seeded permutation, then the rest."""
+    perm = rng.permutation(N)
+    n_train = int(round(0.7 * N))
+    return perm[:n_train], perm[n_train:]
+
+
 def gen_separable_classification(n_features: int, n_informative: int,
-                                 N: int, seed: int,
-                                 train_fraction: float = 0.7,
-                                 informative_scale: float = 50.0
+                                 N: int, seed: int
                                  ) -> tuple[LogisticProblem, LogisticProblem]:
-    """Linearly separable synthetic dataset split into train/test.
+    """Linearly separable synthetic dataset, split by :func:`_split`.
 
     Only ``n_informative`` seeded feature positions carry signal; the
     rest are pure noise. Labels are the sign of the inner product with
     the hidden coefficient vector. The informative columns are scaled
-    up so the logistic margin saturates while the corresponding
+    up 50-fold so the logistic margin saturates while the corresponding
     coefficients are still small in magnitude; dense adaptive methods
     then park predictive mass below the noise floor, which is exactly
     the regime where naive magnitude pruning is destructive.
@@ -303,12 +312,10 @@ def gen_separable_classification(n_features: int, n_informative: int,
     support = rng.permutation(n_features)[:n_informative]
     w[support] = standard_normal(rng, n_informative)
     A = standard_normal(rng, (N, n_features))
-    A[:, support] *= informative_scale
+    A[:, support] *= 50.0
     scores = A @ w
     labels = np.where(scores >= 0, 1.0, -1.0)
-    n_train = int(round(train_fraction * N))
-    perm = rng.permutation(N)
-    tr, te = perm[:n_train], perm[n_train:]
+    tr, te = _split(rng, N)
     return (LogisticProblem(A[tr], labels[tr]),
             LogisticProblem(A[te], labels[te]))
 
@@ -334,6 +341,8 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
                 if idx < 1:
                     raise ValueError("indices are 1-based")
                 feats[idx] = float(val_s)
+                if not math.isfinite(feats[idx]):
+                    raise ValueError(f"non-finite value {val_s}")
         except (ValueError, IndexError) as err:
             raise LibsvmParseError(f"{path}:{lineno}: malformed line ({err})")
         labels.append(label)
@@ -342,7 +351,11 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
             max_idx = max(max_idx, max(feats))
     if not labels:
         raise LibsvmParseError(f"{path}: empty file")
-    X = np.zeros((len(labels), max_idx))
+    try:
+        X = np.zeros((len(labels), max_idx))
+    except (ValueError, MemoryError):
+        raise LibsvmParseError(f"{path}: {len(labels)} samples of {max_idx} "
+                               f"features do not fit in memory") from None
     for i, feats in enumerate(rows):
         for idx, val in feats.items():
             X[i, idx - 1] = val
@@ -352,34 +365,26 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def load_libsvm(path, normalize: bool = True,
-                split_seed: Optional[int] = None,
-                train_fraction: float = 0.7
+def load_libsvm(path, split_seed: Optional[int] = None
                 ) -> tuple[LogisticProblem, Optional[LogisticProblem]]:
-    """Load a LIBSVM sparse text file into train/test logistic problems.
+    """Load a LIBSVM sparse text file into train/test logistic problems,
+    split by :func:`_split` with ``split_seed``; with ``split_seed=None``
+    no split is performed and test is None.
 
     Features are min-max normalized to [0, 1] using training-set
     statistics; test features are clipped back into [0, 1] afterward.
-    With ``split_seed=None`` no split is performed and test is None.
     """
     X, y = _parse_libsvm(path)
-    N = X.shape[0]
-    if split_seed is not None:
-        rng = np.random.default_rng(split_seed)
-        perm = rng.permutation(N)
-        n_train = int(round(train_fraction * N))
-        tr, te = perm[:n_train], perm[n_train:]
+    if split_seed is None:
+        tr, te = np.arange(X.shape[0]), np.array([], dtype=np.int64)
     else:
-        tr, te = np.arange(N), np.array([], dtype=np.int64)
-    X_tr, X_te = X[tr], X[te]
-    if normalize:
-        lo = X_tr.min(axis=0)
-        hi = X_tr.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        X_tr = (X_tr - lo) / span
-        X_te = np.clip((X_te - lo) / span, 0.0, 1.0)
-    train = LogisticProblem(X_tr, y[tr])
-    test = LogisticProblem(X_te, y[te]) if te.size else None
+        tr, te = _split(np.random.default_rng(split_seed), X.shape[0])
+    X_tr = X[tr]
+    lo, hi = X_tr.min(axis=0), X_tr.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    train = LogisticProblem((X_tr - lo) / span, y[tr])
+    test = (LogisticProblem(np.clip((X[te] - lo) / span, 0.0, 1.0), y[te])
+            if te.size else None)
     return train, test
 
 
@@ -535,8 +540,13 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read the dense binary format, falling back to CSV; raises
-    InputFileError for a file it cannot read as either."""
-    return read_input(path, _read_matrix)
+    InputFileError for a file it cannot read as either, or whose matrix
+    is empty or holds a non-finite entry."""
+    M = read_input(path, _read_matrix)
+    if not M.size or not np.isfinite(M).all():
+        raise InputFileError(f"{path}: " + ("holds a non-finite entry"
+                                            if M.size else "holds no entry"))
+    return M
 
 
 def _read_matrix(fh) -> np.ndarray:

@@ -96,7 +96,12 @@ BAD_VALUES = [
     ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = -1e-3",
      "pruning.delta_trace"),
     ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = nan",
-     "pruning.delta_trace")]
+     "pruning.delta_trace"),
+    ("dir = {out}", "dir =", "output.dir must be a path"),
+    ("seeds = 2", f"seeds = {10 ** 18}", "bytes of memory"),
+    ("n = 30", f"n = {10 ** 18}", "bytes of memory"),
+    (LS_MN, LOGISTIC.format(n=30, informative=3, samples=10 ** 18),
+     "bytes of memory")]
 BAD_VALUE_IDS = [
     "m == n", "m > n", "dct m == n", "negative delta", "no iterations",
     "zero grad_tol", "negative grad_tol", "t below 2", "t above n",
@@ -104,7 +109,8 @@ BAD_VALUE_IDS = [
     "zero tau2", "nan tau1", "zero beta", "beta 1", "zero m", "zero seeds",
     "nnz above n", "negative nnz", "negative noise", "zero informative",
     "informative above n", "one sample", "logistic n 1", "negative jobs",
-    "zero jobs", "negative delta_trace", "nan delta_trace"]
+    "zero jobs", "negative delta_trace", "nan delta_trace", "empty dir",
+    "huge seeds", "huge n", "huge samples"]
 
 DUPLICATES = [
     ("v3, adagrad", "v3, V3", "optimizers.methods"),
@@ -447,8 +453,8 @@ class TestStackedGrid:
     @pytest.mark.parametrize("kind", sorted(CONFIGS))
     def test_drive_makes_no_per_row_gradient_calls(self, tmp_path,
                                                    monkeypatch, kind):
-        # drive and the pruning sweep evaluate the stack; only drive's
-        # final objectives are Problem.value calls, one per run
+        # drive, its final iterates included, and the pruning sweep
+        # evaluate the stack: no Problem.gradient or Problem.value call
         text = BASE_CONFIG.replace(
             "kind = least_squares\nmatrix = A1\nm = 6\nn = 30",
             self.CONFIGS[kind]).replace("v3, adagrad", "v1, v3, adagrad, fw2")
@@ -477,7 +483,7 @@ class TestStackedGrid:
         result = run_experiment(load_config(write_config(tmp_path, text)))
         assert not result.failures and len(result.records) == 8
         assert len(result.prune_rows) == 8
-        assert calls == {("value", "other"): 8}
+        assert calls == {}
 
     def test_stopping_rows_match_solo_runs(self, tmp_path):
         # the rows of a block stop at different iterations or never, and
@@ -884,9 +890,10 @@ class TestFailures:
 
     def test_pruning_time_divergence_is_recorded(self, tmp_path,
                                                  monkeypatch):
-        # v3 on seed 1 runs its 40 iterations (40 gradient calls); the
-        # first gradient call of its pruning sweep returns NaN
-        monkeypatch.setattr(harness, "build_problem", _fault_at(41, _nan, 1))
+        # v3 on seed 1 runs its 40 iterations (40 gradient calls) and
+        # evaluates x_final (call 41); the first gradient call of its
+        # pruning sweep, call 42, returns NaN
+        monkeypatch.setattr(harness, "build_problem", _fault_at(42, _nan, 1))
         cfg = load_config(write_config(tmp_path))
         result = run_experiment(cfg)
         assert result.failures == {
@@ -899,6 +906,22 @@ class TestFailures:
         with open(os.path.join(cfg.out_dir, "prune.csv")) as fh:
             pruned = {(r["optimizer"], r["seed"]) for r in csv.DictReader(fh)}
         assert pruned == {("v3", "0"), ("adagrad", "0"), ("adagrad", "1")}
+
+    def test_non_finite_final_gradient_is_divergence(self, tmp_path,
+                                                     monkeypatch):
+        # x_final of v3 on seed 1 is evaluated like every other iterate:
+        # a NaN gradient there ends the run, not its pruning sweep
+        monkeypatch.setattr(harness, "build_problem", _fault_at(41, _nan, 1))
+        cfg = load_config(write_config(tmp_path))
+        result = run_experiment(cfg)
+        assert result.failures == {
+            ("v3", 1): "DivergedError: non-finite gradient at iteration 40"}
+        rec = result.records[("v3", 1)]
+        rec.validate()
+        assert rec.iterations == 40 and rec.reason == "diverged"
+        assert rec.objective_final is None
+        assert set(result.prune_rows) == {("v3", 0), ("adagrad", 0),
+                                          ("adagrad", 1)}
 
     def test_keyboard_interrupt_aborts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "build_problem",
@@ -938,6 +961,170 @@ class TestFailures:
         assert "completed 1 runs (1 failed)" in capsys.readouterr().out
         assert cli.main(["verify", out]) == 0
         assert "PASS v3 seed=0" in capsys.readouterr().out
+
+
+# 3 seeds of two pruning-aware methods and Adagrad; every run takes
+# FAULT_ITERS iterations
+FAULT_ITERS = 6
+FAULT_CONFIG = (BASE_CONFIG.replace("seeds = 2", "seeds = 3")
+                .replace("v3, adagrad", "v1, v3, adagrad")
+                .replace("max_iters = 40", f"max_iters = {FAULT_ITERS}\n"
+                         "grad_tol = 1e-300")
+                .replace("sigma = 0.3, 0.5", "sigma = 0.5")
+                + "record_objective = {record}\njobs = {jobs}\n")
+FAULT_CELLS = [(m, i) for m in ("v1", "v3", "adagrad") for i in range(3)]
+FAULT_MESSAGES = {"raise": "ZeroDivisionError: boom",
+                  "nan": "DivergedError: non-finite gradient at iteration {t}",
+                  "inf": "DivergedError: non-finite objective at iteration {t}"}
+
+
+@pytest.fixture(scope="module")
+def solo_runs(tmp_path_factory):
+    """Per record_objective, every FAULT_CONFIG cell run alone."""
+    tmp = tmp_path_factory.mktemp("solo")
+    solo = {}
+    for record in (True, False):
+        cfg = load_config(write_config(tmp, FAULT_CONFIG, record=record,
+                                       jobs=1))
+        solo[record] = {(m, i): harness._run_one(cfg, m, i,
+                                                 build_problem(cfg, i))
+                        for m, i in FAULT_CELLS}
+    return solo
+
+
+def _inject(patch, cfg, cell, t, fault, stacked):
+    """Make ``fault`` happen at the evaluation of x_t of ``cell``: in its
+    row of the stack's block oracle, or in its seed's problem, which
+    leaves the grid unstacked. Only the evaluations that the cell's
+    block makes are counted, in the process that runs it."""
+    method, seed = cell
+    family = [m for m in cfg.methods
+              if harness.METHODS[m][0] == harness.METHODS[method][0]]
+    # every row runs until the fault: the stacked block evaluates its
+    # full (seeds, methods) layout once per iterate, a plain one calls
+    # each row's problem in block order
+    target = (t + 1 if stacked
+              else t * len(family) + family.index(method) + 1)
+    count = {"calls": None}
+    run_cells, prune_report = harness._run_cells, pruning.prune_report
+
+    def tracked(cfg, cells, instances, stack):
+        count["calls"] = 0 if cell in cells else None
+        count["layout"] = (len(cells) // len(family), len(family))
+        count["row"] = (seed - cells[0][1], family.index(method))
+        try:
+            return run_cells(cfg, cells, instances, stack)
+        finally:
+            count["calls"] = None
+
+    def sweep(*args, **kwargs):
+        count["calls"] = None    # drive's evaluations are over
+        return prune_report(*args, **kwargs)
+
+    def fires() -> bool:
+        if count["calls"] is None:
+            return False
+        count["calls"] += 1
+        return count["calls"] == target
+
+    patch.setattr(harness, "_run_cells", tracked)
+    patch.setattr(pruning, "prune_report", sweep)
+    if stacked:
+        real = problems.LeastSquaresProblem.block_oracle
+
+        def block_oracle(X, objective, **arrays):
+            G, F = real(X, True, **arrays)
+            if X.shape[:2] == count.get("layout") and fires():
+                if fault == "raise":
+                    raise ZeroDivisionError("boom")
+                if fault == "nan":
+                    G[count["row"]] = np.nan
+                else:
+                    F[count["row"]] = np.inf
+            return G, F
+        patch.setattr(problems.LeastSquaresProblem, "block_oracle",
+                      staticmethod(block_oracle))
+        return
+    real_build = harness.build_problem
+
+    def build(cfg, i):
+        problem = real_build(cfg, i).problem
+        if i != seed:
+            return harness.ProblemInstance(problem)
+        hit = [False]    # whether the last gradient call was the fault
+
+        def grad(x):
+            hit[0] = fires()
+            if hit[0] and fault == "raise":
+                raise ZeroDivisionError("boom")
+            g = problem.grad(x)
+            return np.full_like(g, np.nan) if hit[0] and fault == "nan" else g
+
+        def objective(x):
+            # asked right after the gradient at the same vector
+            return (math.inf if hit[0] and fault == "inf"
+                    else problem.objective(x))
+        return harness.ProblemInstance(dataclasses.replace(
+            problem, grad=grad, objective=objective))
+    patch.setattr(harness, "build_problem", build)
+
+
+class TestFaultInjection:
+    """A raising oracle, a NaN gradient or an infinite objective at any
+    evaluation of one cell, its x_final included, on a stacked or a
+    plain grid at jobs 1 and 2: the cells the fault reaches keep the
+    rows before the faulting iterate and an attributed failure, and
+    every other cell is bitwise its run alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked=st.booleans(), jobs=st.sampled_from([1, 2]),
+           record=st.booleans(), cell=st.sampled_from(FAULT_CELLS),
+           t=st.integers(0, FAULT_ITERS),
+           fault=st.sampled_from(sorted(FAULT_MESSAGES)))
+    @example(stacked=True, jobs=1, record=True, cell=("v3", 1),
+             t=FAULT_ITERS, fault="nan")
+    @example(stacked=False, jobs=2, record=True, cell=("adagrad", 2),
+             t=FAULT_ITERS, fault="raise")
+    @example(stacked=True, jobs=2, record=False, cell=("v1", 0), t=0,
+             fault="inf")
+    @example(stacked=False, jobs=1, record=False, cell=("v1", 0),
+             t=FAULT_ITERS, fault="inf")
+    def test_fault_ends_only_the_cells_it_reaches(
+            self, solo_runs, stacked, jobs, record, cell, t, fault):
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            cfg = load_config(write_config(pathlib.Path(tmp), FAULT_CONFIG,
+                                           record=record, jobs=jobs))
+            _inject(patch, cfg, cell, t, fault, stacked)
+            result = run_experiment(cfg)
+        # x_final is evaluated only with the objective recorded, and the
+        # objective after x0 only then
+        fires = ((t < FAULT_ITERS or record)
+                 and (fault != "inf" or record or t == 0))
+        reached = {cell} if fires else set()
+        if fires and stacked and fault == "raise":
+            # a stacked call that raises fails every row it evaluates:
+            # the cell's block, or at jobs 2 its shard
+            blocks = {}
+            for i, m in itertools.product(range(3), cfg.methods):
+                blocks.setdefault(harness.METHODS[m][0], []).append((m, i))
+            reached = next(set(cells) for cells in harness._shards(
+                blocks.values(), jobs) if cell in cells)
+        message = FAULT_MESSAGES[fault].format(t=t)
+        assert result.failures == dict.fromkeys(reached, message)
+        assert result.records.keys() == set(FAULT_CELLS)
+        for key, rec in result.records.items():
+            alone = solo_runs[record][key]
+            if key not in reached:
+                assert_same_record(rec, alone)
+                assert key in result.prune_rows
+                continue
+            assert rec.reason == ("failed" if fault == "raise"
+                                  else "diverged")
+            assert rec.trace.tobytes() == alone.trace[:t].tobytes()
+            assert rec.objective_final is None
+            if t == FAULT_ITERS:
+                assert rec.x_final.tobytes() == alone.x_final.tobytes()
 
 
 class TestCli:
@@ -1068,10 +1255,11 @@ dir = {{out}}
         assert cli.main(["run", str(path)]) == 0
 
     @staticmethod
-    def assert_input_file_error(capsys, name):
+    def assert_input_file_error(capsys, name, says=""):
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("input file error: ") and name in err
+        assert says in err
 
     @pytest.mark.parametrize("bad", ["csv", "libsvm", "header"])
     def test_run_on_a_bad_data_file_exits_2(self, tmp_path, capsys, bad):
@@ -1091,6 +1279,60 @@ dir = {{out}}
         assert cli.main(["run", str(path)]) == 2
         self.assert_input_file_error(capsys, name)
         assert not (tmp_path / "results").exists()
+
+    # data values that ended run in a traceback: (kind, file, contents,
+    # what the message says)
+    @pytest.mark.parametrize("kind, name, data, says", [
+        ("sparse_coding", "D.bin", np.full((6, 20), np.nan), "non-finite"),
+        ("sparse_coding", "Y.bin", np.full((6, 2), np.inf), "non-finite"),
+        ("sparse_coding", "D.bin", np.zeros((0, 20)), "holds no entry"),
+        ("libsvm", "d.svm", f"1 1:2\n-1 {10 ** 18}:1\n", "do not fit"),
+        ("libsvm", "d.svm", "1 1:2\n-1 1:nan\n", "non-finite value")],
+        ids=["nan dictionary", "inf data", "empty dictionary", "huge index",
+             "nan feature"])
+    def test_run_on_a_bad_data_value_exits_2(self, tmp_path, capsys, kind,
+                                             name, data, says):
+        path = self._data_config(tmp_path, kind, "")
+        if isinstance(data, str):
+            (tmp_path / name).write_text(data)
+        else:
+            save_matrix(tmp_path / name, data)
+        assert cli.main(["run", str(path)]) == 2
+        self.assert_input_file_error(capsys, name, says)
+        assert not (tmp_path / "results").exists()
+
+    def test_run_on_data_of_mismatched_rows_exits_2(self, tmp_path, capsys):
+        path = self._data_config(tmp_path, "sparse_coding", "")
+        save_matrix(tmp_path / "Y.bin", np.ones((5, 2)))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "has 5 rows" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_grid_larger_than_memory_over_a_data_file_exits_2(self, tmp_path,
+                                                               capsys):
+        path = self._data_config(tmp_path, "sparse_coding", "")
+        path.write_text(path.read_text().replace("seeds = 2",
+                                                 f"seeds = {10 ** 18}"))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "bytes of memory" in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe[problem]\n", b"kind = least_squares\n",
+        b"[problem]\nkind\n", b"[stop]\nmax_iters = 1\nmax_iters = 2\n"],
+        ids=["not utf-8", "no section", "no value", "key twice"])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "c.ini"
+        path.write_bytes(text)
+        for argv in (["run", str(path)], ["prune", str(path), "--sigma",
+                                          "0.5", "--config", str(path)]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"config error: cannot parse config file "
+                                  f"{path}")
 
     @pytest.mark.parametrize("bad", ["missing", "unparsable", "matrix"])
     def test_prune_on_a_bad_solution_file_exits_2(self, tmp_path, capsys,
@@ -1289,6 +1531,19 @@ dir = {{out}}
         assert out == ""
         assert "has 7 entries" in err and "n = 30" in err
 
+    def test_prune_whose_evaluation_diverges_exits_1(self, tmp_path, capsys):
+        # the pruned vectors of 1e200 entries overflow the objective
+        sol = tmp_path / "x.csv"
+        sol.write_text("\n".join(["1e200"] * 30) + "\n")
+        path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 2",
+                                                          "seeds = 1"))
+        assert cli.main(["prune", str(sol), "--sigma", "0.5", "--config",
+                         str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("prune error: DivergedError: non-finite oracle output "
+                       "in robustness evaluation\n")
+
     def test_one_column_csv_data_is_the_binary_data(self, tmp_path):
         rng = np.random.default_rng(0)
         save_matrix(tmp_path / "D.bin", rng.standard_normal((6, 20)))
@@ -1412,3 +1667,168 @@ class TestBundleMutation:
         if status == 2:
             assert stdout.getvalue() == ""
             assert stderr.getvalue().startswith("input file error: ")
+
+
+# A tiny valid config of each problem kind, run from its own directory;
+# sparse coding and libsvm read the data files of _write_inputs.
+INPUT_CONFIG = """\
+[problem]
+{problem}
+seeds = 2
+
+[optimizers]
+methods = v3, adagrad
+t = 3
+varsigma = 0.01
+tau1 = 50
+beta = 0.001
+
+[stop]
+grad_tol = 0.01
+max_iters = 20
+
+[pruning]
+sigma = 0.5, 0.8
+delta = 0.1
+delta_trace = 0.001
+
+[output]
+dir = out
+jobs = 1
+master_seed = 3
+record_objective = true
+"""
+INPUT_PROBLEMS = {
+    "least_squares": "kind = least_squares\nmatrix = A1\nm = 6\nn = 30",
+    "dct_recovery": "kind = dct_recovery\nm = 6\nn = 30\nnnz = 3\nnoise = 0.1",
+    "logistic_synthetic": ("kind = logistic_synthetic\nn = 30\n"
+                           "informative = 4\nsamples = 20"),
+    "sparse_coding": ("kind = sparse_coding\ndict_path = D.bin\n"
+                      "data_path = y.csv\ncolumn = 1"),
+    "libsvm": "kind = libsvm\npath = data.svm",
+}
+# each kind's data files, and its dimension n
+INPUT_FILES = {"sparse_coding": ("D.bin", "y.csv"), "libsvm": ("data.svm",)}
+INPUT_DIM = {"sparse_coding": 20, "libsvm": 8}
+SET_VALUES = ["0", "-1", str(10 ** 18), "1e308", "nan", "inf", "x", "1.5",
+              "1, 2", "yes", ""]
+NUMBER = re.compile(rb"-?\d+(\.\d+)?(e-?\d+)?")
+
+
+def _write_inputs(where: pathlib.Path, kind: str) -> None:
+    """The config ``c.ini`` of ``kind``, its data files and a solution
+    ``x.csv`` of its dimension."""
+    rng = np.random.default_rng(0)
+    save_matrix(where / "D.bin", rng.standard_normal((6, 20)))
+    np.savetxt(where / "y.csv", rng.standard_normal((6, 2)), delimiter=",",
+               fmt="%.6g")
+    (where / "data.svm").write_text("".join(
+        f"{(-1) ** i} " + " ".join(f"{j + 1}:{rng.standard_normal():.3g}"
+                                   for j in range(8) if (i + j) % 3) + "\n"
+        for i in range(12)))
+    np.savetxt(where / "x.csv", rng.standard_normal(INPUT_DIM.get(kind, 30)),
+               fmt="%.6g")
+    (where / "c.ini").write_text(INPUT_CONFIG.format(
+        problem=INPUT_PROBLEMS[kind]))
+
+
+def _mutate_input(path: pathlib.Path, op: str, pick: int, value: str):
+    """Apply one mutation to a config or data file: a config key line
+    dropped, followed by an unknown key, given a value or named twice in
+    its list; an unknown section; a number of a data file set to
+    ``value``; bytes cut off or overwritten with random ones."""
+    raw = path.read_bytes()
+    if op == "truncate":
+        path.write_bytes(raw[:pick % len(raw)])
+    elif op == "garbage":
+        at, size = pick % len(raw), pick % 61 + 1
+        noise = np.random.default_rng(pick).bytes(size)
+        path.write_bytes(raw[:at] + noise + raw[at + size:])
+    elif path.suffix == ".ini":
+        lines = raw.decode().splitlines()
+        if op == "section":
+            lines += ["[bogus]", "key = 1"]
+        else:
+            keys = [i for i, line in enumerate(lines) if " = " in line]
+            i = keys[pick % len(keys)]
+            key, old = lines[i].split(" = ", 1)
+            lines[i:i + 1] = {"drop": [], "key": [lines[i], "bogus = 1"],
+                              "set": [f"{key} = {value}"],
+                              "twice": [f"{key} = {old}, {old}"]}[op]
+        path.write_text("\n".join(lines) + "\n")
+    elif path.suffix == ".bin":
+        number = float(value) if value in SET_VALUES[:6] else 7.0
+        if op == "key":   # a header dimension, clipped into its u32
+            at, size = 4 + 4 * (pick % 2), 4
+            new = int(np.clip(np.nan_to_num(abs(number)), 0, 2 ** 32 - 1)
+                      ).to_bytes(4, "little")
+        else:             # an entry of the 6 x 20 payload
+            at, size = 12 + 8 * (pick % 120), 8
+            new = np.float64(number).tobytes()
+        path.write_bytes(raw[:at] + new + raw[at + size:])
+    else:
+        spans = [m.span() for m in NUMBER.finditer(raw)]
+        lo, hi = spans[pick % len(spans)]
+        path.write_bytes(raw[:lo] + value.encode() + raw[hi:])
+
+
+def _main(argv) -> tuple:
+    """``cli.main(argv)`` in-process: (exit status, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exit:
+            status = exit.code
+    return status, stdout.getvalue(), stderr.getvalue()
+
+
+def _tree(where: pathlib.Path) -> dict:
+    return {str(p.relative_to(where)): p.read_bytes() if p.is_file() else None
+            for p in sorted(where.rglob("*"))}
+
+
+@pytest.fixture(scope="module")
+def input_bundles(tmp_path_factory):
+    """Per kind, the bundle of its unmutated config."""
+    bundles = {}
+    for kind in INPUT_PROBLEMS:
+        where = tmp_path_factory.mktemp(kind)
+        _write_inputs(where, kind)
+        with contextlib.chdir(where):
+            assert _main(["run", "c.ini"])[0] == 0
+        bundles[kind] = where / "out"
+    return bundles
+
+
+class TestInputMutation:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(INPUT_PROBLEMS)),
+           name=st.sampled_from(["c.ini", "D.bin", "y.csv", "data.svm"]),
+           op=st.sampled_from(["drop", "key", "section", "set", "twice",
+                               "truncate", "garbage"]),
+           pick=st.integers(0, 2 ** 20), value=st.sampled_from(SET_VALUES))
+    def test_run_and_prune_exit_0_1_or_2(self, input_bundles, kind, name, op,
+                                         pick, value):
+        """``prunadag run`` and ``prunadag prune --config`` on one mutated
+        config or data file end with exit status 0, 1 or 2 and no
+        exception; a run that fails writes nothing."""
+        if name != "c.ini" and name not in INPUT_FILES.get(kind, ()):
+            name = "c.ini"
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            where = pathlib.Path(tmp)
+            _write_inputs(where, kind)
+            shutil.copytree(input_bundles[kind], where / "out")
+            _mutate_input(where / name, op, pick, value)
+            before = _tree(where)
+            status, out, err = _main(["run", "c.ini"])
+            assert status in (0, 1, 2)
+            if status:
+                assert out == "" and err
+                assert _tree(where) == before
+            status, out, err = _main(["prune", "x.csv", "--sigma", "0.5",
+                                      "--config", "c.ini"])
+            assert status in (0, 1, 2)
+            if status:
+                assert out == "" and err

@@ -389,6 +389,36 @@ class TestDriver:
         exc.value.record.validate()
         assert exc.value.record.iterations == 7
 
+    @pytest.mark.parametrize("method", sorted(RUNNERS))
+    def test_raising_final_gradient_attaches_full_record(self, method):
+        # the gradient at x_final is checked like every other: the 7th
+        # call raises, after 6 iterations
+        calls = iter(range(7))
+
+        def grad(x):
+            if next(calls) == 6:
+                raise ZeroDivisionError("boom")
+            return x - 0.3
+        problem = Problem(dim=4, grad=grad,
+                          objective=lambda x: 0.5 * float(np.sum(x ** 2)))
+        with pytest.raises(ZeroDivisionError) as exc:
+            self.RUNNERS[method](problem, np.ones(4), max_iters=6)
+        rec = exc.value.record
+        rec.validate()
+        assert rec.reason == "failed" and rec.iterations == 6
+        assert rec.objective_final is None
+
+    @pytest.mark.parametrize("method", sorted(RUNNERS))
+    def test_without_objective_x_final_is_not_evaluated(self, method):
+        # one gradient call per iteration, none at x_final
+        calls = []
+        problem = Problem(dim=4, grad=lambda x: calls.append(1) or x - 0.3,
+                          objective=lambda x: 0.5 * float(np.sum(x ** 2)))
+        rec = self.RUNNERS[method](problem, np.ones(4), max_iters=6,
+                                   record_objective=False)
+        assert rec.reason == "max iterations" and rec.iterations == 6
+        assert len(calls) == 6
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_run_trace_matches_single_steps(self, variant):
         # row k of run's trace must describe x_k, and step k must start
@@ -584,6 +614,7 @@ class TestBlockOracle:
             per_row = adagrad_batch(rows, X0, **stop)
             with monkeypatch.context() as m:
                 m.setattr(Problem, "gradient", None)   # the block path only
+                m.setattr(Problem, "value", None)
                 stacked = adagrad_batch(rows, X0, oracle=oracle, **stop)
         for b in range(len(rows)):
             got, want = stacked[b], per_row[b]

@@ -1,5 +1,6 @@
 """Tests for the problem generators, loaders, stacks and file formats."""
 
+import math
 import os
 import tempfile
 import tracemalloc
@@ -157,6 +158,13 @@ class TestSpectralNormSq:
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (1, 1)])
     def test_zero_matrix_gives_exactly_zero(self, shape):
         assert spectral_norm_sq(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 5), (6, 2)])
+    def test_overflowing_gram_matrix_gives_inf(self, shape):
+        # finite entries whose squares overflow: ||M||_2^2 is past the
+        # largest float, and the eigensolver is not asked
+        with np.errstate(over="ignore"):
+            assert spectral_norm_sq(np.full(shape, 1e200)) == math.inf
 
 
 def traced_peak(build):
