@@ -59,7 +59,7 @@ class ExperimentConfig:
     out_dir: str
     jobs: int
     master_seed: int
-    record_objective: bool = True
+    record_objective: bool
 
     def resolved_T(self, n: int) -> int:
         return self.T if self.T is not None else optimizer.default_target(n)
@@ -138,20 +138,22 @@ def _sparse_coding(p: dict, seed: int):
     return problems.SparseCodingProblem(D=D, y=Y[:, p["column"]]), None
 
 
-# Each problem kind: its [problem] keys, and build(params, seed) ->
-# (family instance, test split or None).
+# Each problem kind: its [problem] keys, whether its instance depends on
+# the seed, and build(params, seed) -> (family instance, test split or None).
 PROBLEMS = {
-    "least_squares": (("matrix", "m", "n"), lambda p, seed: (
+    "least_squares": (("matrix", "m", "n"), True, lambda p, seed: (
         problems.gen_least_squares(p["matrix"], p["m"], p["n"], seed), None)),
-    "dct_recovery": (("m", "n", "nnz", "noise"), lambda p, seed: (
+    "dct_recovery": (("m", "n", "nnz", "noise"), True, lambda p, seed: (
         problems.gen_dct_sparse_recovery(p["m"], p["n"], seed, p["nnz"],
                                          p["noise"]), None)),
-    "logistic_synthetic": (("n", "informative", "samples"), lambda p, seed:
+    "logistic_synthetic": (("n", "informative", "samples"), True,
+                           lambda p, seed:
                            problems.gen_separable_classification(
                                p["n"], p["informative"], p["samples"], seed)),
-    "libsvm": (("path",), lambda p, seed:
+    "libsvm": (("path",), True, lambda p, seed:
                problems.load_libsvm(p["path"], split_seed=seed)),
-    "sparse_coding": (("dict_path", "data_path", "column"), _sparse_coding),
+    "sparse_coding": (("dict_path", "data_path", "column"), False,
+                      _sparse_coding),
 }
 
 REQUIRED = object()
@@ -313,7 +315,7 @@ def build_problem(cfg: ExperimentConfig, seed_index: int) -> ProblemInstance:
     optimizer on a given seed solves the same problem.
     """
     seed = derive_seed(cfg.master_seed, "problem", seed_index)
-    source, test = PROBLEMS[cfg.problem_kind][1](cfg.problem_params, seed)
+    source, test = PROBLEMS[cfg.problem_kind][2](cfg.problem_params, seed)
     return ProblemInstance(source.problem(), test=test, source=source)
 
 
@@ -327,15 +329,24 @@ def starting_point(n: int, T: int, seed: int) -> np.ndarray:
     return x0
 
 
+def _slot(cfg: ExperimentConfig, seed_index: int) -> int:
+    """The stack slot of a seed's instance: the seed's own, or slot 0
+    for a kind whose instance does not depend on the seed."""
+    return seed_index if PROBLEMS[cfg.problem_kind][1] else 0
+
+
 def build_problems(cfg: ExperimentConfig
                    ) -> tuple[dict, Optional[problems.Stack]]:
-    """Every seed's instance, by :func:`build_problem`, and the
-    :class:`prunadag.problems.Stack` that holds their data, slot i for
-    seed i. Each instance moves into the stack as soon as it is built,
-    so the grid keeps one copy of its data. The stack is None when an
-    instance has no ``source``."""
-    instances, stack = {}, problems.Stack(cfg.seeds)
+    """Every seed's instance, by :func:`build_problem` once per
+    :func:`_slot`, and the :class:`prunadag.problems.Stack` that holds
+    their data. Each instance moves into the stack as soon as it is
+    built, so the grid keeps one copy of its data. The stack is None
+    when an instance has no ``source``."""
+    instances, stack = {}, problems.Stack(_slot(cfg, cfg.seeds - 1) + 1)
     for i in range(cfg.seeds):
+        if _slot(cfg, i) != i:   # the one instance of its kind
+            instances[i] = instances[_slot(cfg, i)]
+            continue
         instance = instances[i] = build_problem(cfg, i)
         if cfg.T is not None and cfg.T > instance.problem.dim:
             raise ConfigError(f"optimizers.t must be at most n = "
@@ -395,7 +406,8 @@ def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
     row's own problem; one ``(cell, record, prune rows, failure)`` per
     cell, whose failure is None or ``"<ExceptionClass>: <message>"``."""
     oracle = (optimizer.row_oracle([instances[i].problem for _, i in cells])
-              if stack is None else stack.oracle([i for _, i in cells]))
+              if stack is None
+              else stack.oracle([_slot(cfg, i) for _, i in cells]))
     try:
         outcomes = _run_block(cfg, cells, instances, oracle)
     except Exception as err:  # bad parameters fail every cell

@@ -127,10 +127,10 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     the default is :func:`row_oracle` over ``problems``, and
     :class:`prunadag.problems.BlockOracle` evaluates the stacked
     instances of a grid at once. One ``step`` call advances every row.
-    With ``record_objective``, the final iterates of the runs that stop
-    take one more such call, with the same checks. A run that stops or
-    fails leaves the block and the others go on; its outcome is bitwise
-    what a block of that run alone gives.
+    With ``record_objective``, a stopping run's x_final is evaluated in
+    the running rows' next call, with the same checks. A run that stops
+    or fails leaves the block and the others go on; its outcome is
+    bitwise what a block of that run alone gives.
 
     Row k of a trace describes x_k, before step k. drive records the
     first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
@@ -163,14 +163,20 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
         raise ValueError(f"{rows} runs need {rows} problems and state rows")
     if oracle is None:
         oracle = row_oracle(problems)
-    for k in range(max_iters):
+    ending = {}   # row position -> why its run ends at x_k
+    for k in range(max_iters + 1):
+        if ending and not record_objective:   # x_final is not evaluated
+            block.finish({pos: (why, None) for pos, why in ending.items()})
+            ending = {}
         if not block.runs:
             break
         G, grad_norm, f, failed = checked_oracles(
             oracle, block.X, block.runs, record_objective or k == 0,
             lambda what: f"non-finite {what} at iteration {k}")
-        if failed:
-            keep = block.finish(failed)
+        ends = {pos: (why, float(f[pos])) for pos, why in ending.items()}
+        ends.update(failed)
+        if ends:
+            keep = block.finish(ends)
             G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
         below = (np.abs(block.X) < delta_trace).sum(axis=1)
         while block.runs:
@@ -188,27 +194,10 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
         block.rows.append(np.array([grad_norm, f, below, *stats]))
         block.X = X_next
         stopped = grad_norm <= grad_tol
-        ending = np.flatnonzero(stopped | (k + 1 == max_iters)).tolist()
-        if ending:
-            block.finish(_ends(oracle, block, ending, stopped, k + 1))
+        ending = {pos: "gradient tolerance" if stopped[pos]
+                  else "max iterations" for pos in
+                  np.flatnonzero(stopped | (k + 1 == max_iters)).tolist()}
     return block.outcomes
-
-
-def _ends(oracle: Oracle, block: "_Block", ending: list, stopped: np.ndarray,
-          k: int) -> dict:
-    """How the runs at the row positions ``ending`` end after step k - 1,
-    on the gradient tolerance if ``stopped``, else at max_iters: in
-    ``(reason, f_final)`` or in the exception of their x_k, whose one
-    checked oracle call is made only with a recorded objective."""
-    F, failed = [None] * len(ending), {}
-    if block.record_objective:
-        _, _, F, failed = checked_oracles(
-            oracle, block.X[ending], [block.runs[pos] for pos in ending],
-            True, lambda what: f"non-finite {what} at iteration {k}")
-        F = F.tolist()
-    return {pos: failed.get(i, ("gradient tolerance" if stopped[pos]
-                                else "max iterations", F[i]))
-            for i, pos in enumerate(ending)}
 
 
 class _Block:

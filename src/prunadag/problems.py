@@ -89,7 +89,6 @@ class _Family:
     def _row(self, x: np.ndarray, objective: bool):
         arrays = {name: getattr(self, name)[None, None]
                   for name in self.STACKED}
-        arrays.update((name, getattr(self, name)) for name in self.SHARED)
         return self.block_oracle(np.asarray(x, dtype=np.float64)[None, None],
                                  objective, **arrays)
 
@@ -120,9 +119,8 @@ class LeastSquaresProblem(_Family):
     def __post_init__(self):
         self.lipschitz = spectral_norm_sq(self.A)
 
-    # the arrays a Stack stacks, and those its instances share
+    # the arrays a Stack stacks
     STACKED = ("A", "b")
-    SHARED = ()
 
     @staticmethod
     def block_oracle(X, objective, A, b):
@@ -211,15 +209,14 @@ class SparseCodingProblem(_Family):
     def __post_init__(self):
         self.lipschitz = 2.0 * spectral_norm_sq(self.D)
 
-    STACKED = ()
-    SHARED = ("D", "y")
+    STACKED = ("D", "y")
 
     @staticmethod
     def block_oracle(X, objective, D, y):
-        """As :meth:`LeastSquaresProblem.block_oracle`, with the one
-        dictionary ``D`` (m, n) and observation ``y`` of every row."""
+        """As :meth:`LeastSquaresProblem.block_oracle`; doubling the
+        product, which is exact, needs no doubled copy of ``D``."""
         R = _matvec(D, X) - y
-        G = _matvec(2.0 * D.T, R)
+        G = 2.0 * _matvec(D.swapaxes(-1, -2), R)
         return G, (np.sum(R ** 2, axis=-1) if objective else None)
 
     def problem(self) -> Problem:
@@ -251,7 +248,6 @@ class LogisticProblem(_Family):
         return int(self.samples.shape[0])
 
     STACKED = ("samples", "labels")
-    SHARED = ()
 
     @staticmethod
     def block_oracle(X, objective, samples, labels):
@@ -405,10 +401,8 @@ class Stack:
 
     Each array the family lists in ``STACKED`` is one (S, ...) array,
     and the instance's attribute is its slice, so the stack is the
-    instances' own storage, not a second copy. The arrays in ``SHARED``
-    (the sparse-coding dictionary and observation) are equal for every
-    instance and held once. :meth:`oracle` gives the block oracle of the
-    stack's instances.
+    instances' own storage, not a second copy. :meth:`oracle` gives the
+    block oracle of the stack's instances.
     """
 
     def __init__(self, size: int):
@@ -439,13 +433,6 @@ class Stack:
                                  f"{self.arrays[name].shape[1:]}")
             self.arrays[name][slot] = value
             setattr(member, name, self.arrays[name][slot])
-        for name in self.family.SHARED:
-            value = getattr(member, name)
-            if name not in self.arrays:
-                self.arrays[name] = value
-            elif not np.array_equal(value, self.arrays[name]):
-                raise ValueError(f"the instances of a stack share {name}")
-            setattr(member, name, self.arrays[name])
         self.filled += 1
 
     def oracle(self, slots: Sequence[int]) -> "BlockOracle":
@@ -486,7 +473,6 @@ class BlockOracle:
         self.evaluate = family.block_oracle
         self.arrays = {name: stack.arrays[name][slots.start:slots.stop, None]
                        for name in family.STACKED}
-        self.shared = {name: stack.arrays[name] for name in family.SHARED}
         self.every = list(range(len(slots) * rows_per_slot))
         self.runs = None   # the rows the packed layout holds
 
@@ -494,15 +480,14 @@ class BlockOracle:
         S, V = self.shape
         if len(runs) == S * V and list(runs) == self.every:
             G, F = self.evaluate(X.reshape(S, V, -1), objective,
-                                 **self.arrays, **self.shared)
+                                 **self.arrays)
             return (G.reshape(S * V, -1),
                     F.reshape(S * V) if objective else np.zeros(S * V), {})
         if list(runs) != self.runs:
             self._pack(list(runs), X.shape[1])
         flat = self.buffer.reshape(-1, X.shape[1])
         flat[self.place] = X
-        G, F = self.evaluate(self.buffer, objective, **self.packed,
-                             **self.shared)
+        G, F = self.evaluate(self.buffer, objective, **self.packed)
         G = G.reshape(len(flat), -1)[self.place]
         return (G, F.reshape(-1)[self.place] if objective
                 else np.zeros(len(runs)), {})

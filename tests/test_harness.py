@@ -513,6 +513,69 @@ class TestStackedGrid:
             assert np.array_equal(instance.problem.gradient(x),
                                   alone.gradient(x))
 
+    SPARSE_CODING = """\
+[problem]
+kind = sparse_coding
+dict_path = {path}/D.bin
+data_path = {path}/Y.bin
+column = 1
+seeds = 4
+
+[optimizers]
+methods = v1, v3, adagrad, fw1
+
+[stop]
+grad_tol = 0.05
+max_iters = 40
+
+[pruning]
+sigma = 0.5, 0.9
+delta = 0.1
+
+[output]
+dir = {out}
+jobs = {jobs}
+"""
+
+    def test_sparse_coding_grid_holds_one_instance(self, tmp_path,
+                                                   monkeypatch):
+        # one dictionary and observation for every seed: the grid reads
+        # each file once, solves for the Lipschitz constant once and
+        # stacks the one instance in one slot, and its bundle is the one
+        # of instances built and stacked seed by seed
+        rng = np.random.default_rng(2)
+        save_matrix(tmp_path / "D.bin", rng.standard_normal((6, 20)))
+        save_matrix(tmp_path / "Y.bin", rng.standard_normal((6, 3)))
+
+        def config(name, jobs):
+            return load_config(write_config(
+                tmp_path, self.SPARSE_CODING, path=tmp_path, jobs=jobs,
+                out=str(tmp_path / name)))
+        calls = []
+        for name in ("read_input", "spectral_norm_sq"):
+            real = getattr(problems, name)
+            monkeypatch.setattr(problems, name, lambda *args, real=real,
+                                name=name: calls.append(name) or real(*args))
+        cfg = config("one", 1)
+        instances, stack = harness.build_problems(cfg)
+        assert sorted(calls) == ["read_input"] * 2 + ["spectral_norm_sq"]
+        assert stack.size == stack.filled == 1
+        assert all(instances[i] is instances[0] for i in range(cfg.seeds))
+        assert np.shares_memory(stack.arrays["D"], instances[0].source.D)
+        assert stack.arrays["D"].shape == (1, 6, 20)
+        bundles = []
+        for jobs in (1, 2):
+            result = run_experiment(config(f"jobs{jobs}", jobs))
+            assert not result.failures and len(result.records) == 16
+            bundles.append(_read_bundle(tmp_path / f"jobs{jobs}"))
+        reasons = {rec.reason for rec in result.records.values()}
+        assert reasons == {"gradient tolerance", "max iterations"}
+        keys, _, build = harness.PROBLEMS["sparse_coding"]
+        monkeypatch.setitem(harness.PROBLEMS, "sparse_coding",
+                            (keys, True, build))
+        run_experiment(config("per_seed", 1))
+        assert bundles == [_read_bundle(tmp_path / "per_seed")] * 2
+
 
 def _raise_when_large(cfg, i):
     """build_problem whose gradient oracle for seed 2 raises once an

@@ -19,7 +19,8 @@ from prunadag.optimizer import (CODE_ACCEPTABLE, CODE_DECREASABLE,
                                 DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
                                 DEFAULT_VARSIGMA, STEP_FIELDS, default_target,
                                 run_batch)
-from prunadag.problems import LeastSquaresProblem, Stack, gen_least_squares
+from prunadag.problems import (BlockOracle, LeastSquaresProblem, Stack,
+                               gen_least_squares)
 
 ALL_VARIANTS = [Variant.V1, Variant.V2, Variant.V3, Variant.V4,
                 Variant.RELEVANT_ONLY]
@@ -640,6 +641,64 @@ class TestBlockOracle:
             ours, theirs = getattr(rec, attr), getattr(alone[2], attr)
             if theirs is not None:
                 assert ours.tobytes() == theirs[:5].tobytes(), attr
+
+    # adagrad's rows stop on this grad_tol after 19, 20 and 43
+    # iterations, and the last row runs to max_iters
+    STOPPING = dict(grad_tol=0.1, max_iters=60)
+
+    def test_one_call_per_pass_and_one_pack_per_exit(self, monkeypatch):
+        # each pass is one oracle call over the rows that reach it, the
+        # x_final of the rows that end there included, and the packed
+        # layout is built once each time rows leave while others run on
+        rows, X0, oracle = self.block()
+        calls, packs, pack = [], [], BlockOracle._pack
+
+        def counted(X, runs, objective):
+            calls.append(list(runs))
+            return oracle(X, runs, objective)
+        monkeypatch.setattr(BlockOracle, "_pack", lambda self, *args: (
+            packs.append(args), pack(self, *args)))
+        out = adagrad_batch(rows, X0, oracle=counted, **self.STOPPING)
+        K = [rec.iterations for rec in out]
+        assert K == [19, 20, 43, 60]
+        assert [rec.reason for rec in out] == ["gradient tolerance"] * 3 + [
+            "max iterations"]
+        assert calls == [[b for b in range(4) if K[b] >= k]
+                         for k in range(61)]
+        assert len(packs) == 3
+
+    @pytest.mark.parametrize("record_objective", [True, False])
+    def test_raise_where_a_row_ends_fails_that_row(self, record_objective):
+        # the oracle call of iteration 19 raises: it evaluates x_19 of
+        # rows 1-3 and, with the objective recorded, row 0's x_final, so
+        # each of those rows fails with its 19 rows of trace; without
+        # the objective row 0's x_final is not evaluated and it ends on
+        # the gradient tolerance as before
+        rows, X0, oracle = self.block()
+        stop = dict(self.STOPPING, record_objective=record_objective)
+        clean = adagrad_batch(rows, X0, oracle=oracle, **stop)
+        calls = iter(range(10 ** 6))
+
+        def raising(X, runs, objective):
+            if next(calls) == 19:
+                raise RuntimeError("oracle lost at iteration 19")
+            return oracle(X, runs, objective)
+        out = adagrad_batch(rows, X0, oracle=raising, **stop)
+        failed = [0, 1, 2, 3] if record_objective else [1, 2, 3]
+        for b in range(4):
+            if b not in failed:
+                assert_same_record(out[b], clean[b])
+                continue
+            assert isinstance(out[b], RuntimeError)
+            assert str(out[b]) == "oracle lost at iteration 19"
+            rec = out[b].record
+            rec.validate()
+            assert rec.reason == "failed" and rec.iterations == 19
+            assert rec.objective_final is None
+            for attr, _, _ in TRACE_FIELDS:
+                ours, theirs = getattr(rec, attr), getattr(clean[b], attr)
+                if theirs is not None:
+                    assert ours.tobytes() == theirs[:19].tobytes(), attr
 
     @pytest.mark.parametrize("record_objective", [True, False])
     def test_nan_objective_after_x0(self, monkeypatch, record_objective):

@@ -508,17 +508,6 @@ class TestStack:
         one = stacked([ls])
         assert np.shares_memory(one.arrays["A"], ls.A)
 
-    def test_sparse_coding_holds_one_dictionary(self):
-        rng = np.random.default_rng(0)
-        D, y = rng.standard_normal((6, 15)), rng.standard_normal(6)
-        members = [SparseCodingProblem(D=D.copy(), y=y.copy())
-                   for _ in range(3)]
-        stack = stacked(members)
-        assert all(member.D is stack.arrays["D"] for member in members)
-        other = SparseCodingProblem(D=D + 1.0, y=y)
-        with pytest.raises(ValueError, match="share D"):
-            stacked([SparseCodingProblem(D=D, y=y), other])
-
     def test_rejects_mixed_or_mismatched_instances(self):
         ls = gen_least_squares("A1", 4, 10, seed=0)
         train, _ = gen_separable_classification(10, 2, 20, seed=0)

@@ -103,7 +103,7 @@ def test_every_config_field_has_one_table_row():
               if name is None}
     assert all(section == "problem" for section, key in harness._KEYS
                if key in params)
-    assert params == {key for keys, _ in harness.PROBLEMS.values()
+    assert params == {key for keys, *_ in harness.PROBLEMS.values()
                       for key in keys}
 
 
@@ -155,3 +155,20 @@ def test_methods_are_named_only_in_their_tables():
                              *(alias.name for alias in node.names)]
                 for part in name.split(".")]
     assert "harness" not in imported
+
+
+def test_each_iterate_and_instance_is_evaluated_once():
+    """``optimizer.drive`` evaluates every iterate, x_final included,
+    through its one ``checked_oracles`` call, and a stack holds every
+    array of its family per slot: problems.py names no ``SHARED`` second
+    storage path."""
+    tree = ast.parse((SRC / "optimizer.py").read_text())
+    drive, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "drive"]
+    calls = [node for node in ast.walk(drive) if isinstance(node, ast.Call)
+             and _dotted(node.func) == "checked_oracles"]
+    assert len(calls) == 1
+    problems = ast.parse((SRC / "problems.py").read_text())
+    assert not [node.lineno for node in ast.walk(problems)
+                if isinstance(node, ast.Name) and node.id == "SHARED"
+                or isinstance(node, ast.Attribute) and node.attr == "SHARED"]
