@@ -154,10 +154,12 @@ class RunRecord:
     :data:`TRACE_DTYPE`; row j describes x_j, before step j. Each
     :data:`TRACE_FIELDS` attribute (``grad_norm``, ``objective``, ...)
     reads as its column, or as None when ``untraced`` names the column,
-    which then holds zeros. ``objective_initial`` is f(x_0), recorded
-    also without the objective trace. Only the optimizers with split
-    weight vectors fill the theory group (``max_abs_x`` and the masked
-    sums ``sum_*`` of the descent-lemma and gradient-bound checks).
+    which then holds zeros. ``objective_initial`` is f(x_0), the first
+    objective of the trace, kept also where a bundle written before
+    every run recorded its objective lists ``f`` as untraced. Only the
+    optimizers with split weight vectors fill the theory group
+    (``max_abs_x`` and the masked sums ``sum_*`` of the descent-lemma
+    and gradient-bound checks).
     """
 
     trace: np.ndarray

@@ -55,11 +55,9 @@ class ExperimentConfig:
     max_iters: int
     sigmas: list[float]
     deltas: list[float]
-    delta_trace: float
     out_dir: str
     jobs: int
     master_seed: int
-    record_objective: bool
 
     def resolved_T(self, n: int) -> int:
         return self.T if self.T is not None else optimizer.default_target(n)
@@ -87,13 +85,6 @@ FAMILIES = {
     "fw": lambda P, X0, params, cfg, T, **stop: baselines.fw_batch(
         P, X0, params, **stop),
 }
-
-
-def _bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _float_list(raw: str) -> list[float]:
@@ -200,11 +191,9 @@ _KEYS = {
     ("pruning", "sigma"): (
         "sigmas", _float_list, [], (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
     ("pruning", "delta"): ("deltas", _float_list, [], _at_least(0.0)),
-    ("pruning", "delta_trace"): ("delta_trace", float, 1e-3, _at_least(0.0)),
     ("output", "dir"): ("out_dir", str, "results", (bool, "a path")),
     ("output", "jobs"): ("jobs", int, 1, _at_least(1)),
     ("output", "master_seed"): ("master_seed", int, 0, None),
-    ("output", "record_objective"): ("record_objective", _bool, True, None),
 }
 
 
@@ -374,8 +363,7 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
     params = [METHODS[m][1](cfg, T) for m, _ in cells]
     return FAMILIES[family](
         probs, X0, params, cfg, T, grad_tol=cfg.grad_tol,
-        max_iters=cfg.max_iters, delta_trace=cfg.delta_trace,
-        record_objective=cfg.record_objective, oracle=oracle)
+        max_iters=cfg.max_iters, oracle=oracle)
 
 
 def _run_one(cfg: ExperimentConfig, method: str, seed_index: int,
@@ -493,14 +481,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The cells of one step family (pruning-aware, Adagrad, Frank-Wolfe)
     and problem size run as one block of :func:`prunadag.optimizer.drive`,
     seed-major, so that the block's oracles are one stacked evaluation
-    over the seeds' instances (:func:`build_problems`). With
-    ``cfg.jobs > 1`` each block is cut into ``min(jobs, seeds)`` shards
-    of whole instances, which run in up to ``jobs`` forked processes; a
-    user oracle's side effects stay in the worker that ran it. Each
-    cell's run is bitwise what it would be alone. A cell whose run or
-    pruning sweep raises, or whose worker is lost, records the failure
-    as ``"<ExceptionClass>: <message>"``, keeps whatever run record
-    exists, and does not stop the other cells.
+    over the seeds' instances (:func:`build_problems`). Each block is
+    cut into ``min(jobs, seeds)`` shards of whole instances, which run
+    in this process at ``jobs`` 1 and else in up to ``jobs`` forked
+    processes; a user oracle's side effects stay in the worker that ran
+    it. Each cell's run is bitwise what it would be alone. A cell whose
+    run or pruning sweep raises, or whose worker is lost, records the
+    failure as ``"<ExceptionClass>: <message>"``, keeps whatever run
+    record exists, and does not stop the other cells.
     """
     result = ExperimentResult(cfg=cfg)
     result.instances, stack = build_problems(cfg)
@@ -511,12 +499,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             key = (METHODS[m][0], result.instances[i].problem.dim)
             blocks.setdefault(key, []).append((m, i))
 
+    shards = _shards(blocks.values(), cfg.jobs)
     if cfg.jobs > 1:
-        outcomes = _run_pool(cfg, _shards(blocks.values(), cfg.jobs),
-                             result.instances, stack)
+        outcomes = _run_pool(cfg, shards, result.instances, stack)
     else:
         outcomes = [_run_cells(cfg, cells, result.instances, stack)
-                    for cells in blocks.values()]
+                    for cells in shards]
 
     for task, record, rows, failure in itertools.chain.from_iterable(outcomes):
         if record is not None:

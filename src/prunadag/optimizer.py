@@ -32,6 +32,7 @@ from .steps import TrustRegionError, Variant
 DEFAULT_VARSIGMA = 0.01   # weight floor constant
 DEFAULT_GRAD_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
+DELTA_TRACE = 1e-3        # |x_i| below which an entry counts in below_delta
 
 # step(X, G, grad_norm, k, state) -> (X_next, stats): advances a (B, n)
 # block by one iteration. ``state`` maps names to per-row arrays (leading
@@ -116,31 +117,28 @@ def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
 def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
           state: Optional[dict] = None, oracle: Optional[Oracle] = None,
           grad_tol: float = DEFAULT_GRAD_TOL,
-          max_iters: int = DEFAULT_MAX_ITERS, delta_trace: float = 1e-3,
-          record_objective: bool = True) -> list[Outcome]:
+          max_iters: int = DEFAULT_MAX_ITERS) -> list[Outcome]:
     """Iterate ``step`` over a (B, n) block of runs, run b on
     ``problems[b]`` from ``X0[b]``, until its gradient norm drops below
     ``grad_tol`` or ``max_iters`` iterations have been performed.
 
-    At each iteration one ``oracle`` call gives the gradients and, at
-    k = 0 or with ``record_objective``, the objectives of every row;
-    the default is :func:`row_oracle` over ``problems``, and
-    :class:`prunadag.problems.BlockOracle` evaluates the stacked
-    instances of a grid at once. One ``step`` call advances every row.
-    With ``record_objective``, a stopping run's x_final is evaluated in
-    the running rows' next call, with the same checks. A run that stops
-    or fails leaves the block and the others go on; its outcome is
-    bitwise what a block of that run alone gives.
+    At each iteration one ``oracle`` call gives the gradients and the
+    objectives of every row; the default is :func:`row_oracle` over
+    ``problems``, and :class:`prunadag.problems.BlockOracle` evaluates
+    the stacked instances of a grid at once. One ``step`` call advances
+    every row. A stopping run's x_final is evaluated in the running
+    rows' next call, with the same checks. A run that stops or fails
+    leaves the block and the others go on; its outcome is bitwise what
+    a block of that run alone gives.
 
     Row k of a trace describes x_k, before step k. drive records the
     first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
-    norm, objective, count below ``delta_trace``); ``step`` returns the
-    next iterates and, per run, the values of the fields after them, in
-    table order: ``(grad_norm_opt, card_R, card_A, card_D)``,
+    norm, objective, count below :data:`DELTA_TRACE`); ``step`` returns
+    the next iterates and, per run, the values of the fields after
+    them, in table order: ``(grad_norm_opt, card_R, card_A, card_D)``,
     optionally followed by the theory group. The fields a step does not
-    report are untraced in the record. The objective at x0 is evaluated
-    even when ``record_objective`` is false: it is the record's
-    ``objective_initial``.
+    report are untraced in the record. The objective at x0 is the
+    record's ``objective_initial``.
 
     Returns one :data:`Outcome` per run. A run ends in
     :class:`DivergedError` if its gradient or objective oracle returns
@@ -155,8 +153,7 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
         raise ValueError("grad_tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    block = _Block(np.array(X0, dtype=np.float64), state or {},
-                   record_objective)
+    block = _Block(np.array(X0, dtype=np.float64), state or {})
     rows = len(block.runs)
     if len(problems) != rows or any(len(v) != rows
                                     for v in block.state.values()):
@@ -165,20 +162,15 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
         oracle = row_oracle(problems)
     ending = {}   # row position -> why its run ends at x_k
     for k in range(max_iters + 1):
-        if ending and not record_objective:   # x_final is not evaluated
-            block.finish({pos: (why, None) for pos, why in ending.items()})
-            ending = {}
-        if not block.runs:
-            break
         G, grad_norm, f, failed = checked_oracles(
-            oracle, block.X, block.runs, record_objective or k == 0,
+            oracle, block.X, block.runs, True,
             lambda what: f"non-finite {what} at iteration {k}")
         ends = {pos: (why, float(f[pos])) for pos, why in ending.items()}
         ends.update(failed)
         if ends:
             keep = block.finish(ends)
             G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
-        below = (np.abs(block.X) < delta_trace).sum(axis=1)
+        below = (np.abs(block.X) < DELTA_TRACE).sum(axis=1)
         while block.runs:
             try:
                 X_next, stats = step(block.X, G, grad_norm, k, block.state)
@@ -204,10 +196,9 @@ class _Block:
     """The runs of a :func:`drive` call that are still going, and the
     trace each run has recorded."""
 
-    def __init__(self, X: np.ndarray, state: dict, record_objective: bool):
+    def __init__(self, X: np.ndarray, state: dict):
         self.X = X
         self.state = state
-        self.record_objective = record_objective
         self.runs = list(range(X.shape[0]))    # run index of each row
         self.outcomes: list = [None] * X.shape[0]
         # per run, (K, F) pieces of its trace; per iteration since the
@@ -231,8 +222,7 @@ class _Block:
             reason, f_final = end if err is None else (
                 "diverged" if isinstance(err, DivergedError) else "failed",
                 None)
-            record = _assemble(self.pieces[run], self.X[pos].copy(), reason,
-                               self.record_objective)
+            record = _assemble(self.pieces[run], self.X[pos].copy(), reason)
             record.objective_final = f_final
             if err is not None:
                 if getattr(err, "record", None) is not None:
@@ -248,8 +238,7 @@ class _Block:
         return keep
 
 
-def _assemble(pieces: list, x: np.ndarray, reason: str,
-              record_objective: bool) -> RunRecord:
+def _assemble(pieces: list, x: np.ndarray, reason: str) -> RunRecord:
     """Build a RunRecord from the trace pieces of :func:`drive`: column i
     is field i of TRACE_DTYPE, and the fields past the last column are
     untraced. Without rows, every field is traced and empty."""
@@ -260,9 +249,6 @@ def _assemble(pieces: list, x: np.ndarray, reason: str,
         trace[col] = values
     untraced = TRACE_DTYPE.names[rows.shape[1]:]
     f0 = float(trace["f"][0]) if len(trace) else None
-    if not record_objective:
-        trace["f"] = 0.0
-        untraced = ("f", *untraced)
     return RunRecord(trace, x, reason, untraced, objective_initial=f0)
 
 
@@ -369,8 +355,7 @@ def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
     ``variants[b]``; the runs share ``T`` and ``varsigma``.
 
     ``stop`` takes the keyword arguments of :func:`drive`: ``oracle``,
-    ``grad_tol``, ``max_iters``, ``delta_trace`` and
-    ``record_objective``.
+    ``grad_tol`` and ``max_iters``.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     _check_params(X0.shape[1], T, varsigma)

@@ -361,20 +361,17 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def load_libsvm(path, split_seed: Optional[int] = None
+def load_libsvm(path, split_seed: int
                 ) -> tuple[LogisticProblem, Optional[LogisticProblem]]:
     """Load a LIBSVM sparse text file into train/test logistic problems,
-    split by :func:`_split` with ``split_seed``; with ``split_seed=None``
-    no split is performed and test is None.
+    split by :func:`_split` with ``split_seed``; test is None when the
+    split leaves it no sample (a one-sample file).
 
     Features are min-max normalized to [0, 1] using training-set
     statistics; test features are clipped back into [0, 1] afterward.
     """
     X, y = _parse_libsvm(path)
-    if split_seed is None:
-        tr, te = np.arange(X.shape[0]), np.array([], dtype=np.int64)
-    else:
-        tr, te = _split(np.random.default_rng(split_seed), X.shape[0])
+    tr, te = _split(np.random.default_rng(split_seed), X.shape[0])
     X_tr = X[tr]
     lo, hi = X_tr.min(axis=0), X_tr.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)

@@ -90,9 +90,8 @@ def a3_runs():
     runs = run_batch(
         [probs[i] for i, _ in rows], [X0[i] for i, _ in rows], T_DESK,
         [v for _, v in rows], varsigma=VARSIGMA,
-        oracle=stack.oracle([i for i, _ in rows]), record_objective=False)
-    runs += adagrad_batch(probs, X0, oracle=stack.oracle(range(SEEDS)),
-                          record_objective=False)
+        oracle=stack.oracle([i for i, _ in rows]))
+    runs += adagrad_batch(probs, X0, oracle=stack.oracle(range(SEEDS)))
     keys = [(v.value, i) for i, v in rows] + [("adagrad", i)
                                               for i in range(SEEDS)]
     out = {key: unwrap([rec]) for key, rec in zip(keys, runs)}
@@ -230,8 +229,7 @@ def test_criterion_05_convergence_on_orthonormal_rows():
         ls = gen_least_squares("A2", M_DESK, N_DESK,
                                derive_seed(0, "problem", i))
         rec = run(ls.problem(), desk_x0(i), T=T_DESK, variant=Variant.V3,
-                  varsigma=VARSIGMA, grad_tol=1e-6, max_iters=10_000,
-                  record_objective=False)
+                  varsigma=VARSIGMA, grad_tol=1e-6, max_iters=10_000)
         if rec.grad_norm[-1] <= 1e-6:
             hits += 1
     report(5, "V3 reaches ||g|| <= 1e-6 on A2", hits >= 18,
@@ -326,7 +324,7 @@ def test_criterion_10_classification_pruning_robustness():
         stack.add(train)
         tests.append(test)
     X0 = [desk_x0(i) for i in range(SEEDS)]
-    stop = dict(max_iters=2000, record_objective=False)
+    stop = dict(max_iters=2000)
     rows = [(i, v) for i in range(SEEDS) for v in TABLE_VARIANTS]
     variant_runs = run_batch(
         [probs[i] for i, _ in rows], [X0[i] for i, _ in rows], T_DESK,

@@ -94,9 +94,14 @@ BAD_VALUES = [
     ("dir = {out}", "dir = {out}\njobs = -4", "output.jobs"),
     ("dir = {out}", "dir = {out}\njobs = 0", "output.jobs"),
     ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = -1e-3",
-     "pruning.delta_trace"),
+     "unknown key pruning.delta_trace"),
     ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = nan",
-     "pruning.delta_trace"),
+     "unknown key pruning.delta_trace"),
+    ("sigma = 0.3, 0.5", "sigma = 0.3, 0.5\ndelta_trace = 1e-3",
+     "unknown key pruning.delta_trace"),
+    *(("dir = {out}", f"dir = {{out}}\nrecord_objective = {raw}",
+       "unknown key output.record_objective")
+      for raw in ("true", "off", "ture", "2", "enabled")),
     ("dir = {out}", "dir =", "output.dir must be a path"),
     ("seeds = 2", f"seeds = {10 ** 18}", "bytes of memory"),
     ("n = 30", f"n = {10 ** 18}", "bytes of memory"),
@@ -109,7 +114,10 @@ BAD_VALUE_IDS = [
     "zero tau2", "nan tau1", "zero beta", "beta 1", "zero m", "zero seeds",
     "nnz above n", "negative nnz", "negative noise", "zero informative",
     "informative above n", "one sample", "logistic n 1", "negative jobs",
-    "zero jobs", "negative delta_trace", "nan delta_trace", "empty dir",
+    "zero jobs", "negative delta_trace", "nan delta_trace",
+    "delta_trace 1e-3", "record_objective true", "record_objective off",
+    "record_objective ture", "record_objective 2", "record_objective enabled",
+    "empty dir",
     "huge seeds", "huge n", "huge samples"]
 
 DUPLICATES = [
@@ -260,20 +268,6 @@ class TestConfigParsing:
         text = BASE_CONFIG.replace("v3, adagrad", "v3, adagrad\nt = 2")
         assert load_config(write_config(tmp_path, text)).T == 2
 
-    @pytest.mark.parametrize("raw, expected", [
-        ("true", True), ("Yes", True), ("1", True), ("on", True),
-        ("false", False), ("no", False), ("0", False), ("OFF", False)])
-    def test_record_objective_boolean_states(self, tmp_path, raw, expected):
-        text = BASE_CONFIG + f"record_objective = {raw}\n"
-        assert load_config(write_config(tmp_path, text)).record_objective \
-            is expected
-
-    @pytest.mark.parametrize("raw", ["ture", "2", "enabled"])
-    def test_record_objective_rejects_unknown_strings(self, tmp_path, raw):
-        text = BASE_CONFIG + f"record_objective = {raw}\n"
-        with pytest.raises(ConfigError, match="record_objective"):
-            load_config(write_config(tmp_path, text))
-
     def test_libsvm_path_must_exist(self, tmp_path):
         text = """\
 [problem]
@@ -404,13 +398,23 @@ class TestRunExperiment:
         assert bundles[1] == bundles[0] and bundles[2] == bundles[0]
 
     def test_verify_without_objective_trace(self, tmp_path, capsys):
-        # f(x0) alone supports the gradient bound; the descent check
-        # needs the objective trace and is reported as not run
-        path = write_config(tmp_path, BASE_CONFIG + "record_objective = off\n")
+        # a bundle whose runs list the objective as untraced, as written
+        # before every run recorded it: f(x0) alone supports the gradient
+        # bound, and the descent check is reported as not run
+        run_experiment(load_config(write_config(tmp_path)))
         out = str(tmp_path / "results")
-        assert cli.main(["run", str(path), "--out", out]) == 0
-        with open(os.path.join(out, "runs.json")) as fh:
-            assert all(r["f0"] is not None for r in json.load(fh))
+        path = os.path.join(out, "runs.json")
+        with open(path) as fh:
+            runs = json.load(fh)
+        for run in runs:
+            assert run["f0"] is not None
+            run["untraced"].insert(0, "f")
+            run["f_final"] = None
+        with open(path, "w") as fh:
+            json.dump(runs, fh)
+        trace = np.load(os.path.join(out, "trace.npy"))
+        trace["f"] = 0.0
+        np.save(os.path.join(out, "trace.npy"), trace)
         outcomes = verify_bundle(out)
         assert [(o.optimizer, o.seed, o.descent_ok, o.gradient_bound_ok,
                  o.ok) for o in outcomes] == [("v3", 0, None, True, True),
@@ -779,21 +783,18 @@ class TestBundleFormat:
         assert len(outcomes) == 8 and all(o.ok for o in outcomes)
         assert theory.lambert_w_minus1.cache_info().misses == 2
 
-    @pytest.mark.parametrize("record_objective", [True, False])
-    def test_round_trip_is_bitwise(self, tmp_path, record_objective):
+    def test_round_trip_is_bitwise(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        cfg.record_objective = record_objective
         result = run_experiment(cfg)
         _, runs, loaded = load_bundle(cfg.out_dir)
         assert loaded.keys() == result.records.keys()
         for key, rec in result.records.items():
             assert_loaded(loaded[key], rec)
-            assert (rec.objective is None) == (not record_objective)
+            assert rec.objective is not None
             assert (rec.max_abs_x is None) == (key[0] == "adagrad")
             assert runs[key]["untraced"] == (
-                ([] if record_objective else ["f"])
-                + (["max_abs_x", "sum_gO2_over_wO", "sum_gO2_over_wO2",
-                    "sum_xD2_over_wD2"] if key[0] == "adagrad" else []))
+                ["max_abs_x", "sum_gO2_over_wO", "sum_gO2_over_wO2",
+                 "sum_xD2_over_wD2"] if key[0] == "adagrad" else [])
 
     @pytest.mark.parametrize("corruption", ["row removed", "field renamed",
                                             "unknown untraced"])
@@ -1034,7 +1035,7 @@ FAULT_CONFIG = (BASE_CONFIG.replace("seeds = 2", "seeds = 3")
                 .replace("max_iters = 40", f"max_iters = {FAULT_ITERS}\n"
                          "grad_tol = 1e-300")
                 .replace("sigma = 0.3, 0.5", "sigma = 0.5")
-                + "record_objective = {record}\njobs = {jobs}\n")
+                + "jobs = {jobs}\n")
 FAULT_CELLS = [(m, i) for m in ("v1", "v3", "adagrad") for i in range(3)]
 FAULT_MESSAGES = {"raise": "ZeroDivisionError: boom",
                   "nan": "DivergedError: non-finite gradient at iteration {t}",
@@ -1043,16 +1044,11 @@ FAULT_MESSAGES = {"raise": "ZeroDivisionError: boom",
 
 @pytest.fixture(scope="module")
 def solo_runs(tmp_path_factory):
-    """Per record_objective, every FAULT_CONFIG cell run alone."""
-    tmp = tmp_path_factory.mktemp("solo")
-    solo = {}
-    for record in (True, False):
-        cfg = load_config(write_config(tmp, FAULT_CONFIG, record=record,
-                                       jobs=1))
-        solo[record] = {(m, i): harness._run_one(cfg, m, i,
-                                                 build_problem(cfg, i))
-                        for m, i in FAULT_CELLS}
-    return solo
+    """Every FAULT_CONFIG cell run alone."""
+    cfg = load_config(write_config(tmp_path_factory.mktemp("solo"),
+                                   FAULT_CONFIG, jobs=1))
+    return {(m, i): harness._run_one(cfg, m, i, build_problem(cfg, i))
+            for m, i in FAULT_CELLS}
 
 
 def _inject(patch, cfg, cell, t, fault, stacked):
@@ -1141,31 +1137,25 @@ class TestFaultInjection:
 
     @settings(max_examples=60, deadline=None)
     @given(stacked=st.booleans(), jobs=st.sampled_from([1, 2]),
-           record=st.booleans(), cell=st.sampled_from(FAULT_CELLS),
-           t=st.integers(0, FAULT_ITERS),
+           cell=st.sampled_from(FAULT_CELLS), t=st.integers(0, FAULT_ITERS),
            fault=st.sampled_from(sorted(FAULT_MESSAGES)))
-    @example(stacked=True, jobs=1, record=True, cell=("v3", 1),
-             t=FAULT_ITERS, fault="nan")
-    @example(stacked=False, jobs=2, record=True, cell=("adagrad", 2),
-             t=FAULT_ITERS, fault="raise")
-    @example(stacked=True, jobs=2, record=False, cell=("v1", 0), t=0,
+    @example(stacked=True, jobs=1, cell=("v3", 1), t=FAULT_ITERS,
+             fault="nan")
+    @example(stacked=False, jobs=2, cell=("adagrad", 2), t=FAULT_ITERS,
+             fault="raise")
+    @example(stacked=True, jobs=2, cell=("v1", 0), t=0, fault="inf")
+    @example(stacked=False, jobs=1, cell=("v1", 0), t=FAULT_ITERS,
              fault="inf")
-    @example(stacked=False, jobs=1, record=False, cell=("v1", 0),
-             t=FAULT_ITERS, fault="inf")
     def test_fault_ends_only_the_cells_it_reaches(
-            self, solo_runs, stacked, jobs, record, cell, t, fault):
+            self, solo_runs, stacked, jobs, cell, t, fault):
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as patch:
             cfg = load_config(write_config(pathlib.Path(tmp), FAULT_CONFIG,
-                                           record=record, jobs=jobs))
+                                           jobs=jobs))
             _inject(patch, cfg, cell, t, fault, stacked)
             result = run_experiment(cfg)
-        # x_final is evaluated only with the objective recorded, and the
-        # objective after x0 only then
-        fires = ((t < FAULT_ITERS or record)
-                 and (fault != "inf" or record or t == 0))
-        reached = {cell} if fires else set()
-        if fires and stacked and fault == "raise":
+        reached = {cell}
+        if stacked and fault == "raise":
             # a stacked call that raises fails every row it evaluates:
             # the cell's block, or at jobs 2 its shard
             blocks = {}
@@ -1177,7 +1167,7 @@ class TestFaultInjection:
         assert result.failures == dict.fromkeys(reached, message)
         assert result.records.keys() == set(FAULT_CELLS)
         for key, rec in result.records.items():
-            alone = solo_runs[record][key]
+            alone = solo_runs[key]
             if key not in reached:
                 assert_same_record(rec, alone)
                 assert key in result.prune_rows
@@ -1753,13 +1743,11 @@ max_iters = 20
 [pruning]
 sigma = 0.5, 0.8
 delta = 0.1
-delta_trace = 0.001
 
 [output]
 dir = out
 jobs = 1
 master_seed = 3
-record_objective = true
 """
 INPUT_PROBLEMS = {
     "least_squares": "kind = least_squares\nmatrix = A1\nm = 6\nn = 30",

@@ -409,17 +409,6 @@ class TestDriver:
         assert rec.reason == "failed" and rec.iterations == 6
         assert rec.objective_final is None
 
-    @pytest.mark.parametrize("method", sorted(RUNNERS))
-    def test_without_objective_x_final_is_not_evaluated(self, method):
-        # one gradient call per iteration, none at x_final
-        calls = []
-        problem = Problem(dim=4, grad=lambda x: calls.append(1) or x - 0.3,
-                          objective=lambda x: 0.5 * float(np.sum(x ** 2)))
-        rec = self.RUNNERS[method](problem, np.ones(4), max_iters=6,
-                                   record_objective=False)
-        assert rec.reason == "max iterations" and rec.iterations == 6
-        assert len(calls) == 6
-
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_run_trace_matches_single_steps(self, variant):
         # row k of run's trace must describe x_k, and step k must start
@@ -436,23 +425,6 @@ class TestDriver:
                      "sum_gO2_over_wO2", "sum_xD2_over_wD2"):
             assert np.array_equal(getattr(rec, name),
                                   [r[name] for r in recs]), name
-
-    def test_without_objective_one_objective_call_at_x0(self):
-        # f(x0) is recorded for the gradient bound; no other objective call
-        for method in sorted(self.RUNNERS):
-            calls = []
-
-            def objective(x):
-                calls.append(x.copy())
-                return 0.5 * float(np.sum(x ** 2))
-            problem = Problem(dim=4, grad=lambda x: x.copy(),
-                              objective=objective)
-            rec = self.RUNNERS[method](problem, np.ones(4), max_iters=5,
-                                       record_objective=False)
-            rec.validate()
-            assert rec.objective is None and rec.objective_final is None
-            assert len(calls) == 1 and np.array_equal(calls[0], np.ones(4))
-            assert rec.objective_initial == 2.0
 
 
 def assert_same_record(got: RunRecord, want: RunRecord):
@@ -497,8 +469,7 @@ class TestBatch:
         variants = [ALL_VARIANTS[i] for i in rng.integers(0, 5, B)]
         problems = [tied_problem(rng, n) for _ in range(B)]
         X0 = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 0.5, 1e-3]))
-        stop = dict(max_iters=int(rng.integers(1, 40)), grad_tol=0.25,
-                    record_objective=bool(rng.integers(2)))
+        stop = dict(max_iters=int(rng.integers(1, 40)), grad_tol=0.25)
         outcomes = run_batch(problems, X0, T, variants, **stop)
         for b in range(B):
             assert isinstance(outcomes[b], RunRecord)
@@ -592,16 +563,13 @@ class TestBlockOracle:
         X0 = np.random.default_rng(3).standard_normal((len(rows), 40))
         return rows, X0, stack.oracle(np.repeat(np.arange(self.S), self.V))
 
-    @pytest.mark.parametrize("record_objective", [True, False])
     @pytest.mark.parametrize("fault", ["nan", "overflow"])
-    def test_fault_ends_only_its_row(self, monkeypatch, fault,
-                                     record_objective):
+    def test_fault_ends_only_its_row(self, monkeypatch, fault):
         # after step 4, row 2's iterate turns NaN (a non-finite gradient
         # at iteration 5) or so large that f overflows while every
-        # gradient entry stays finite (a non-finite objective, which
-        # only ends the run when the objective is evaluated)
+        # gradient entry stays finite (a non-finite objective)
         rows, X0, oracle = self.block()
-        stop = dict(max_iters=self.ITERS, record_objective=record_objective)
+        stop = dict(max_iters=self.ITERS)
         alone = [adagrad_run(p, X0[b], **stop) for b, p in enumerate(rows)]
         real = baselines._adagrad_step
 
@@ -627,10 +595,6 @@ class TestBlockOracle:
                 assert_same_record(got, alone[b])
         ends = {"nan": "non-finite gradient at iteration 5",
                 "overflow": "non-finite objective at iteration 5"}[fault]
-        if fault == "overflow" and not record_objective:
-            assert stacked[2].reason == "max iterations"
-            assert stacked[2].iterations == self.ITERS
-            return
         assert isinstance(stacked[2], DivergedError)
         assert str(stacked[2]) == ends
         rec = stacked[2].record
@@ -667,28 +631,20 @@ class TestBlockOracle:
                          for k in range(61)]
         assert len(packs) == 3
 
-    @pytest.mark.parametrize("record_objective", [True, False])
-    def test_raise_where_a_row_ends_fails_that_row(self, record_objective):
+    def test_raise_where_a_row_ends_fails_that_row(self):
         # the oracle call of iteration 19 raises: it evaluates x_19 of
-        # rows 1-3 and, with the objective recorded, row 0's x_final, so
-        # each of those rows fails with its 19 rows of trace; without
-        # the objective row 0's x_final is not evaluated and it ends on
-        # the gradient tolerance as before
+        # rows 1-3 and row 0's x_final, so each row fails with its 19
+        # rows of trace
         rows, X0, oracle = self.block()
-        stop = dict(self.STOPPING, record_objective=record_objective)
-        clean = adagrad_batch(rows, X0, oracle=oracle, **stop)
+        clean = adagrad_batch(rows, X0, oracle=oracle, **self.STOPPING)
         calls = iter(range(10 ** 6))
 
         def raising(X, runs, objective):
             if next(calls) == 19:
                 raise RuntimeError("oracle lost at iteration 19")
             return oracle(X, runs, objective)
-        out = adagrad_batch(rows, X0, oracle=raising, **stop)
-        failed = [0, 1, 2, 3] if record_objective else [1, 2, 3]
+        out = adagrad_batch(rows, X0, oracle=raising, **self.STOPPING)
         for b in range(4):
-            if b not in failed:
-                assert_same_record(out[b], clean[b])
-                continue
             assert isinstance(out[b], RuntimeError)
             assert str(out[b]) == "oracle lost at iteration 19"
             rec = out[b].record
@@ -700,33 +656,26 @@ class TestBlockOracle:
                 if theirs is not None:
                     assert ours.tobytes() == theirs[:19].tobytes(), attr
 
-    @pytest.mark.parametrize("record_objective", [True, False])
-    def test_nan_objective_after_x0(self, monkeypatch, record_objective):
-        # row 2's objective is NaN from iteration 1 on, its gradient is
-        # fine: the run ends only when the objective is recorded
+    def test_nan_objective_after_x0(self, monkeypatch):
+        # row 2's objective is NaN at iteration 1, its gradient is fine:
+        # its run ends there and the other rows run on
         real = LeastSquaresProblem.block_oracle
         calls = iter(range(10 ** 6))
-        running = [True]    # row 2 is in the block, which is then full
 
         def nan_objective(X, objective, **arrays):
-            G, F = real(X, True, **arrays)
-            if next(calls) > 0 and running:
+            G, F = real(X, objective, **arrays)
+            if next(calls) == 1:
                 F[1, 0] = np.nan    # instance 1, its first row: row 2
-                if objective:
-                    running.clear()
             return G, F
         monkeypatch.setattr(LeastSquaresProblem, "block_oracle",
                             staticmethod(nan_objective))
         rows, X0, oracle = self.block()
-        out = adagrad_batch(rows, X0, oracle=oracle, max_iters=6,
-                            record_objective=record_objective)
-        ended = isinstance(out[2], DivergedError)
-        assert ended == record_objective
-        if ended:
-            assert str(out[2]) == "non-finite objective at iteration 1"
-            assert out[2].record.iterations == 1
+        out = adagrad_batch(rows, X0, oracle=oracle, max_iters=6)
+        assert isinstance(out[2], DivergedError)
+        assert str(out[2]) == "non-finite objective at iteration 1"
+        assert out[2].record.iterations == 1
         for b, outcome in enumerate(out):
-            if b != 2 or not ended:
+            if b != 2:
                 assert outcome.reason == "max iterations"
                 assert outcome.iterations == 6
 

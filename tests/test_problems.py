@@ -18,7 +18,7 @@ from prunadag.problems import (LS_KINDS, PAIRS, LibsvmParseError,
                                gen_least_squares,
                                gen_separable_classification, load_libsvm,
                                load_matrix, load_solution, save_matrix,
-                               spectral_norm_sq, standard_normal)
+                               spectral_norm_sq, standard_normal, _split)
 
 
 class TestStandardNormal:
@@ -324,12 +324,20 @@ class TestSeparableGenerator:
 
 class TestLibsvm:
     def test_parse_and_normalize(self, tmp_path):
+        # min-max normalized by the rows of the seeded split's train
+        # part; labels 0 and 1 map to -1 and +1
         f = tmp_path / "toy.txt"
-        f.write_text("1 1:2 2:4\n0 1:0 2:0\n")
-        train, test = load_libsvm(f)
-        assert test is None
-        assert np.allclose(train.samples, [[1.0, 1.0], [0.0, 0.0]])
-        assert train.labels.tolist() == [1.0, -1.0]
+        f.write_text("1 1:2 2:4\n0 1:0 2:0\n1 1:1 2:2\n0 1:3 2:8\n")
+        X = np.array([[2.0, 4.0], [0.0, 0.0], [1.0, 2.0], [3.0, 8.0]])
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        tr, te = _split(np.random.default_rng(0), 4)
+        lo, span = X[tr].min(axis=0), np.ptp(X[tr], axis=0)
+        train, test = load_libsvm(f, split_seed=0)
+        assert np.allclose(train.samples, (X[tr] - lo) / span)
+        assert np.allclose(test.samples,
+                           np.clip((X[te] - lo) / span, 0.0, 1.0))
+        assert train.labels.tolist() == y[tr].tolist()
+        assert test.labels.tolist() == y[te].tolist()
 
     def test_split_seventy_thirty(self, tmp_path):
         f = tmp_path / "ten.txt"
@@ -350,13 +358,13 @@ class TestLibsvm:
         f = tmp_path / "bad.txt"
         f.write_text("1 1:2\nnot-a-label 1:3\n")
         with pytest.raises(LibsvmParseError, match=":2:"):
-            load_libsvm(f)
+            load_libsvm(f, split_seed=0)
 
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("\n# only a comment\n")
         with pytest.raises(LibsvmParseError, match="empty"):
-            load_libsvm(f)
+            load_libsvm(f, split_seed=0)
 
 
 class TestMatrixFormat:

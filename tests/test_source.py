@@ -157,14 +157,19 @@ def test_methods_are_named_only_in_their_tables():
     assert "harness" not in imported
 
 
+def _drive() -> ast.FunctionDef:
+    tree = ast.parse((SRC / "optimizer.py").read_text())
+    drive, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "drive"]
+    return drive
+
+
 def test_each_iterate_and_instance_is_evaluated_once():
     """``optimizer.drive`` evaluates every iterate, x_final included,
     through its one ``checked_oracles`` call, and a stack holds every
     array of its family per slot: problems.py names no ``SHARED`` second
     storage path."""
-    tree = ast.parse((SRC / "optimizer.py").read_text())
-    drive, = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "drive"]
+    drive = _drive()
     calls = [node for node in ast.walk(drive) if isinstance(node, ast.Call)
              and _dotted(node.func) == "checked_oracles"]
     assert len(calls) == 1
@@ -172,3 +177,15 @@ def test_each_iterate_and_instance_is_evaluated_once():
     assert not [node.lineno for node in ast.walk(problems)
                 if isinstance(node, ast.Name) and node.id == "SHARED"
                 or isinstance(node, ast.Attribute) and node.attr == "SHARED"]
+
+
+def test_drive_takes_no_trace_switch():
+    """``optimizer.drive`` always records the objective and counts the
+    entries below the one threshold ``optimizer.DELTA_TRACE``: it takes
+    the block, its step and oracle, and the stopping rule, nothing
+    more."""
+    args = _drive().args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+        == ["problems", "X0", "step", "state", "oracle", "grad_tol",
+            "max_iters"]
+    assert args.vararg is None and args.kwarg is None
