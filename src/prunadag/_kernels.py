@@ -1,15 +1,20 @@
 """The production iteration kernel.
 
 The optimizer's inner loop is the hot path: at desk scale (n in the
-hundreds, 10^4 iterations, dozens of seeds) the cost of one iteration
-is the number of numpy calls it makes, not the arithmetic. ``iterate``
-fuses the steps of :mod:`prunadag.steps` into one pass over boolean
-masks and advances a whole (B, n) block of independent runs at once:
-row b of every argument and output belongs to run b. The top-T set is
-selected once per row, no index arrays are built, and every reduction
-that steers the step sums one row's compacted entries in the same order
-as the reference, so each row agrees bit for bit with the reference and
-with the same run advanced alone.
+hundreds, 10^4 iterations, dozens of seeds) an iteration is cheap
+arithmetic over a few hundred entries, so its cost is the number of
+passes over them and, in C, the branches that the random sets
+mispredict. ``iterate`` advances a whole (B, n) block of independent
+runs at once, row b of every argument and output belonging to run b,
+through one call of the C function in ``_kernels.c``. Row by row it
+selects the top-T set R without a branch on the data, then fuses the
+other steps of :mod:`prunadag.steps` into one pass: the sign-match and
+acceptable-set tests, both weight commits, both steps, the trust-region
+check and the step's trace statistics. Every operation is the
+reference's float64 operation in the same order, and every sum is
+numpy's pairwise sum of the same entries in the same order, so each row
+agrees bit for bit with the reference and with the same run advanced
+alone.
 
 Kernel outputs, for pre-step iterates ``X`` and gradients ``G``:
 
@@ -19,14 +24,78 @@ Kernel outputs, for pre-step iterates ``X`` and gradients ``G``:
 * ``o``, ``r`` -- masks of the optimisable set O = R | A and of R,
 * ``stats``   -- per row, the trace entries of ``optimizer.STEP_FIELDS``;
                  a sum among them runs over a whole row, zeros off its set.
+
+The C source is built with gcc on the first import, into
+``__pycache__/`` beside this file, under a name keyed by the sha256 of
+the source and the build command; later imports load the cached
+module. A missing or failing compiler is an ImportError that shows the
+command and its output. There is no other kernel.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+from pathlib import Path
+
 import numpy as np
 
-from . import steps
-from .steps import Variant
+from .steps import Variant, trust_region_error
+
+SOURCE = Path(__file__).with_name("_kernels.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+CC = "gcc"
+# no -march=native, -ffast-math or FMA contraction: each would change
+# the last bits of the outputs
+CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _build(target: Path) -> None:
+    """Compile :data:`SOURCE` into the extension module ``target``,
+    through a temporary file that replaces it at once, so that processes
+    building at the same time each see a whole file."""
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    os.close(fd)
+    cmd = [CC, *CFLAGS, f"-I{sysconfig.get_paths()['include']}",
+           str(SOURCE), "-o", tmp, "-lm"]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as err:
+            raise ImportError(f"cannot build the iteration kernel: "
+                              f"{' '.join(cmd)!r} did not run: {err}") from err
+        if proc.returncode != 0:
+            raise ImportError(f"cannot build the iteration kernel: "
+                              f"{' '.join(cmd)!r} exited {proc.returncode}:\n"
+                              f"{proc.stderr}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def load():
+    """The compiled kernel module, built first if it is not cached."""
+    key = hashlib.sha256(SOURCE.read_bytes()
+                         + "\0".join((CC, *CFLAGS)).encode())
+    target = CACHE_DIR / (f"_ckernel-{key.hexdigest()[:16]}"
+                          f"{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+    if not target.exists():
+        _build(target)
+    spec = importlib.util.spec_from_file_location("_ckernel", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_c = load()
 
 
 def variant_flags(variants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -37,84 +106,23 @@ def variant_flags(variants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([v is Variant.RELEVANT_ONLY for v in variants]))
 
 
-def compact(V: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``V[mask]``: the entries where ``mask`` holds, in row-major order.
-    Gathering by index is several times faster than boolean indexing
-    on dense, irregular (B, n) masks."""
-    return V.take(np.flatnonzero(mask))
-
-
-def row_sums(values: np.ndarray, counts: np.ndarray, rows) -> np.ndarray:
-    """Sum ``values``, the entries of a (B, n) array compacted by a
-    boolean mask, row by row; ``counts`` holds each row's entry count.
-    Only the rows listed in ``rows`` are summed; the others read 0.
-
-    Each row's entries are summed alone as one contiguous slice, so the
-    sum equals that of the same entries in a 1-D array bit for bit, as
-    in :func:`prunadag.steps.bounding_sequences`. That order is part of
-    the method's output: the rescaled lower bound divides by this sum,
-    and V1 and V3 runs amplify its last bit. Summed as masked whole
-    rows, it moved the v1 objectives of the second seed of the
-    ``ls_desk`` benchmark grid (master seed 1) by up to 49, 1.8e30
-    relative.
-    """
-    ends = np.cumsum(counts).tolist()
-    starts = [0, *ends[:-1]]
-    out = np.zeros(len(ends))
-    for b in rows:
-        out[b] = values[starts[b]:ends[b]].sum()
-    return out
-
-
 def iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
             relevant_only):
     """One iteration of the pruning-aware method for each row of a (B, n)
     block; ``rescale``, ``bound`` and ``relevant_only`` are (B,) boolean
-    variant flags (see :func:`variant_flags`). See the module doc."""
-    r = steps.relevant_mask(G, T)
-    match = steps.sign_match_mask(X, G)
-    G2 = G ** 2
-    X2 = X ** 2
-    w_tent = np.sqrt(W_opt_prev ** 2 + G2)
-    abs_x = np.abs(X)
-    tilde = ~r & match
-
-    # lower bound a_i of the acceptable-set test (used off R only)
-    a = abs_x / (k + 1)
-    if rescale.any():
-        # every row holds exactly T relevant entries
-        num = np.sqrt(compact(G2, r).reshape(-1, T).sum(axis=1))
-        denom = np.sqrt(row_sums(compact(X2, tilde), tilde.sum(axis=1),
-                                 np.flatnonzero(rescale)))
-        # a row left unscaled is multiplied by 1, which is exact
-        a *= np.divide(num, denom, out=np.ones_like(denom),
-                       where=denom > 0.0)[:, None]
-
-    q = G / w_tent
-    ratio = np.abs(q)
-    acceptable = tilde & (a <= ratio)
-    if bound.any():
-        capped = ratio <= abs_x
-        if not bound.all():
-            capped |= ~bound[:, None]
-        acceptable &= capped
-    if relevant_only.any():
-        acceptable &= ~relevant_only[:, None]
-    o = r | acceptable
-    d = ~o
-
-    W_opt = np.where(o, w_tent, W_opt_prev)
-    W_dec = np.where(d, np.sqrt(W_dec_prev ** 2 + X2), W_dec_prev)
-    limit = abs_x / W_dec
-    s_dec = np.where(d & match, -np.sign(X) * np.minimum(a, limit), 0.0)
-    # s_dec is zero off S, so checking every entry checks D
-    steps.check_trust_region(G, s_dec, limit)
-    S = np.where(o, -q, 0.0) + s_dec
-
-    card_O = o.sum(axis=1)
-    gO2 = np.where(o, G2, 0.0)
-    stats = (np.sqrt(gO2.sum(axis=1)), np.full(len(card_O), T), card_O - T,
-             X.shape[1] - card_O, abs_x.max(axis=1),
-             (gO2 / W_opt).sum(axis=1), np.where(o, q * q, 0.0).sum(axis=1),
-             np.where(d, limit * limit, 0.0).sum(axis=1))
-    return S, W_opt, W_dec, o, r, stats
+    variant flags (see :func:`variant_flags`). The four (B, n) arrays
+    must be C-contiguous float64; the C function checks every argument.
+    Raises :class:`prunadag.steps.TrustRegionError` for the first row
+    whose decreasable step breaks its conditions. See the module doc."""
+    B, n = X.shape
+    out = np.empty((3, B, n))
+    masks = np.empty((2, B, n), dtype=bool)
+    stats = np.empty((5, B))
+    cards = np.empty((3, B), dtype=np.int64)
+    failed = _c.iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
+                        relevant_only, out, masks, stats, cards)
+    if failed is not None:
+        raise trust_region_error(*failed)
+    S, W_opt, W_dec = out
+    o, r = masks
+    return S, W_opt, W_dec, o, r, (stats[0], *cards, *stats[1:])

@@ -347,6 +347,8 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
             max_idx = max(max_idx, max(feats))
     if not labels:
         raise LibsvmParseError(f"{path}: empty file")
+    if not max_idx:
+        raise LibsvmParseError(f"{path}: holds no feature")
     try:
         X = np.zeros((len(labels), max_idx))
     except (ValueError, MemoryError):

@@ -2,7 +2,7 @@
 
 These are the readable reference implementations, one function per
 step of the method. The production kernel in :mod:`prunadag._kernels`
-fuses the same arithmetic into one mask-based pass; tests check that a
+fuses the same arithmetic into one compiled pass per row; tests check that a
 step-by-step composition of these functions matches it bit for bit.
 
 Index-set conventions used throughout:
@@ -205,10 +205,17 @@ def check_trust_region(g: np.ndarray, s: np.ndarray,
         return
     within, descent = within.all(axis=1), descent.all(axis=1)
     row = int(np.flatnonzero(~(within & descent))[0])
-    if not within[row]:
-        raise TrustRegionError(
+    raise trust_region_error(row, bool(within[row]))
+
+
+def trust_region_error(row: int, within: bool) -> TrustRegionError:
+    """The error for the first failing ``row``: its step exceeds
+    |x_i|/w_i unless it is ``within`` that limit, and then it is not a
+    descent direction."""
+    if not within:
+        return TrustRegionError(
             f"row {row}: decreasable step exceeds |x_i|/w_i", row)
-    raise TrustRegionError(
+    return TrustRegionError(
         f"row {row}: decreasable step is not a descent direction", row)
 
 

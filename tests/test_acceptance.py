@@ -14,14 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from prunadag import Variant, run
+from prunadag import Variant, optimizer, run
+from prunadag._kernels import iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_step,
                                 fw_lmo, fw_step)
 from prunadag.core import Problem, finite_difference_gradient
 from prunadag.harness import derive_seed, starting_point
-from prunadag.optimizer import (PrunAdagState, prunadag_iterate, run_batch,
-                                unwrap)
-from prunadag.problems import (LS_KINDS, LogisticProblem,
+from prunadag.optimizer import (STEP_FIELDS, PrunAdagState, prunadag_iterate,
+                                run_batch, unwrap)
+from prunadag.problems import (LS_KINDS, LeastSquaresProblem, LogisticProblem,
                                SparseCodingProblem, Stack, classify_accuracy,
                                gen_dct_sparse_recovery, gen_least_squares,
                                gen_separable_classification, standard_normal)
@@ -133,73 +134,116 @@ def test_criterion_02_descent_lemma(bound_traces):
 def test_criterion_03_algorithmic_invariants():
     """1e5 fuzzed iterations: partition, trust-region step conditions,
     sign preservation for the iterate-bounded variants, and both weight
-    closed forms verified by replaying the recorded codes."""
+    closed forms verified by replaying the recorded codes.
+
+    The draws are taken in a fixed order and evaluated as (B, n)
+    blocks: the 50 trajectories of a variant as one block through the
+    optimizer's kernel step, the top-up as one block per iteration
+    count. The kernel is row-independent and bitwise per row, and each
+    check is entrywise, so every row sees the values of its own one-row
+    run and the violations keep the order of a row-by-row pass."""
     rng = np.random.default_rng(derive_seed(0, "fuzz"))
     n, T, iters_per_traj = 30, 4, 100
     total = 0
     trajectories_per_variant = 50
-    problems_pool = [gen_least_squares("A1", 8, n, int(rng.integers(2**31)))
-                     .problem() for _ in range(10)]
+    pool = [gen_least_squares("A1", 8, n, int(rng.integers(2**31)))
+            for _ in range(10)]
     violations = []
     for variant in ALL_VARIANTS:
+        picks, X = [], []
         for _ in range(trajectories_per_variant):
-            problem = problems_pool[int(rng.integers(len(problems_pool)))]
-            x0 = rng.standard_normal(n) * float(rng.uniform(0.01, 3.0))
-            state = PrunAdagState(x=x0, T=T, variant=variant,
-                                  varsigma=VARSIGMA)
-            sq_opt = np.zeros(n)
-            sq_dec = np.zeros(n)
-            for _ in range(iters_per_traj):
-                x_before = state.x.copy()
-                w_dec_before = state.w_dec.copy()
-                rec = prunadag_iterate(state, problem, keep_history=True)
-                total += 1
-                d = rec["codes"] == 2
-                cards = rec["card_R"], rec["card_A"], rec["card_D"]
-                if cards[0] != T or sum(cards) != n:
-                    violations.append(f"partition {variant.value}")
-                s = rec["step"]
+            picks.append(pool[int(rng.integers(len(pool)))])
+            X.append(rng.standard_normal(n) * float(rng.uniform(0.01, 3.0)))
+        X = np.array(X)
+        A = np.stack([ls.A for ls in picks])[:, None]
+        b = np.stack([ls.b for ls in picks])[:, None]
+        root = np.full(X.shape, math.sqrt(VARSIGMA))
+        state = optimizer._block_state(root, root.copy(),
+                                       [variant] * len(X))
+        sq_opt, sq_dec = np.zeros(X.shape), np.zeros(X.shape)
+        found = [[] for _ in X]   # each trajectory's violations in order
+        for k in range(iters_per_traj):
+            # each row bitwise its problem's gradient
+            G = LeastSquaresProblem.block_oracle(X[:, None], False, A,
+                                                 b)[0][:, 0]
+            w_dec_before = state["w_dec"]
+            S, o, r, stats = optimizer._advance(X, G, k, T, state)
+            X_next = X + S
+            total += len(X)
+            d = ~o
+            cards = dict(zip(STEP_FIELDS, stats))
+            checks = [
+                ("partition", (cards["card_R"] != T)
+                 | (cards["card_R"] + cards["card_A"] + cards["card_D"]
+                    != n)),
                 # |s_i| <= |x_i| / w_i^D on the decreasable set
-                lim = np.abs(x_before[d]) / np.sqrt(
-                    w_dec_before[d] ** 2 + x_before[d] ** 2)
-                if np.any(np.abs(s[d]) > lim * (1 + 1e-12) + 1e-300):
-                    violations.append(f"dis_abs {variant.value}")
-                if float(np.dot(rec["g"][d], s[d])) > 1e-12:
-                    violations.append(f"dec_cond {variant.value}")
-                if variant.bounds_step_by_iterate:
-                    acc = rec["codes"] == 1
-                    if np.any(x_before[acc] * state.x[acc] < 0):
-                        violations.append(f"sign_flip {variant.value}")
-                sq_opt[~d] += rec["g"][~d] ** 2
-                sq_dec[d] += x_before[d] ** 2
-            if not np.allclose(state.w_opt ** 2, VARSIGMA + sq_opt,
-                               rtol=1e-10, atol=1e-12):
-                violations.append(f"w_opt closed form {variant.value}")
-            if not np.allclose(state.w_dec ** 2, VARSIGMA + sq_dec,
-                               rtol=1e-10, atol=1e-12):
-                violations.append(f"w_dec closed form {variant.value}")
+                ("dis_abs", (d & (np.abs(S) > np.abs(X) / np.sqrt(
+                    w_dec_before ** 2 + X ** 2) * (1 + 1e-12) + 1e-300)
+                              ).any(axis=1)),
+                ("dec_cond", descent_violated(G, S, d))]
+            if variant.bounds_step_by_iterate:
+                checks.append(("sign_flip",
+                               (o & ~r & (X * X_next < 0)).any(axis=1)))
+            for name, bad in checks:
+                for row in np.flatnonzero(bad):
+                    found[row].append(f"{name} {variant.value}")
+            np.add(sq_opt, G ** 2, out=sq_opt, where=o)
+            np.add(sq_dec, X ** 2, out=sq_dec, where=d)
+            X = X_next
+        for name, w, sq in (("w_opt", state["w_opt"], sq_opt),
+                            ("w_dec", state["w_dec"], sq_dec)):
+            close = np.isclose(w ** 2, VARSIGMA + sq, rtol=1e-10,
+                               atol=1e-12).all(axis=1)
+            for row in np.flatnonzero(~close):
+                found[row].append(f"{name} closed form {variant.value}")
+        violations += [v for row in found for v in row]
         if violations:
             break
     # top up to the required fuzz volume with raw step-level iterations
-    from prunadag._kernels import iterate, variant_flags
-    while total < 100_000 and not violations:
+    first = total
+    rows = []
+    while total + len(rows) < 100_000 and not violations:
         x = rng.standard_normal(n) * float(rng.uniform(0.01, 10.0))
         g = rng.standard_normal(n) * float(rng.uniform(0.01, 10.0))
-        w = np.sqrt(VARSIGMA + rng.random(n))
-        variant = ALL_VARIANTS[total % len(ALL_VARIANTS)]
-        s, w_opt, w_dec, o, r = (a[0] for a in iterate(
-            x[None], g[None], w[None], w[None].copy(), total % 7, T,
-            *variant_flags([variant]))[:5])
-        total += 1
+        rows.append((x, g, np.sqrt(VARSIGMA + rng.random(n))))
+    if rows:
+        X, G, W = (np.array(col) for col in zip(*rows))
+        index = first + np.arange(len(rows))
+        S, W_dec = np.empty_like(X), np.empty_like(X)
+        o = np.empty(X.shape, dtype=bool)
+        r_count = np.empty(len(rows), dtype=np.int64)
+        for k in range(7):
+            at = index % 7 == k
+            s, _, w_dec, o_k, r, _ = iterate(
+                X[at], G[at], W[at], W[at].copy(), k, T,
+                *variant_flags([ALL_VARIANTS[i % len(ALL_VARIANTS)]
+                                for i in index[at]]))
+            S[at], W_dec[at], o[at] = s, w_dec, o_k
+            r_count[at] = np.count_nonzero(r, axis=1)
         d = ~o
-        if int(np.count_nonzero(r)) != T:
-            violations.append("partition (fuzz)")
-        if np.any(np.abs(s[d]) > np.abs(x[d]) / w_dec[d] * (1 + 1e-12)):
-            violations.append("dis_abs (fuzz)")
-        if float(np.dot(g[d], s[d])) > 1e-12:
-            violations.append("dec_cond (fuzz)")
+        checks = [
+            ("partition (fuzz)", r_count != T),
+            ("dis_abs (fuzz)", (d & (np.abs(S) > np.abs(X) / W_dec
+                                     * (1 + 1e-12))).any(axis=1)),
+            ("dec_cond (fuzz)", descent_violated(G, S, d))]
+        bad = np.any([flags for _, flags in checks], axis=0)
+        # the row-by-row pass stops after the first row with a violation
+        stop = int(np.argmax(bad)) if bad.any() else len(rows) - 1
+        violations += [name for name, flags in checks if flags[stop]]
+        total += stop + 1
     report(3, "algorithmic invariants under fuzzing", not violations,
            violations[0] if violations else f"{total} iterations checked")
+
+
+def descent_violated(G, S, d):
+    """Per row, whether float(np.dot(g[d], s[d])) > 1e-12. A row whose
+    products on d are all <= 0 (or NaN) has a dot product <= 0 (or NaN)
+    in any summation order; only the others take np.dot."""
+    bad = (d & (G * S > 0)).any(axis=1)
+    for row in np.flatnonzero(bad):
+        on = d[row]
+        bad[row] = float(np.dot(G[row][on], S[row][on])) > 1e-12
+    return bad
 
 
 def test_criterion_04_adagrad_equivalence():

@@ -1333,6 +1333,19 @@ dir = {{out}}
         self.assert_input_file_error(capsys, name)
         assert not (tmp_path / "results").exists()
 
+    def test_libsvm_file_without_a_feature_exits_2(self, tmp_path, capsys):
+        # labels without features ended both commands in an IndexError
+        path = self._data_config(tmp_path, "libsvm", "")
+        (tmp_path / "d.svm").write_text("1\n-1\n1\n")
+        sol = tmp_path / "x.csv"
+        sol.write_text("0.5\n")
+        for argv in (["run", str(path)],
+                     ["prune", str(sol), "--sigma", "0.5", "--config",
+                      str(path)]):
+            assert cli.main(argv) == 2
+            self.assert_input_file_error(capsys, "d.svm", "holds no feature")
+        assert not (tmp_path / "results").exists()
+
     # data values that ended run in a traceback: (kind, file, contents,
     # what the message says)
     @pytest.mark.parametrize("kind, name, data, says", [

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
-from prunadag import baselines, optimizer, steps
+from prunadag import _kernels, baselines, optimizer, steps
 from prunadag._kernels import iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
                                 fw_batch, fw_run)
@@ -303,17 +303,106 @@ class TestTraceStatistics:
             assert stats["max_abs_x"][b] == np.abs(X[b]).max()
 
 
+class TestLongRows:
+    """Above 128 entries numpy's pairwise sum halves its range, and so
+    must every row sum of the kernel: the rescaled lower bound's
+    numerator over R and denominator over S~, and the four statistics
+    sums. The draws of the classes above stay below 30 entries."""
+
+    @staticmethod
+    def assert_bitwise_the_references(X, G, W_opt_prev, W_dec_prev, k, T,
+                                      variants):
+        out = iterate(X, G, W_opt_prev, W_dec_prev, k, T,
+                      *variant_flags(variants))
+        for b, variant in enumerate(variants):
+            ref = TestKernelPathsAgree.reference(
+                X[b], G[b], W_opt_prev[b], W_dec_prev[b], k, T, variant)
+            TestKernelPathsAgree.assert_bitwise(
+                [a[b] for a in out[:5]], ref[:5])
+        want = TestTraceStatistics.reference(X, G, *out[1:5])
+        for name, got, ref in zip(STEP_FIELDS, out[5], want):
+            assert got.dtype == ref.dtype, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_long_rows_bitwise_equal_the_references(self, seed):
+        # integer grids make ties at the top-T threshold and zeros common
+        rng = np.random.default_rng(seed)
+        B = int(rng.integers(1, 13))
+        n = int(rng.integers(129, 601))
+        T = n if rng.random() < 0.1 else int(rng.integers(1, n + 1))
+        if rng.random() < 0.5:
+            X = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 1e-3]))
+            G = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 7.0]))
+        else:
+            X = rng.standard_normal((B, n))
+            X[rng.random((B, n)) < 0.2] = 0.0
+            G = rng.standard_normal((B, n))
+        W = np.sqrt(0.01 + rng.random((2, B, n)))
+        variants = [ALL_VARIANTS[i]
+                    for i in rng.integers(len(ALL_VARIANTS), size=B)]
+        self.assert_bitwise_the_references(X, G, W[0], W[1],
+                                           int(rng.integers(0, 50)), T,
+                                           variants)
+
+    def test_edge_rows(self):
+        rng = np.random.default_rng(5)
+        # a 5,000-entry row, with ties
+        X = rng.integers(-3, 4, (1, 5000)) * 0.5
+        G = rng.integers(-3, 4, (1, 5000)) * 0.25
+        W = np.sqrt(0.01 + rng.random((2, 1, 5000)))
+        self.assert_bitwise_the_references(X, G, W[0], W[1], 7, 500,
+                                           [Variant.V1])
+        # T = n; and a rescaled row whose denominator is 0: off R, x and
+        # g have opposite signs, so S~ is empty
+        X = rng.standard_normal((3, 300))
+        G = -X * rng.uniform(0.5, 2.0, (3, 300))
+        W = np.sqrt(0.01 + rng.random((2, 3, 300)))
+        for variants in ([Variant.V1, Variant.V3, Variant.RELEVANT_ONLY],
+                         [Variant.V2, Variant.V4, Variant.V1]):
+            self.assert_bitwise_the_references(X, G, W[0], W[1], 2, 300,
+                                               variants)
+            self.assert_bitwise_the_references(X, G, W[0], W[1], 2, 40,
+                                               variants)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("compiler", ["no-such-compiler-here", "false"])
+    def test_a_compiler_that_fails_is_a_loud_import_error(
+            self, monkeypatch, tmp_path, compiler):
+        # an empty cache forces a build; nothing is left behind
+        monkeypatch.setattr(_kernels, "CC", compiler)
+        monkeypatch.setattr(_kernels, "CACHE_DIR", tmp_path)
+        with pytest.raises(ImportError, match=f"'{compiler} -O"):
+            _kernels.load()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_cold_build_is_cached(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(_kernels, "CACHE_DIR", tmp_path)
+        _kernels.load()
+        (built,) = tmp_path.iterdir()
+        assert built.name.startswith("_ckernel-")
+
+        def build(target):
+            raise AssertionError(f"rebuilt the cached {target}")
+        monkeypatch.setattr(_kernels, "_build", build)
+        assert _kernels.load().iterate
+
+
 class TestTrustRegionChecks:
-    def test_kernel_raises_when_S_holds_a_sign_mismatch(self, monkeypatch):
-        # a sign-match test that accepts opposite signs puts an index with
-        # g_i s_i > 0 into S; the kernel's descent check must catch it
-        monkeypatch.setattr(steps, "sign_match_mask",
-                            lambda x, g: (x != 0.0) & (g != 0.0))
-        x = np.array([1.0, -1.0])
-        g = np.array([5.0, 0.5])
-        w = np.full(2, 0.1)
-        with pytest.raises(steps.TrustRegionError):
-            iterate_row(x, g, w, w.copy(), 0, 1, Variant.V2)
+    def test_kernel_raises_for_the_row_whose_limit_is_nan(self):
+        # a NaN iterate entry off R is decreasable and makes its limit
+        # |x_i|/w_i NaN, which no step is within; rows 0 and 2 are fine
+        X = np.tile([1.0, -1.0, 0.5], (3, 1))
+        X[1, 2] = np.nan
+        G = np.tile([5.0, 0.5, 0.25], (3, 1))
+        W = np.full((3, 3), 0.1)
+        with pytest.raises(steps.TrustRegionError,
+                           match="row 1: .*exceeds") as exc:
+            iterate(X, G, W, W.copy(), 0, 1,
+                    *variant_flags([Variant.V2] * 3))
+        assert exc.value.row == 1
 
 
 class TestDriver:
@@ -529,15 +618,13 @@ class TestBatch:
         with pytest.raises(ValueError, match="2 runs"):
             adagrad_batch(problems[:1], np.ones((2, 4)))
 
-    def test_trust_region_error_ends_its_row_only(self, monkeypatch):
-        # the sign-match test of TestTrustRegionChecks lets row 0 put a
-        # sign mismatch into S; row 1 has none and runs on
-        monkeypatch.setattr(steps, "sign_match_mask",
-                            lambda x, g: (x != 0.0) & (g != 0.0))
+    def test_trust_region_error_ends_its_row_only(self):
+        # as in TestTrustRegionChecks, the NaN entry of row 0 fails its
+        # trust-region check; row 1 has none and runs on
         g = np.array([5.0, 4.0, 0.5])
         problems = [Problem(dim=3, grad=lambda x: g.copy(),
                             objective=lambda x: 0.0)] * 2
-        X0 = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+        X0 = np.array([[1.0, 1.0, np.nan], [1.0, 1.0, 1.0]])
         out = run_batch(problems, X0, 2, [Variant.V2] * 2, max_iters=3)
         assert isinstance(out[0], steps.TrustRegionError)
         assert out[0].row == 0 and out[0].record.reason == "failed"
@@ -694,13 +781,11 @@ class TestPickling:
         assert type(back) is DivergedError and str(back) == str(err)
         assert_same_record(back.record, err.record)
 
-    def test_trust_region_error_keeps_row_and_record(self, monkeypatch):
-        monkeypatch.setattr(steps, "sign_match_mask",
-                            lambda x, g: (x != 0.0) & (g != 0.0))
+    def test_trust_region_error_keeps_row_and_record(self):
         g = np.array([5.0, 4.0, 0.5])
         problem = Problem(dim=3, grad=lambda x: g.copy(),
                           objective=lambda x: 0.0)
-        X0 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+        X0 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]])
         err = run_batch([problem] * 2, X0, 2, [Variant.V2] * 2,
                         max_iters=3)[1]
         assert isinstance(err, steps.TrustRegionError) and err.row == 1

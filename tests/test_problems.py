@@ -366,6 +366,19 @@ class TestLibsvm:
         with pytest.raises(LibsvmParseError, match="empty"):
             load_libsvm(f, split_seed=0)
 
+    @pytest.mark.parametrize("text, says", [
+        ("1\n-1\n1\n", "holds no feature"), ("0\n", "holds no feature"),
+        ("# a\n#b\n", "empty file"), ("\n \n\t\n", "empty file"),
+        ("", "empty file")],
+        ids=["labels", "one label", "comments", "blank", "no line"])
+    def test_file_without_a_feature_rejected(self, tmp_path, text, says):
+        # labels alone once made an (N, 0) sample matrix, whose Lipschitz
+        # constant raised IndexError
+        f = tmp_path / "d.svm"
+        f.write_text(text)
+        with pytest.raises(LibsvmParseError, match=f"d.svm: {says}"):
+            load_libsvm(f, split_seed=0)
+
 
 class TestMatrixFormat:
     def test_binary_round_trip(self, tmp_path):

@@ -189,3 +189,16 @@ def test_drive_takes_no_trace_switch():
         == ["problems", "X0", "step", "state", "oracle", "grad_tol",
             "max_iters"]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_kernel_build_keeps_ieee_arithmetic():
+    """The compiled kernel is bitwise the steps.py reference only if gcc
+    neither fuses nor reassociates float operations, and the cached
+    module runs on any machine only if it is not tuned to the one that
+    built it."""
+    from prunadag import _kernels
+
+    flags = set(_kernels.CFLAGS)
+    assert {"-ffp-contract=off", "-fno-fast-math"} <= flags
+    assert not flags & {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                        "-march=native"}
