@@ -337,11 +337,12 @@ def build_problems(cfg: ExperimentConfig
             instances[i] = instances[_slot(cfg, i)]
             continue
         instance = instances[i] = build_problem(cfg, i)
-        if cfg.T is not None and cfg.T > instance.problem.dim:
-            raise ConfigError(f"optimizers.t must be at most n = "
-                              f"{instance.problem.dim}, got {cfg.T}")
+        n, T = instance.problem.dim, cfg.resolved_T(instance.problem.dim)
+        if T > n:
+            raise ConfigError(f"optimizers.t must be at most n = {n}, got "
+                              f"{T}" + (" by default" if cfg.T is None else ""))
         if i == 0:   # once a data file gives n: every run's start
-            _fits(cfg.seeds * len(cfg.methods) * instance.problem.dim)
+            _fits(cfg.seeds * len(cfg.methods) * n)
         if stack is not None and instance.source is not None:
             stack.add(instance.source)
         else:

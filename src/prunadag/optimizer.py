@@ -61,25 +61,24 @@ def _check_params(n: int, T: int, varsigma: float) -> None:
         raise ValueError(f"varsigma must be in (0, 1), got {varsigma}")
 
 
-# oracle(X, runs, objective) -> (G, F, failed): the gradients G and,
-# if ``objective``, the objectives F of the vectors X, each on the
-# problem of its run in the ascending ``runs``, which may repeat.
-# ``failed`` maps a vector whose oracle raised to the exception.
-Oracle = Callable[[np.ndarray, Sequence[int], bool],
+# oracle(X, runs) -> (G, F, failed): the gradients G and the objectives
+# F of the vectors X, each on the problem of its run in the ascending
+# ``runs``, which may repeat. ``failed`` maps a vector whose oracle
+# raised to the exception.
+Oracle = Callable[[np.ndarray, Sequence[int]],
                   tuple[np.ndarray, np.ndarray, dict]]
 
 
 def row_oracle(problems: Sequence[Problem]) -> Oracle:
     """The :data:`Oracle` of plain problems: for each vector in turn,
-    its gradient, then, if every entry is finite and ``objective`` is
-    set, its objective. An exception fails only its own vector, whose
-    gradient is left zero."""
-    def oracle(X, runs, objective):
+    its gradient, then, if every entry is finite, its objective. An
+    exception fails only its own vector, whose gradient is left zero."""
+    def oracle(X, runs):
         G, F, failed = np.zeros_like(X), np.zeros(len(runs)), {}
         for pos, run in enumerate(runs):
             try:
                 G[pos] = problems[run].gradient(X[pos])
-                if objective and np.isfinite(G[pos]).all():
+                if np.isfinite(G[pos]).all():
                     F[pos] = problems[run].value(X[pos])
             except Exception as err:
                 failed[pos] = err
@@ -88,15 +87,15 @@ def row_oracle(problems: Sequence[Problem]) -> Oracle:
 
 
 def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
-                    objective: bool, message: Callable[[str], str]):
+                    message: Callable[[str], str]):
     """One oracle call for the vectors ``X`` and its checks. Returns G,
     the gradient norms (each bitwise ``np.linalg.norm`` of its row), F
     and the failed vectors, each mapped to the exception its oracle
     raised (every vector, when the call itself raises), else to
-    DivergedError(message(w)) when its w, "gradient" or (with
-    ``objective``) "objective", is not finite, in that order."""
+    DivergedError(message(w)) when its w, "gradient" or "objective", is
+    not finite, in that order."""
     try:
-        G, F, failed = oracle(X, runs, objective)
+        G, F, failed = oracle(X, runs)
     except Exception as err:
         failed = dict.fromkeys(range(len(X)), err)
         G, F = np.zeros_like(X), np.zeros(len(X))
@@ -108,7 +107,7 @@ def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
         finite[~finite] = np.isfinite(G[~finite]).all(axis=1)
         for pos in np.flatnonzero(~finite).tolist():
             failed.setdefault(pos, DivergedError(message("gradient")))
-    if objective and not np.isfinite(F).all():
+    if not np.isfinite(F).all():
         for pos in np.flatnonzero(~np.isfinite(F)).tolist():
             failed.setdefault(pos, DivergedError(message("objective")))
     return G, norm, F, failed
@@ -163,7 +162,7 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     ending = {}   # row position -> why its run ends at x_k
     for k in range(max_iters + 1):
         G, grad_norm, f, failed = checked_oracles(
-            oracle, block.X, block.runs, True,
+            oracle, block.X, block.runs,
             lambda what: f"non-finite {what} at iteration {k}")
         ends = {pos: (why, float(f[pos])) for pos, why in ending.items()}
         ends.update(failed)
@@ -324,9 +323,10 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem,
     """Advance ``state`` by one full iteration, as a block of one row,
     and return its record: ``grad_norm`` and the fields of
     :data:`STEP_FIELDS`, plus with ``keep_history`` the gradient ``g``,
-    the membership ``codes`` and the ``step``."""
+    the membership ``codes`` and the ``step``. Fails by :func:`drive`'s
+    rule on a non-finite gradient or objective at ``state.x``."""
     G, norm, _, failed = checked_oracles(
-        row_oracle([problem]), state.x[None], [0], False,
+        row_oracle([problem]), state.x[None], [0],
         lambda what: f"non-finite {what} at iteration {state.k}")
     if failed:
         raise failed[0]

@@ -25,6 +25,7 @@ import io
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -86,17 +87,17 @@ class _Family:
     """A built-in family's ``gradient`` and ``value``: one-row calls of
     ``block_oracle``, the one statement of its math."""
 
-    def _row(self, x: np.ndarray, objective: bool):
+    def _row(self, x: np.ndarray):
         arrays = {name: getattr(self, name)[None, None]
                   for name in self.STACKED}
         return self.block_oracle(np.asarray(x, dtype=np.float64)[None, None],
-                                 objective, **arrays)
+                                 **arrays)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._row(x, False)[0][0, 0]
+        return self._row(x)[0][0, 0]
 
     def value(self, x: np.ndarray) -> float:
-        return float(self._row(x, True)[1][0, 0])
+        return float(self._row(x)[1][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +124,12 @@ class LeastSquaresProblem(_Family):
     STACKED = ("A", "b")
 
     @staticmethod
-    def block_oracle(X, objective, A, b):
+    def block_oracle(X, A, b):
         """G and F of every row of ``X`` (S, V, n) from one residual;
         ``A`` (S, 1, m, n) and ``b`` (S, 1, m) broadcast over V."""
         R = _matvec(A, X) - b
         G = _matvec(A.swapaxes(-1, -2), R)
-        return G, (0.5 * np.sum(R ** 2, axis=-1) if objective else None)
+        return G, 0.5 * np.sum(R ** 2, axis=-1)
 
     def problem(self) -> Problem:
         return Problem(dim=self.A.shape[1], grad=self.gradient,
@@ -212,12 +213,12 @@ class SparseCodingProblem(_Family):
     STACKED = ("D", "y")
 
     @staticmethod
-    def block_oracle(X, objective, D, y):
+    def block_oracle(X, D, y):
         """As :meth:`LeastSquaresProblem.block_oracle`; doubling the
         product, which is exact, needs no doubled copy of ``D``."""
         R = _matvec(D, X) - y
         G = 2.0 * _matvec(D.swapaxes(-1, -2), R)
-        return G, (np.sum(R ** 2, axis=-1) if objective else None)
+        return G, np.sum(R ** 2, axis=-1)
 
     def problem(self) -> Problem:
         return Problem(dim=self.D.shape[1], grad=self.gradient,
@@ -250,7 +251,7 @@ class LogisticProblem(_Family):
     STACKED = ("samples", "labels")
 
     @staticmethod
-    def block_oracle(X, objective, samples, labels):
+    def block_oracle(X, samples, labels):
         """G and F of every row of ``X`` (S, V, n) from one set of
         margins t and e = exp(-|t|); ``samples`` (S, 1, N, n) and
         ``labels`` (S, 1, N) broadcast over V."""
@@ -259,8 +260,6 @@ class LogisticProblem(_Family):
         # sigma(-t) = 1 / (1 + exp(t)), computed stably on both tails
         sig = np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
         G = -_matvec(samples.swapaxes(-1, -2), sig * labels) / t.shape[-1]
-        if not objective:
-            return G, None
         # log(1 + exp(-t)) without overflow for any |t|
         loss = np.log1p(e)
         return G, np.mean(np.where(t >= 0, loss, -t + loss), axis=-1)
@@ -456,14 +455,14 @@ class BlockOracle:
     evaluation; row s * V + v runs on instance ``slots[s]``. Each row is
     bitwise its instance's ``gradient`` and ``value``.
 
-    ``oracle(X, runs, objective)`` evaluates the vectors ``X`` of the
-    ascending rows ``runs``: in drive the rows still running, in the
-    pruning sweep several vectors per row. When ``runs`` is every row
-    once, ``X`` is evaluated as it is. Otherwise only the slots from the
-    first to the last in ``runs`` are, each with as many vectors as the
-    slot with the most: a slot's vectors fill the first places of a zero
-    buffer, and a row not in ``runs`` is never evaluated. Returns ``(G,
-    F, {})``; F holds zeros unless ``objective`` asks for it.
+    ``oracle(X, runs)`` evaluates the vectors ``X`` of the ascending
+    rows ``runs``: in drive the rows still running, in the pruning sweep
+    several vectors per row. Only the slots from the first to the last
+    in ``runs`` are evaluated, each with as many vectors as the slot
+    with the most: a slot's vectors fill the first places of a zero
+    buffer, and a row not in ``runs`` is never evaluated. The buffer is
+    laid out once at the first call and again each time rows leave.
+    Returns ``(G, F, {})``.
     """
 
     def __init__(self, stack: Stack, slots: range, rows_per_slot: int):
@@ -472,36 +471,30 @@ class BlockOracle:
         self.evaluate = family.block_oracle
         self.arrays = {name: stack.arrays[name][slots.start:slots.stop, None]
                        for name in family.STACKED}
-        self.every = list(range(len(slots) * rows_per_slot))
-        self.runs = None   # the rows the packed layout holds
+        self.runs = None   # the rows the layout holds
 
-    def __call__(self, X: np.ndarray, runs: Sequence[int], objective: bool):
-        S, V = self.shape
-        if len(runs) == S * V and list(runs) == self.every:
-            G, F = self.evaluate(X.reshape(S, V, -1), objective,
-                                 **self.arrays)
-            return (G.reshape(S * V, -1),
-                    F.reshape(S * V) if objective else np.zeros(S * V), {})
+    def __call__(self, X: np.ndarray, runs: Sequence[int]):
         if list(runs) != self.runs:
             self._pack(list(runs), X.shape[1])
         flat = self.buffer.reshape(-1, X.shape[1])
         flat[self.place] = X
-        G, F = self.evaluate(self.buffer, objective, **self.packed)
-        G = G.reshape(len(flat), -1)[self.place]
-        return (G, F.reshape(-1)[self.place] if objective
-                else np.zeros(len(runs)), {})
+        G, F = self.evaluate(self.buffer, **self.packed)
+        return (G.reshape(len(flat), -1)[self.place],
+                F.reshape(-1)[self.place], {})
 
     def _pack(self, runs: list, n: int) -> None:
         """Lay out the vectors of the rows ``runs``: slot s - lo of the
         buffer holds the vectors of slot s's rows in order, and ``place``
-        is each vector's place in the flattened buffer."""
+        is each vector's place in the flattened buffer: a slice when the
+        vectors fill it in order, so that no gather copies them."""
         slot = np.array(runs) // self.shape[1]
         lo = int(slot[0])
         counts = np.bincount(slot - lo)
         width = int(counts.max())
         column = np.arange(len(runs)) - np.repeat(np.cumsum(counts) - counts,
                                                   counts)
-        self.place = (slot - lo) * width + column
+        self.place = (slice(None) if len(runs) == len(counts) * width
+                      else (slot - lo) * width + column)
         self.buffer = np.zeros((len(counts), width, n))
         self.packed = {name: array[lo:lo + len(counts)]
                        for name, array in self.arrays.items()}
@@ -536,7 +529,10 @@ def load_matrix(path) -> np.ndarray:
 def _read_matrix(fh) -> np.ndarray:
     if fh.read(4) != MATRIX_MAGIC:
         fh.seek(0)
-        return np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():   # load_matrix says "holds no entry"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
+            return np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
     head = fh.read(8)
     if len(head) < 8:
         raise ValueError("truncated matrix header")

@@ -107,7 +107,7 @@ def prune_report(X, oracle: optimizer.Oracle, runs: Sequence[int],
         XP += [x] + [prune(x, kind, v, order) for kind, v in targets]
     XP, P = np.array(XP), len(targets) + 1
     _, rho, F, failed = optimizer.checked_oracles(
-        oracle, XP, np.repeat(runs, P), True, lambda what: NON_FINITE)
+        oracle, XP, np.repeat(runs, P), lambda what: NON_FINITE)
     reports = []
     for c in range(len(runs)):
         cell = range(c * P, c * P + P)

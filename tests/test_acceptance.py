@@ -164,8 +164,7 @@ def test_criterion_03_algorithmic_invariants():
         found = [[] for _ in X]   # each trajectory's violations in order
         for k in range(iters_per_traj):
             # each row bitwise its problem's gradient
-            G = LeastSquaresProblem.block_oracle(X[:, None], False, A,
-                                                 b)[0][:, 0]
+            G = LeastSquaresProblem.block_oracle(X[:, None], A, b)[0][:, 0]
             w_dec_before = state["w_dec"]
             S, o, r, stats = optimizer._advance(X, G, k, T, state)
             X_next = X + S

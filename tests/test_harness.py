@@ -1091,8 +1091,8 @@ def _inject(patch, cfg, cell, t, fault, stacked):
     if stacked:
         real = problems.LeastSquaresProblem.block_oracle
 
-        def block_oracle(X, objective, **arrays):
-            G, F = real(X, True, **arrays)
+        def block_oracle(X, **arrays):
+            G, F = real(X, **arrays)
             if X.shape[:2] == count.get("layout") and fires():
                 if fault == "raise":
                     raise ZeroDivisionError("boom")
@@ -1306,6 +1306,24 @@ dir = {{out}}
         assert not (tmp_path / "results").exists()
         path.write_text(path.read_text().replace(f"t = {n + 1}", f"t = {n}"))
         assert cli.main(["run", str(path)]) == 0
+
+    @pytest.mark.parametrize("kind", ["sparse_coding", "libsvm"])
+    def test_one_feature_under_the_default_t_exits_2(self, tmp_path, capsys,
+                                                     kind):
+        # the default t of 2 exceeds n = 1: every cell failed on its
+        # starting point and run exited 0
+        path = self._data_config(tmp_path, kind, "")
+        if kind == "sparse_coding":
+            save_matrix(tmp_path / "D.bin",
+                        np.random.default_rng(1).standard_normal((6, 1)))
+        else:
+            (tmp_path / "d.svm").write_text("".join(
+                f"{(-1) ** i} 1:{i}\n" for i in range(12)))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: optimizers.t")
+        assert "n = 1, got 2 by default" in err
+        assert not (tmp_path / "results").exists()
 
     @staticmethod
     def assert_input_file_error(capsys, name, says=""):

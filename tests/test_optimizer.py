@@ -150,6 +150,22 @@ class TestRunLoop:
         assert exc.value.record.reason == "diverged"
         assert exc.value.record.iterations == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_iterate_fails_on_a_non_finite_objective(self, bad):
+        # prunadag_iterate checks f at each iterate by drive's rule: the
+        # third evaluation, at x_2, is not finite
+        calls = iter(range(10))
+        problem = Problem(dim=4, grad=lambda x: x - 0.3, objective=lambda x: (
+            bad if next(calls) >= 2 else 0.5 * float(np.sum(x ** 2))))
+        state = PrunAdagState(x=np.ones(4), T=2)
+        for _ in range(2):
+            prunadag_iterate(state, problem)
+        x = state.x.copy()
+        with pytest.raises(DivergedError,
+                           match="^non-finite objective at iteration 2$"):
+            prunadag_iterate(state, problem)
+        assert state.k == 2 and np.array_equal(state.x, x)
+
 
 class TestKernelPathsAgree:
     """The fused kernel must reproduce a step-by-step composition of the
@@ -700,13 +716,14 @@ class TestBlockOracle:
     def test_one_call_per_pass_and_one_pack_per_exit(self, monkeypatch):
         # each pass is one oracle call over the rows that reach it, the
         # x_final of the rows that end there included, and the packed
-        # layout is built once each time rows leave while others run on
+        # layout is built at the first call and again each time rows
+        # leave while others run on
         rows, X0, oracle = self.block()
         calls, packs, pack = [], [], BlockOracle._pack
 
-        def counted(X, runs, objective):
+        def counted(X, runs):
             calls.append(list(runs))
-            return oracle(X, runs, objective)
+            return oracle(X, runs)
         monkeypatch.setattr(BlockOracle, "_pack", lambda self, *args: (
             packs.append(args), pack(self, *args)))
         out = adagrad_batch(rows, X0, oracle=counted, **self.STOPPING)
@@ -716,7 +733,7 @@ class TestBlockOracle:
             "max iterations"]
         assert calls == [[b for b in range(4) if K[b] >= k]
                          for k in range(61)]
-        assert len(packs) == 3
+        assert len(packs) == 4
 
     def test_raise_where_a_row_ends_fails_that_row(self):
         # the oracle call of iteration 19 raises: it evaluates x_19 of
@@ -726,10 +743,10 @@ class TestBlockOracle:
         clean = adagrad_batch(rows, X0, oracle=oracle, **self.STOPPING)
         calls = iter(range(10 ** 6))
 
-        def raising(X, runs, objective):
+        def raising(X, runs):
             if next(calls) == 19:
                 raise RuntimeError("oracle lost at iteration 19")
-            return oracle(X, runs, objective)
+            return oracle(X, runs)
         out = adagrad_batch(rows, X0, oracle=raising, **self.STOPPING)
         for b in range(4):
             assert isinstance(out[b], RuntimeError)
@@ -749,8 +766,8 @@ class TestBlockOracle:
         real = LeastSquaresProblem.block_oracle
         calls = iter(range(10 ** 6))
 
-        def nan_objective(X, objective, **arrays):
-            G, F = real(X, objective, **arrays)
+        def nan_objective(X, **arrays):
+            G, F = real(X, **arrays)
             if next(calls) == 1:
                 F[1, 0] = np.nan    # instance 1, its first row: row 2
             return G, F

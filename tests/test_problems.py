@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +424,15 @@ class TestMatrixFormat:
         with pytest.raises(InputFileError, match="m.csv: could not convert"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_empty_csv_refused_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputFileError, match="m.csv: holds no entry"):
+                load_matrix(path)
+
     def test_load_solution_vector(self, tmp_path):
         v = np.array([1.0, -2.0, 3.0])
         path = tmp_path / "x.bin"
@@ -502,17 +512,15 @@ class TestStack:
         X = rng.standard_normal((S * V, n)) * 10.0 ** rng.integers(-2, 3)
         oracle = stack.oracle(np.repeat(np.arange(S), V))
         runs = list(range(S * V))
-        G, F, failed = oracle(X, runs, True)
+        G, F, failed = oracle(X, runs)
         assert failed == {}
         for b in runs:
             assert same_bits(G[b], solo[b // V].gradient(X[b])), b
             assert same_bits(F[b], solo[b // V].value(X[b])), b
-        G_only, F_zero, _ = oracle(X, runs, False)
-        assert same_bits(G_only, G) and not F_zero.any()
         # the rows still running, through the full-size buffer
         keep = sorted(data.draw(st.sets(st.sampled_from(runs), min_size=1),
                                 label="running"))
-        G_part, F_part, _ = oracle(X[keep], keep, True)
+        G_part, F_part, _ = oracle(X[keep], keep)
         assert same_bits(G_part, G[keep]) and same_bits(F_part, F[keep])
 
     def test_instances_hold_views_of_the_stack(self):
@@ -549,12 +557,12 @@ class TestStack:
         solo = [member.problem() for member in members]
         oracle = stacked(members).oracle([0, 0, 1, 1])
         X = np.random.default_rng(7).standard_normal((S * V, n))
-        G, F, _ = oracle(X, [0, 1, 2, 3], True)
+        G, F, _ = oracle(X, [0, 1, 2, 3])
         for b in range(S * V):
             assert same_bits(G[b], solo[b // V].gradient(X[b])), b
             assert same_bits(F[b], solo[b // V].value(X[b])), b
         for keep in ([1], [0, 3], [1, 2], [2, 3], [0, 1, 3]):
-            G_part, F_part, _ = oracle(X[keep], keep, True)
+            G_part, F_part, _ = oracle(X[keep], keep)
             assert same_bits(G_part, G[keep]), keep
             assert same_bits(F_part, F[keep]), keep
 
@@ -575,7 +583,7 @@ class TestStack:
                             ([4, 5, 6, 7, 8], (2, 4, 10)),
                             ([1, 3, 6], (2, 2, 10)), ([1, 3, 6], (2, 2, 10)),
                             ([0, 11], (3, 1, 10)), ([5], (1, 1, 10))):
-            G, F, _ = oracle(X[runs], runs, True)
+            G, F, _ = oracle(X[runs], runs)
             assert shapes.pop() == shape
             for pos, b in enumerate(runs):
                 assert same_bits(G[pos], solo[b // 4].gradient(X[b]))
@@ -587,14 +595,14 @@ class TestStack:
         full = stack.oracle([0, 0, 1, 1])
         assert full.shape == (2, 2)
         X = np.random.default_rng(0).standard_normal((4, 10))
-        G, F, _ = full(X, [0, 1, 2, 3], True)
+        G, F, _ = full(X, [0, 1, 2, 3])
         # a shard of a range of slots holds views of the stack's arrays
         # and gives the rows of the full block
         for slots, rows in (([0, 0], [0, 1]), ([1], [2])):
             shard = stack.oracle(slots)
             assert all(np.shares_memory(array, stack.arrays[name])
                        for name, array in shard.arrays.items())
-            G_shard, F_shard, _ = shard(X[rows], range(len(rows)), True)
+            G_shard, F_shard, _ = shard(X[rows], range(len(rows)))
             assert same_bits(G_shard, G[rows]) and same_bits(F_shard, F[rows])
         for slots in ([0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0], [], [2]):
             with pytest.raises(ValueError, match="seed-major"):

@@ -191,6 +191,32 @@ def test_drive_takes_no_trace_switch():
     assert args.vararg is None and args.kwarg is None
 
 
+def test_oracles_take_no_objective_switch():
+    """Every oracle call gives the gradient and the objective: no oracle
+    signature takes an ``objective`` switch, and ``BlockOracle`` lays
+    its rows out one way, with no second ``every`` layout."""
+    def defs(node) -> dict:
+        return {f.name: f for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.ClassDef))}
+    opt = defs(ast.parse((SRC / "optimizer.py").read_text()))
+    prob = defs(ast.parse((SRC / "problems.py").read_text()))
+    oracles = {"checked_oracles": opt["checked_oracles"],
+               "row_oracle.oracle": defs(opt["row_oracle"])["oracle"],
+               "BlockOracle.__call__": defs(prob["BlockOracle"])["__call__"],
+               "_Family._row": defs(prob["_Family"])["_row"]}
+    oracles.update({f"{name}.block_oracle": defs(cls)["block_oracle"]
+                    for name, cls in prob.items()
+                    if isinstance(cls, ast.ClassDef)
+                    and "block_oracle" in defs(cls)})
+    assert len(oracles) == 7
+    found = [name for name, f in oracles.items()
+             if "objective" in {a.arg for a in f.args.posonlyargs
+                                + f.args.args + f.args.kwonlyargs}]
+    assert not found, f"oracles with an objective switch: {found}"
+    assert not [node.lineno for node in ast.walk(prob["BlockOracle"])
+                if isinstance(node, ast.Attribute) and node.attr == "every"]
+
+
 def test_kernel_build_keeps_ieee_arithmetic():
     """The compiled kernel is bitwise the steps.py reference only if gcc
     neither fuses nor reassociates float operations, and the cached
