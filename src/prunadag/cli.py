@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, optimizer, problems, pruning, verify
+import numpy as np
+
+from . import harness, problems, pruning, verify
 from .core import InputFileError
 
 
@@ -26,6 +28,9 @@ def _key_option(section: str, key: str):
     return parse
 
 
+# each command reports non-finite values by its own exit status and
+# messages; numpy's warnings, forked workers' too, would repeat them
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="prunadag",
@@ -74,8 +79,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             outcomes = verify.verify_bundle(args.trace_dir)
         else:
-            problem = (None if cfg is None
-                       else harness.build_problem(cfg, 0).problem)
+            instance = None if cfg is None else harness.build_problem(cfg, 0)
             x = problems.load_solution(args.solution)
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -95,10 +99,8 @@ def main(argv=None) -> int:
             print("no verifiable runs found (no theory trace present)")
             return 1
         for o in outcomes:
-            status = "PASS" if o.ok else "FAIL"
-            descent = {True: "ok", False: "VIOLATED",
-                       None: "not-run"}[o.descent_ok]
-            print(f"{status} {o.optimizer} seed={o.seed} descent={descent} "
+            print(f"{'PASS' if o.ok else 'FAIL'} {o.optimizer} seed={o.seed} "
+                  f"descent={'ok' if o.descent_ok else 'VIOLATED'} "
                   f"gradient_bound={'ok' if o.gradient_bound_ok else 'VIOLATED'}")
         return 0 if all(o.ok for o in outcomes) else 1
 
@@ -106,13 +108,15 @@ def main(argv=None) -> int:
     kind = "sigma" if args.sigma is not None else "delta"
     values = getattr(args, kind)
     header = "target_kind,target_value,achieved_sparsity,nonzeros"
-    if problem is not None:
-        if x.shape[0] != problem.dim:
+    if instance is not None:
+        if x.shape[0] != instance.problem.dim:
             print(f"solution error: {args.solution} has {x.shape[0]} entries,"
-                  f" but problem n = {problem.dim}", file=sys.stderr)
+                  f" but problem n = {instance.problem.dim}", file=sys.stderr)
             return 2
-        (rows,) = pruning.prune_report(x[None], optimizer.row_oracle(
-            [problem]), [0], **{f"{kind}s": values})
+        stack = problems.Stack(1)   # the grid's sweep, on one instance
+        stack.add(instance.source)
+        (rows,) = pruning.prune_report(x[None], stack.oracle([0]), [0],
+                                       **{f"{kind}s": values})
         if isinstance(rows, Exception):
             # the sweep ran; its evaluation failed, as a grid cell records
             print(f"prune error: {type(rows).__name__}: {rows}",
@@ -124,7 +128,7 @@ def main(argv=None) -> int:
         xp = pruning.prune(x, kind, v)
         sparsity = float((xp == 0.0).mean())
         line = f"{kind},{v!r},{sparsity!r},{int((xp != 0).sum())}"
-        if problem is not None:
+        if instance is not None:
             line += f",{rows[t].rho!r},{rows[t].omega!r}"
         print(line)
     return 0

@@ -155,8 +155,7 @@ class RunRecord:
     :data:`TRACE_FIELDS` attribute (``grad_norm``, ``objective``, ...)
     reads as its column, or as None when ``untraced`` names the column,
     which then holds zeros. ``objective_initial`` is f(x_0), the first
-    objective of the trace, kept also where a bundle written before
-    every run recorded its objective lists ``f`` as untraced. Only the
+    row's objective, or None without rows or without ``f``. Only the
     optimizers with split weight vectors fill the theory group
     (``max_abs_x`` and the masked sums ``sum_*`` of the descent-lemma
     and gradient-bound checks).
@@ -166,12 +165,16 @@ class RunRecord:
     x_final: np.ndarray
     reason: str
     untraced: tuple = ()
-    objective_initial: Optional[float] = None
     objective_final: Optional[float] = None
 
     @property
     def iterations(self) -> int:
         return int(self.trace.shape[0])
+
+    @property
+    def objective_initial(self) -> Optional[float]:
+        f = self.objective
+        return None if f is None or not len(f) else float(f[0])
 
     def validate(self) -> None:
         check_trace(self.trace)

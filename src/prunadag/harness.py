@@ -480,25 +480,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (optimizer x seed) grid and write the bundle.
 
     The cells of one step family (pruning-aware, Adagrad, Frank-Wolfe)
-    and problem size run as one block of :func:`prunadag.optimizer.drive`,
-    seed-major, so that the block's oracles are one stacked evaluation
-    over the seeds' instances (:func:`build_problems`). Each block is
-    cut into ``min(jobs, seeds)`` shards of whole instances, which run
-    in this process at ``jobs`` 1 and else in up to ``jobs`` forked
-    processes; a user oracle's side effects stay in the worker that ran
-    it. Each cell's run is bitwise what it would be alone. A cell whose
-    run or pruning sweep raises, or whose worker is lost, records the
-    failure as ``"<ExceptionClass>: <message>"``, keeps whatever run
-    record exists, and does not stop the other cells.
+    run as one block of :func:`prunadag.optimizer.drive`, seed-major,
+    so that the block's oracles are one stacked evaluation over the
+    seeds' instances (:func:`build_problems`), which share one n. Each
+    block is cut into ``min(jobs, seeds)`` shards of whole instances,
+    which run in this process at ``jobs`` 1 and else in up to ``jobs``
+    forked processes; a user oracle's side effects stay in the worker
+    that ran it. Each cell's run is bitwise what it would be alone. A
+    cell whose run or pruning sweep raises, or whose worker is lost,
+    records the failure as ``"<ExceptionClass>: <message>"``, keeps
+    whatever run record exists, and does not stop the other cells.
     """
     result = ExperimentResult(cfg=cfg)
     result.instances, stack = build_problems(cfg)
 
     blocks: dict = {}
-    for i in range(cfg.seeds):
-        for m in cfg.methods:
-            key = (METHODS[m][0], result.instances[i].problem.dim)
-            blocks.setdefault(key, []).append((m, i))
+    for i, m in itertools.product(range(cfg.seeds), cfg.methods):
+        blocks.setdefault(METHODS[m][0], []).append((m, i))
 
     shards = _shards(blocks.values(), cfg.jobs)
     if cfg.jobs > 1:

@@ -136,8 +136,7 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     the next iterates and, per run, the values of the fields after
     them, in table order: ``(grad_norm_opt, card_R, card_A, card_D)``,
     optionally followed by the theory group. The fields a step does not
-    report are untraced in the record. The objective at x0 is the
-    record's ``objective_initial``.
+    report are untraced in the record.
 
     Returns one :data:`Outcome` per run. A run ends in
     :class:`DivergedError` if its gradient or objective oracle returns
@@ -246,9 +245,7 @@ def _assemble(pieces: list, x: np.ndarray, reason: str) -> RunRecord:
     trace = np.zeros(len(rows), TRACE_DTYPE)
     for col, values in zip(TRACE_DTYPE.names, rows.T):
         trace[col] = values
-    untraced = TRACE_DTYPE.names[rows.shape[1]:]
-    f0 = float(trace["f"][0]) if len(trace) else None
-    return RunRecord(trace, x, reason, untraced, objective_initial=f0)
+    return RunRecord(trace, x, reason, TRACE_DTYPE.names[rows.shape[1]:])
 
 
 def unwrap(outcomes: list[Outcome]) -> RunRecord:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -15,17 +14,16 @@ from .core import TRACE_DTYPE, InputFileError, RunRecord, read_input
 
 @dataclass
 class VerifyOutcome:
-    """The theory checks of one run; ``descent_ok`` is None when the
-    bundle holds no objective trace, so the descent check did not run."""
+    """The theory checks of one run."""
 
     optimizer: str
     seed: int
-    descent_ok: Optional[bool]
+    descent_ok: bool
     gradient_bound_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.descent_ok is not False and self.gradient_bound_ok
+        return self.descent_ok and self.gradient_bound_ok
 
 
 _NUMBER = (int, float)
@@ -38,8 +36,10 @@ SCHEMA = {
     "runs.json": {"optimizer": ((str,), None), "seed": ((int,), None),
                   "iterations": ((int,), 0), "reason": ((str,), None),
                   "untraced": ((list,), None), "lipschitz": (_NUMBER, 0.0),
-                  "f0": (_OPTIONAL, 0.0), "f_final": (_OPTIONAL, None)},
+                  "f_final": (_OPTIONAL, None)},
 }
+# the only trace fields a run may leave untraced
+THEORY_GROUP = TRACE_DTYPE.names[TRACE_DTYPE.names.index("max_abs_x"):]
 
 
 def _checked(where: str, entry, keys: dict) -> dict:
@@ -67,9 +67,9 @@ def load_bundle(trace_dir):
     read-only array). Raises InputFileError, naming the file, when a
     file is missing or unparsable, when meta.json or runs.json does not
     meet its :data:`SCHEMA`, when trace.npy's dtype or row count does
-    not match, when a run lists an ``untraced`` name that is not a trace
-    field, or when meta.json's n is not every row's card_R + card_A +
-    card_D or its T exceeds n.
+    not match, when a run lists as ``untraced`` a field outside the
+    theory group, or when meta.json's n is not every row's card_R +
+    card_A + card_D or its T exceeds n.
     """
     meta_path = path = os.path.join(trace_dir, "meta.json")
     meta = _checked(path, read_input(path, json.load), SCHEMA["meta.json"])
@@ -81,10 +81,10 @@ def load_bundle(trace_dir):
         _checked(f"{path}: run {i}", r, SCHEMA["runs.json"])
         for i, r in enumerate(entries))}
     unknown = {str(name) for run in runs.values()
-               for name in run["untraced"]}.difference(TRACE_DTYPE.names)
+               for name in run["untraced"]}.difference(THEORY_GROUP)
     if unknown:
         raise InputFileError(f"{path}: untraced names {sorted(unknown)} are "
-                             f"not trace fields")
+                             f"not fields of the theory group")
     path = os.path.join(trace_dir, "trace.npy")
     trace = read_input(path, np.load)
     if trace.dtype != TRACE_DTYPE:
@@ -109,8 +109,7 @@ def load_bundle(trace_dir):
         stop = start + run["iterations"]
         records[key] = RunRecord(
             trace[start:stop], x_final, run["reason"],
-            tuple(run["untraced"]), objective_initial=run["f0"],
-            objective_final=run["f_final"])
+            tuple(run["untraced"]), objective_final=run["f_final"])
         start = stop
     return meta, runs, records
 
@@ -120,12 +119,11 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
     the masked weighted sums, which only the pruning-aware step fills.
 
     The others (every baseline run) are skipped, and so is a run
-    without f(x0). The gradient bound needs only f(x0); the descent
-    check runs where the bundle holds the objective trace. A run that
-    diverged is checked over the trace it recorded. Constants that the
-    checks cannot take (a ValueError, OverflowError or, when varsigma
-    and the Lipschitz constant are both 0, ZeroDivisionError) raise
-    InputFileError naming runs.json and the run.
+    without rows, which has no f(x0). A run that diverged is checked
+    over the trace it recorded. Constants that the checks cannot take
+    (a ValueError, OverflowError or, when varsigma and the Lipschitz
+    constant are both 0, ZeroDivisionError) raise InputFileError naming
+    runs.json and the run.
     """
     meta, runs, records = load_bundle(trace_dir)
     outcomes = []
@@ -134,8 +132,7 @@ def verify_bundle(trace_dir) -> list[VerifyOutcome]:
             continue
         L = runs[key]["lipschitz"]
         try:
-            descent_ok = (None if rec.objective is None else
-                          bool(np.all(theory.check_descent_lemma(rec, L))))
+            descent_ok = bool(np.all(theory.check_descent_lemma(rec, L)))
             inp = theory.BoundInputs(
                 n=meta["n"], T=meta["T"], varsigma=meta["varsigma"],
                 lipschitz=L, gamma0=rec.objective_initial)

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -397,31 +398,23 @@ class TestRunExperiment:
         assert len(bundles[0]) == 8
         assert bundles[1] == bundles[0] and bundles[2] == bundles[0]
 
-    def test_verify_without_objective_trace(self, tmp_path, capsys):
-        # a bundle whose runs list the objective as untraced, as written
-        # before every run recorded it: f(x0) alone supports the gradient
-        # bound, and the descent check is reported as not run
+    def test_verify_refuses_an_untraced_objective(self, tmp_path, capsys):
+        # every run records f, and f(x0) is its first row: a bundle
+        # whose runs list f as untraced is refused, naming runs.json
         run_experiment(load_config(write_config(tmp_path)))
         out = str(tmp_path / "results")
         path = os.path.join(out, "runs.json")
         with open(path) as fh:
             runs = json.load(fh)
-        for run in runs:
-            assert run["f0"] is not None
-            run["untraced"].insert(0, "f")
-            run["f_final"] = None
+        runs[0]["untraced"].insert(0, "f")
         with open(path, "w") as fh:
             json.dump(runs, fh)
-        trace = np.load(os.path.join(out, "trace.npy"))
-        trace["f"] = 0.0
-        np.save(os.path.join(out, "trace.npy"), trace)
-        outcomes = verify_bundle(out)
-        assert [(o.optimizer, o.seed, o.descent_ok, o.gradient_bound_ok,
-                 o.ok) for o in outcomes] == [("v3", 0, None, True, True),
-                                              ("v3", 1, None, True, True)]
         capsys.readouterr()
-        assert cli.main(["verify", out]) == 0
-        assert "PASS v3 seed=0 descent=not-run" in capsys.readouterr().out
+        assert cli.main(["verify", out]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("input file error: ")
+        assert "runs.json" in err and "['f']" in err
 
     def test_verify_bundle_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -1002,6 +995,53 @@ class TestFailures:
                                                           "seeds = 1"))
         return path, load_config(path)
 
+    def test_block_that_raises_fails_each_of_its_cells(self, tmp_path,
+                                                      monkeypatch):
+        # the Adagrad batch raises as a whole: each of its cells fails
+        # with the exception, and the other blocks and the bundle stay
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness.baselines, "adagrad_batch", boom)
+        cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+            "v3, adagrad", "v3, adagrad, fw1")))
+        result = run_experiment(cfg)
+        kept = {(m, i) for m in ("v3", "fw1") for i in range(2)}
+        assert result.failures == {("adagrad", i): "RuntimeError: boom"
+                                   for i in range(2)}
+        assert set(result.records) == set(result.prune_rows) == kept
+        with open(os.path.join(cfg.out_dir, "meta.json")) as fh:
+            meta = json.load(fh)
+        assert meta["diverged"] == [
+            {"optimizer": "adagrad", "seed": i, "reason": "RuntimeError: boom"}
+            for i in range(2)]
+        _, runs, _ = load_bundle(cfg.out_dir)
+        assert set(runs) == kept
+        assert [(o.optimizer, o.seed, o.ok) for o in verify_bundle(
+            cfg.out_dir)] == [("v3", 0, True), ("v3", 1, True)]
+
+    def test_sweep_that_raises_fails_each_cell_of_its_block(self, tmp_path,
+                                                            monkeypatch):
+        # the pruning sweep of the first block, the pruning-aware one,
+        # raises as a whole: its cells keep their records and fail
+        clean = run_experiment(load_config(write_config(
+            tmp_path, out=str(tmp_path / "clean"))))
+        real, calls = pruning.prune_report, itertools.count()
+
+        def sweep(*args, **kwargs):
+            if next(calls) == 0:
+                raise ValueError("sweep")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness.pruning, "prune_report", sweep)
+        result = run_experiment(load_config(write_config(tmp_path)))
+        assert result.failures == {("v3", i): "ValueError: sweep"
+                                   for i in range(2)}
+        assert set(result.prune_rows) == {("adagrad", 0), ("adagrad", 1)}
+        assert result.records.keys() == clean.records.keys()
+        for key, rec in result.records.items():
+            assert_same_record(rec, clean.records[key])
+
     def test_verify_checks_the_recorded_prefix(self, tmp_path, monkeypatch):
         _, cfg = self._diverged_bundle(tmp_path, monkeypatch)
         result = run_experiment(cfg)
@@ -1447,7 +1487,8 @@ dir = {{out}}
         assert not (tmp_path / "results").exists()
 
     # (file, key, value, the file that the message names); the first
-    # run of runs.json is v3 at seed 0, which verify checks
+    # run of runs.json is v3 at seed 0, which verify checks, and its
+    # first row is trace.npy's first
     @pytest.mark.parametrize("name, key, value, named", [
         ("runs.json", "seed", None, "runs.json"),
         ("runs.json", "iterations", "x", "runs.json"),
@@ -1457,7 +1498,7 @@ dir = {{out}}
         ("meta.json", "T", 10 ** 18, "meta.json"),
         ("meta.json", "varsigma", 0, "runs.json: run v3 seed 0"),
         ("runs.json", "lipschitz", 1e308, "runs.json: run v3 seed 0"),
-        ("runs.json", "f0", 1e308, "runs.json: run v3 seed 0")],
+        ("trace.npy", "f", 1e308, "runs.json: run v3 seed 0")],
         ids=["missing seed", "iterations not an int", "negative n", "huge n",
              "n below the trace", "T above n", "zero varsigma",
              "huge lipschitz", "huge f0"])
@@ -1466,13 +1507,18 @@ dir = {{out}}
         cfg = load_config(write_config(tmp_path))
         run_experiment(cfg)
         path = pathlib.Path(cfg.out_dir) / name
-        data = json.loads(path.read_text())
-        entry = data[0] if name == "runs.json" else data
-        if value is None:
-            del entry[key]
+        if name == "trace.npy":   # the first row of the first run
+            trace = np.load(path)
+            trace[key][0] = value
+            np.save(path, trace)
         else:
-            entry[key] = value
-        path.write_text(json.dumps(data))
+            data = json.loads(path.read_text())
+            entry = data[0] if name == "runs.json" else data
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+            path.write_text(json.dumps(data))
         assert cli.main(["verify", cfg.out_dir]) == 2
         self.assert_input_file_error(capsys, named)
 
@@ -1627,6 +1673,64 @@ dir = {{out}}
         assert out == ""
         assert err == ("prune error: DivergedError: non-finite oracle output "
                        "in robustness evaluation\n")
+
+    def test_overflows_print_no_numpy_warning(self, tmp_path, capsys):
+        # a prune sweep that overflows and a verify whose Lipschitz
+        # constant overflows the checks: stderr holds each command's own
+        # line, and numpy warns of nothing
+        sol = tmp_path / "x.csv"
+        sol.write_text("\n".join(["1e200"] * 30) + "\n")
+        path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 2",
+                                                          "seeds = 1"))
+        run_experiment(load_config(path))
+        runs_path = tmp_path / "results" / "runs.json"
+        runs = json.loads(runs_path.read_text())
+        runs[0]["lipschitz"] = 1e308
+        runs_path.write_text(json.dumps(runs))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(["prune", str(sol), "--sigma", "0.5", "--config",
+                             str(path)]) == 1
+            assert cli.main(["verify", str(tmp_path / "results")]) == 2
+        assert [str(w.message) for w in seen] == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        first, second = err.splitlines()
+        assert first == ("prune error: DivergedError: non-finite oracle "
+                         "output in robustness evaluation")
+        assert second.startswith("input file error: ") and \
+            "runs.json: run v3 seed 0" in second
+
+    def test_prune_sweep_is_one_block_oracle_call(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # x and its three pruned vectors are one call of the family's
+        # block oracle, as in a grid's sweep
+        calls = []
+        real = problems.LeastSquaresProblem.block_oracle
+
+        def counting(X, A, b):
+            calls.append(X.shape)
+            return real(X, A, b)
+
+        path = write_config(tmp_path)
+        sol = tmp_path / "x.bin"
+        save_matrix(sol, np.random.default_rng(5).standard_normal((30, 1)))
+        monkeypatch.setattr(problems.LeastSquaresProblem, "block_oracle",
+                            staticmethod(counting))
+        assert cli.main(["prune", str(sol), "--sigma", "0.3,0.5,1",
+                         "--config", str(path)]) == 0
+        assert calls == [(1, 4, 30)]
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_verify_on_a_bundle_of_baselines_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_CONFIG.replace(
+            "v3, adagrad", "adagrad, fw1, fw2"))
+        assert cli.main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", str(tmp_path / "results")]) == 1
+        assert capsys.readouterr().out == (
+            "no verifiable runs found (no theory trace present)\n")
 
     def test_one_column_csv_data_is_the_binary_data(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -648,6 +648,28 @@ class TestBatch:
         assert_same_record(out[1], run(problems[1], X0[1], 2, Variant.V2,
                                        max_iters=3))
 
+    def test_other_step_exception_ends_every_row(self):
+        # a step exception that names no row fails the whole block, and
+        # each run keeps the rows it recorded before it
+        problems = [quadratic_problem(4)] * 3
+        X0 = np.arange(12.0).reshape(3, 4) + 1.0
+
+        def step(X, G, grad_norm, k, state):
+            if k == 3:
+                raise ZeroDivisionError("boom")
+            return X - 0.5 * G, ()
+
+        out = optimizer.drive(problems, X0, step, max_iters=10)
+        assert [type(o) for o in out] == [ZeroDivisionError] * 3
+        assert len({id(o.record) for o in out}) == 3
+        for b, err in enumerate(out):
+            assert err.record.reason == "failed"
+            assert err.record.iterations == 3
+            assert err.record.objective_final is None
+            np.testing.assert_array_equal(
+                err.record.grad_norm,
+                [np.linalg.norm(X0[b] * 0.5 ** k) for k in range(3)])
+
 
 class TestBlockOracle:
     """A block that evaluates its oracles through a stack: a fault in one
