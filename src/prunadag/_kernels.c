@@ -1,12 +1,14 @@
-/* The iteration kernel of the pruning-aware method: per row, the top-T
- * selection and then one fused pass over the entries.
+/* The compiled kernels: the iteration of the pruning-aware method and
+ * the Frank-Wolfe step, per row, on one top-T selection.
  *
  * _kernels.py builds this file into an extension module on first
- * import and documents the kernel. Every operation is the float64
- * operation of the step-by-step reference in steps.py, in the same
- * order, so a row's outputs are bitwise the reference's. Build it
- * without -ffast-math and with -ffp-contract=off: a fused
- * multiply-add or a reassociated sum changes the last bits.
+ * import and documents the kernels. Every operation is the float64
+ * operation of the step-by-step reference (steps.py for the
+ * pruning-aware method, the numpy Frank-Wolfe step in
+ * tests/test_baselines.py), in the same order, so a row's outputs are
+ * bitwise the reference's. Build it without -ffast-math and with
+ * -ffp-contract=off: a fused multiply-add or a reassociated sum changes
+ * the last bits.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -160,7 +162,7 @@ static int row(Py_ssize_t n, Py_ssize_t T, double kp1, int rescale,
             buf[0][nr] = g[i] * g[i];
             nr += r[i];
             buf[1][nt] = x[i] * x[i];
-            nt += !r[i] & sign_match(x[i], g[i]);
+            nt += (!r[i]) & sign_match(x[i], g[i]);
         }
         double num = sqrt(sum(buf[0], nr));
         double denom = sqrt(sum(buf[1], nt));
@@ -184,7 +186,7 @@ static int row(Py_ssize_t n, Py_ssize_t T, double kp1, int rescale,
         wo[i] = oi ? w_tent : wo_prev[i];
         wd[i] = oi ? wd_prev[i] : sqrt(wd_prev[i] * wd_prev[i] + xi * xi);
         double limit = ax / wd[i], s_dec = 0.0;
-        if (!oi & match) {
+        if ((!oi) & match) {
             /* np.minimum: NaN if either is */
             double m = (a < limit) | (a != a) ? a : limit;
             s_dec = (xi > 0.0 ? -1.0 : 1.0) * m;
@@ -219,116 +221,277 @@ static int row(Py_ssize_t n, Py_ssize_t T, double kp1, int rescale,
     return 0;
 }
 
-/* A C-contiguous buffer of ``count`` items of the struct format
- * ``format``; ``what`` names it in the error. */
-static int get(PyObject *obj, Py_buffer *view, int writable,
-               const char *format, Py_ssize_t itemsize, Py_ssize_t count,
-               const char *what)
+/* One row of the Frank-Wolfe vertex over the T-support-norm ball of
+ * radius tau: v = -tau g_R / ||g_R|| on R and 0 off it, or 0 everywhere
+ * when g_R is 0, and d = v - x. Returns ||g_R||. A norm below 1e-150
+ * (squares that lose digits as subnormals) or not finite (squares that
+ * overflow) is taken of g_R divided by its largest magnitude first, and
+ * scaled back. ``scratch`` holds 3n items and n chars. */
+static double vertex(Py_ssize_t n, Py_ssize_t T, double tau,
+                     const double *x, const double *g, double *v, double *d,
+                     uint64_t *scratch)
+{
+    char *r = (char *)(scratch + 3 * n);
+    relevant(g, n, T, scratch, r);
+
+    /* g_R and its indices, compacted in index order */
+    double *gr = (double *)scratch, *sq = (double *)(scratch + n);
+    Py_ssize_t *at = (Py_ssize_t *)(scratch + 2 * n), m = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        gr[m] = g[i];
+        at[m] = i;
+        m += r[i];
+    }
+    for (Py_ssize_t j = 0; j < T; j++)
+        sq[j] = gr[j] * gr[j];
+    double norm = sqrt(sum(sq, T)), unit = norm;
+    if (!((norm >= 1e-150) & (norm < INFINITY))) {
+        /* np.max: NaN if any is */
+        double scale = 0.0;
+        for (Py_ssize_t j = 0; j < T; j++) {
+            double a = fabs(gr[j]);
+            scale = (a > scale) | (a != a) ? a : scale;
+        }
+        double div = scale != 0.0 ? scale : 1.0;
+        for (Py_ssize_t j = 0; j < T; j++) {
+            gr[j] /= div;
+            sq[j] = gr[j] * gr[j];
+        }
+        unit = sqrt(sum(sq, T));
+        norm = scale * unit;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        v[i] = 0.0;
+    if (unit != 0.0) {
+        double ntau = negative(tau);
+        for (Py_ssize_t j = 0; j < T; j++)
+            v[at[j]] = ntau * gr[j] / unit;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        d[i] = v[i] - x[i];
+    return norm;
+}
+
+/* The Frank-Wolfe step size: 1/(k+1) at the linear rate; at the
+ * rescaled one min(beta ||g_R|| / ||v - x||, 1), or 1 when v = x */
+static double step_size(double kp1, int rescaled, double beta, double norm,
+                        double diff)
+{
+    if (!rescaled)
+        return 1.0 / kp1;
+    if (diff == 0.0)
+        return 1.0;
+    double rate = beta * norm / diff;
+    /* np.minimum: NaN if either is */
+    return (rate < 1.0) | (rate != rate) ? rate : 1.0;
+}
+
+/* The arguments of a C entry that are buffers: a C-contiguous buffer of
+ * ``count`` items of a struct format among ``format``; ``what`` names
+ * it in the error. */
+struct spec {
+    const char *what;
+    const char *format;
+    Py_ssize_t itemsize;
+    Py_ssize_t count;
+    int writable;
+};
+
+static int get(PyObject *obj, Py_buffer *view, const struct spec *spec)
 {
     int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
-                | (writable ? PyBUF_WRITABLE : 0);
+                | (spec->writable ? PyBUF_WRITABLE : 0);
     if (PyObject_GetBuffer(obj, view, flags) < 0)
         return -1;
-    if (view->itemsize != itemsize || strchr(format, view->format[0]) == NULL
-            || view->format[1] != '\0' || view->len != count * itemsize) {
+    if (view->itemsize != spec->itemsize
+            || strchr(spec->format, view->format[0]) == NULL
+            || view->format[1] != '\0'
+            || view->len != spec->count * spec->itemsize) {
         PyErr_Format(PyExc_TypeError,
                      "%s must be a C-contiguous array of %zd items of "
                      "format %s, got format %s and %zd bytes",
-                     what, count, format, view->format, view->len);
+                     spec->what, spec->count, spec->format, view->format,
+                     view->len);
         PyBuffer_Release(view);
         return -1;
     }
     return 0;
 }
 
-enum { N_BUFFERS = 11 };
-
-static PyObject *iterate(PyObject *self, PyObject *args)
+static void release(Py_buffer *view, int m)
 {
-    PyObject *obj[N_BUFFERS];
-    Py_ssize_t k, T;
-    if (!PyArg_ParseTuple(args, "OOOOnnOOOOOOO", &obj[0], &obj[1], &obj[2],
-                          &obj[3], &k, &T, &obj[4], &obj[5], &obj[6],
-                          &obj[7], &obj[8], &obj[9], &obj[10]))
-        return NULL;
+    for (int i = 0; i < m; i++)
+        PyBuffer_Release(&view[i]);
+}
 
-    /* the shape (B, n) is X's */
+/* get() for each of ``m`` buffers, all or none, before any is written */
+static int get_all(PyObject **obj, Py_buffer *view, const struct spec *spec,
+                   int m)
+{
+    for (int i = 0; i < m; i++)
+        if (get(obj[i], &view[i], &spec[i]) < 0) {
+            release(view, i);
+            return -1;
+        }
+    return 0;
+}
+
+/* The shape (B, n) of the block X */
+static int block_shape(PyObject *X, Py_ssize_t *B, Py_ssize_t *n)
+{
     Py_buffer shape;
-    if (PyObject_GetBuffer(obj[0], &shape, PyBUF_ND) < 0)
-        return NULL;
+    if (PyObject_GetBuffer(X, &shape, PyBUF_ND) < 0)
+        return -1;
     int ndim = shape.ndim;
-    Py_ssize_t B = ndim == 2 ? shape.shape[0] : 0;
-    Py_ssize_t n = ndim == 2 ? shape.shape[1] : 0;
+    *B = ndim == 2 ? shape.shape[0] : 0;
+    *n = ndim == 2 ? shape.shape[1] : 0;
     PyBuffer_Release(&shape);
     if (ndim != 2) {
         PyErr_Format(PyExc_ValueError, "X must be a (B, n) block, got %d "
                      "dimensions", ndim);
-        return NULL;
+        return -1;
     }
-    if (T < 1 || T > n) {
-        PyErr_Format(PyExc_ValueError, "T must be in [1, %zd], got %zd", n, T);
-        return NULL;
-    }
+    return 0;
+}
 
-    static const char *what[N_BUFFERS] = {
-        "X", "G", "W_opt_prev", "W_dec_prev", "rescale", "bound",
-        "relevant_only", "the step block", "the mask block",
-        "the statistics block", "the count block"};
-    const char *format[N_BUFFERS] = {"d", "d", "d", "d", "?", "?", "?", "d",
-                                     "?", "d", "lq"};
-    Py_ssize_t itemsize[N_BUFFERS] = {8, 8, 8, 8, 1, 1, 1, 8, 1, 8, 8};
-    Py_ssize_t count[N_BUFFERS] = {B * n, B * n, B * n, B * n, B, B, B,
-                                   3 * B * n, 2 * B * n, 5 * B, 3 * B};
-    Py_buffer view[N_BUFFERS];
-    int got = 0;
-    for (; got < N_BUFFERS; got++)
-        if (get(obj[got], &view[got], got >= 7, format[got], itemsize[got],
-                count[got], what[got]) < 0)
-            break;
-
-    PyObject *result = NULL;
-    double *scratch = got == N_BUFFERS ? malloc(4 * n * sizeof(double))
-                                       : NULL;
-    if (got == N_BUFFERS && scratch == NULL)
-        PyErr_NoMemory();
-    if (scratch != NULL) {
-        const double *X = view[0].buf, *G = view[1].buf,
-                     *Wo = view[2].buf, *Wd = view[3].buf;
-        const char *rescale = view[4].buf, *bound = view[5].buf,
-                   *relevant_only = view[6].buf;
-        double *f = view[7].buf, *stats = view[9].buf;
-        char *m = view[8].buf;
-        int64_t *cards = view[10].buf;
-        Py_ssize_t size = B * n;
-        double kp1 = (double)(k + 1);
-        int fail = 0;
-        Py_ssize_t b = 0;
-        for (; b < B && !fail; b++) {
-            Py_ssize_t at = b * n;
-            fail = row(n, T, kp1, rescale[b], bound[b], relevant_only[b],
-                       X + at, G + at, Wo + at, Wd + at,
-                       f + at, f + size + at, f + 2 * size + at,
-                       m + at, m + size + at, stats + b, cards + b, B,
-                       scratch);
-        }
-        free(scratch);
-        result = fail ? Py_BuildValue("nO", b - 1,
-                                      fail == 1 ? Py_False : Py_True)
-                      : Py_NewRef(Py_None);
+/* The shape of X, and a check of T against it */
+static int block_shape_T(PyObject *X, Py_ssize_t T, Py_ssize_t *B,
+                         Py_ssize_t *n)
+{
+    if (block_shape(X, B, n) < 0)
+        return -1;
+    if (T < 1 || T > *n) {
+        PyErr_Format(PyExc_ValueError, "T must be in [1, %zd], got %zd", *n,
+                     T);
+        return -1;
     }
-    for (int i = 0; i < got; i++)
-        PyBuffer_Release(&view[i]);
-    return result;
+    return 0;
+}
+
+enum { N_ITERATE = 11, N_VERTEX = 6, N_MOVE = 7 };
+
+static PyObject *iterate(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *obj[N_ITERATE];
+    Py_ssize_t k, T, B, n;
+    if (!PyArg_ParseTuple(args, "OOOOnnOOOOOOO", &obj[0], &obj[1], &obj[2],
+                          &obj[3], &k, &T, &obj[4], &obj[5], &obj[6],
+                          &obj[7], &obj[8], &obj[9], &obj[10])
+            || block_shape_T(obj[0], T, &B, &n) < 0)
+        return NULL;
+    const struct spec spec[N_ITERATE] = {
+        {"X", "d", 8, B * n, 0}, {"G", "d", 8, B * n, 0},
+        {"W_opt_prev", "d", 8, B * n, 0}, {"W_dec_prev", "d", 8, B * n, 0},
+        {"rescale", "?", 1, B, 0}, {"bound", "?", 1, B, 0},
+        {"relevant_only", "?", 1, B, 0},
+        {"the step block", "d", 8, 3 * B * n, 1},
+        {"the mask block", "?", 1, 2 * B * n, 1},
+        {"the statistics block", "d", 8, 5 * B, 1},
+        {"the count block", "lq", 8, 3 * B, 1}};
+    Py_buffer view[N_ITERATE];
+    if (get_all(obj, view, spec, N_ITERATE) < 0)
+        return NULL;
+    double *scratch = malloc(4 * n * sizeof(double));
+    if (scratch == NULL) {
+        release(view, N_ITERATE);
+        return PyErr_NoMemory();
+    }
+    const double *X = view[0].buf, *G = view[1].buf, *Wo = view[2].buf,
+                 *Wd = view[3].buf;
+    const char *rescale = view[4].buf, *bound = view[5].buf,
+               *relevant_only = view[6].buf;
+    double *f = view[7].buf, *stats = view[9].buf;
+    char *m = view[8].buf;
+    int64_t *cards = view[10].buf;
+    Py_ssize_t size = B * n;
+    double kp1 = (double)(k + 1);
+    int fail = 0;
+    Py_ssize_t b = 0;
+    for (; b < B && !fail; b++) {
+        Py_ssize_t at = b * n;
+        fail = row(n, T, kp1, rescale[b], bound[b], relevant_only[b],
+                   X + at, G + at, Wo + at, Wd + at,
+                   f + at, f + size + at, f + 2 * size + at,
+                   m + at, m + size + at, stats + b, cards + b, B, scratch);
+    }
+    free(scratch);
+    release(view, N_ITERATE);
+    return fail ? Py_BuildValue("nO", b - 1, fail == 1 ? Py_False : Py_True)
+                : Py_NewRef(Py_None);
+}
+
+static PyObject *fw_vertex(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *obj[N_VERTEX];
+    Py_ssize_t T, B, n;
+    if (!PyArg_ParseTuple(args, "OOnOOOO", &obj[0], &obj[1], &T, &obj[2],
+                          &obj[3], &obj[4], &obj[5])
+            || block_shape_T(obj[0], T, &B, &n) < 0)
+        return NULL;
+    const struct spec spec[N_VERTEX] = {
+        {"X", "d", 8, B * n, 0}, {"G", "d", 8, B * n, 0},
+        {"tau", "d", 8, B, 0}, {"the vertex block", "d", 8, B * n, 1},
+        {"the direction block", "d", 8, B * n, 1},
+        {"the norm row", "d", 8, B, 1}};
+    Py_buffer view[N_VERTEX];
+    if (get_all(obj, view, spec, N_VERTEX) < 0)
+        return NULL;
+    uint64_t *scratch = malloc(3 * n * sizeof(uint64_t) + n);
+    if (scratch == NULL) {
+        release(view, N_VERTEX);
+        return PyErr_NoMemory();
+    }
+    const double *X = view[0].buf, *G = view[1].buf, *tau = view[2].buf;
+    double *V = view[3].buf, *D = view[4].buf, *norm = view[5].buf;
+    for (Py_ssize_t b = 0; b < B; b++)
+        norm[b] = vertex(n, T, tau[b], X + b * n, G + b * n, V + b * n,
+                         D + b * n, scratch);
+    free(scratch);
+    release(view, N_VERTEX);
+    Py_RETURN_NONE;
+}
+
+static PyObject *fw_move(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *obj[N_MOVE];
+    Py_ssize_t k, B, n;
+    if (!PyArg_ParseTuple(args, "OOnOOOOO", &obj[0], &obj[1], &k, &obj[2],
+                          &obj[3], &obj[4], &obj[5], &obj[6])
+            || block_shape(obj[0], &B, &n) < 0)
+        return NULL;
+    const struct spec spec[N_MOVE] = {
+        {"X", "d", 8, B * n, 0}, {"D", "d", 8, B * n, 0},
+        {"diff", "d", 8, B, 0}, {"norm_r", "d", 8, B, 0},
+        {"rescaled", "?", 1, B, 0}, {"beta", "d", 8, B, 0},
+        {"the iterate block", "d", 8, B * n, 1}};
+    Py_buffer view[N_MOVE];
+    if (get_all(obj, view, spec, N_MOVE) < 0)
+        return NULL;
+    const double *X = view[0].buf, *D = view[1].buf, *diff = view[2].buf,
+                 *norm = view[3].buf, *beta = view[5].buf;
+    const char *rescaled = view[4].buf;
+    double *out = view[6].buf, kp1 = (double)(k + 1);
+    for (Py_ssize_t b = 0; b < B; b++) {
+        double eta = step_size(kp1, rescaled[b], beta[b], norm[b], diff[b]);
+        for (Py_ssize_t i = b * n; i < (b + 1) * n; i++)
+            out[i] = X[i] + eta * D[i];
+    }
+    release(view, N_MOVE);
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef methods[] = {
     {"iterate", iterate, METH_VARARGS,
      "iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound, "
      "relevant_only, steps, masks, stats, cards) -> None or (row, within)"},
+    {"fw_vertex", fw_vertex, METH_VARARGS,
+     "fw_vertex(X, G, T, tau, V, D, norm_r) -> None"},
+    {"fw_move", fw_move, METH_VARARGS,
+     "fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next) -> None"},
     {NULL, NULL, 0, NULL}};
 
-static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_ckernel",
-                                    NULL, -1, methods};
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_ckernel", NULL,
+                                    -1, methods, NULL, NULL, NULL, NULL};
 
 PyMODINIT_FUNC PyInit__ckernel(void)
 {

@@ -1,22 +1,25 @@
-"""The production iteration kernel.
+"""The production kernels: the iteration of the pruning-aware method
+and the Frank-Wolfe step, on one top-T selection.
 
 The optimizer's inner loop is the hot path: at desk scale (n in the
 hundreds, 10^4 iterations, dozens of seeds) an iteration is cheap
 arithmetic over a few hundred entries, so its cost is the number of
 passes over them and, in C, the branches that the random sets
-mispredict. ``iterate`` advances a whole (B, n) block of independent
+mispredict. Both kernels advance a whole (B, n) block of independent
 runs at once, row b of every argument and output belonging to run b,
-through one call of the C function in ``_kernels.c``. Row by row it
-selects the top-T set R without a branch on the data, then fuses the
-other steps of :mod:`prunadag.steps` into one pass: the sign-match and
-acceptable-set tests, both weight commits, both steps, the trust-region
-check and the step's trace statistics. Every operation is the
-reference's float64 operation in the same order, and every sum is
-numpy's pairwise sum of the same entries in the same order, so each row
-agrees bit for bit with the reference and with the same run advanced
-alone.
+through the C functions in ``_kernels.c``, which select each row's
+top-T set R the same way, without a branch on the data.
 
-Kernel outputs, for pre-step iterates ``X`` and gradients ``G``:
+``iterate`` fuses the other steps of :mod:`prunadag.steps` into one
+pass: the sign-match and acceptable-set tests, both weight commits,
+both steps, the trust-region check and the step's trace statistics.
+``frank_wolfe`` takes the vertex of the T-support-norm ball and the
+step toward it. Every operation is the reference's float64 operation in
+the same order, and every sum is numpy's pairwise sum of the same
+entries in the same order, so each row agrees bit for bit with the
+reference and with the same run advanced alone.
+
+``iterate``'s outputs, for pre-step iterates ``X`` and gradients ``G``:
 
 * ``S``       -- the full steps (optimisable + decreasable parts),
 * ``W_opt``   -- committed optimisation weights,
@@ -126,3 +129,23 @@ def iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
     S, W_opt, W_dec = out
     o, r = masks
     return S, W_opt, W_dec, o, r, (stats[0], *cards, *stats[1:])
+
+
+def frank_wolfe(X, G, k, T, tau, rescaled, beta):
+    """One Frank-Wolfe step over the T-support-norm ball for each row of
+    a (B, n) block; ``tau``, ``rescaled`` and ``beta`` are the (B,) radii,
+    rate flags and rescaled-rate constants. Returns the vertices
+    -tau g_R / ||g_R|| (0 where g_R is 0), the next iterates
+    x + eta (v - x) and ||g_R|| per row; eta is 1/(k+1), or at the
+    rescaled rate min(beta ||g_R|| / ||v - x||, 1), 1 where v = x.
+    The (B, n) arrays must be C-contiguous float64; the C functions
+    check every argument."""
+    B, n = X.shape
+    V, D, X_next = np.empty((B, n)), np.empty((B, n)), np.empty((B, n))
+    norm_r = np.empty(B)
+    _c.fw_vertex(X, G, T, tau, V, D, norm_r)
+    # ||v - x|| per row, bitwise np.linalg.norm of the row: BLAS's dot,
+    # whose order of summation depends on the CPU, so it stays numpy's
+    diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
+    _c.fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next)
+    return V, X_next, norm_r

@@ -7,7 +7,10 @@ meaningful cross-implementation test.
 The Frank-Wolfe variants operate over the T-support-norm-ball of radius
 tau: the convex hull of vectors with at most T nonzeros and Euclidean
 norm at most tau. The linear minimization oracle has a closed form that
-places mass on the T largest-magnitude gradient components.
+places mass on the T largest-magnitude gradient components. The
+compiled :func:`prunadag._kernels.frank_wolfe` takes the whole step, on
+the top-T selection of the pruning-aware kernel; the numpy reference it
+is checked against is in the tests.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .core import Problem, RunRecord
 from .optimizer import DEFAULT_VARSIGMA, Outcome, drive, unwrap
-from .steps import relevant_mask
 
 
 def adagrad_step(x: np.ndarray, g: np.ndarray, w_prev: np.ndarray
@@ -79,38 +82,19 @@ class FwConfig:
 
 
 def _fw_state(cfgs: Sequence[FwConfig]) -> dict:
-    """Per-row Frank-Wolfe parameters, one config per row."""
+    """Per-row Frank-Wolfe parameters, one config per row: the keyword
+    arguments of :func:`prunadag._kernels.frank_wolfe`."""
     return {"tau": np.array([c.tau for c in cfgs]),
             "rescaled": np.array([c.rate is FwRate.RESCALED for c in cfgs]),
             "beta": np.array([c.beta for c in cfgs])}
 
 
-def _lmo(G: np.ndarray, T: int, tau: np.ndarray
-         ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fw_lmo` for each row of a (B, n) block with radii ``tau``,
-    also returning ||g||_R per row; selects each top-T set once."""
-    top = np.flatnonzero(relevant_mask(G, T))
-    # every row holds exactly T entries, so (B, T) rows sum as 1-D arrays
-    g_r = G.take(top).reshape(-1, T)
-    # squares below 1e-300 lose digits as subnormals and squares above
-    # 1.8e308 overflow: divide such rows by their largest magnitude first
-    with np.errstate(over="ignore"):
-        norm_r = np.sqrt((g_r ** 2).sum(axis=1))
-    odd = ~((norm_r >= 1e-150) & (norm_r < np.inf))
-    unit_norm = norm_r
-    if odd.any():
-        scale = np.abs(g_r[odd]).max(axis=1)
-        g_r[odd] /= np.where(scale != 0.0, scale, 1.0)[:, None]
-        unit_norm = norm_r.copy()
-        unit_norm[odd] = np.sqrt((g_r[odd] ** 2).sum(axis=1))
-        norm_r[odd] = scale * unit_norm[odd]
-    nonzero = unit_norm != 0.0
-    V = np.zeros_like(G)
-    V.ravel()[top] = (-tau[:, None] * g_r
-                      / np.where(nonzero, unit_norm, 1.0)[:, None]).ravel()
-    if not nonzero.all():
-        V[~nonzero] = 0.0
-    return V, norm_r
+def _fw_row(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig):
+    """:func:`prunadag._kernels.frank_wolfe` on one row."""
+    x, g = (np.ascontiguousarray(a, dtype=np.float64)[None] for a in (x, g))
+    T = min(cfg.T, x.shape[1])
+    return [out[0] for out in _kernels.frank_wolfe(x, g, k, T,
+                                                   **_fw_state([cfg]))]
 
 
 def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
@@ -120,29 +104,12 @@ def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
     largest-magnitude gradient components; returns 0 when that masked
     norm vanishes (stationary convention, keeps batch runs total).
     """
-    return _lmo(g[None], min(cfg.T, g.shape[0]), np.array([cfg.tau]))[0][0]
-
-
-def _fw_update(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fw_step` for each row of a (B, n) block with the per-row
-    parameters of :func:`_fw_state`; also returns ||g||_R per row."""
-    V, norm_r = _lmo(G, T, state["tau"])
-    D = V - X
-    # ||v - x|| per row, bitwise np.linalg.norm of the row
-    diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
-    moved = diff != 0.0
-    rate = np.minimum(state["beta"] * norm_r / np.where(moved, diff, 1.0),
-                      1.0)
-    eta = np.where(state["rescaled"], np.where(moved, rate, 1.0),
-                   1.0 / (k + 1))
-    return X + eta[:, None] * D, norm_r
+    return _fw_row(np.zeros_like(g), g, 0, cfg)[0]
 
 
 def fw_step(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig) -> np.ndarray:
     """x + eta_k (v_k - x) with the configured learning rate."""
-    T = min(cfg.T, x.shape[0])
-    return _fw_update(x[None], g[None], k, T, _fw_state([cfg]))[0][0]
+    return _fw_row(x, g, k, cfg)[1]
 
 
 def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
@@ -157,7 +124,7 @@ def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
     T = min(cfgs[0].T, n)
 
     def step(X, G, grad_norm, k, state):
-        X, norm_r = _fw_update(X, G, k, T, state)
+        _, X, norm_r = _kernels.frank_wolfe(X, G, k, T, **state)
         B = X.shape[0]
         return X, (norm_r, np.full(B, T), np.zeros(B), np.full(B, n - T))
 

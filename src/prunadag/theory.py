@@ -84,6 +84,9 @@ class BoundInputs:
         for name in ("varsigma", "lipschitz", "gamma0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        # an infinite f(x0) makes every bound hold
+        if not math.isfinite(self.gamma0):
+            raise ValueError(f"gamma0 must be finite, got {self.gamma0}")
 
     def varsigma_assumption_holds(self) -> bool:
         # needed so the Lambert argument stays inside [-1/e, 0)

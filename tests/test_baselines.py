@@ -7,10 +7,59 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from prunadag import PrunAdagState, Variant, baselines, prunadag_iterate
+from prunadag._kernels import frank_wolfe, iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_run, adagrad_step,
                                 fw_lmo, fw_run, fw_step)
 from prunadag.core import DivergedError, Problem
 from prunadag.problems import gen_least_squares
+from prunadag.steps import relevant_mask
+
+
+def reference_lmo(G, T, tau):
+    """The vertex -tau g_R / ||g_R|| of each row of a (B, n) block with
+    radii ``tau`` (0 where g_R is 0), and ||g_R|| per row: numpy step by
+    step, the readable reference of the compiled Frank-Wolfe kernel."""
+    top = np.flatnonzero(relevant_mask(G, T))
+    # every row holds exactly T entries, so (B, T) rows sum as 1-D arrays
+    g_r = G.take(top).reshape(-1, T)
+    # squares below 1e-300 lose digits as subnormals and squares above
+    # 1.8e308 overflow: divide such rows by their largest magnitude first
+    with np.errstate(over="ignore"):
+        norm_r = np.sqrt((g_r ** 2).sum(axis=1))
+    odd = ~((norm_r >= 1e-150) & (norm_r < np.inf))
+    unit_norm = norm_r
+    if odd.any():
+        scale = np.abs(g_r[odd]).max(axis=1)
+        g_r[odd] /= np.where(scale != 0.0, scale, 1.0)[:, None]
+        unit_norm = norm_r.copy()
+        unit_norm[odd] = np.sqrt((g_r[odd] ** 2).sum(axis=1))
+        norm_r[odd] = scale * unit_norm[odd]
+    nonzero = unit_norm != 0.0
+    V = np.zeros_like(G)
+    V.ravel()[top] = (-tau[:, None] * g_r
+                      / np.where(nonzero, unit_norm, 1.0)[:, None]).ravel()
+    if not nonzero.all():
+        V[~nonzero] = 0.0
+    return V, norm_r
+
+
+def reference_step(X, G, k, T, tau, rescaled, beta):
+    """:func:`prunadag._kernels.frank_wolfe` in numpy: the vertices, the
+    next iterates and ||g_R|| per row."""
+    V, norm_r = reference_lmo(G, T, tau)
+    D = V - X
+    # ||v - x|| per row, bitwise np.linalg.norm of the row
+    diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
+    moved = diff != 0.0
+    rate = np.minimum(beta * norm_r / np.where(moved, diff, 1.0), 1.0)
+    eta = np.where(rescaled, np.where(moved, rate, 1.0), 1.0 / (k + 1))
+    return V, X + eta[:, None] * D, norm_r
+
+
+def assert_bytes_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAdagradStep:
@@ -92,7 +141,8 @@ class TestFwLmo:
         # their squares are subnormal or overflow
         g = np.full(15, size)
         g[3] = -2.0 * size
-        V, norm_r = baselines._lmo(g[None], 2, np.array([3.0]))
+        V, _, norm_r = frank_wolfe(np.zeros((1, 15)), g[None], 0, 2,
+                                   **baselines._fw_state([FwConfig(2, 3.0)]))
         assert np.linalg.norm(V[0]) == pytest.approx(3.0, rel=1e-12)
         assert np.count_nonzero(V[0]) == 2 and V[0][3] > 0.0
         assert norm_r[0] == pytest.approx(np.sqrt(5.0) * size, rel=1e-12)
@@ -152,8 +202,7 @@ class TestFwStep:
                 FwConfig(T=3, tau=3.0)]
         X[1] = fw_lmo(G[1], cfgs[1])
         k = 4
-        got, norm_r = baselines._fw_update(X, G, k, 3,
-                                           baselines._fw_state(cfgs))
+        _, got, norm_r = frank_wolfe(X, G, k, 3, **baselines._fw_state(cfgs))
         for b, cfg in enumerate(cfgs):
             v = fw_lmo(G[b], cfg)
             diff = np.linalg.norm(v - X[b])
@@ -163,6 +212,78 @@ class TestFwStep:
                 eta = (1.0 if diff == 0.0
                        else min(cfg.beta * norm_r[b] / diff, 1.0))
             assert got[b].tobytes() == (X[b] + eta * (v - X[b])).tobytes(), b
+
+
+class TestFwKernel:
+    """The compiled Frank-Wolfe step must reproduce the numpy reference
+    above bit for bit: the vertices, the next iterates and ||g_R||."""
+
+    SIZES = (4.35109245e-160, 1e-300, 1e300)
+
+    @pytest.mark.parametrize("rate", [FwRate.LINEAR, FwRate.RESCALED])
+    def test_trajectories_bitwise(self, rate):
+        # one block of 300 steps: a least-squares run, a zero gradient,
+        # integer gradients with ties at the threshold, gradients whose
+        # squares are subnormal or overflow, and a row at its vertex
+        for n in (50, 200):
+            problem = gen_least_squares("A1", 10, n, seed=7).problem()
+            rng = np.random.default_rng(n)
+            T = n // 10
+            cfgs = [FwConfig(T, tau, rate, beta) for tau, beta in
+                    zip([5.0, 1.0, 3.0, 2.0, 2.0, 2.0, 4.0],
+                        [0.5, 0.001, 0.1, 0.9, 0.5, 0.5, 0.2])]
+            state = baselines._fw_state(cfgs)
+            X = rng.standard_normal((len(cfgs), n))
+            still = rng.standard_normal(n)
+            X[6] = reference_lmo(still[None], T, state["tau"][6:])[0][0]
+            for k in range(300):
+                G = np.zeros_like(X)
+                G[0] = problem.gradient(X[0])
+                G[2] = rng.integers(-3, 4, n)
+                for row, size in enumerate(self.SIZES, start=3):
+                    G[row] = rng.standard_normal(n) * size
+                G[6] = still
+                out = frank_wolfe(X, G, k, T, **state)
+                assert_bytes_equal(out, reference_step(X, G, k, T, **state))
+                assert np.array_equal(out[1][6], X[6])
+                X = out[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40),
+                      elements=st.floats(allow_nan=False,
+                                         allow_infinity=False)),
+           st.data(), st.floats(1e-3, 1e3), st.integers(0, 100))
+    def test_bitwise_property(self, g, data, tau, k):
+        n = g.shape[0]
+        T = data.draw(st.integers(1, n), label="T")
+        x = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10, 10)),
+                      label="x")
+        # the same row at both rates
+        state = baselines._fw_state(
+            [FwConfig(T, tau, rate, 0.5) for rate in FwRate])
+        X, G = np.stack([x, x]), np.stack([g, g])
+        with np.errstate(all="ignore"):
+            want = reference_step(X, G, k, T, **state)
+        assert_bytes_equal(frank_wolfe(X, G, k, T, **state), want)
+
+    def test_one_selection(self):
+        # the vertex's support (its nonzeros and the -0.0 of a zero in
+        # g_R), the pruning-aware kernel's R and the reference's mask
+        # are one set, ties included
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 30, 200):
+            G = rng.integers(-2, 3, (6, n)).astype(np.float64)
+            G[:, 0] = 1.0    # g_R is never 0, so R shows in the vertex
+            X = rng.standard_normal((6, n))
+            W = np.full((6, n), 0.1)
+            for T in range(1, n + 1):
+                mask = relevant_mask(G, T)
+                state = baselines._fw_state([FwConfig(T, 1.0)] * 6)
+                V = frank_wolfe(X, G, 0, T, **state)[0]
+                r = iterate(X, G, W, W.copy(), 0, T,
+                            *variant_flags([Variant.V2] * 6))[4]
+                assert np.array_equal((V != 0.0) | np.signbit(V), mask)
+                assert np.array_equal(r, mask)
 
 
 class TestFwRun:

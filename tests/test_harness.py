@@ -1498,10 +1498,12 @@ dir = {{out}}
         ("meta.json", "T", 10 ** 18, "meta.json"),
         ("meta.json", "varsigma", 0, "runs.json: run v3 seed 0"),
         ("runs.json", "lipschitz", 1e308, "runs.json: run v3 seed 0"),
-        ("trace.npy", "f", 1e308, "runs.json: run v3 seed 0")],
+        ("trace.npy", "f", 1e308, "runs.json: run v3 seed 0"),
+        ("trace.npy", "f", np.inf, "runs.json: run v3 seed 0"),
+        ("trace.npy", "f", np.nan, "runs.json: run v3 seed 0")],
         ids=["missing seed", "iterations not an int", "negative n", "huge n",
              "n below the trace", "T above n", "zero varsigma",
-             "huge lipschitz", "huge f0"])
+             "huge lipschitz", "huge f0", "infinite f0", "NaN f0"])
     def test_verify_on_a_malformed_bundle_exits_2(self, tmp_path, capsys,
                                                   name, key, value, named):
         cfg = load_config(write_config(tmp_path))

@@ -383,6 +383,58 @@ class TestLongRows:
                                                variants)
 
 
+class TestKernelArguments:
+    """Each C entry checks every buffer before it writes one: a bad
+    argument is a TypeError or ValueError, and the outputs keep their
+    contents."""
+
+    @staticmethod
+    def call(entry):
+        """Valid inputs and outputs of ``entry``, and the position of its
+        per-row vector among the inputs."""
+        B, n, T = 3, 5, 2
+        rng = np.random.default_rng(0)
+        X, G = rng.standard_normal((B, n)), rng.standard_normal((B, n))
+        W, flags, ones = np.full((B, n), 0.1), np.zeros(B, bool), np.ones(B)
+        block = np.full((B, n), 7.0)
+        return {
+            "iterate": ([X, G, W, W.copy(), 0, T, flags, flags, flags.copy()],
+                        [np.full((3, B, n), 7.0), np.ones((2, B, n), bool),
+                         np.full((5, B), 7.0), np.full((3, B), 7)], 6),
+            "fw_vertex": ([X, G, T, ones], [block, block.copy(), ones * 7],
+                          3),
+            "fw_move": ([X, G, 0, ones, ones, flags, ones / 2], [block], 6),
+        }[entry]
+
+    @pytest.mark.parametrize("entry", ["iterate", "fw_vertex", "fw_move"])
+    @pytest.mark.parametrize("bad", ["Fortran X", "float32 G",
+                                     "short per-row vector",
+                                     "read-only output"])
+    def test_bad_argument_raises_before_writing(self, entry, bad):
+        inputs, outputs, per_row = self.call(entry)
+        if bad == "Fortran X":
+            inputs[0] = np.asfortranarray(inputs[0])
+        elif bad == "float32 G":
+            inputs[1] = inputs[1].astype(np.float32)
+        elif bad == "short per-row vector":
+            inputs[per_row] = inputs[per_row][:-1]
+        else:
+            outputs[-1].flags.writeable = False
+        before = [out.copy() for out in outputs]
+        with pytest.raises((TypeError, ValueError)):
+            getattr(_kernels._c, entry)(*inputs, *outputs)
+        for out, was in zip(outputs, before):
+            assert out.tobytes() == was.tobytes()
+
+    @pytest.mark.parametrize("entry", ["iterate", "fw_vertex", "fw_move"])
+    def test_valid_arguments_write_every_output(self, entry):
+        inputs, outputs, _ = self.call(entry)
+        before = [out.copy() for out in outputs]
+        getattr(_kernels._c, entry)(*inputs, *outputs)
+        for out, was in zip(outputs, before):
+            assert out.tobytes() != was.tobytes()
+
+
 class TestBuild:
     @pytest.mark.parametrize("compiler", ["no-such-compiler-here", "false"])
     def test_a_compiler_that_fails_is_a_loud_import_error(

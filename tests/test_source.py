@@ -228,3 +228,18 @@ def test_kernel_build_keeps_ieee_arithmetic():
     assert {"-ffp-contract=off", "-fno-fast-math"} <= flags
     assert not flags & {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
                         "-march=native"}
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    """The production build of the kernel source, with every common
+    gcc warning as an error."""
+    import subprocess
+    import sysconfig
+
+    from prunadag import _kernels
+
+    cmd = [_kernels.CC, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror",
+           f"-I{sysconfig.get_paths()['include']}", str(_kernels.SOURCE),
+           "-o", str(tmp_path / "kernel.so"), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
