@@ -221,15 +221,17 @@ static int row(Py_ssize_t n, Py_ssize_t T, double kp1, int rescale,
     return 0;
 }
 
-/* One row of the Frank-Wolfe vertex over the T-support-norm ball of
- * radius tau: v = -tau g_R / ||g_R|| on R and 0 off it, or 0 everywhere
- * when g_R is 0, and d = v - x. Returns ||g_R||. A norm below 1e-150
- * (squares that lose digits as subnormals) or not finite (squares that
- * overflow) is taken of g_R divided by its largest magnitude first, and
- * scaled back. ``scratch`` holds 3n items and n chars. */
-static double vertex(Py_ssize_t n, Py_ssize_t T, double tau,
-                     const double *x, const double *g, double *v, double *d,
-                     uint64_t *scratch)
+/* One row of the Frank-Wolfe direction d = v - x, v the vertex of the
+ * T-support-norm ball of radius tau: v = -tau g_R / ||g_R|| on R and 0
+ * off it, or 0 everywhere when g_R is 0. Writes ||g_R|| to ``norm_r``.
+ * A norm below 1e-150 (squares that lose digits as subnormals) or not
+ * finite (squares that overflow) is taken of g_R divided by its largest
+ * magnitude first, and scaled back. Returns the size of R: T, or fewer
+ * when g holds a NaN, which compares to nothing; then nothing is
+ * written. ``scratch`` holds 3n items and n chars. */
+static Py_ssize_t vertex(Py_ssize_t n, Py_ssize_t T, double tau,
+                         const double *x, const double *g, double *d,
+                         double *norm_r, uint64_t *scratch)
 {
     char *r = (char *)(scratch + 3 * n);
     relevant(g, n, T, scratch, r);
@@ -242,6 +244,8 @@ static double vertex(Py_ssize_t n, Py_ssize_t T, double tau,
         at[m] = i;
         m += r[i];
     }
+    if (m != T)
+        return m;
     for (Py_ssize_t j = 0; j < T; j++)
         sq[j] = gr[j] * gr[j];
     double norm = sqrt(sum(sq, T)), unit = norm;
@@ -260,16 +264,15 @@ static double vertex(Py_ssize_t n, Py_ssize_t T, double tau,
         unit = sqrt(sum(sq, T));
         norm = scale * unit;
     }
+    *norm_r = norm;
     for (Py_ssize_t i = 0; i < n; i++)
-        v[i] = 0.0;
+        d[i] = 0.0 - x[i];
     if (unit != 0.0) {
         double ntau = negative(tau);
         for (Py_ssize_t j = 0; j < T; j++)
-            v[at[j]] = ntau * gr[j] / unit;
+            d[at[j]] = ntau * gr[j] / unit - x[at[j]];
     }
-    for (Py_ssize_t i = 0; i < n; i++)
-        d[i] = v[i] - x[i];
-    return norm;
+    return m;
 }
 
 /* The Frank-Wolfe step size: 1/(k+1) at the linear rate; at the
@@ -368,7 +371,7 @@ static int block_shape_T(PyObject *X, Py_ssize_t T, Py_ssize_t *B,
     return 0;
 }
 
-enum { N_ITERATE = 11, N_VERTEX = 6, N_MOVE = 7 };
+enum { N_ITERATE = 11, N_VERTEX = 5, N_MOVE = 7 };
 
 static PyObject *iterate(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -424,14 +427,13 @@ static PyObject *fw_vertex(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *obj[N_VERTEX];
     Py_ssize_t T, B, n;
-    if (!PyArg_ParseTuple(args, "OOnOOOO", &obj[0], &obj[1], &T, &obj[2],
-                          &obj[3], &obj[4], &obj[5])
+    if (!PyArg_ParseTuple(args, "OOnOOO", &obj[0], &obj[1], &T, &obj[2],
+                          &obj[3], &obj[4])
             || block_shape_T(obj[0], T, &B, &n) < 0)
         return NULL;
     const struct spec spec[N_VERTEX] = {
         {"X", "d", 8, B * n, 0}, {"G", "d", 8, B * n, 0},
-        {"tau", "d", 8, B, 0}, {"the vertex block", "d", 8, B * n, 1},
-        {"the direction block", "d", 8, B * n, 1},
+        {"tau", "d", 8, B, 0}, {"the direction block", "d", 8, B * n, 1},
         {"the norm row", "d", 8, B, 1}};
     Py_buffer view[N_VERTEX];
     if (get_all(obj, view, spec, N_VERTEX) < 0)
@@ -442,12 +444,17 @@ static PyObject *fw_vertex(PyObject *Py_UNUSED(self), PyObject *args)
         return PyErr_NoMemory();
     }
     const double *X = view[0].buf, *G = view[1].buf, *tau = view[2].buf;
-    double *V = view[3].buf, *D = view[4].buf, *norm = view[5].buf;
-    for (Py_ssize_t b = 0; b < B; b++)
-        norm[b] = vertex(n, T, tau[b], X + b * n, G + b * n, V + b * n,
-                         D + b * n, scratch);
+    double *D = view[3].buf, *norm = view[4].buf;
+    Py_ssize_t b = 0, m = T;
+    for (; b < B && m == T; b++)
+        m = vertex(n, T, tau[b], X + b * n, G + b * n, D + b * n, norm + b,
+                   scratch);
     free(scratch);
     release(view, N_VERTEX);
+    if (m != T)
+        return PyErr_Format(PyExc_ValueError, "row %zd of G has %zd "
+                            "entries in its top %zd: it holds a NaN", b - 1,
+                            m, T);
     Py_RETURN_NONE;
 }
 
@@ -485,7 +492,7 @@ static PyMethodDef methods[] = {
      "iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound, "
      "relevant_only, steps, masks, stats, cards) -> None or (row, within)"},
     {"fw_vertex", fw_vertex, METH_VARARGS,
-     "fw_vertex(X, G, T, tau, V, D, norm_r) -> None"},
+     "fw_vertex(X, G, T, tau, D, norm_r) -> None"},
     {"fw_move", fw_move, METH_VARARGS,
      "fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next) -> None"},
     {NULL, NULL, 0, NULL}};

@@ -134,18 +134,18 @@ def iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound,
 def frank_wolfe(X, G, k, T, tau, rescaled, beta):
     """One Frank-Wolfe step over the T-support-norm ball for each row of
     a (B, n) block; ``tau``, ``rescaled`` and ``beta`` are the (B,) radii,
-    rate flags and rescaled-rate constants. Returns the vertices
-    -tau g_R / ||g_R|| (0 where g_R is 0), the next iterates
+    rate flags and rescaled-rate constants. Returns the directions v - x,
+    v the vertex -tau g_R / ||g_R|| (0 where g_R is 0), the next iterates
     x + eta (v - x) and ||g_R|| per row; eta is 1/(k+1), or at the
     rescaled rate min(beta ||g_R|| / ||v - x||, 1), 1 where v = x.
     The (B, n) arrays must be C-contiguous float64; the C functions
-    check every argument."""
+    check every argument. A row of G that holds a NaN may have no top-T
+    set, which is a ValueError."""
     B, n = X.shape
-    V, D, X_next = np.empty((B, n)), np.empty((B, n)), np.empty((B, n))
-    norm_r = np.empty(B)
-    _c.fw_vertex(X, G, T, tau, V, D, norm_r)
+    D, X_next, norm_r = np.empty((B, n)), np.empty((B, n)), np.empty(B)
+    _c.fw_vertex(X, G, T, tau, D, norm_r)
     # ||v - x|| per row, bitwise np.linalg.norm of the row: BLAS's dot,
     # whose order of summation depends on the CPU, so it stays numpy's
     diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
     _c.fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next)
-    return V, X_next, norm_r
+    return D, X_next, norm_r

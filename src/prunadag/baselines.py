@@ -84,9 +84,9 @@ class FwConfig:
 def _fw_state(cfgs: Sequence[FwConfig]) -> dict:
     """Per-row Frank-Wolfe parameters, one config per row: the keyword
     arguments of :func:`prunadag._kernels.frank_wolfe`."""
-    return {"tau": np.array([c.tau for c in cfgs]),
+    return {"tau": np.array([c.tau for c in cfgs], dtype=np.float64),
             "rescaled": np.array([c.rate is FwRate.RESCALED for c in cfgs]),
-            "beta": np.array([c.beta for c in cfgs])}
+            "beta": np.array([c.beta for c in cfgs], dtype=np.float64)}
 
 
 def _fw_row(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig):
@@ -104,6 +104,7 @@ def fw_lmo(g: np.ndarray, cfg: FwConfig) -> np.ndarray:
     largest-magnitude gradient components; returns 0 when that masked
     norm vanishes (stationary convention, keeps batch runs total).
     """
+    # the direction v - x at x = 0: v - 0.0 is v, bit for bit
     return _fw_row(np.zeros_like(g), g, 0, cfg)[0]
 
 

@@ -44,8 +44,8 @@ def reference_lmo(G, T, tau):
 
 
 def reference_step(X, G, k, T, tau, rescaled, beta):
-    """:func:`prunadag._kernels.frank_wolfe` in numpy: the vertices, the
-    next iterates and ||g_R|| per row."""
+    """:func:`prunadag._kernels.frank_wolfe` in numpy: the directions
+    v - x, the next iterates and ||g_R|| per row."""
     V, norm_r = reference_lmo(G, T, tau)
     D = V - X
     # ||v - x|| per row, bitwise np.linalg.norm of the row
@@ -53,7 +53,7 @@ def reference_step(X, G, k, T, tau, rescaled, beta):
     moved = diff != 0.0
     rate = np.minimum(beta * norm_r / np.where(moved, diff, 1.0), 1.0)
     eta = np.where(rescaled, np.where(moved, rate, 1.0), 1.0 / (k + 1))
-    return V, X + eta[:, None] * D, norm_r
+    return D, X + eta[:, None] * D, norm_r
 
 
 def assert_bytes_equal(got, want):
@@ -126,6 +126,9 @@ class TestFwLmo:
         assert v[0] == pytest.approx(-30.0)
         assert v[1] == pytest.approx(40.0)
         assert v[2] == 0.0
+        # an integer radius is the same radius
+        assert np.array_equal(fw_lmo(np.array([3, -4, 1]), FwConfig(2, 50)),
+                              v)
 
     def test_zero_gradient_returns_zero(self):
         v = fw_lmo(np.zeros(3), FwConfig(T=2, tau=5.0))
@@ -141,6 +144,7 @@ class TestFwLmo:
         # their squares are subnormal or overflow
         g = np.full(15, size)
         g[3] = -2.0 * size
+        # at x = 0 the direction v - x is the vertex
         V, _, norm_r = frank_wolfe(np.zeros((1, 15)), g[None], 0, 2,
                                    **baselines._fw_state([FwConfig(2, 3.0)]))
         assert np.linalg.norm(V[0]) == pytest.approx(3.0, rel=1e-12)
@@ -279,11 +283,35 @@ class TestFwKernel:
             for T in range(1, n + 1):
                 mask = relevant_mask(G, T)
                 state = baselines._fw_state([FwConfig(T, 1.0)] * 6)
-                V = frank_wolfe(X, G, 0, T, **state)[0]
+                # at x = 0 the direction v - x is the vertex
+                V = frank_wolfe(np.zeros_like(X), G, 0, T, **state)[0]
                 r = iterate(X, G, W, W.copy(), 0, T,
                             *variant_flags([Variant.V2] * 6))[4]
                 assert np.array_equal((V != 0.0) | np.signbit(V), mask)
                 assert np.array_equal(r, mask)
+
+    @pytest.mark.parametrize("g, T", [([np.nan, 1.0, 2.0], 2),
+                                      ([1.0, np.nan, np.nan], 2),
+                                      ([np.nan, 3.0, -1.0, 2.0], 4)])
+    def test_a_nan_without_a_top_T_set_raises(self, g, T):
+        # a NaN compares to nothing, so fewer than T entries beat the
+        # threshold: the kernel refuses the row before it writes through R
+        g = np.array(g)
+        with pytest.raises(ValueError):
+            fw_lmo(g, FwConfig(T, 1.0))
+        # the NaN row among finite rows of a block
+        G = np.stack([np.arange(1.0, g.size + 1), g, np.ones(g.size)])
+        state = baselines._fw_state([FwConfig(T, 1.0)] * 3)
+        with pytest.raises(ValueError, match="row 1 of G"):
+            frank_wolfe(np.zeros_like(G), G, 0, T, **state)
+
+    def test_a_nan_outside_a_full_top_T_set_matches_the_reference(self):
+        # ties at the threshold fill R around the NaN
+        G = np.array([[np.nan, 1.0, 1.0, 1.0]])
+        X = np.array([[0.5, -1.0, 2.0, 0.0]])
+        state = baselines._fw_state([FwConfig(2, 3.0)])
+        assert_bytes_equal(frank_wolfe(X, G, 1, 2, **state),
+                           reference_step(X, G, 1, 2, **state))
 
 
 class TestFwRun:

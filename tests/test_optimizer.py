@@ -401,8 +401,7 @@ class TestKernelArguments:
             "iterate": ([X, G, W, W.copy(), 0, T, flags, flags, flags.copy()],
                         [np.full((3, B, n), 7.0), np.ones((2, B, n), bool),
                          np.full((5, B), 7.0), np.full((3, B), 7)], 6),
-            "fw_vertex": ([X, G, T, ones], [block, block.copy(), ones * 7],
-                          3),
+            "fw_vertex": ([X, G, T, ones], [block, ones * 7], 3),
             "fw_move": ([X, G, 0, ones, ones, flags, ones / 2], [block], 6),
         }[entry]
 
