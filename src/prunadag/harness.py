@@ -87,8 +87,15 @@ FAMILIES = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    return [_finite(tok) for tok in raw.replace(",", " ").split()]
 
 
 def _one_of(options, noun: str):
@@ -116,8 +123,7 @@ def _path(raw: str) -> str:
     return raw
 
 
-def _sparse_coding(p: dict, seed: int):
-    # fixed files: the seed only varies the starting point
+def _sparse_coding(p: dict):
     Y = problems.load_matrix(p["data_path"])
     if p["column"] >= Y.shape[1]:
         raise ConfigError(f"problem.column must be below the {Y.shape[1]} "
@@ -126,25 +132,28 @@ def _sparse_coding(p: dict, seed: int):
     if Y.shape[0] != D.shape[0]:
         raise ConfigError(f"{p['data_path']} has {Y.shape[0]} rows, but the "
                           f"dictionary {p['dict_path']} has {D.shape[0]}")
-    return problems.SparseCodingProblem(D=D, y=Y[:, p["column"]]), None
+    return problems.SparseCodingProblem(D=D, y=Y[:, p["column"]])
 
 
-# Each problem kind: its [problem] keys, whether its instance depends on
-# the seed, and build(params, seed) -> (family instance, test split or None).
+# Each problem kind: its [problem] keys, load(params) -> data, which reads
+# and checks the kind's files, and make(data, seed) -> (family instance,
+# test split or None), which builds one seed's instance from the data.
 PROBLEMS = {
-    "least_squares": (("matrix", "m", "n"), True, lambda p, seed: (
+    "least_squares": (("matrix", "m", "n"), dict, lambda p, seed: (
         problems.gen_least_squares(p["matrix"], p["m"], p["n"], seed), None)),
-    "dct_recovery": (("m", "n", "nnz", "noise"), True, lambda p, seed: (
+    "dct_recovery": (("m", "n", "nnz", "noise"), dict, lambda p, seed: (
         problems.gen_dct_sparse_recovery(p["m"], p["n"], seed, p["nnz"],
                                          p["noise"]), None)),
-    "logistic_synthetic": (("n", "informative", "samples"), True,
+    "logistic_synthetic": (("n", "informative", "samples"), dict,
                            lambda p, seed:
                            problems.gen_separable_classification(
                                p["n"], p["informative"], p["samples"], seed)),
-    "libsvm": (("path",), True, lambda p, seed:
-               problems.load_libsvm(p["path"], split_seed=seed)),
-    "sparse_coding": (("dict_path", "data_path", "column"), False,
-                      _sparse_coding),
+    "libsvm": (("path",), lambda p: problems.parse_libsvm(p["path"]),
+               lambda Xy, seed: problems.split_libsvm(*Xy, seed)),
+    # a copy per seed, which the stack points at the seed's own slot; the
+    # copies share the files' arrays and the one Lipschitz constant
+    "sparse_coding": (("dict_path", "data_path", "column"), _sparse_coding,
+                      lambda sc, seed: (copy.copy(sc), None)),
 }
 
 REQUIRED = object()
@@ -170,7 +179,7 @@ _KEYS = {
     ("problem", "m"): (None, int, REQUIRED, _at_least(1)),
     ("problem", "n"): (None, int, REQUIRED, _at_least(2)),
     ("problem", "nnz"): (None, int, REQUIRED, _at_least(0)),
-    ("problem", "noise"): (None, float, 0.0, _at_least(0.0)),
+    ("problem", "noise"): (None, _finite, 0.0, _at_least(0.0)),
     ("problem", "informative"): (None, int, REQUIRED, _at_least(1)),
     ("problem", "samples"): (None, int, REQUIRED, _at_least(2)),
     ("problem", "path"): (None, _path, REQUIRED, None),
@@ -180,12 +189,12 @@ _KEYS = {
     ("optimizers", "methods"): ("methods", _methods, REQUIRED, None),
     ("optimizers", "t"): ("T", int, None, _at_least(2)),
     ("optimizers", "varsigma"): (
-        "varsigma", float, optimizer.DEFAULT_VARSIGMA, _OPEN_UNIT),
-    ("optimizers", "tau1"): ("tau1", float, 50.0, _POSITIVE),
-    ("optimizers", "tau2"): ("tau2", float, 100.0, _POSITIVE),
-    ("optimizers", "beta"): ("beta", float, 0.001, _OPEN_UNIT),
+        "varsigma", _finite, optimizer.DEFAULT_VARSIGMA, _OPEN_UNIT),
+    ("optimizers", "tau1"): ("tau1", _finite, 50.0, _POSITIVE),
+    ("optimizers", "tau2"): ("tau2", _finite, 100.0, _POSITIVE),
+    ("optimizers", "beta"): ("beta", _finite, 0.001, _OPEN_UNIT),
     ("stop", "grad_tol"): (
-        "grad_tol", float, optimizer.DEFAULT_GRAD_TOL, _POSITIVE),
+        "grad_tol", _finite, optimizer.DEFAULT_GRAD_TOL, _POSITIVE),
     ("stop", "max_iters"): (
         "max_iters", int, optimizer.DEFAULT_MAX_ITERS, _at_least(1)),
     ("pruning", "sigma"): (
@@ -296,15 +305,19 @@ class ProblemInstance:
     source: object = None
 
 
-def build_problem(cfg: ExperimentConfig, seed_index: int) -> ProblemInstance:
+def build_problem(cfg: ExperimentConfig, seed_index: int,
+                  data=None) -> ProblemInstance:
     """Materialize the seed-indexed problem instance by its kind's
-    builder in :data:`PROBLEMS`.
+    ``make`` in :data:`PROBLEMS`, from ``data``, the kind's ``load`` of
+    the config, which is loaded here when None.
 
     The instance depends only on (config, seed index), so every
     optimizer on a given seed solves the same problem.
     """
-    seed = derive_seed(cfg.master_seed, "problem", seed_index)
-    source, test = PROBLEMS[cfg.problem_kind][2](cfg.problem_params, seed)
+    _, load, make = PROBLEMS[cfg.problem_kind]
+    data = load(cfg.problem_params) if data is None else data
+    source, test = make(data, derive_seed(cfg.master_seed, "problem",
+                                          seed_index))
     return ProblemInstance(source.problem(), test=test, source=source)
 
 
@@ -318,31 +331,24 @@ def starting_point(n: int, T: int, seed: int) -> np.ndarray:
     return x0
 
 
-def _slot(cfg: ExperimentConfig, seed_index: int) -> int:
-    """The stack slot of a seed's instance: the seed's own, or slot 0
-    for a kind whose instance does not depend on the seed."""
-    return seed_index if PROBLEMS[cfg.problem_kind][1] else 0
-
-
 def build_problems(cfg: ExperimentConfig
                    ) -> tuple[dict, Optional[problems.Stack]]:
-    """Every seed's instance, by :func:`build_problem` once per
-    :func:`_slot`, and the :class:`prunadag.problems.Stack` that holds
-    their data. Each instance moves into the stack as soon as it is
-    built, so the grid keeps one copy of its data. The stack is None
-    when an instance has no ``source``."""
-    instances, stack = {}, problems.Stack(_slot(cfg, cfg.seeds - 1) + 1)
+    """Every seed's instance, by :func:`build_problem` on the kind's
+    data loaded once, and the :class:`prunadag.problems.Stack` that
+    holds their data, one slot per seed. Each instance moves into the
+    stack as soon as it is built, so the grid keeps one copy of each
+    seed's data. The stack is None when an instance has no ``source``."""
+    data = PROBLEMS[cfg.problem_kind][1](cfg.problem_params)
+    instances, stack = {}, problems.Stack(cfg.seeds)
     for i in range(cfg.seeds):
-        if _slot(cfg, i) != i:   # the one instance of its kind
-            instances[i] = instances[_slot(cfg, i)]
-            continue
-        instance = instances[i] = build_problem(cfg, i)
-        n, T = instance.problem.dim, cfg.resolved_T(instance.problem.dim)
-        if T > n:
-            raise ConfigError(f"optimizers.t must be at most n = {n}, got "
-                              f"{T}" + (" by default" if cfg.T is None else ""))
-        if i == 0:   # once a data file gives n: every run's start
-            _fits(cfg.seeds * len(cfg.methods) * n)
+        instance = instances[i] = build_problem(cfg, i, data)
+        if i == 0:   # once a data file gives the grid's one n
+            n, T = instance.problem.dim, cfg.resolved_T(instance.problem.dim)
+            if T > n:
+                raise ConfigError(
+                    f"optimizers.t must be at most n = {n}, got {T}"
+                    + (" by default" if cfg.T is None else ""))
+            _fits(cfg.seeds * len(cfg.methods) * n)   # every run's start
         if stack is not None and instance.source is not None:
             stack.add(instance.source)
         else:
@@ -395,8 +401,7 @@ def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
     row's own problem; one ``(cell, record, prune rows, failure)`` per
     cell, whose failure is None or ``"<ExceptionClass>: <message>"``."""
     oracle = (optimizer.row_oracle([instances[i].problem for _, i in cells])
-              if stack is None
-              else stack.oracle([_slot(cfg, i) for _, i in cells]))
+              if stack is None else stack.oracle([i for _, i in cells]))
     try:
         outcomes = _run_block(cfg, cells, instances, oracle)
     except Exception as err:  # bad parameters fail every cell

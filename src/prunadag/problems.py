@@ -319,7 +319,9 @@ class LibsvmParseError(InputFileError):
     pass
 
 
-def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
+def parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
+    """The samples (N, max index) and {-1, +1} labels of a LIBSVM text
+    file; raises LibsvmParseError, line-numbered for a bad line."""
     labels, rows, max_idx = [], [], 0
     lines = read_input(path, lambda fh: io.TextIOWrapper(fh).readlines())
     for lineno, line in enumerate(lines, start=1):
@@ -329,12 +331,16 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
         parts = line.split()
         try:
             label = float(parts[0])
+            if not math.isfinite(label):
+                raise ValueError(f"non-finite label {parts[0]}")
             feats = {}
             for tok in parts[1:]:
                 idx_s, val_s = tok.split(":", 1)
                 idx = int(idx_s)
                 if idx < 1:
                     raise ValueError("indices are 1-based")
+                if idx in feats:
+                    raise ValueError(f"repeated index {idx}")
                 feats[idx] = float(val_s)
                 if not math.isfinite(feats[idx]):
                     raise ValueError(f"non-finite value {val_s}")
@@ -362,17 +368,16 @@ def _parse_libsvm(path) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def load_libsvm(path, split_seed: int
-                ) -> tuple[LogisticProblem, Optional[LogisticProblem]]:
-    """Load a LIBSVM sparse text file into train/test logistic problems,
-    split by :func:`_split` with ``split_seed``; test is None when the
-    split leaves it no sample (a one-sample file).
+def split_libsvm(X: np.ndarray, y: np.ndarray, seed: int
+                 ) -> tuple[LogisticProblem, Optional[LogisticProblem]]:
+    """Train/test logistic problems of parsed LIBSVM data, split by
+    :func:`_split` with ``seed``; test is None when the split leaves it
+    no sample (a one-sample file). ``X`` and ``y`` are not changed.
 
     Features are min-max normalized to [0, 1] using training-set
     statistics; test features are clipped back into [0, 1] afterward.
     """
-    X, y = _parse_libsvm(path)
-    tr, te = _split(np.random.default_rng(split_seed), X.shape[0])
+    tr, te = _split(np.random.default_rng(seed), X.shape[0])
     X_tr = X[tr]
     lo, hi = X_tr.min(axis=0), X_tr.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)

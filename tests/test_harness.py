@@ -67,9 +67,11 @@ BAD_VALUES = [
     ("m = 6", "m = 31", "problem.m"),
     ("matrix = A1", "nnz = 3", "problem.m"),
     ("sigma = 0.3, 0.5", "delta = 0.1, -1", "pruning.delta"),
+    ("sigma = 0.3, 0.5", "delta = 0.1, inf", "pruning.delta"),
     ("max_iters = 40", "max_iters = 0", "stop.max_iters"),
     ("max_iters = 40", "grad_tol = 0", "stop.grad_tol"),
     ("max_iters = 40", "grad_tol = -1e-9", "stop.grad_tol"),
+    ("max_iters = 40", "grad_tol = inf", "stop.grad_tol"),
     ("v3, adagrad", "v3, adagrad\nt = 1", "optimizers.t"),
     ("v3, adagrad", "v3, adagrad\nt = 31", "optimizers.t"),
     ("v3, adagrad", "v3, adagrad\nvarsigma = 0", "optimizers.varsigma"),
@@ -78,6 +80,8 @@ BAD_VALUES = [
     ("v3, adagrad", "v3, adagrad\ntau1 = -1", "optimizers.tau1"),
     ("v3, adagrad", "v3, adagrad\ntau2 = 0", "optimizers.tau2"),
     ("v3, adagrad", "v3, adagrad\ntau1 = nan", "optimizers.tau1"),
+    ("v3, adagrad", "v3, adagrad\ntau1 = inf", "optimizers.tau1"),
+    ("v3, adagrad", "v3, adagrad\ntau2 = inf", "optimizers.tau2"),
     ("v3, adagrad", "v3, adagrad\nbeta = 0", "optimizers.beta"),
     ("v3, adagrad", "v3, adagrad\nbeta = 1", "optimizers.beta"),
     ("m = 6", "m = 0", "problem.m"),
@@ -85,6 +89,7 @@ BAD_VALUES = [
     (LS, DCT + "nnz = 31", "problem.nnz"),
     (LS, DCT + "nnz = -1", "problem.nnz"),
     (LS, DCT + "nnz = 3\nnoise = -0.5", "problem.noise"),
+    (LS, DCT + "nnz = 3\nnoise = inf", "problem.noise"),
     (LS_MN, LOGISTIC.format(n=30, informative=0, samples=10),
      "problem.informative"),
     (LS_MN, LOGISTIC.format(n=30, informative=31, samples=10),
@@ -109,11 +114,12 @@ BAD_VALUES = [
     (LS_MN, LOGISTIC.format(n=30, informative=3, samples=10 ** 18),
      "bytes of memory")]
 BAD_VALUE_IDS = [
-    "m == n", "m > n", "dct m == n", "negative delta", "no iterations",
-    "zero grad_tol", "negative grad_tol", "t below 2", "t above n",
-    "zero varsigma", "varsigma 1", "varsigma above 1", "negative tau1",
-    "zero tau2", "nan tau1", "zero beta", "beta 1", "zero m", "zero seeds",
-    "nnz above n", "negative nnz", "negative noise", "zero informative",
+    "m == n", "m > n", "dct m == n", "negative delta", "inf delta",
+    "no iterations", "zero grad_tol", "negative grad_tol", "inf grad_tol",
+    "t below 2", "t above n", "zero varsigma", "varsigma 1",
+    "varsigma above 1", "negative tau1", "zero tau2", "nan tau1", "inf tau1",
+    "inf tau2", "zero beta", "beta 1", "zero m", "zero seeds", "nnz above n",
+    "negative nnz", "negative noise", "inf noise", "zero informative",
     "informative above n", "one sample", "logistic n 1", "negative jobs",
     "zero jobs", "negative delta_trace", "nan delta_trace",
     "delta_trace 1e-3", "record_objective true", "record_objective off",
@@ -534,12 +540,11 @@ dir = {out}
 jobs = {jobs}
 """
 
-    def test_sparse_coding_grid_holds_one_instance(self, tmp_path,
-                                                   monkeypatch):
+    def test_sparse_coding_grid_reads_its_files_once(self, tmp_path,
+                                                     monkeypatch):
         # one dictionary and observation for every seed: the grid reads
-        # each file once, solves for the Lipschitz constant once and
-        # stacks the one instance in one slot, and its bundle is the one
-        # of instances built and stacked seed by seed
+        # each file once and solves for the Lipschitz constant once, and
+        # its bundle is the same at jobs 1 and 2
         rng = np.random.default_rng(2)
         save_matrix(tmp_path / "D.bin", rng.standard_normal((6, 20)))
         save_matrix(tmp_path / "Y.bin", rng.standard_normal((6, 3)))
@@ -553,13 +558,8 @@ jobs = {jobs}
             real = getattr(problems, name)
             monkeypatch.setattr(problems, name, lambda *args, real=real,
                                 name=name: calls.append(name) or real(*args))
-        cfg = config("one", 1)
-        instances, stack = harness.build_problems(cfg)
+        harness.build_problems(config("one", 1))
         assert sorted(calls) == ["read_input"] * 2 + ["spectral_norm_sq"]
-        assert stack.size == stack.filled == 1
-        assert all(instances[i] is instances[0] for i in range(cfg.seeds))
-        assert np.shares_memory(stack.arrays["D"], instances[0].source.D)
-        assert stack.arrays["D"].shape == (1, 6, 20)
         bundles = []
         for jobs in (1, 2):
             result = run_experiment(config(f"jobs{jobs}", jobs))
@@ -567,19 +567,38 @@ jobs = {jobs}
             bundles.append(_read_bundle(tmp_path / f"jobs{jobs}"))
         reasons = {rec.reason for rec in result.records.values()}
         assert reasons == {"gradient tolerance", "max iterations"}
-        keys, _, build = harness.PROBLEMS["sparse_coding"]
-        monkeypatch.setitem(harness.PROBLEMS, "sparse_coding",
-                            (keys, True, build))
-        run_experiment(config("per_seed", 1))
-        assert bundles == [_read_bundle(tmp_path / "per_seed")] * 2
+        assert bundles[0] == bundles[1]
+
+    def test_libsvm_grid_parses_its_file_once(self, tmp_path, monkeypatch):
+        # each seed splits the one parse, and its arrays are bitwise
+        # those of its instance built alone
+        (tmp_path / "d.svm").write_text("".join(
+            f"{(-1) ** i} 1:{i} 3:0.5 5:{i % 3}\n" for i in range(12)))
+        cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+            LS_MN, f"kind = libsvm\npath = {tmp_path / 'd.svm'}").replace(
+                "seeds = 2", "seeds = 3")))
+        calls = []
+        parse = problems.parse_libsvm
+        monkeypatch.setattr(problems, "parse_libsvm", lambda path: (
+            calls.append(path) or parse(path)))
+        instances, stack = harness.build_problems(cfg)
+        assert len(calls) == 1 and stack.filled == cfg.seeds == 3
+        for i, instance in instances.items():
+            alone = build_problem(cfg, i)
+            for got, want in ((instance.source, alone.source),
+                              (instance.test, alone.test)):
+                for name in ("samples", "labels"):
+                    assert getattr(got, name).tobytes() == \
+                        getattr(want, name).tobytes()
+        assert len(calls) == 1 + cfg.seeds
 
 
-def _raise_when_large(cfg, i):
+def _raise_when_large(cfg, i, data=None):
     """build_problem whose gradient oracle for seed 2 raises once an
     iterate leaves the box |x_j| <= 10. The fault depends on the iterate
     alone, so a row meets it in any process: on the stopping grid only
     fw1 on seed 2 does, at iteration 1."""
-    instance = build_problem(cfg, i)
+    instance = build_problem(cfg, i, data)
     if i != 2:
         return instance
     grad = instance.problem.grad
@@ -873,8 +892,8 @@ def _fault_at(call, fault, seed_index):
     ``call``-th call (counted from 1) with ``fault(x)``."""
     real = harness.build_problem
 
-    def build(cfg, i):
-        instance = real(cfg, i)
+    def build(cfg, i, data=None):
+        instance = real(cfg, i, data)
         if i != seed_index:
             return instance
         calls = itertools.count(1)
@@ -1146,8 +1165,8 @@ def _inject(patch, cfg, cell, t, fault, stacked):
         return
     real_build = harness.build_problem
 
-    def build(cfg, i):
-        problem = real_build(cfg, i).problem
+    def build(cfg, i, data=None):
+        problem = real_build(cfg, i, data).problem
         if i != seed:
             return harness.ProblemInstance(problem)
         hit = [False]    # whether the last gradient call was the fault
@@ -1411,9 +1430,15 @@ dir = {{out}}
         ("sparse_coding", "Y.bin", np.full((6, 2), np.inf), "non-finite"),
         ("sparse_coding", "D.bin", np.zeros((0, 20)), "holds no entry"),
         ("libsvm", "d.svm", f"1 1:2\n-1 {10 ** 18}:1\n", "do not fit"),
-        ("libsvm", "d.svm", "1 1:2\n-1 1:nan\n", "non-finite value")],
+        ("libsvm", "d.svm", "1 1:2\n-1 1:nan\n", "non-finite value"),
+        ("libsvm", "d.svm", "1 1:2\nnan 1:3\n", ":2: malformed line "
+         "(non-finite label nan)"),
+        ("libsvm", "d.svm", "1 1:2\n-inf 1:3\n", ":2: malformed line "
+         "(non-finite label -inf)"),
+        ("libsvm", "d.svm", "1 1:2\n-1 2:1 1:2 1:5\n", ":2: malformed line "
+         "(repeated index 1)")],
         ids=["nan dictionary", "inf data", "empty dictionary", "huge index",
-             "nan feature"])
+             "nan feature", "nan label", "inf label", "repeated index"])
     def test_run_on_a_bad_data_value_exits_2(self, tmp_path, capsys, kind,
                                              name, data, says):
         path = self._data_config(tmp_path, kind, "")

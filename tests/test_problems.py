@@ -17,9 +17,10 @@ from prunadag.problems import (LS_KINDS, PAIRS, LibsvmParseError,
                                classify_accuracy, dct_matrix,
                                gen_dct_sparse_recovery,
                                gen_least_squares,
-                               gen_separable_classification, load_libsvm,
-                               load_matrix, load_solution, save_matrix,
-                               spectral_norm_sq, standard_normal, _split)
+                               gen_separable_classification, load_matrix,
+                               load_solution, parse_libsvm, save_matrix,
+                               spectral_norm_sq, split_libsvm,
+                               standard_normal, _split)
 
 
 class TestStandardNormal:
@@ -333,7 +334,7 @@ class TestLibsvm:
         y = np.array([1.0, -1.0, 1.0, -1.0])
         tr, te = _split(np.random.default_rng(0), 4)
         lo, span = X[tr].min(axis=0), np.ptp(X[tr], axis=0)
-        train, test = load_libsvm(f, split_seed=0)
+        train, test = split_libsvm(*parse_libsvm(f), 0)
         assert np.allclose(train.samples, (X[tr] - lo) / span)
         assert np.allclose(test.samples,
                            np.clip((X[te] - lo) / span, 0.0, 1.0))
@@ -343,7 +344,7 @@ class TestLibsvm:
     def test_split_seventy_thirty(self, tmp_path):
         f = tmp_path / "ten.txt"
         f.write_text("".join(f"{1 if i % 2 else -1} 1:{i}\n" for i in range(10)))
-        train, test = load_libsvm(f, split_seed=0)
+        train, test = split_libsvm(*parse_libsvm(f), 0)
         assert train.N == 7
         assert test.N == 3
 
@@ -351,7 +352,7 @@ class TestLibsvm:
         f = tmp_path / "clip.txt"
         lines = [f"1 1:{v}\n" for v in range(10)]
         f.write_text("".join(lines))
-        train, test = load_libsvm(f, split_seed=3)
+        train, test = split_libsvm(*parse_libsvm(f), 3)
         assert np.all(test.samples >= 0.0)
         assert np.all(test.samples <= 1.0)
 
@@ -359,13 +360,21 @@ class TestLibsvm:
         f = tmp_path / "bad.txt"
         f.write_text("1 1:2\nnot-a-label 1:3\n")
         with pytest.raises(LibsvmParseError, match=":2:"):
-            load_libsvm(f, split_seed=0)
+            parse_libsvm(f)
+
+    def test_unsorted_indices_accepted(self, tmp_path):
+        # a repeated index is refused; unique ones may come in any order
+        f = tmp_path / "unsorted.txt"
+        f.write_text("1 3:1 1:2\n0 2:4\n")
+        X, y = parse_libsvm(f)
+        assert X.tolist() == [[2.0, 0.0, 1.0], [0.0, 4.0, 0.0]]
+        assert y.tolist() == [1.0, -1.0]
 
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("\n# only a comment\n")
         with pytest.raises(LibsvmParseError, match="empty"):
-            load_libsvm(f, split_seed=0)
+            parse_libsvm(f)
 
     @pytest.mark.parametrize("text, says", [
         ("1\n-1\n1\n", "holds no feature"), ("0\n", "holds no feature"),
@@ -378,7 +387,7 @@ class TestLibsvm:
         f = tmp_path / "d.svm"
         f.write_text(text)
         with pytest.raises(LibsvmParseError, match=f"d.svm: {says}"):
-            load_libsvm(f, split_seed=0)
+            parse_libsvm(f)
 
 
 class TestMatrixFormat:
@@ -477,8 +486,10 @@ def family_members(family, S, m, n, seed, tmpdir):
         for _ in range(m + 2):
             cols = np.flatnonzero(rng.random(n) < 0.7) + 1
             feats = " ".join(f"{c}:{rng.standard_normal()!r}" for c in cols)
-            fh.write(f"{rng.integers(2)} {n}:1.5 {feats}\n")
-    return [load_libsvm(path, split_seed=seed + s)[0] for s in range(S)]
+            # index n sets the width; a drawn column n gives its value
+            pad = "" if n in cols else f"{n}:1.5 "
+            fh.write(f"{rng.integers(2)} {pad}{feats}\n")
+    return [split_libsvm(*parse_libsvm(path), seed + s)[0] for s in range(S)]
 
 
 def stacked(members):

@@ -107,6 +107,18 @@ def test_every_config_field_has_one_table_row():
                       for key in keys}
 
 
+def test_every_problem_kind_has_one_builder_shape():
+    """Each harness.PROBLEMS row is (keys, load, make): a kind loads its
+    data once per grid and makes each seed's instance from it, so the
+    harness keeps no per-kind stack slot mapping."""
+    from prunadag import harness
+
+    assert all(len(row) == 3 for row in harness.PROBLEMS.values())
+    tree = ast.parse((SRC / "harness.py").read_text())
+    assert "_slot" not in {getattr(node, "name", getattr(node, "id", None))
+                           for node in ast.walk(tree)}
+
+
 def test_each_family_states_its_math_once():
     """A class of problems.py that defines ``block_oracle`` takes its
     one-vector ``gradient`` and ``value`` from the shared one-row
