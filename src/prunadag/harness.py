@@ -235,8 +235,10 @@ def load_config(path, overrides=()) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}")
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse config file {path}: {err}") from None
-    for section in set(parser.sections()) - {s for s, _ in _KEYS}:
-        raise ConfigError(f"unknown section [{section}]")
+    unknown = [f"[{s}]" for s in parser.sections()
+               if s not in {section for section, _ in _KEYS}]
+    if unknown:
+        raise ConfigError("unknown section " + ", ".join(unknown))
     given = {(s, key): raw for s in parser.sections()
              for key, raw in parser[s].items()}
     given.update(overrides)
@@ -298,11 +300,11 @@ def derive_seed(master: int, *parts) -> int:
 @dataclass
 class ProblemInstance:
     """A seed's problem; ``source`` is the family instance whose data and
-    oracles ``problem`` uses, and None for a problem of plain callables."""
+    oracles ``problem`` uses."""
 
     problem: Problem
+    source: object
     test: Optional[problems.LogisticProblem] = None
-    source: object = None
 
 
 def build_problem(cfg: ExperimentConfig, seed_index: int,
@@ -318,7 +320,7 @@ def build_problem(cfg: ExperimentConfig, seed_index: int,
     data = load(cfg.problem_params) if data is None else data
     source, test = make(data, derive_seed(cfg.master_seed, "problem",
                                           seed_index))
-    return ProblemInstance(source.problem(), test=test, source=source)
+    return ProblemInstance(source.problem(), source, test)
 
 
 def starting_point(n: int, T: int, seed: int) -> np.ndarray:
@@ -331,13 +333,12 @@ def starting_point(n: int, T: int, seed: int) -> np.ndarray:
     return x0
 
 
-def build_problems(cfg: ExperimentConfig
-                   ) -> tuple[dict, Optional[problems.Stack]]:
+def build_problems(cfg: ExperimentConfig) -> tuple[dict, problems.Stack]:
     """Every seed's instance, by :func:`build_problem` on the kind's
     data loaded once, and the :class:`prunadag.problems.Stack` that
     holds their data, one slot per seed. Each instance moves into the
     stack as soon as it is built, so the grid keeps one copy of each
-    seed's data. The stack is None when an instance has no ``source``."""
+    seed's data."""
     data = PROBLEMS[cfg.problem_kind][1](cfg.problem_params)
     instances, stack = {}, problems.Stack(cfg.seeds)
     for i in range(cfg.seeds):
@@ -349,10 +350,7 @@ def build_problems(cfg: ExperimentConfig
                     f"optimizers.t must be at most n = {n}, got {T}"
                     + (" by default" if cfg.T is None else ""))
             _fits(cfg.seeds * len(cfg.methods) * n)   # every run's start
-        if stack is not None and instance.source is not None:
-            stack.add(instance.source)
-        else:
-            stack = None
+        stack.add(instance.source)
     return instances, stack
 
 
@@ -395,13 +393,12 @@ def _failure(err: Exception) -> str:
 
 
 def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
-               stack: Optional[problems.Stack]) -> list:
-    """Run the cells of one block and prune their final iterates through
-    one oracle, the ``stack``'s (the cells must be seed-major) or each
-    row's own problem; one ``(cell, record, prune rows, failure)`` per
-    cell, whose failure is None or ``"<ExceptionClass>: <message>"``."""
-    oracle = (optimizer.row_oracle([instances[i].problem for _, i in cells])
-              if stack is None else stack.oracle([i for _, i in cells]))
+               stack: problems.Stack) -> list:
+    """Run the seed-major cells of one block and prune their final
+    iterates through the ``stack``'s one block oracle; one ``(cell,
+    record, prune rows, failure)`` per cell, whose failure is None or
+    ``"<ExceptionClass>: <message>"``."""
+    oracle = stack.oracle([i for _, i in cells])
     try:
         outcomes = _run_block(cfg, cells, instances, oracle)
     except Exception as err:  # bad parameters fail every cell
@@ -452,7 +449,7 @@ def _run_shard(k: int) -> list:
 
 
 def _run_pool(cfg: ExperimentConfig, shards: list, instances: dict,
-              stack: Optional[problems.Stack]) -> list:
+              stack: problems.Stack) -> list:
     """Run the shards in ``min(cfg.jobs, shards)`` forked processes,
     largest first; the results come back in shard order. The cells of a
     shard whose worker died or whose result could not be sent back fail
@@ -490,11 +487,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     seeds' instances (:func:`build_problems`), which share one n. Each
     block is cut into ``min(jobs, seeds)`` shards of whole instances,
     which run in this process at ``jobs`` 1 and else in up to ``jobs``
-    forked processes; a user oracle's side effects stay in the worker
-    that ran it. Each cell's run is bitwise what it would be alone. A
-    cell whose run or pruning sweep raises, or whose worker is lost,
+    forked processes. Each cell's run is bitwise what it would be alone.
+    A cell whose run or pruning sweep fails, or whose worker is lost,
     records the failure as ``"<ExceptionClass>: <message>"``, keeps
-    whatever run record exists, and does not stop the other cells.
+    whatever run record exists, and does not stop the grid.
     """
     result = ExperimentResult(cfg=cfg)
     result.instances, stack = build_problems(cfg)

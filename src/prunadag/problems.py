@@ -85,7 +85,9 @@ def spectral_norm_sq(M: np.ndarray) -> float:
 
 class _Family:
     """A built-in family's ``gradient`` and ``value``: one-row calls of
-    ``block_oracle``, the one statement of its math."""
+    ``block_oracle``, the one statement of its math; and its
+    :class:`Problem`, whose dimension is the last axis of the first
+    ``STACKED`` array."""
 
     def _row(self, x: np.ndarray):
         arrays = {name: getattr(self, name)[None, None]
@@ -98,6 +100,11 @@ class _Family:
 
     def value(self, x: np.ndarray) -> float:
         return float(self._row(x)[1][0, 0])
+
+    def problem(self) -> Problem:
+        return Problem(dim=getattr(self, self.STACKED[0]).shape[-1],
+                       grad=self.gradient, objective=self.value,
+                       lipschitz=self.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +137,6 @@ class LeastSquaresProblem(_Family):
         R = _matvec(A, X) - b
         G = _matvec(A.swapaxes(-1, -2), R)
         return G, 0.5 * np.sum(R ** 2, axis=-1)
-
-    def problem(self) -> Problem:
-        return Problem(dim=self.A.shape[1], grad=self.gradient,
-                       objective=self.value, lipschitz=self.lipschitz)
 
 
 def gen_least_squares(kind: str, m: int, n: int, seed: int) -> LeastSquaresProblem:
@@ -220,10 +223,6 @@ class SparseCodingProblem(_Family):
         G = 2.0 * _matvec(D.swapaxes(-1, -2), R)
         return G, np.sum(R ** 2, axis=-1)
 
-    def problem(self) -> Problem:
-        return Problem(dim=self.D.shape[1], grad=self.gradient,
-                       objective=self.value, lipschitz=self.lipschitz)
-
 
 # ---------------------------------------------------------------------------
 # Logistic binary classification
@@ -248,6 +247,11 @@ class LogisticProblem(_Family):
     def N(self) -> int:
         return int(self.samples.shape[0])
 
+    @property
+    def lipschitz(self) -> float:
+        # Hessian is bounded by (1/4N) A^T A, a valid if loose constant.
+        return spectral_norm_sq(self.samples) / (4.0 * self.N)
+
     STACKED = ("samples", "labels")
 
     @staticmethod
@@ -263,12 +267,6 @@ class LogisticProblem(_Family):
         # log(1 + exp(-t)) without overflow for any |t|
         loss = np.log1p(e)
         return G, np.mean(np.where(t >= 0, loss, -t + loss), axis=-1)
-
-    def problem(self) -> Problem:
-        # Hessian is bounded by (1/4N) A^T A, a valid if loose constant.
-        L = spectral_norm_sq(self.samples) / (4.0 * self.N)
-        return Problem(dim=self.samples.shape[1], grad=self.gradient,
-                       objective=self.value, lipschitz=L)
 
 
 def classify_accuracy(x: np.ndarray, problem: LogisticProblem) -> float:

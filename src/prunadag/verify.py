@@ -66,10 +66,10 @@ def load_bundle(trace_dir):
     as its ``trace``, and ``x_final`` reads as zeros (one shared
     read-only array). Raises InputFileError, naming the file, when a
     file is missing or unparsable, when meta.json or runs.json does not
-    meet its :data:`SCHEMA`, when trace.npy's dtype or row count does
-    not match, when a run lists as ``untraced`` a field outside the
-    theory group, or when meta.json's n is not every row's card_R +
-    card_A + card_D or its T exceeds n.
+    meet its :data:`SCHEMA`, when runs.json lists a run twice, when
+    trace.npy's dtype or row count does not match, when a run lists as
+    ``untraced`` a field outside the theory group, or when meta.json's n
+    is not every row's card_R + card_A + card_D or its T exceeds n.
     """
     meta_path = path = os.path.join(trace_dir, "meta.json")
     meta = _checked(path, read_input(path, json.load), SCHEMA["meta.json"])
@@ -77,9 +77,12 @@ def load_bundle(trace_dir):
     entries = read_input(path, json.load)
     if type(entries) is not list:
         raise InputFileError(f"{path}: not a list of runs")
-    runs = {(r["optimizer"], r["seed"]): r for r in (
-        _checked(f"{path}: run {i}", r, SCHEMA["runs.json"])
-        for i, r in enumerate(entries))}
+    runs = {}
+    for i, r in enumerate(entries):
+        r = _checked(f"{path}: run {i}", r, SCHEMA["runs.json"])
+        if runs.setdefault((r["optimizer"], r["seed"]), r) is not r:
+            raise InputFileError(f"{path}: run {r['optimizer']} seed "
+                                 f"{r['seed']} is listed twice")
     unknown = {str(name) for run in runs.values()
                for name in run["untraced"]}.difference(THEORY_GROUP)
     if unknown:

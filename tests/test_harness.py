@@ -112,7 +112,9 @@ BAD_VALUES = [
     ("seeds = 2", f"seeds = {10 ** 18}", "bytes of memory"),
     ("n = 30", f"n = {10 ** 18}", "bytes of memory"),
     (LS_MN, LOGISTIC.format(n=30, informative=3, samples=10 ** 18),
-     "bytes of memory")]
+     "bytes of memory"),
+    ("[stop]", "[zeta]\n[alpha]\nx = 1\n[mid]\n[stop]",
+     re.escape("unknown section [zeta], [alpha], [mid]"))]
 BAD_VALUE_IDS = [
     "m == n", "m > n", "dct m == n", "negative delta", "inf delta",
     "no iterations", "zero grad_tol", "negative grad_tol", "inf grad_tol",
@@ -125,7 +127,7 @@ BAD_VALUE_IDS = [
     "delta_trace 1e-3", "record_objective true", "record_objective off",
     "record_objective ture", "record_objective 2", "record_objective enabled",
     "empty dir",
-    "huge seeds", "huge n", "huge samples"]
+    "huge seeds", "huge n", "huge samples", "unknown sections"]
 
 DUPLICATES = [
     ("v3, adagrad", "v3, V3", "optimizers.methods"),
@@ -593,23 +595,51 @@ jobs = {jobs}
         assert len(calls) == 1 + cfg.seeds
 
 
-def _raise_when_large(cfg, i, data=None):
-    """build_problem whose gradient oracle for seed 2 raises once an
-    iterate leaves the box |x_j| <= 10. The fault depends on the iterate
-    alone, so a row meets it in any process: on the stopping grid only
-    fw1 on seed 2 does, at iteration 1."""
-    instance = build_problem(cfg, i, data)
-    if i != 2:
-        return instance
-    grad = instance.problem.grad
+def _fault_at(patch, cfg, cell, t, fault):
+    """Make ``fault`` happen at the (t + 1)-th block oracle call of the
+    block that runs ``cell`` (at jobs > 1 its shard), counted in the
+    process that runs it. While every row of the block runs, that is the
+    call of x_t, x_final included; after x_final at max_iters it is the
+    pruning sweep's call, where the fault hits the cell's unpruned x.
+    ``fault`` is "nan" for the cell's gradient, "inf" for its objective,
+    or an exception that the whole call raises."""
+    method, seed = cell
+    family = [m for m in cfg.methods
+              if harness.METHODS[m][0] == harness.METHODS[method][0]]
+    block = {}
+    run_cells = harness._run_cells
+    real = problems.LeastSquaresProblem.block_oracle
 
-    def boxed(x):
-        if np.abs(x).max() > 10.0:
-            raise ValueError("iterate left the box")
-        return grad(x)
+    def tracked(cfg, cells, instances, stack):
+        if cell in cells:
+            block.update(calls=0, slots=len(cells) // len(family),
+                         slot=seed - cells[0][1])
+        try:
+            return run_cells(cfg, cells, instances, stack)
+        finally:
+            block.clear()
 
-    problem = dataclasses.replace(instance.problem, grad=boxed)
-    return harness.ProblemInstance(problem, instance.test)
+    def block_oracle(X, **arrays):
+        G, F = real(X, **arrays)
+        if not block or X.shape[0] != block["slots"]:
+            return G, F
+        block["calls"] += 1
+        if block["calls"] != t + 1:
+            return G, F
+        if isinstance(fault, BaseException):
+            raise fault
+        # a slot holds its rows' vectors in order, as many per row
+        row = (block["slot"],
+               family.index(method) * (X.shape[1] // len(family)))
+        if fault == "nan":
+            G[row] = np.nan
+        else:
+            F[row] = np.inf
+        return G, F
+
+    patch.setattr(harness, "_run_cells", tracked)
+    patch.setattr(problems.LeastSquaresProblem, "block_oracle",
+                  staticmethod(block_oracle))
 
 
 class Unsendable:
@@ -629,14 +659,15 @@ class TestProcessPool:
         assert harness._shards([cells, cells[:2]], 4) == [
             cells[:2], cells[2:4], cells[4:], cells[:2]]
 
-    @pytest.mark.parametrize("raising_row", [False, True])
+    @pytest.mark.parametrize("faulty_row", [False, True])
     def test_parallel_matches_serial(self, tmp_path, monkeypatch,
-                                     raising_row):
+                                     faulty_row):
         # 3 seeds make uneven shards at jobs = 2; rows stop at different
-        # iterations, and with raising_row fw1 on seed 2 fails
-        if raising_row:
-            monkeypatch.setattr(harness, "build_problem", _raise_when_large)
+        # iterations, and with faulty_row fw1 on seed 2 meets a NaN
+        # gradient at x_1, in whichever shard runs it
         cfg = load_config(write_config(tmp_path, STOPPING_CONFIG))
+        if faulty_row:
+            _fault_at(monkeypatch, cfg, ("fw1", 2), 1, "nan")
         runs = []
         for jobs in (1, 2, 4):
             cfg.jobs = jobs
@@ -644,9 +675,10 @@ class TestProcessPool:
             runs.append((result, _read_bundle(cfg.out_dir)))
         serial, bundle = runs[0]
         assert len(serial.records) == 21 and len(bundle) == 8
-        assert serial.failures == ({("fw1", 2): "ValueError: iterate left "
-                                    "the box"} if raising_row else {})
-        if raising_row:
+        assert serial.failures == ({("fw1", 2): "DivergedError: non-finite "
+                                    "gradient at iteration 1"}
+                                   if faulty_row else {})
+        if faulty_row:
             assert serial.records[("fw1", 2)].iterations == 1
         for result, files in runs[1:]:
             assert result.records.keys() == serial.records.keys()
@@ -887,62 +919,33 @@ class TestBundleFormat:
         assert _read_bundle(cfg.out_dir) == {"notes.txt": b"mine\n"}
 
 
-def _fault_at(call, fault, seed_index):
-    """build_problem whose gradient oracle for one seed answers its
-    ``call``-th call (counted from 1) with ``fault(x)``."""
-    real = harness.build_problem
-
-    def build(cfg, i, data=None):
-        instance = real(cfg, i, data)
-        if i != seed_index:
-            return instance
-        calls = itertools.count(1)
-        grad = instance.problem.grad
-
-        def faulty(x):
-            return fault(x) if next(calls) == call else grad(x)
-
-        problem = dataclasses.replace(instance.problem, grad=faulty)
-        return harness.ProblemInstance(problem, instance.test)
-
-    return build
-
-
-def _raise(exc):
-    def fault(x):
-        raise exc
-    return fault
-
-
-def _nan(x):
-    return np.full_like(x, np.nan)
-
-
 class TestFailures:
     """Every failing grid cell leaves an attributed outcome; the rest of
     the grid still runs and the bundle is written."""
 
     def test_non_diverged_oracle_exception_is_recorded(self, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setattr(harness, "build_problem",
-                            _fault_at(10, _raise(ZeroDivisionError("boom")), 1))
+        # the v3 block's call of x_9 raises, so both of its cells fail
         cfg = load_config(write_config(tmp_path))
+        _fault_at(monkeypatch, cfg, ("v3", 1), 9, ZeroDivisionError("boom"))
         result = run_experiment(cfg)
-        assert result.failures == {("v3", 1): "ZeroDivisionError: boom"}
+        failed = {("v3", i): "ZeroDivisionError: boom" for i in range(2)}
+        assert result.failures == failed
         # the exception carries the 9 rows recorded before call 10
-        rec = result.records[("v3", 1)]
-        rec.validate()
-        assert rec.iterations == 9 and rec.reason == "failed"
-        assert set(result.prune_rows) == {("v3", 0), ("adagrad", 0),
-                                          ("adagrad", 1)}
+        for key in failed:
+            rec = result.records[key]
+            rec.validate()
+            assert rec.iterations == 9 and rec.reason == "failed"
+        assert set(result.prune_rows) == {("adagrad", 0), ("adagrad", 1)}
         _, runs, records = load_bundle(cfg.out_dir)
         assert records[("v3", 1)].iterations == 9
         assert runs[("v3", 1)]["reason"] == "failed"
         with open(os.path.join(cfg.out_dir, "meta.json")) as fh:
             meta = json.load(fh)
-        assert meta["diverged_count"] == 1
-        assert meta["diverged"] == [{"optimizer": "v3", "seed": 1,
-                                     "reason": "ZeroDivisionError: boom"}]
+        assert meta["diverged_count"] == 2
+        assert meta["diverged"] == [{"optimizer": "v3", "seed": i,
+                                     "reason": "ZeroDivisionError: boom"}
+                                    for i in range(2)]
         outcomes = verify_bundle(cfg.out_dir)
         assert [(o.optimizer, o.seed, o.ok) for o in outcomes] == [
             ("v3", 0, True), ("v3", 1, True)]
@@ -950,8 +953,8 @@ class TestFailures:
     def test_run_failed_at_first_call_is_loaded(self, tmp_path, monkeypatch):
         # v3 on seed 1 meets a NaN at its first gradient call, so its
         # run has no rows; the bundle still gives it back
-        monkeypatch.setattr(harness, "build_problem", _fault_at(1, _nan, 1))
         cfg = load_config(write_config(tmp_path))
+        _fault_at(monkeypatch, cfg, ("v3", 1), 0, "nan")
         result = run_experiment(cfg)
         rec = result.records[("v3", 1)]
         assert rec.iterations == 0 and rec.reason == "diverged"
@@ -966,11 +969,11 @@ class TestFailures:
 
     def test_pruning_time_divergence_is_recorded(self, tmp_path,
                                                  monkeypatch):
-        # v3 on seed 1 runs its 40 iterations (40 gradient calls) and
-        # evaluates x_final (call 41); the first gradient call of its
-        # pruning sweep, call 42, returns NaN
-        monkeypatch.setattr(harness, "build_problem", _fault_at(42, _nan, 1))
+        # v3 on seed 1 runs its 40 iterations (40 oracle calls) and
+        # evaluates x_final (call 41); its pruning sweep, call 42, gives
+        # a NaN gradient at its x
         cfg = load_config(write_config(tmp_path))
+        _fault_at(monkeypatch, cfg, ("v3", 1), 41, "nan")
         result = run_experiment(cfg)
         assert result.failures == {
             ("v3", 1): "DivergedError: non-finite oracle output in "
@@ -987,8 +990,8 @@ class TestFailures:
                                                      monkeypatch):
         # x_final of v3 on seed 1 is evaluated like every other iterate:
         # a NaN gradient there ends the run, not its pruning sweep
-        monkeypatch.setattr(harness, "build_problem", _fault_at(41, _nan, 1))
         cfg = load_config(write_config(tmp_path))
+        _fault_at(monkeypatch, cfg, ("v3", 1), 40, "nan")
         result = run_experiment(cfg)
         assert result.failures == {
             ("v3", 1): "DivergedError: non-finite gradient at iteration 40"}
@@ -1000,19 +1003,19 @@ class TestFailures:
                                           ("adagrad", 1)}
 
     def test_keyboard_interrupt_aborts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "build_problem",
-                            _fault_at(10, _raise(KeyboardInterrupt()), 0))
         cfg = load_config(write_config(tmp_path))
+        _fault_at(monkeypatch, cfg, ("v3", 0), 9, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             run_experiment(cfg)
 
     def _diverged_bundle(self, tmp_path, monkeypatch):
         """A 1-seed v3/adagrad grid whose v3 run meets a NaN gradient at
         call 10, i.e. at iteration 9."""
-        monkeypatch.setattr(harness, "build_problem", _fault_at(10, _nan, 0))
         path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 2",
                                                           "seeds = 1"))
-        return path, load_config(path)
+        cfg = load_config(path)
+        _fault_at(monkeypatch, cfg, ("v3", 0), 9, "nan")
+        return path, cfg
 
     def test_block_that_raises_fails_each_of_its_cells(self, tmp_path,
                                                       monkeypatch):
@@ -1110,112 +1113,33 @@ def solo_runs(tmp_path_factory):
             for m, i in FAULT_CELLS}
 
 
-def _inject(patch, cfg, cell, t, fault, stacked):
-    """Make ``fault`` happen at the evaluation of x_t of ``cell``: in its
-    row of the stack's block oracle, or in its seed's problem, which
-    leaves the grid unstacked. Only the evaluations that the cell's
-    block makes are counted, in the process that runs it."""
-    method, seed = cell
-    family = [m for m in cfg.methods
-              if harness.METHODS[m][0] == harness.METHODS[method][0]]
-    # every row runs until the fault: the stacked block evaluates its
-    # full (seeds, methods) layout once per iterate, a plain one calls
-    # each row's problem in block order
-    target = (t + 1 if stacked
-              else t * len(family) + family.index(method) + 1)
-    count = {"calls": None}
-    run_cells, prune_report = harness._run_cells, pruning.prune_report
-
-    def tracked(cfg, cells, instances, stack):
-        count["calls"] = 0 if cell in cells else None
-        count["layout"] = (len(cells) // len(family), len(family))
-        count["row"] = (seed - cells[0][1], family.index(method))
-        try:
-            return run_cells(cfg, cells, instances, stack)
-        finally:
-            count["calls"] = None
-
-    def sweep(*args, **kwargs):
-        count["calls"] = None    # drive's evaluations are over
-        return prune_report(*args, **kwargs)
-
-    def fires() -> bool:
-        if count["calls"] is None:
-            return False
-        count["calls"] += 1
-        return count["calls"] == target
-
-    patch.setattr(harness, "_run_cells", tracked)
-    patch.setattr(pruning, "prune_report", sweep)
-    if stacked:
-        real = problems.LeastSquaresProblem.block_oracle
-
-        def block_oracle(X, **arrays):
-            G, F = real(X, **arrays)
-            if X.shape[:2] == count.get("layout") and fires():
-                if fault == "raise":
-                    raise ZeroDivisionError("boom")
-                if fault == "nan":
-                    G[count["row"]] = np.nan
-                else:
-                    F[count["row"]] = np.inf
-            return G, F
-        patch.setattr(problems.LeastSquaresProblem, "block_oracle",
-                      staticmethod(block_oracle))
-        return
-    real_build = harness.build_problem
-
-    def build(cfg, i, data=None):
-        problem = real_build(cfg, i, data).problem
-        if i != seed:
-            return harness.ProblemInstance(problem)
-        hit = [False]    # whether the last gradient call was the fault
-
-        def grad(x):
-            hit[0] = fires()
-            if hit[0] and fault == "raise":
-                raise ZeroDivisionError("boom")
-            g = problem.grad(x)
-            return np.full_like(g, np.nan) if hit[0] and fault == "nan" else g
-
-        def objective(x):
-            # asked right after the gradient at the same vector
-            return (math.inf if hit[0] and fault == "inf"
-                    else problem.objective(x))
-        return harness.ProblemInstance(dataclasses.replace(
-            problem, grad=grad, objective=objective))
-    patch.setattr(harness, "build_problem", build)
-
-
 class TestFaultInjection:
-    """A raising oracle, a NaN gradient or an infinite objective at any
-    evaluation of one cell, its x_final included, on a stacked or a
-    plain grid at jobs 1 and 2: the cells the fault reaches keep the
-    rows before the faulting iterate and an attributed failure, and
-    every other cell is bitwise its run alone."""
+    """A raising block oracle call, a NaN gradient or an infinite
+    objective at any evaluation of one cell, its x_final included, at
+    jobs 1 and 2: the cells the fault reaches keep the rows before the
+    faulting iterate and an attributed failure, and every other cell is
+    bitwise its run alone."""
 
     @settings(max_examples=60, deadline=None)
-    @given(stacked=st.booleans(), jobs=st.sampled_from([1, 2]),
-           cell=st.sampled_from(FAULT_CELLS), t=st.integers(0, FAULT_ITERS),
+    @given(jobs=st.sampled_from([1, 2]), cell=st.sampled_from(FAULT_CELLS),
+           t=st.integers(0, FAULT_ITERS),
            fault=st.sampled_from(sorted(FAULT_MESSAGES)))
-    @example(stacked=True, jobs=1, cell=("v3", 1), t=FAULT_ITERS,
-             fault="nan")
-    @example(stacked=False, jobs=2, cell=("adagrad", 2), t=FAULT_ITERS,
-             fault="raise")
-    @example(stacked=True, jobs=2, cell=("v1", 0), t=0, fault="inf")
-    @example(stacked=False, jobs=1, cell=("v1", 0), t=FAULT_ITERS,
-             fault="inf")
+    @example(jobs=1, cell=("v3", 1), t=FAULT_ITERS, fault="nan")
+    @example(jobs=2, cell=("adagrad", 2), t=FAULT_ITERS, fault="raise")
+    @example(jobs=2, cell=("v1", 0), t=0, fault="inf")
+    @example(jobs=1, cell=("v1", 0), t=FAULT_ITERS, fault="inf")
     def test_fault_ends_only_the_cells_it_reaches(
-            self, solo_runs, stacked, jobs, cell, t, fault):
+            self, solo_runs, jobs, cell, t, fault):
         with tempfile.TemporaryDirectory() as tmp, \
                 pytest.MonkeyPatch.context() as patch:
             cfg = load_config(write_config(pathlib.Path(tmp), FAULT_CONFIG,
                                            jobs=jobs))
-            _inject(patch, cfg, cell, t, fault, stacked)
+            _fault_at(patch, cfg, cell, t, ZeroDivisionError("boom")
+                      if fault == "raise" else fault)
             result = run_experiment(cfg)
         reached = {cell}
-        if stacked and fault == "raise":
-            # a stacked call that raises fails every row it evaluates:
+        if fault == "raise":
+            # a block oracle call that raises fails every row it evaluates:
             # the cell's block, or at jobs 2 its shard
             blocks = {}
             for i, m in itertools.product(range(3), cfg.methods):
@@ -1525,10 +1449,12 @@ dir = {{out}}
         ("runs.json", "lipschitz", 1e308, "runs.json: run v3 seed 0"),
         ("trace.npy", "f", 1e308, "runs.json: run v3 seed 0"),
         ("trace.npy", "f", np.inf, "runs.json: run v3 seed 0"),
-        ("trace.npy", "f", np.nan, "runs.json: run v3 seed 0")],
+        ("trace.npy", "f", np.nan, "runs.json: run v3 seed 0"),
+        ("runs.json", "seed", 1, "runs.json: run v3 seed 1 is listed twice")],
         ids=["missing seed", "iterations not an int", "negative n", "huge n",
              "n below the trace", "T above n", "zero varsigma",
-             "huge lipschitz", "huge f0", "infinite f0", "NaN f0"])
+             "huge lipschitz", "huge f0", "infinite f0", "NaN f0",
+             "repeated run"])
     def test_verify_on_a_malformed_bundle_exits_2(self, tmp_path, capsys,
                                                   name, key, value, named):
         cfg = load_config(write_config(tmp_path))

@@ -119,6 +119,22 @@ def test_every_problem_kind_has_one_builder_shape():
                            for node in ast.walk(tree)}
 
 
+def test_every_grid_block_evaluates_through_its_stack():
+    """Every problem kind builds a family instance, so the harness has
+    one grid oracle path, the stack's block oracle: it names no
+    ``row_oracle``, and a ProblemInstance always has its ``source``."""
+    from prunadag import harness
+
+    tree = ast.parse((SRC / "harness.py").read_text())
+    assert "row_oracle" not in {getattr(node, "attr", getattr(node, "id",
+                                                              None))
+                                for node in ast.walk(tree)}
+    source, = [f for f in dataclasses.fields(harness.ProblemInstance)
+               if f.name == "source"]
+    assert source.default is dataclasses.MISSING
+    assert source.default_factory is dataclasses.MISSING
+
+
 def test_each_family_states_its_math_once():
     """A class of problems.py that defines ``block_oracle`` takes its
     one-vector ``gradient`` and ``value`` from the shared one-row
