@@ -79,7 +79,8 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             outcomes = verify.verify_bundle(args.trace_dir)
         else:
-            instance = None if cfg is None else harness.build_problem(cfg, 0)
+            instance = (None if cfg is None
+                        else harness.build_problem(cfg, 0)[0])
             x = problems.load_solution(args.solution)
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -109,12 +110,12 @@ def main(argv=None) -> int:
     values = getattr(args, kind)
     header = "target_kind,target_value,achieved_sparsity,nonzeros"
     if instance is not None:
-        if x.shape[0] != instance.problem.dim:
+        if x.shape[0] != instance.dim:
             print(f"solution error: {args.solution} has {x.shape[0]} entries,"
-                  f" but problem n = {instance.problem.dim}", file=sys.stderr)
+                  f" but problem n = {instance.dim}", file=sys.stderr)
             return 2
         stack = problems.Stack(1)   # the grid's sweep, on one instance
-        stack.add(instance.source)
+        stack.add(instance)
         (rows,) = pruning.prune_report(x[None], stack.oracle([0]), [0],
                                        **{f"{kind}s": values})
         if isinstance(rows, Exception):

@@ -189,16 +189,15 @@ for _attr, _col, _ in TRACE_FIELDS:
         doc=f"The {_col!r} column of ``trace``, or None when untraced."))
 
 
-def finite_difference_gradient(problem: Problem, x: np.ndarray,
-                               rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-component step h = rel_step*(1+|x_i|).
+def finite_difference_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with per-component step h = 1e-6 (1 + |x_i|).
 
     Independent oracle used to validate analytic gradients.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.empty_like(x)
     for i in range(x.shape[0]):
-        h = rel_step * (1.0 + abs(x[i]))
+        h = 1e-6 * (1.0 + abs(x[i]))
         e = np.zeros_like(x)
         e[i] = h
         g[i] = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)

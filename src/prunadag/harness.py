@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import baselines, optimizer, problems, pruning
-from .core import TRACE_DTYPE, Problem, RunRecord, check_trace
+from .core import TRACE_DTYPE, RunRecord, check_trace
 from .steps import Variant
 
 
@@ -297,30 +297,17 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-@dataclass
-class ProblemInstance:
-    """A seed's problem; ``source`` is the family instance whose data and
-    oracles ``problem`` uses."""
-
-    problem: Problem
-    source: object
-    test: Optional[problems.LogisticProblem] = None
-
-
-def build_problem(cfg: ExperimentConfig, seed_index: int,
-                  data=None) -> ProblemInstance:
-    """Materialize the seed-indexed problem instance by its kind's
-    ``make`` in :data:`PROBLEMS`, from ``data``, the kind's ``load`` of
-    the config, which is loaded here when None.
+def build_problem(cfg: ExperimentConfig, seed_index: int, data=None):
+    """The seed-indexed ``(instance, test split or None)`` pair of the
+    kind's ``make`` in :data:`PROBLEMS`, from ``data``, the kind's
+    ``load`` of the config, which is loaded here when None.
 
     The instance depends only on (config, seed index), so every
     optimizer on a given seed solves the same problem.
     """
     _, load, make = PROBLEMS[cfg.problem_kind]
     data = load(cfg.problem_params) if data is None else data
-    source, test = make(data, derive_seed(cfg.master_seed, "problem",
-                                          seed_index))
-    return ProblemInstance(source.problem(), source, test)
+    return make(data, derive_seed(cfg.master_seed, "problem", seed_index))
 
 
 def starting_point(n: int, T: int, seed: int) -> np.ndarray:
@@ -334,32 +321,32 @@ def starting_point(n: int, T: int, seed: int) -> np.ndarray:
 
 
 def build_problems(cfg: ExperimentConfig) -> tuple[dict, problems.Stack]:
-    """Every seed's instance, by :func:`build_problem` on the kind's
-    data loaded once, and the :class:`prunadag.problems.Stack` that
-    holds their data, one slot per seed. Each instance moves into the
-    stack as soon as it is built, so the grid keeps one copy of each
-    seed's data."""
+    """Every seed's ``(instance, test)`` pair, by :func:`build_problem`
+    on the kind's data loaded once, and the
+    :class:`prunadag.problems.Stack` that holds their data, one slot per
+    seed. Each instance moves into the stack as soon as it is built, so
+    the grid keeps one copy of each seed's data."""
     data = PROBLEMS[cfg.problem_kind][1](cfg.problem_params)
     instances, stack = {}, problems.Stack(cfg.seeds)
     for i in range(cfg.seeds):
-        instance = instances[i] = build_problem(cfg, i, data)
+        instance, _ = instances[i] = build_problem(cfg, i, data)
         if i == 0:   # once a data file gives the grid's one n
-            n, T = instance.problem.dim, cfg.resolved_T(instance.problem.dim)
+            n, T = instance.dim, cfg.resolved_T(instance.dim)
             if T > n:
                 raise ConfigError(
                     f"optimizers.t must be at most n = {n}, got {T}"
                     + (" by default" if cfg.T is None else ""))
             _fits(cfg.seeds * len(cfg.methods) * n)   # every run's start
-        stack.add(instance.source)
+        stack.add(instance)
     return instances, stack
 
 
 def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
                oracle: Optional[optimizer.Oracle] = None) -> list:
     """Run the (method, seed) cells of one family as one (B, n) block
-    whose rows call ``oracle``, by default each its own problem; returns
+    whose rows call ``oracle``, by default each its own instance; returns
     one :data:`prunadag.optimizer.Outcome` per cell."""
-    probs = [instances[i].problem for _, i in cells]
+    probs = [instances[i][0] for _, i in cells]
     n = probs[0].dim
     T = cfg.resolved_T(n)
     X0 = [starting_point(n, T, derive_seed(cfg.master_seed, "x0", i))
@@ -372,11 +359,11 @@ def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
 
 
 def _run_one(cfg: ExperimentConfig, method: str, seed_index: int,
-             instance: ProblemInstance) -> RunRecord:
-    """Run one (method, seed) cell alone, as a block of one row; raises
-    the exception that ends the run."""
+             pair: tuple) -> RunRecord:
+    """Run one (method, seed) cell alone on the seed's ``(instance,
+    test)`` pair, as a block of one row; raises what ends the run."""
     return optimizer.unwrap(_run_block(cfg, [(method, seed_index)],
-                                       {seed_index: instance}))
+                                       {seed_index: pair}))
 
 
 @dataclass
@@ -385,7 +372,7 @@ class ExperimentResult:
     records: dict = field(default_factory=dict)    # (method, seed) -> RunRecord
     failures: dict = field(default_factory=dict)   # (method, seed) -> reason
     prune_rows: dict = field(default_factory=dict)  # (method, seed) -> list
-    instances: dict = field(default_factory=dict)  # seed -> ProblemInstance
+    instances: dict = field(default_factory=dict)  # seed -> (instance, test)
 
 
 def _failure(err: Exception) -> str:
@@ -408,7 +395,7 @@ def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
         reports = pruning.prune_report(
             [outcomes[c].x_final for c in ran], oracle, ran,
             sigmas=cfg.sigmas, deltas=cfg.deltas,
-            tests=[instances[cells[c][1]].test for c in ran])
+            tests=[instances[cells[c][1]][1] for c in ran])
     except Exception as err:
         reports = [err] * len(ran)
     reports = dict(zip(ran, reports))
@@ -625,18 +612,17 @@ def _write_files(result: ExperimentResult, out_dir: str) -> None:
     runs_info = []
     for method, i in keys:
         rec = result.records[(method, i)]
-        prob = result.instances[i].problem
         runs_info.append({
             "optimizer": method, "seed": i,
             "iterations": rec.iterations, "reason": rec.reason,
             "final_grad_norm": (float(rec.grad_norm[-1])
                                 if rec.iterations else None),
             "f_final": rec.objective_final,
-            "lipschitz": prob.lipschitz,
+            "lipschitz": result.instances[i][0].lipschitz,
             "f0": rec.objective_initial,
             "untraced": list(rec.untraced),
         })
-    n = next(iter(result.instances.values())).problem.dim
+    n = next(iter(result.instances.values()))[0].dim
     meta = {
         "problem_kind": cfg.problem_kind,
         "n": n,

@@ -315,13 +315,12 @@ CODE_ACCEPTABLE = 1
 CODE_DECREASABLE = 2
 
 
-def prunadag_iterate(state: PrunAdagState, problem: Problem,
-                     keep_history: bool = False) -> dict:
+def prunadag_iterate(state: PrunAdagState, problem: Problem) -> dict:
     """Advance ``state`` by one full iteration, as a block of one row,
-    and return its record: ``grad_norm`` and the fields of
-    :data:`STEP_FIELDS`, plus with ``keep_history`` the gradient ``g``,
-    the membership ``codes`` and the ``step``. Fails by :func:`drive`'s
-    rule on a non-finite gradient or objective at ``state.x``."""
+    and return its record: ``grad_norm``, the fields of
+    :data:`STEP_FIELDS`, the gradient ``g``, the membership ``codes``
+    and the ``step``. Fails by :func:`drive`'s rule on a non-finite
+    gradient or objective at ``state.x``."""
     G, norm, _, failed = checked_oracles(
         row_oracle([problem]), state.x[None], [0],
         lambda what: f"non-finite {what} at iteration {state.k}")
@@ -335,13 +334,10 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem,
     state.x = state.x + S[0]
     state.w_opt, state.w_dec = block["w_opt"][0], block["w_dec"][0]
     state.k += 1
-    rec = {"grad_norm": grad_norm,
-           **{name: col[0] for name, col in zip(STEP_FIELDS, stats)}}
-    if keep_history:
-        # 2 - [i in O] - [i in R]
-        codes = CODE_DECREASABLE - o[0].view(np.int8) - r[0].view(np.int8)
-        rec.update(g=g, codes=codes, step=S[0])
-    return rec
+    # 2 - [i in O] - [i in R]
+    codes = CODE_DECREASABLE - o[0].view(np.int8) - r[0].view(np.int8)
+    return {"grad_norm": grad_norm, "g": g, "codes": codes, "step": S[0],
+            **{name: col[0] for name, col in zip(STEP_FIELDS, stats)}}
 
 
 def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,

@@ -21,6 +21,7 @@ distribution level elsewhere.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -85,9 +86,8 @@ def spectral_norm_sq(M: np.ndarray) -> float:
 
 class _Family:
     """A built-in family's ``gradient`` and ``value``: one-row calls of
-    ``block_oracle``, the one statement of its math; and its
-    :class:`Problem`, whose dimension is the last axis of the first
-    ``STACKED`` array."""
+    ``block_oracle``, the one statement of its math; its ``dim``, the
+    last axis of the first ``STACKED`` array; and its :class:`Problem`."""
 
     def _row(self, x: np.ndarray):
         arrays = {name: getattr(self, name)[None, None]
@@ -101,9 +101,12 @@ class _Family:
     def value(self, x: np.ndarray) -> float:
         return float(self._row(x)[1][0, 0])
 
+    @property
+    def dim(self) -> int:
+        return getattr(self, self.STACKED[0]).shape[-1]
+
     def problem(self) -> Problem:
-        return Problem(dim=getattr(self, self.STACKED[0]).shape[-1],
-                       grad=self.gradient, objective=self.value,
+        return Problem(dim=self.dim, grad=self.gradient, objective=self.value,
                        lipschitz=self.lipschitz)
 
 
@@ -247,7 +250,7 @@ class LogisticProblem(_Family):
     def N(self) -> int:
         return int(self.samples.shape[0])
 
-    @property
+    @functools.cached_property
     def lipschitz(self) -> float:
         # Hessian is bounded by (1/4N) A^T A, a valid if loose constant.
         return spectral_norm_sq(self.samples) / (4.0 * self.N)

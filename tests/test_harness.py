@@ -316,15 +316,15 @@ class TestStartingPoint:
 class TestBuildProblem:
     def test_same_instance_across_calls(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        p1 = build_problem(cfg, 0).problem
-        p2 = build_problem(cfg, 0).problem
+        p1, _ = build_problem(cfg, 0)
+        p2, _ = build_problem(cfg, 0)
         x = np.random.default_rng(0).standard_normal(30)
         assert np.array_equal(p1.gradient(x), p2.gradient(x))
 
     def test_different_seed_indices_differ(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        p1 = build_problem(cfg, 0).problem
-        p2 = build_problem(cfg, 1).problem
+        p1, _ = build_problem(cfg, 0)
+        p2, _ = build_problem(cfg, 1)
         x = np.random.default_rng(0).standard_normal(30)
         assert not np.array_equal(p1.gradient(x), p2.gradient(x))
 
@@ -349,8 +349,8 @@ max_iters = 10
 dir = {{out}}
 """
         cfg = load_config(write_config(tmp_path, text))
-        inst = build_problem(cfg, 0)
-        assert inst.problem.dim == 20
+        inst, test = build_problem(cfg, 0)
+        assert inst.dim == 20 and test is None
 
 
 class TestRunExperiment:
@@ -511,12 +511,11 @@ class TestStackedGrid:
         cfg = load_config(write_config(tmp_path))
         instances, stack = harness.build_problems(cfg)
         assert stack.filled == cfg.seeds == 2
-        for i, instance in instances.items():
-            assert instance.source.A.base is stack.arrays["A"]
+        for i, (instance, _) in instances.items():
+            assert instance.A.base is stack.arrays["A"]
             x = np.arange(30.0)
-            alone = build_problem(cfg, i).problem
-            assert np.array_equal(instance.problem.gradient(x),
-                                  alone.gradient(x))
+            alone, _ = build_problem(cfg, i)
+            assert np.array_equal(instance.gradient(x), alone.gradient(x))
 
     SPARSE_CODING = """\
 [problem]
@@ -571,6 +570,24 @@ jobs = {jobs}
         assert reasons == {"gradient tolerance", "max iterations"}
         assert bundles[0] == bundles[1]
 
+    def test_logistic_grid_solves_for_lipschitz_once_per_seed(
+            self, tmp_path, monkeypatch):
+        # runs.json lists each run's Lipschitz constant; a seed's
+        # eigensolve runs once, however many of its runs read it
+        cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+            LS_MN, LOGISTIC.format(n=30, informative=4, samples=40)).replace(
+                "seeds = 2", "seeds = 3")))
+        calls = []
+        real = problems.spectral_norm_sq
+        monkeypatch.setattr(problems, "spectral_norm_sq", lambda M: (
+            calls.append(M.shape) or real(M)))
+        result = run_experiment(cfg)
+        assert len(result.records) == 6 and calls == [(28, 30)] * 3
+        with open(os.path.join(cfg.out_dir, "runs.json")) as fh:
+            runs = json.load(fh)
+        assert [run["lipschitz"] for run in runs] == [
+            result.instances[run["seed"]][0].lipschitz for run in runs]
+
     def test_libsvm_grid_parses_its_file_once(self, tmp_path, monkeypatch):
         # each seed splits the one parse, and its arrays are bitwise
         # those of its instance built alone
@@ -585,10 +602,8 @@ jobs = {jobs}
             calls.append(path) or parse(path)))
         instances, stack = harness.build_problems(cfg)
         assert len(calls) == 1 and stack.filled == cfg.seeds == 3
-        for i, instance in instances.items():
-            alone = build_problem(cfg, i)
-            for got, want in ((instance.source, alone.source),
-                              (instance.test, alone.test)):
+        for i, pair in instances.items():
+            for got, want in zip(pair, build_problem(cfg, i)):
                 for name in ("samples", "labels"):
                     assert getattr(got, name).tobytes() == \
                         getattr(want, name).tobytes()
@@ -1594,7 +1609,7 @@ dir = {{out}}
         save_matrix(sol, x.reshape(-1, 1))
         assert cli.main(["prune", str(sol), "--sigma", "0.3,0.5,1",
                          "--config", str(path)]) == 0
-        problem = build_problem(load_config(path), 0).problem
+        problem, _ = build_problem(load_config(path), 0)
         want = ["target_kind,target_value,achieved_sparsity,nonzeros,rho,"
                 "omega"]
         for sigma in (0.3, 0.5, 1.0):

@@ -574,7 +574,8 @@ class TestDriver:
         rec = run(problem, x0, T=4, variant=variant, max_iters=60)
         state = PrunAdagState(x=x0, T=4, variant=variant)
         recs = [prunadag_iterate(state, problem) for _ in range(60)]
-        assert set(recs[0]) == {"grad_norm", *STEP_FIELDS}
+        assert set(recs[0]) == {"grad_norm", "g", "codes", "step",
+                                *STEP_FIELDS}
         assert np.array_equal(rec.x_final, state.x)
         for name in ("grad_norm", "max_abs_x", "grad_norm_opt", "card_R",
                      "card_A", "card_D", "sum_gO2_over_wO",
@@ -900,7 +901,7 @@ class TestWeightClosedForms:
         sq_dec = np.zeros(40)
         for _ in range(60):
             x_before = state.x.copy()
-            rec = prunadag_iterate(state, problem, keep_history=True)
+            rec = prunadag_iterate(state, problem)
             d_mask = rec["codes"] == CODE_DECREASABLE
             sq_opt[~d_mask] += rec["g"][~d_mask] ** 2
             sq_dec[d_mask] += x_before[d_mask] ** 2
@@ -919,7 +920,7 @@ class TestSignPreservation:
         state = PrunAdagState(x=x0, T=4, variant=variant)
         for _ in range(100):
             x_before = state.x.copy()
-            rec = prunadag_iterate(state, problem, keep_history=True)
+            rec = prunadag_iterate(state, problem)
             acc = rec["codes"] == CODE_ACCEPTABLE
             prod = x_before[acc] * state.x[acc]
             assert np.all(prod >= 0.0)

@@ -122,17 +122,25 @@ def test_every_problem_kind_has_one_builder_shape():
 def test_every_grid_block_evaluates_through_its_stack():
     """Every problem kind builds a family instance, so the harness has
     one grid oracle path, the stack's block oracle: it names no
-    ``row_oracle``, and a ProblemInstance always has its ``source``."""
+    ``row_oracle``. A seed is its ``(instance, test)`` pair: the harness
+    has no ``ProblemInstance``, and neither it nor the CLI names
+    ``Problem`` or calls ``.problem()``."""
     from prunadag import harness
 
     tree = ast.parse((SRC / "harness.py").read_text())
     assert "row_oracle" not in {getattr(node, "attr", getattr(node, "id",
                                                               None))
                                 for node in ast.walk(tree)}
-    source, = [f for f in dataclasses.fields(harness.ProblemInstance)
-               if f.name == "source"]
-    assert source.default is dataclasses.MISSING
-    assert source.default_factory is dataclasses.MISSING
+    assert not hasattr(harness, "ProblemInstance")
+    for module in ("harness.py", "cli.py"):
+        nodes = list(ast.walk(ast.parse((SRC / module).read_text())))
+        names = {getattr(node, "attr", getattr(node, "id", None))
+                 for node in nodes} | {node.name for node in nodes
+                                       if isinstance(node, ast.alias)}
+        assert "Problem" not in names, module
+        assert not [node.lineno for node in nodes
+                    if isinstance(node, ast.Call)
+                    and _dotted(node.func).endswith(".problem")], module
 
 
 def test_each_family_states_its_math_once():
