@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .core import Problem, RunRecord
-from .optimizer import DEFAULT_VARSIGMA, Outcome, drive, unwrap
+from .optimizer import (DEFAULT_VARSIGMA, Outcome, check_varsigma, drive,
+                        unwrap)
 
 
 def adagrad_step(x: np.ndarray, g: np.ndarray, w_prev: np.ndarray
@@ -46,6 +47,7 @@ def adagrad_batch(problems: Sequence[Problem], X0: np.ndarray,
     """Standalone Adagrad on a (B, n) block through
     :func:`prunadag.optimizer.drive`; ``stop`` takes drive's keyword
     arguments."""
+    check_varsigma(varsigma)
     X0 = np.asarray(X0, dtype=np.float64)
     state = {"w": np.full(X0.shape, np.sqrt(varsigma))}
     return drive(problems, X0, _adagrad_step, state, **stop)
@@ -73,8 +75,9 @@ class FwConfig:
     beta: float = 0.001
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got "
+                             f"{self.tau}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.rate is FwRate.RESCALED and not 0.0 < self.beta < 1.0:

@@ -53,13 +53,14 @@ def read_input(path, load):
 class Problem:
     """A black-box optimization problem over a real n-vector.
 
-    The objective oracle exists for verification and pruning metrics
-    only; the optimizers themselves consume gradients exclusively.
+    ``problem(x)`` gives ``(g, f)``, as a built-in family does: the
+    gradient, then the objective only when every gradient entry is
+    finite, else 0.0; the optimizers trace every iterate's objective.
     ``lipschitz``, when provided, is a (possibly loose) upper bound on
     the gradient's Lipschitz constant. The built-in families compute it
-    from :func:`prunadag.problems.spectral_norm_sq`, the top eigenvalue
-    of the smaller Gram matrix: ||A||_2^2 for least squares, 2 ||D||_2^2
-    for sparse coding and ||samples||_2^2 / 4N for the logistic loss.
+    by :func:`prunadag.problems.spectral_norm_sq`: ||A||_2^2 for least
+    squares, 2 ||D||_2^2 for sparse coding and ||samples||_2^2 / 4N for
+    the logistic loss.
     """
 
     dim: int
@@ -83,6 +84,10 @@ class Problem:
 
     def value(self, x: np.ndarray) -> float:
         return float(self.objective(x))
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        g = self.gradient(x)
+        return g, self.value(x) if np.isfinite(g).all() else 0.0
 
 
 def index_set(indices, n: int) -> np.ndarray:

@@ -54,11 +54,16 @@ def default_target(n: int) -> int:
     return max(2, math.ceil(n / 10))
 
 
+def check_varsigma(varsigma: float) -> None:
+    """Raise ValueError unless the weight floor is in (0, 1); NaN is not."""
+    if not 0.0 < varsigma < 1.0:
+        raise ValueError(f"varsigma must be in (0, 1), got {varsigma}")
+
+
 def _check_params(n: int, T: int, varsigma: float) -> None:
     if not 2 <= T <= n:
         raise ValueError(f"T must be in [2, {n}], got {T}")
-    if not 0.0 < varsigma < 1.0:
-        raise ValueError(f"varsigma must be in (0, 1), got {varsigma}")
+    check_varsigma(varsigma)
 
 
 # oracle(X, runs) -> (G, F, failed): the gradients G and the objectives
@@ -70,16 +75,14 @@ Oracle = Callable[[np.ndarray, Sequence[int]],
 
 
 def row_oracle(problems: Sequence[Problem]) -> Oracle:
-    """The :data:`Oracle` of plain problems: for each vector in turn,
-    its gradient, then, if every entry is finite, its objective. An
-    exception fails only its own vector, whose gradient is left zero."""
+    """The :data:`Oracle` of one problem per run, a ``Problem`` or a
+    built-in family: ``problem(x) -> (g, f)`` for each vector in turn.
+    An exception fails only its own vector, whose gradient stays zero."""
     def oracle(X, runs):
         G, F, failed = np.zeros_like(X), np.zeros(len(runs)), {}
         for pos, run in enumerate(runs):
             try:
-                G[pos] = problems[run].gradient(X[pos])
-                if np.isfinite(G[pos]).all():
-                    F[pos] = problems[run].value(X[pos])
+                G[pos], F[pos] = problems[run](X[pos])
             except Exception as err:
                 failed[pos] = err
         return G, F, failed
@@ -147,8 +150,8 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     failing iterate as ``record``, with reason ``"diverged"`` for a
     DivergedError and ``"failed"`` otherwise.
     """
-    if grad_tol <= 0:
-        raise ValueError("grad_tol must be positive")
+    if not grad_tol > 0:   # NaN is refused too
+        raise ValueError(f"grad_tol must be positive, got {grad_tol}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     block = _Block(np.array(X0, dtype=np.float64), state or {})

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InputFileError, Problem, read_input
+from .core import InputFileError, read_input
 
 MATRIX_MAGIC = b"PADM"
 PAIRS = 1 << 15   # Box-Muller pairs per pass of standard_normal
@@ -85,29 +85,26 @@ def spectral_norm_sq(M: np.ndarray) -> float:
 
 
 class _Family:
-    """A built-in family's ``gradient`` and ``value``: one-row calls of
-    ``block_oracle``, the one statement of its math; its ``dim``, the
-    last axis of the first ``STACKED`` array; and its :class:`Problem`."""
+    """A built-in family is its own problem: ``family(x)`` gives g and f
+    from one row of ``block_oracle``, the one statement of its math,
+    which ``gradient`` and ``value`` read; ``dim`` is the last axis of
+    the first ``STACKED`` array."""
 
-    def _row(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray):
         arrays = {name: getattr(self, name)[None, None]
                   for name in self.STACKED}
-        return self.block_oracle(np.asarray(x, dtype=np.float64)[None, None],
-                                 **arrays)
+        return tuple(out[0, 0] for out in self.block_oracle(
+            np.asarray(x, dtype=np.float64)[None, None], **arrays))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._row(x)[0][0, 0]
+        return self(x)[0]
 
     def value(self, x: np.ndarray) -> float:
-        return float(self._row(x)[1][0, 0])
+        return float(self(x)[1])
 
     @property
     def dim(self) -> int:
         return getattr(self, self.STACKED[0]).shape[-1]
-
-    def problem(self) -> Problem:
-        return Problem(dim=self.dim, grad=self.gradient, objective=self.value,
-                       lipschitz=self.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +456,7 @@ class BlockOracle:
     """Gradients and objectives of the S * V rows of a block over the
     slots ``slots`` of a :class:`Stack`, all from one stacked
     evaluation; row s * V + v runs on instance ``slots[s]``. Each row is
-    bitwise its instance's ``gradient`` and ``value``.
+    bitwise its instance's own ``family(x)``.
 
     ``oracle(X, runs)`` evaluates the vectors ``X`` of the ascending
     rows ``runs``: in drive the rows still running, in the pruning sweep

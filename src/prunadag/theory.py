@@ -82,8 +82,9 @@ class BoundInputs:
 
     def __post_init__(self):
         for name in ("varsigma", "lipschitz", "gamma0"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:   # NaN is refused too
+                raise ValueError(f"{name} must be nonnegative, got "
+                                 f"{getattr(self, name)}")
         # an infinite f(x0) makes every bound hold
         if not math.isfinite(self.gamma0):
             raise ValueError(f"gamma0 must be finite, got {self.gamma0}")

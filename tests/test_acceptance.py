@@ -62,7 +62,7 @@ def bound_traces():
     for kind in LS_KINDS:
         ls = gen_least_squares(kind, M_DESK, N_DESK,
                                derive_seed(0, "problem", 0))
-        probs.append(ls.problem())
+        probs.append(ls)
         stack.add(ls)
     rows = [(s, v) for s in range(len(LS_KINDS)) for v in ALL_VARIANTS]
     runs = run_batch(
@@ -83,7 +83,7 @@ def a3_runs():
     for i in range(SEEDS):
         ls = gen_least_squares("A3", M_DESK, N_DESK,
                                derive_seed(0, "problem", i))
-        probs.append(ls.problem())
+        probs.append(ls)
         stack.add(ls)
     X0 = [desk_x0(i) for i in range(SEEDS)]
     rows = [(i, v) for i in range(SEEDS)
@@ -247,7 +247,7 @@ def descent_violated(G, S, d):
 
 def test_criterion_04_adagrad_equivalence():
     ls = gen_least_squares("A1", M_DESK, N_DESK, derive_seed(0, "problem", 0))
-    problem = ls.problem()
+    problem = ls
     x0 = desk_x0(0)
     state = PrunAdagState(x=x0.copy(), T=N_DESK, variant=Variant.V3,
                           varsigma=VARSIGMA)
@@ -271,7 +271,7 @@ def test_criterion_05_convergence_on_orthonormal_rows():
     for i in range(SEEDS):
         ls = gen_least_squares("A2", M_DESK, N_DESK,
                                derive_seed(0, "problem", i))
-        rec = run(ls.problem(), desk_x0(i), T=T_DESK, variant=Variant.V3,
+        rec = run(ls, desk_x0(i), T=T_DESK, variant=Variant.V3,
                   varsigma=VARSIGMA, grad_tol=1e-6, max_iters=10_000)
         if rec.grad_norm[-1] <= 1e-6:
             hits += 1
@@ -363,7 +363,7 @@ def test_criterion_10_classification_pruning_robustness():
     for i in range(SEEDS):
         train, test = gen_separable_classification(
             N_DESK, 50, 1000, derive_seed(0, "problem", i))
-        probs.append(train.problem())
+        probs.append(train)
         stack.add(train)
         tests.append(test)
     X0 = [desk_x0(i) for i in range(SEEDS)]
@@ -417,15 +417,15 @@ def test_criterion_12_gradient_oracles_validate():
     problems = {}
     for kind in LS_KINDS:
         problems[kind] = gen_least_squares(kind, 10, 40,
-                                           int(rng.integers(2**31))).problem()
+                                           int(rng.integers(2**31)))
     problems["dct_recovery"] = gen_dct_sparse_recovery(
-        10, 40, int(rng.integers(2**31)), nnz=5).problem()
+        10, 40, int(rng.integers(2**31)), nnz=5)
     D = standard_normal(rng, (10, 40))
     y = standard_normal(rng, 10)
-    problems["sparse_coding"] = SparseCodingProblem(D=D, y=y).problem()
+    problems["sparse_coding"] = SparseCodingProblem(D=D, y=y)
     train, _ = gen_separable_classification(40, 10, 200,
                                             int(rng.integers(2**31)))
-    problems["logistic"] = train.problem()
+    problems["logistic"] = train
     worst = {}
     for name, p in problems.items():
         errs = []

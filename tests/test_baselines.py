@@ -11,6 +11,7 @@ from prunadag._kernels import frank_wolfe, iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_run, adagrad_step,
                                 fw_lmo, fw_run, fw_step)
 from prunadag.core import DivergedError, Problem
+from prunadag.optimizer import run_batch
 from prunadag.problems import gen_least_squares
 from prunadag.steps import relevant_mask
 
@@ -77,7 +78,7 @@ class TestAdagradStep:
         """With T = n every index is relevant, so the pruning-aware update
         must reproduce Adagrad exactly, bit for bit."""
         ls = gen_least_squares("A1", 10, 40, seed=1)
-        problem = ls.problem()
+        problem = ls
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(40)
         state = PrunAdagState(x=x0.copy(), T=40, variant=Variant.V2)
@@ -94,7 +95,7 @@ class TestAdagradStep:
 class TestAdagradRun:
     def test_trace_format(self):
         ls = gen_least_squares("A2", 6, 30, seed=3)
-        rec = adagrad_run(ls.problem(), np.zeros(30), max_iters=25)
+        rec = adagrad_run(ls, np.zeros(30), max_iters=25)
         rec.validate()
         assert rec.iterations == 25
         assert np.all(rec.card_R == 30)
@@ -107,11 +108,31 @@ class TestAdagradRun:
         with pytest.raises(DivergedError):
             adagrad_run(problem, np.ones(2), max_iters=5)
 
+    @pytest.mark.parametrize("varsigma", [-0.5, 0.0, 1.0, 2.0, np.nan])
+    def test_refuses_varsigma_outside_unit_interval(self, varsigma):
+        # run_batch's rule and message: -0.5 would give NaN weights
+        problem = Problem(dim=2, grad=lambda x: x.copy(),
+                          objective=lambda x: 0.0)
+        match = "varsigma must be in \\(0, 1\\)"
+        with pytest.raises(ValueError, match=match):
+            adagrad_run(problem, np.ones(2), varsigma, max_iters=5)
+        with pytest.raises(ValueError, match=match):
+            baselines.adagrad_batch([problem], np.ones((1, 2)), varsigma)
+        with pytest.raises(ValueError, match=match):
+            run_batch([problem], np.ones((1, 2)), 2, [Variant.V3], varsigma)
+
 
 class TestFwConfig:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             FwConfig(T=2, tau=0.0)
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_refuses_tau_not_positive_and_finite(self, tau):
+        # an infinite or NaN radius diverges at iteration 1
+        with pytest.raises(ValueError, match="tau must be positive and "
+                                             "finite"):
+            FwConfig(T=2, tau=tau)
 
     def test_rejects_beta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -230,7 +251,7 @@ class TestFwKernel:
         # integer gradients with ties at the threshold, gradients whose
         # squares are subnormal or overflow, and a row at its vertex
         for n in (50, 200):
-            problem = gen_least_squares("A1", 10, n, seed=7).problem()
+            problem = gen_least_squares("A1", 10, n, seed=7)
             rng = np.random.default_rng(n)
             T = n // 10
             cfgs = [FwConfig(T, tau, rate, beta) for tau, beta in
@@ -318,7 +339,7 @@ class TestFwRun:
     @pytest.mark.parametrize("rate", [FwRate.LINEAR, FwRate.RESCALED])
     def test_iterates_stay_feasible(self, rate):
         ls = gen_least_squares("A1", 8, 30, seed=4)
-        problem = ls.problem()
+        problem = ls
         cfg = FwConfig(T=3, tau=5.0, rate=rate, beta=0.001)
         x0 = np.zeros(30)
         rec = fw_run(problem, x0, cfg, max_iters=200)

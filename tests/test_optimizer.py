@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 import pickle
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
-from prunadag import _kernels, baselines, optimizer, steps
+from prunadag import _kernels, baselines, harness, optimizer, steps
 from prunadag._kernels import iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
                                 fw_batch, fw_run)
@@ -21,6 +22,8 @@ from prunadag.optimizer import (CODE_ACCEPTABLE, CODE_DECREASABLE,
                                 run_batch)
 from prunadag.problems import (BlockOracle, LeastSquaresProblem, Stack,
                                gen_least_squares)
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 ALL_VARIANTS = [Variant.V1, Variant.V2, Variant.V3, Variant.V4,
                 Variant.RELEVANT_ONLY]
@@ -116,6 +119,13 @@ class TestRunLoop:
         with pytest.raises(ValueError):
             run(quadratic_problem(4), x0=np.ones(4), T=2, grad_tol=0.0)
 
+    @pytest.mark.parametrize("grad_tol", [-1.0, math.nan])
+    def test_drive_refuses_grad_tol(self, grad_tol):
+        # a NaN tolerance would run every row to max_iters
+        with pytest.raises(ValueError, match="grad_tol must be positive"):
+            optimizer.drive([quadratic_problem(4)], np.ones((1, 4)),
+                            lambda *args: None, grad_tol=grad_tol)
+
     def test_max_iters_respected(self):
         rec = run(quadratic_problem(4), x0=np.ones(4), T=2, max_iters=7)
         assert rec.iterations == 7
@@ -204,7 +214,7 @@ class TestKernelPathsAgree:
         # with a fifth of the start at exactly zero
         for n in (50, 200):
             ls = gen_least_squares("A1", 10, n, seed=7)
-            problem = ls.problem()
+            problem = ls
             rng = np.random.default_rng(3)
             x0 = rng.standard_normal(n)
             x0[rng.random(n) < 0.2] = 0.0
@@ -569,7 +579,7 @@ class TestDriver:
     def test_run_trace_matches_single_steps(self, variant):
         # row k of run's trace must describe x_k, and step k must start
         # from it: replaying prunadag_iterate reproduces the run bitwise
-        problem = gen_least_squares("A3", 8, 40, seed=5).problem()
+        problem = gen_least_squares("A3", 8, 40, seed=5)
         x0 = np.random.default_rng(8).standard_normal(40)
         rec = run(problem, x0, T=4, variant=variant, max_iters=60)
         state = PrunAdagState(x=x0, T=4, variant=variant)
@@ -655,10 +665,9 @@ class TestBatch:
         # row 1 reaches grad_tol early, row 2 meets a NaN gradient at
         # call 10 (iteration 9); rows 0 and 3 run on, bitwise as alone
         def problems():
-            ls = [gen_least_squares("A3", 8, 40, seed=s).problem()
-                  for s in (1, 2)]
-            nan = dataclasses.replace(ls[0], grad=TestDriver.failing_after(
-                9, ls[0].grad))
+            ls = [gen_least_squares("A3", 8, 40, seed=s) for s in (1, 2)]
+            nan = Problem(dim=40, grad=TestDriver.failing_after(
+                9, ls[0].gradient), objective=ls[0].value)
             return [ls[0], quadratic_problem(40), nan, ls[1]]
         rng = np.random.default_rng(4)
         X0 = rng.standard_normal((4, 40))
@@ -735,7 +744,7 @@ class TestBlockOracle:
         stack = Stack(self.S)
         for member in members:
             stack.add(member)
-        rows = [member.problem() for member in members
+        rows = [member for member in members
                 for _ in range(self.V)]
         X0 = np.random.default_rng(3).standard_normal((len(rows), 40))
         return rows, X0, stack.oracle(np.repeat(np.arange(self.S), self.V))
@@ -858,6 +867,65 @@ class TestBlockOracle:
                 assert outcome.iterations == 6
 
 
+class TestOneCallPerVector:
+    """A built-in family is its own problem: ``family(x)`` is one row of
+    its block oracle, so a library run on one instance makes one
+    ``block_oracle`` call per evaluated vector, x_final included."""
+
+    @staticmethod
+    def counted(monkeypatch) -> dict:
+        calls, real = {"n": 0}, LeastSquaresProblem.block_oracle
+
+        def block_oracle(X, **arrays):
+            calls["n"] += 1
+            return real(X, **arrays)
+        monkeypatch.setattr(LeastSquaresProblem, "block_oracle",
+                            staticmethod(block_oracle))
+        return calls
+
+    LIBRARY = {
+        "run": lambda ls, x0, **stop: run(ls, x0, T=20, **stop),
+        "adagrad_run": lambda ls, x0, **stop: adagrad_run(ls, x0, **stop),
+        "fw_run": lambda ls, x0, **stop: fw_run(
+            ls, x0, FwConfig(T=20, tau=100.0, rate=FwRate.RESCALED), **stop),
+    }
+
+    @pytest.mark.parametrize("runner", [*LIBRARY, "v3", "adagrad", "fw1"])
+    def test_ten_iterations_make_eleven_calls(self, monkeypatch, runner):
+        # a method name runs as harness._run_one's grid cell of seed 0
+        ls = gen_least_squares("A3", 20, 200, seed=3)
+        stop = dict(grad_tol=1e-300, max_iters=10)
+        cfg = harness.load_config(CONFIGS / "a3_desk.ini", [
+            (("stop", key), repr(value)) for key, value in stop.items()])
+        calls = self.counted(monkeypatch)
+        if runner in self.LIBRARY:
+            x0 = np.random.default_rng(3).standard_normal(200)
+            rec = self.LIBRARY[runner](ls, x0, **stop)
+        else:
+            rec = harness._run_one(cfg, runner, 0, (ls, None))
+        assert (rec.iterations, rec.reason) == (10, "max iterations")
+        assert calls["n"] == 11
+
+    def test_prunadag_iterate_makes_one_call(self, monkeypatch):
+        ls = gen_least_squares("A3", 20, 200, seed=3)
+        state = PrunAdagState(x=np.ones(200), T=20)
+        calls = self.counted(monkeypatch)
+        prunadag_iterate(state, ls)
+        assert calls["n"] == 1
+
+    def test_raising_objective_leaves_its_gradient_row_zero(self):
+        def objective(x):
+            raise RuntimeError("objective failed")
+        problems = [quadratic_problem(3),
+                    Problem(dim=3, grad=lambda x: x + 1.0,
+                            objective=objective)]
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        G, F, failed = optimizer.row_oracle(problems)(X, [0, 1])
+        assert G.tolist() == [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]
+        assert F.tolist() == [7.0, 0.0]
+        assert list(failed) == [1] and str(failed[1]) == "objective failed"
+
+
 class TestPickling:
     """The exceptions that end a run keep their partial record (and
     TrustRegionError its row) through pickle, so that outcomes can cross
@@ -894,7 +962,7 @@ class TestWeightClosedForms:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_replay(self, variant):
         ls = gen_least_squares("A3", 8, 40, seed=11)
-        problem = ls.problem()
+        problem = ls
         x0 = np.random.default_rng(5).standard_normal(40)
         state = PrunAdagState(x=x0, T=4, variant=variant, varsigma=0.01)
         sq_opt = np.zeros(40)
@@ -915,7 +983,7 @@ class TestSignPreservation:
     @pytest.mark.parametrize("variant", [Variant.V3, Variant.V4])
     def test_acceptable_indices_never_flip_sign(self, variant):
         ls = gen_least_squares("A1", 8, 40, seed=2)
-        problem = ls.problem()
+        problem = ls
         x0 = np.random.default_rng(9).standard_normal(40)
         state = PrunAdagState(x=x0, T=4, variant=variant)
         for _ in range(100):

@@ -87,7 +87,7 @@ class TestLeastSquaresGenerators:
     @pytest.mark.parametrize("kind", LS_KINDS)
     def test_solution_is_stationary(self, kind):
         ls = gen_least_squares(kind, 10, 40, seed=5)
-        p = ls.problem()
+        p = ls
         assert p.value(ls.x_star) == pytest.approx(0.0, abs=1e-18)
         assert np.linalg.norm(p.gradient(ls.x_star)) < 1e-10
 
@@ -149,12 +149,11 @@ class TestSpectralNormSq:
         D = rng.standard_normal((10, 25))
         prob = SparseCodingProblem(D=D, y=rng.standard_normal(10))
         self.assert_svd_close(prob.lipschitz, D, scale=2.0)
-        assert prob.problem().lipschitz == prob.lipschitz
 
     def test_logistic_scale_on_tall_samples(self):
         train, _ = gen_separable_classification(20, 5, 100, seed=1)
         assert train.samples.shape == (70, 20)
-        self.assert_svd_close(train.problem().lipschitz, train.samples,
+        self.assert_svd_close(train.lipschitz, train.samples,
                               scale=1.0 / (4.0 * 70))
 
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (1, 1)])
@@ -254,7 +253,7 @@ class TestSparseCoding:
         rng = np.random.default_rng(0)
         D = rng.standard_normal((10, 25))
         y = rng.standard_normal(10)
-        p = SparseCodingProblem(D=D, y=y).problem()
+        p = SparseCodingProblem(D=D, y=y)
         x = rng.standard_normal(25)
         assert p.value(x) == pytest.approx(float(np.sum((y - D @ x) ** 2)))
         fd = finite_difference_gradient(p, x)
@@ -281,7 +280,7 @@ class TestLogistic:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((20, 6))
         y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-        p = LogisticProblem(A, y).problem()
+        p = LogisticProblem(A, y)
         x = rng.standard_normal(6)
         fd = finite_difference_gradient(p, x)
         rel = np.linalg.norm(fd - p.gradient(x)) / max(np.linalg.norm(fd), 1e-30)
@@ -517,7 +516,7 @@ class TestStack:
         with tempfile.TemporaryDirectory() as tmpdir:
             members = family_members(family, S, m, n, seed, tmpdir)
         stack = stacked(members)
-        solo = [member.problem() for member in members]
+        solo = list(members)
         n = solo[0].dim
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((S * V, n)) * 10.0 ** rng.integers(-2, 3)
@@ -565,7 +564,7 @@ class TestStack:
     def test_block_oracle_is_bitwise_at_grid_size(self, family, m, n):
         S, V = 2, 2
         members = family_members(family, S, m, n, seed=7, tmpdir=None)
-        solo = [member.problem() for member in members]
+        solo = list(members)
         oracle = stacked(members).oracle([0, 0, 1, 1])
         X = np.random.default_rng(7).standard_normal((S * V, n))
         G, F, _ = oracle(X, [0, 1, 2, 3])
@@ -579,7 +578,7 @@ class TestStack:
 
     def test_stopped_rows_are_not_evaluated(self):
         members = [gen_least_squares("A1", 4, 10, seed=s) for s in range(3)]
-        solo = [member.problem() for member in members]
+        solo = list(members)
         oracle = stacked(members).oracle(np.repeat(np.arange(3), 4))
         shapes, evaluate = [], oracle.evaluate
 

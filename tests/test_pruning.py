@@ -140,12 +140,12 @@ class TestPruneReport:
     def test_accuracy_with_test_split(self):
         train, test = gen_separable_classification(20, 5, 100, seed=3)
         x = np.random.default_rng(0).standard_normal(20)
-        rows = report(x, train.problem(), sigmas=[0.5], deltas=[0.3],
+        rows = report(x, train, sigmas=[0.5], deltas=[0.3],
                       test=test)
         assert [r.accuracy for r in rows] == [
             classify_accuracy(prune_to_sparsity(x, 0.5)[0], test),
             classify_accuracy(prune_threshold(x, 0.3), test)]
-        rows = report(x, train.problem(), sigmas=[0.5])
+        rows = report(x, train, sigmas=[0.5])
         assert rows[0].accuracy is None
 
     def test_sweep_shape_and_ordering(self):
@@ -228,7 +228,7 @@ def family_block(family, S, m, n, seed):
     stack = Stack(S)
     for member in members:
         stack.add(member)
-    return stack, [member.problem() for member in members], list(tests)
+    return stack, list(members), list(tests)
 
 
 class TestBlockSweep:

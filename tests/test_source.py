@@ -124,7 +124,8 @@ def test_every_grid_block_evaluates_through_its_stack():
     one grid oracle path, the stack's block oracle: it names no
     ``row_oracle``. A seed is its ``(instance, test)`` pair: the harness
     has no ``ProblemInstance``, and neither it nor the CLI names
-    ``Problem`` or calls ``.problem()``."""
+    ``Problem``. A built-in family is itself a problem: no class of
+    problems.py defines ``problem``, and no module calls ``.problem()``."""
     from prunadag import harness
 
     tree = ast.parse((SRC / "harness.py").read_text())
@@ -138,9 +139,17 @@ def test_every_grid_block_evaluates_through_its_stack():
                  for node in nodes} | {node.name for node in nodes
                                        if isinstance(node, ast.alias)}
         assert "Problem" not in names, module
-        assert not [node.lineno for node in nodes
-                    if isinstance(node, ast.Call)
-                    and _dotted(node.func).endswith(".problem")], module
+    problems = ast.parse((SRC / "problems.py").read_text())
+    assert not [node.name for node in problems.body
+                if isinstance(node, ast.ClassDef)
+                for f in node.body
+                if isinstance(f, ast.FunctionDef) and f.name == "problem"]
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert not [node.lineno for node in ast.walk(ast.parse(
+            path.read_text())) if isinstance(node, ast.Call)
+            and _dotted(node.func).endswith(".problem")], path.name
 
 
 def test_each_family_states_its_math_once():
@@ -236,15 +245,17 @@ def test_oracles_take_no_objective_switch():
                 if isinstance(f, (ast.FunctionDef, ast.ClassDef))}
     opt = defs(ast.parse((SRC / "optimizer.py").read_text()))
     prob = defs(ast.parse((SRC / "problems.py").read_text()))
+    core = defs(ast.parse((SRC / "core.py").read_text()))
     oracles = {"checked_oracles": opt["checked_oracles"],
                "row_oracle.oracle": defs(opt["row_oracle"])["oracle"],
                "BlockOracle.__call__": defs(prob["BlockOracle"])["__call__"],
-               "_Family._row": defs(prob["_Family"])["_row"]}
+               "_Family.__call__": defs(prob["_Family"])["__call__"],
+               "Problem.__call__": defs(core["Problem"])["__call__"]}
     oracles.update({f"{name}.block_oracle": defs(cls)["block_oracle"]
                     for name, cls in prob.items()
                     if isinstance(cls, ast.ClassDef)
                     and "block_oracle" in defs(cls)})
-    assert len(oracles) == 7
+    assert len(oracles) == 8
     found = [name for name, f in oracles.items()
              if "objective" in {a.arg for a in f.args.posonlyargs
                                 + f.args.args + f.args.kwonlyargs}]
@@ -279,3 +290,16 @@ def test_kernel_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "kernel.so"), "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The ``python`` block under "## Library quick start" in README.md
+    runs as written, so the snippet cannot drift from the API."""
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope: dict = {}
+    exec(compile(code, "README.md quick start", "exec"), scope)
+    assert scope["rec"].reason == "gradient tolerance"
+    assert np.isfinite([scope["rho"], scope["omega"]]).all()

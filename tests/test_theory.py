@@ -70,6 +70,14 @@ class TestBoundInputs:
             BoundInputs(n=10, T=2, varsigma=-0.01, lipschitz=1.0,
                         gamma0=0.0)
 
+    @pytest.mark.parametrize("name", ["varsigma", "lipschitz", "gamma0"])
+    def test_refuses_nan_constants(self, name):
+        # with a NaN constant every bound check would read False
+        values = dict(varsigma=0.01, lipschitz=1.0, gamma0=0.0)
+        values[name] = math.nan
+        with pytest.raises(ValueError, match=name):
+            BoundInputs(n=10, T=2, **values)
+
     def test_varsigma_assumption(self):
         ok = BoundInputs(n=10, T=2, varsigma=0.01, lipschitz=1.0,
                          gamma0=0.0)
@@ -171,7 +179,7 @@ class TestThetaBitwise:
 class TestGradientBound:
     def _trace(self, variant=Variant.V3, T=5):
         ls = gen_least_squares("A1", 8, 40, seed=13)
-        problem = ls.problem()
+        problem = ls
         x0 = np.random.default_rng(1).standard_normal(40) * 0.1
         rec = run(problem, x0, T=T, variant=variant, max_iters=500)
         inp = BoundInputs(n=40, T=T, varsigma=0.01,
@@ -185,7 +193,7 @@ class TestGradientBound:
 
     def test_passes_for_adagrad_T_equals_n(self):
         ls = gen_least_squares("A1", 8, 40, seed=13)
-        problem = ls.problem()
+        problem = ls
         x0 = np.random.default_rng(1).standard_normal(40) * 0.1
         ada = adagrad_run(problem, x0, max_iters=500)
         inp = BoundInputs(n=40, T=40, varsigma=0.01,
@@ -243,7 +251,7 @@ class TestGradientBound:
         """On an ls_desk-shaped run (A3, 20 x 200, T = 20, 400 iterations)
         b4 stays far below the constant branch at every k, so theta
         needs libm's log1p nowhere."""
-        problem = gen_least_squares("A3", 20, 200, seed=3).problem()
+        problem = gen_least_squares("A3", 20, 200, seed=3)
         x0 = starting_point(200, 20, derive_seed(1, "x0", 0))
         rec = run(problem, x0, T=20, grad_tol=1e-300, max_iters=400)
         inp = BoundInputs(n=200, T=20, varsigma=0.01,
@@ -269,7 +277,7 @@ class TestGradientBound:
 class TestDescentLemma:
     def _trace(self):
         ls = gen_least_squares("A2", 8, 40, seed=21)
-        problem = ls.problem()
+        problem = ls
         x0 = np.random.default_rng(2).standard_normal(40)
         rec = run(problem, x0, T=4, variant=Variant.V3, max_iters=400)
         return rec, problem.lipschitz
