@@ -41,16 +41,20 @@ def _adagrad_step(X, G, grad_norm, k, state):
     return X, (grad_norm, np.full(B, n), np.zeros(B), np.zeros(B))
 
 
+def adagrad_part(n: int, rows: int, varsigma: float = DEFAULT_VARSIGMA):
+    """The :data:`prunadag.optimizer.Part` of standalone Adagrad over
+    ``rows`` rows of length ``n``."""
+    check_varsigma(varsigma)
+    return _adagrad_step, {"w": np.full((rows, n), np.sqrt(varsigma))}
+
+
 def adagrad_batch(problems: Sequence[Problem], X0: np.ndarray,
                   varsigma: float = DEFAULT_VARSIGMA, **stop
                   ) -> list[Outcome]:
-    """Standalone Adagrad on a (B, n) block through
-    :func:`prunadag.optimizer.drive`; ``stop`` takes drive's keyword
-    arguments."""
-    check_varsigma(varsigma)
-    X0 = np.asarray(X0, dtype=np.float64)
-    state = {"w": np.full(X0.shape, np.sqrt(varsigma))}
-    return drive(problems, X0, _adagrad_step, state, **stop)
+    """:func:`adagrad_part` on a (B, n) block through :func:`drive`;
+    ``stop`` takes drive's keyword arguments."""
+    return drive(problems, X0, *adagrad_part(len(X0[0]), len(X0), varsigma),
+                 **stop)
 
 
 def adagrad_run(problem: Problem, x0: np.ndarray,
@@ -116,15 +120,11 @@ def fw_step(x: np.ndarray, g: np.ndarray, k: int, cfg: FwConfig) -> np.ndarray:
     return _fw_row(x, g, k, cfg)[1]
 
 
-def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
-             cfgs: Sequence[FwConfig], **stop) -> list[Outcome]:
-    """Frank-Wolfe on a (B, n) block through
-    :func:`prunadag.optimizer.drive`, with one config per row; the
-    configs must share T. ``stop`` takes drive's keyword arguments."""
-    X0 = np.asarray(X0, dtype=np.float64)
+def fw_part(n: int, cfgs: Sequence[FwConfig]):
+    """The :data:`prunadag.optimizer.Part` of Frank-Wolfe over one row of
+    length ``n`` per config; the configs must share T."""
     if len({c.T for c in cfgs}) != 1:
         raise ValueError("the rows of a Frank-Wolfe block must share T")
-    n = X0.shape[1]
     T = min(cfgs[0].T, n)
 
     def step(X, G, grad_norm, k, state):
@@ -132,7 +132,14 @@ def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
         B = X.shape[0]
         return X, (norm_r, np.full(B, T), np.zeros(B), np.full(B, n - T))
 
-    return drive(problems, X0, step, _fw_state(cfgs), **stop)
+    return step, _fw_state(cfgs)
+
+
+def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
+             cfgs: Sequence[FwConfig], **stop) -> list[Outcome]:
+    """:func:`fw_part` on a (B, n) block through :func:`drive`, one config
+    per row; ``stop`` takes drive's keyword arguments."""
+    return drive(problems, X0, *fw_part(len(X0[0]), cfgs), **stop)
 
 
 def fw_run(problem: Problem, x0: np.ndarray, cfg: FwConfig,

@@ -40,8 +40,8 @@ def main(argv=None) -> int:
     p_run = subs.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="experiment config file")
     # each option overrides the [output] key named by its dest
-    p_run.add_argument("--jobs", help="worker processes; batches are "
-                       "sharded by instance (default from config)")
+    p_run.add_argument("--jobs", help="worker processes; the grid is "
+                       "sharded by seed (default from config)")
     p_run.add_argument("--out", dest="dir", help="output directory override")
     p_run.add_argument("--master-seed", help="master seed override")
 

@@ -71,7 +71,7 @@ class Problem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.lipschitz is not None and self.lipschitz < 0:
+        if self.lipschitz is not None and not self.lipschitz >= 0:
             raise ValueError("lipschitz bound must be nonnegative")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:

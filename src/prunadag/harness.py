@@ -1,8 +1,8 @@
 """Batch experiment driver.
 
-Parses an INI-style config, runs the (optimizer, seed) pairs of each
-step family as one batch, prunes the final iterates over the configured
-sweep, and writes a deterministic bundle:
+Parses an INI-style config, runs the (optimizer, seed) pairs as one
+block, every family's rows in one loop, prunes the final iterates over
+the configured sweep, and writes a deterministic bundle:
 
 * ``trace.npy``  -- every run's per-iteration trace, one structured array
   of :data:`prunadag.core.TRACE_DTYPE` whose index is ``runs.json``,
@@ -10,8 +10,8 @@ sweep, and writes a deterministic bundle:
 * ``runs.json`` / ``meta.json`` -- per-run and experiment metadata,
 * ``plot_*.csv`` -- seed-averaged curves ready for any plotting tool.
 
-With ``jobs > 1`` each batch is cut into shards of whole instances
-that run in forked worker processes. Identical configs produce
+With ``jobs > 1`` the grid is cut into shards of whole seeds, one block
+each, that run in forked worker processes. Identical configs produce
 byte-identical outputs for any ``jobs``: results are collected into a
 map and written in sorted order.
 """
@@ -63,8 +63,8 @@ class ExperimentConfig:
         return self.T if self.T is not None else optimizer.default_target(n)
 
 
-# Each method: its step family, whose runs share a block, and its
-# per-row parameter built from (config, T). A new method is one row.
+# Each method: its step family, whose runs share a part of a block, and
+# its per-row parameter built from (config, T). A new method is one row.
 METHODS = {
     **{v.value: ("prunadag", lambda cfg, T, v=v: v) for v in Variant},
     "adagrad": ("adagrad", lambda cfg, T: None),
@@ -75,15 +75,14 @@ METHODS = {
 }
 PRUNADAG_METHODS = tuple(m for m, (f, _) in METHODS.items() if f == "prunadag")
 
-# Each step family's batch entry, called as entry(problems, X0, params,
-# cfg, T, **stop) with one per-row parameter of METHODS per run.
+# Each step family's optimizer.Part of a block, built as factory(params,
+# cfg, T, n) from one per-row parameter of METHODS per row.
 FAMILIES = {
-    "prunadag": lambda P, X0, params, cfg, T, **stop: optimizer.run_batch(
-        P, X0, T, params, varsigma=cfg.varsigma, **stop),
-    "adagrad": lambda P, X0, params, cfg, T, **stop: baselines.adagrad_batch(
-        P, X0, varsigma=cfg.varsigma, **stop),
-    "fw": lambda P, X0, params, cfg, T, **stop: baselines.fw_batch(
-        P, X0, params, **stop),
+    "prunadag": lambda params, cfg, T, n: optimizer.prunadag_part(
+        n, T, params, cfg.varsigma),
+    "adagrad": lambda params, cfg, T, n: baselines.adagrad_part(
+        n, len(params), cfg.varsigma),
+    "fw": lambda params, cfg, T, n: baselines.fw_part(n, params),
 }
 
 
@@ -342,28 +341,39 @@ def build_problems(cfg: ExperimentConfig) -> tuple[dict, problems.Stack]:
 
 
 def _run_block(cfg: ExperimentConfig, cells: list, instances: dict,
-               oracle: Optional[optimizer.Oracle] = None) -> list:
-    """Run the (method, seed) cells of one family as one (B, n) block
-    whose rows call ``oracle``, by default each its own instance; returns
-    one :data:`prunadag.optimizer.Outcome` per cell."""
-    probs = [instances[i][0] for _, i in cells]
-    n = probs[0].dim
+               stack: Optional[problems.Stack] = None) -> tuple:
+    """Run the (method, seed) cells as one (B, n) block of
+    :func:`prunadag.optimizer.drive`, each family's by its
+    :data:`FAMILIES` part or failed by what the factory raises, on the
+    ``stack``'s block oracle, by default each row on its own instance.
+    Returns each cell's outcome, the oracle and the cells of its rows."""
+    n = instances[cells[0][1]][0].dim
     T = cfg.resolved_T(n)
-    X0 = [starting_point(n, T, derive_seed(cfg.master_seed, "x0", i))
-          for _, i in cells]
-    family = METHODS[cells[0][0]][0]
-    params = [METHODS[m][1](cfg, T) for m, _ in cells]
-    return FAMILIES[family](
-        probs, X0, params, cfg, T, grad_tol=cfg.grad_tol,
-        max_iters=cfg.max_iters, oracle=oracle)
+    outcomes, parts, rows = {}, [], []
+    for family, group in itertools.groupby(cells, lambda c: METHODS[c[0]][0]):
+        group = list(group)
+        try:
+            parts.append(FAMILIES[family](
+                [METHODS[m][1](cfg, T) for m, _ in group], cfg, T, n))
+            rows += group
+        except Exception as err:  # bad parameters fail the family's cells
+            outcomes.update(dict.fromkeys(group, err))
+    oracle = stack.oracle([i for _, i in rows]) if stack and rows else None
+    if rows:
+        outcomes.update(zip(rows, optimizer.drive(
+            [instances[i][0] for _, i in rows],
+            [starting_point(n, T, derive_seed(cfg.master_seed, "x0", i))
+             for _, i in rows], parts, oracle=oracle,
+            grad_tol=cfg.grad_tol, max_iters=cfg.max_iters)))
+    return outcomes, oracle, rows
 
 
 def _run_one(cfg: ExperimentConfig, method: str, seed_index: int,
              pair: tuple) -> RunRecord:
     """Run one (method, seed) cell alone on the seed's ``(instance,
     test)`` pair, as a block of one row; raises what ends the run."""
-    return optimizer.unwrap(_run_block(cfg, [(method, seed_index)],
-                                       {seed_index: pair}))
+    return optimizer.unwrap([*_run_block(cfg, [(method, seed_index)],
+                                         {seed_index: pair})[0].values()])
 
 
 @dataclass
@@ -381,47 +391,41 @@ def _failure(err: Exception) -> str:
 
 def _run_cells(cfg: ExperimentConfig, cells: list, instances: dict,
                stack: problems.Stack) -> list:
-    """Run the seed-major cells of one block and prune their final
+    """Run the cells of one shard as one block and prune their final
     iterates through the ``stack``'s one block oracle; one ``(cell,
     record, prune rows, failure)`` per cell, whose failure is None or
     ``"<ExceptionClass>: <message>"``."""
-    oracle = stack.oracle([i for _, i in cells])
-    try:
-        outcomes = _run_block(cfg, cells, instances, oracle)
-    except Exception as err:  # bad parameters fail every cell
-        outcomes = [err] * len(cells)
-    ran = [c for c, out in enumerate(outcomes) if isinstance(out, RunRecord)]
+    outcomes, oracle, rows = _run_block(cfg, cells, instances, stack)
+    ran = [r for r, c in enumerate(rows) if isinstance(outcomes[c], RunRecord)]
     try:
         reports = pruning.prune_report(
-            [outcomes[c].x_final for c in ran], oracle, ran,
+            [outcomes[rows[r]].x_final for r in ran], oracle, ran,
             sigmas=cfg.sigmas, deltas=cfg.deltas,
-            tests=[instances[cells[c][1]][1] for c in ran])
+            tests=[instances[rows[r][1]][1] for r in ran])
     except Exception as err:
         reports = [err] * len(ran)
-    reports = dict(zip(ran, reports))
+    reports = dict(zip((rows[r] for r in ran), reports))
     done = []
-    for c, (cell, outcome) in enumerate(zip(cells, outcomes)):
-        report = reports.get(c, outcome)
+    for cell in cells:
+        out = outcomes[cell]
+        report = reports.get(cell, out)
         # drive attaches the partial trace to the exception that ends a run
-        record = outcome if c in reports else getattr(outcome, "record", None)
+        record = out if cell in reports else getattr(out, "record", None)
         failed = isinstance(report, Exception)
         done.append((cell, record, None if failed else report,
                      _failure(report) if failed else None))
     return done
 
 
-def _shards(blocks, jobs: int) -> list:
-    """Cut each seed-major block into ``min(jobs, seeds)`` shards, each
-    the cells of a contiguous range of whole instances."""
-    shards = []
-    for cells in blocks:
-        seeds = list(dict.fromkeys(i for _, i in cells))
-        parts = min(jobs, len(seeds))
-        for p in range(parts):
-            kept = set(seeds[len(seeds) * p // parts:
-                             len(seeds) * (p + 1) // parts])
-            shards.append([cell for cell in cells if cell[1] in kept])
-    return shards
+def _shards(methods: list, seeds: int, jobs: int) -> list:
+    """Cut the grid's cells into ``min(jobs, seeds)`` shards, each every
+    method's cells on a range of whole seeds: family-major, in the order
+    of :data:`FAMILIES`, then seed-major."""
+    parts = min(jobs, seeds)
+    return [[(m, i) for family in FAMILIES
+             for i in range(seeds * p // parts, seeds * (p + 1) // parts)
+             for m in methods if METHODS[m][0] == family]
+            for p in range(parts)]
 
 
 # The grid whose shards a pool is running: (cfg, instances, stack,
@@ -468,25 +472,20 @@ def _run_pool(cfg: ExperimentConfig, shards: list, instances: dict,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full (optimizer x seed) grid and write the bundle.
 
-    The cells of one step family (pruning-aware, Adagrad, Frank-Wolfe)
-    run as one block of :func:`prunadag.optimizer.drive`, seed-major,
-    so that the block's oracles are one stacked evaluation over the
-    seeds' instances (:func:`build_problems`), which share one n. Each
-    block is cut into ``min(jobs, seeds)`` shards of whole instances,
-    which run in this process at ``jobs`` 1 and else in up to ``jobs``
-    forked processes. Each cell's run is bitwise what it would be alone.
-    A cell whose run or pruning sweep fails, or whose worker is lost,
-    records the failure as ``"<ExceptionClass>: <message>"``, keeps
-    whatever run record exists, and does not stop the grid.
+    Each of the :func:`_shards` is one block of
+    :func:`prunadag.optimizer.drive` over every method's rows, one
+    stacked oracle evaluation per iteration over the seeds' instances
+    (:func:`build_problems`), which share one n, and one pruning sweep.
+    The shards run in this process at ``jobs`` 1 and else in up to
+    ``jobs`` forked processes. Each cell's run is bitwise what it would
+    be alone. A cell whose run or pruning sweep fails, or whose worker
+    is lost, records the failure as ``"<ExceptionClass>: <message>"``,
+    keeps whatever run record exists, and does not stop the grid.
     """
     result = ExperimentResult(cfg=cfg)
     result.instances, stack = build_problems(cfg)
 
-    blocks: dict = {}
-    for i, m in itertools.product(range(cfg.seeds), cfg.methods):
-        blocks.setdefault(METHODS[m][0], []).append((m, i))
-
-    shards = _shards(blocks.values(), cfg.jobs)
+    shards = _shards(cfg.methods, cfg.seeds, cfg.jobs)
     if cfg.jobs > 1:
         outcomes = _run_pool(cfg, shards, result.instances, stack)
     else:

@@ -11,8 +11,8 @@ magnitudes). :mod:`prunadag._kernels` performs one iteration;
 :func:`drive` is the one loop around every optimizer: it advances a
 (B, n) block of independent runs in lockstep, calls the oracles,
 treats a non-finite value as divergence, and keeps the traces. An
-optimizer supplies only its step function. A single run is a block of
-one row.
+optimizer supplies only its :data:`Part`, a step and per-row state; a
+block of several optimizers has several parts. A run is a block of one.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ DELTA_TRACE = 1e-3        # |x_i| below which an entry counts in below_delta
 # step(X, G, grad_norm, k, state) -> (X_next, stats): advances a (B, n)
 # block by one iteration. ``state`` maps names to per-row arrays (leading
 # axis B) that drive shrinks along with the block when runs end; stats
-# hold one (B,) sequence per TRACE_FIELDS entry after drive's own.
+# hold one (B,) sequence per TRACE_FIELDS entry after drive's own. An
+# optimizer's Part of a block is its step and its rows' state.
 StepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, int, dict],
                   tuple[np.ndarray, tuple]]
+Part = tuple[StepFn, dict]
 
 # A run's outcome: its record, or the exception that ended it, which
 # carries the partial record as ``record``.
@@ -116,9 +118,9 @@ def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
     return G, norm, F, failed
 
 
-def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
-          state: Optional[dict] = None, oracle: Optional[Oracle] = None,
-          grad_tol: float = DEFAULT_GRAD_TOL,
+def drive(problems: Sequence[Problem], X0: np.ndarray,
+          step: Union[StepFn, list[Part]], state: Optional[dict] = None,
+          oracle: Optional[Oracle] = None, grad_tol: float = DEFAULT_GRAD_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> list[Outcome]:
     """Iterate ``step`` over a (B, n) block of runs, run b on
     ``problems[b]`` from ``X0[b]``, until its gradient norm drops below
@@ -128,36 +130,37 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
     objectives of every row; the default is :func:`row_oracle` over
     ``problems``, and :class:`prunadag.problems.BlockOracle` evaluates
     the stacked instances of a grid at once. One ``step`` call advances
-    every row. A stopping run's x_final is evaluated in the running
-    rows' next call, with the same checks. A run that stops or fails
-    leaves the block and the others go on; its outcome is bitwise what
-    a block of that run alone gives.
+    every row, or each :data:`Part` of a list as ``step`` the next rows,
+    as many as its state has. A stopping run's x_final is evaluated in
+    the running rows' next call, with the same checks. A run that stops
+    or fails leaves the block, its outcome bitwise that of it alone.
 
     Row k of a trace describes x_k, before step k. drive records the
     first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
-    norm, objective, count below :data:`DELTA_TRACE`); ``step`` returns
+    norm, objective, count below :data:`DELTA_TRACE`); a step returns
     the next iterates and, per run, the values of the fields after
     them, in table order: ``(grad_norm_opt, card_R, card_A, card_D)``,
-    optionally followed by the theory group. The fields a step does not
-    report are untraced in the record.
+    optionally followed by the theory group. The fields its step does
+    not report are untraced in a run's record.
 
     Returns one :data:`Outcome` per run. A run ends in
     :class:`DivergedError` if its gradient or objective oracle returns
     a non-finite value at any iterate, x_final included, and in any
-    exception its oracles raise; a :class:`TrustRegionError` from the
-    step ends the run of the row it names, any other step exception
-    every run in the block. The exception carries the trace up to the
-    failing iterate as ``record``, with reason ``"diverged"`` for a
-    DivergedError and ``"failed"`` otherwise.
+    exception its oracles raise; a :class:`TrustRegionError` from a
+    step ends the run of the row it names, renamed to the block's row,
+    any other step exception every run of the step's part. The
+    exception carries the trace up to the failing iterate as ``record``,
+    with reason ``"diverged"`` for a DivergedError and ``"failed"``
+    otherwise.
     """
     if not grad_tol > 0:   # NaN is refused too
         raise ValueError(f"grad_tol must be positive, got {grad_tol}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    block = _Block(np.array(X0, dtype=np.float64), state or {})
+    block = _Block(np.array(X0, dtype=np.float64),
+                   step if isinstance(step, list) else [(step, state or {})])
     rows = len(block.runs)
-    if len(problems) != rows or any(len(v) != rows
-                                    for v in block.state.values()):
+    if len(problems) != rows or block.bounds[-1] != rows:
         raise ValueError(f"{rows} runs need {rows} problems and state rows")
     if oracle is None:
         oracle = row_oracle(problems)
@@ -172,20 +175,26 @@ def drive(problems: Sequence[Problem], X0: np.ndarray, step: StepFn,
             keep = block.finish(ends)
             G, grad_norm, f = G[keep], grad_norm[keep], f[keep]
         below = (np.abs(block.X) < DELTA_TRACE).sum(axis=1)
-        while block.runs:
-            try:
-                X_next, stats = step(block.X, G, grad_norm, k, block.state)
-                break
-            except Exception as err:
-                rows = ([err.row] if isinstance(err, TrustRegionError)
-                        else range(len(block.runs)))
-                keep = block.finish(dict.fromkeys(rows, err))
-                G, grad_norm, f, below = (G[keep], grad_norm[keep], f[keep],
-                                          below[keep])
+        for p, (step, state) in enumerate(block.parts):
+            while block.bounds[p] < block.bounds[p + 1]:
+                lo, hi = block.bounds[p:p + 2]
+                X = block.X[lo:hi]
+                try:   # x_{k+1} replaces x_k, whose rows are traced
+                    X[:], stats = step(X, G[lo:hi], grad_norm[lo:hi], k, state)
+                    block.rows[p].append(np.array(
+                        [grad_norm[lo:hi], f[lo:hi], below[lo:hi], *stats]))
+                    break
+                except Exception as err:
+                    rows = range(lo, hi)
+                    if isinstance(err, TrustRegionError):   # "row r: ..."
+                        rows = [lo + err.row]
+                        err = TrustRegionError(f"row {rows[0]}:" + str(
+                            err).split(":", 1)[1], rows[0])
+                    keep = block.finish(dict.fromkeys(rows, err))
+                    G, grad_norm, f, below = (G[keep], grad_norm[keep],
+                                              f[keep], below[keep])
         if not block.runs:
             break
-        block.rows.append(np.array([grad_norm, f, below, *stats]))
-        block.X = X_next
         stopped = grad_norm <= grad_tol
         ending = {pos: "gradient tolerance" if stopped[pos]
                   else "max iterations" for pos in
@@ -197,26 +206,34 @@ class _Block:
     """The runs of a :func:`drive` call that are still going, and the
     trace each run has recorded."""
 
-    def __init__(self, X: np.ndarray, state: dict):
+    def __init__(self, X: np.ndarray, parts: list):
         self.X = X
-        self.state = state
+        self.parts = parts
+        # part p advances the rows bounds[p]:bounds[p + 1]
+        self.bounds = np.cumsum([0, *(len(next(iter(state.values()), X))
+                                      for _, state in parts)]).tolist()
         self.runs = list(range(X.shape[0]))    # run index of each row
         self.outcomes: list = [None] * X.shape[0]
-        # per run, (K, F) pieces of its trace; per iteration since the
-        # last flush, an (F, rows) array of trace rows
+        # per run, (K, F) pieces of its trace; per part and iteration
+        # since the last flush, an (F, rows) array of its trace rows
         self.pieces: list[list] = [[] for _ in self.runs]
-        self.rows: list[np.ndarray] = []
+        self.rows: list[list] = [[] for _ in parts]
 
     def finish(self, ends: dict) -> np.ndarray:
         """End the runs at the given row positions and take them out of
         the block. ``ends`` maps a position to ``(reason, f_final)`` or
         to the exception that ended the run; its x_final is its row of
         ``X``. Returns the mask of the rows kept."""
-        if self.rows:
-            trace = np.array(self.rows)
-            for pos, run in enumerate(self.runs):
-                self.pieces[run].append(trace[:, :, pos])
-            self.rows = []
+        keep = np.ones(len(self.runs), dtype=bool)
+        keep[list(ends)] = False
+        for (_, state), rows, lo, hi in zip(self.parts, self.rows,
+                                            self.bounds, self.bounds[1:]):
+            if rows:
+                trace = np.array(rows)
+                for pos, run in enumerate(self.runs[lo:hi]):
+                    self.pieces[run].append(trace[:, :, pos])
+                rows.clear()
+            state.update({key: v[keep[lo:hi]] for key, v in state.items()})
         for pos, end in ends.items():
             run = self.runs[pos]
             err = end if isinstance(end, Exception) else None
@@ -230,11 +247,8 @@ class _Block:
                     err = copy.copy(err)   # one exception ends several runs
                 err.record = record
             self.outcomes[run] = record if err is None else err
-        keep = np.ones(len(self.runs), dtype=bool)
-        keep[list(ends)] = False
         self.X = self.X[keep]
-        for key, value in self.state.items():
-            self.state[key] = value[keep]
+        self.bounds = np.cumsum([0, *keep])[self.bounds].tolist()
         self.runs = [run for run, kept in zip(self.runs, keep) if kept]
         return keep
 
@@ -289,15 +303,6 @@ class PrunAdagState:
             self.w_dec = np.full(n, root)
 
 
-def _block_state(W_opt: np.ndarray, W_dec: np.ndarray,
-                 variants: Sequence[Variant]) -> dict:
-    """The per-row state of the pruning-aware step: both weight blocks
-    and the kernel's variant flags."""
-    rescale, bound, relevant_only = _kernels.variant_flags(variants)
-    return {"w_opt": W_opt, "w_dec": W_dec, "rescale": rescale,
-            "bound": bound, "relevant_only": relevant_only}
-
-
 def _advance(X: np.ndarray, G: np.ndarray, k: int, T: int, state: dict
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Take one kernel step from the block ``X`` at gradients ``G`` and
@@ -330,8 +335,9 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem) -> dict:
     if failed:
         raise failed[0]
     g, grad_norm = G[0], norm[0]
-    block = _block_state(state.w_opt[None], state.w_dec[None],
-                         [state.variant])
+    _, block = prunadag_part(len(state.x), state.T, [state.variant],
+                             state.varsigma)
+    block.update(w_opt=state.w_opt[None], w_dec=state.w_dec[None])
     S, o, r, stats = _advance(state.x[None], g[None], state.k, state.T,
                               block)
     state.x = state.x + S[0]
@@ -341,6 +347,23 @@ def prunadag_iterate(state: PrunAdagState, problem: Problem) -> dict:
     codes = CODE_DECREASABLE - o[0].view(np.int8) - r[0].view(np.int8)
     return {"grad_norm": grad_norm, "g": g, "codes": codes, "step": S[0],
             **{name: col[0] for name, col in zip(STEP_FIELDS, stats)}}
+
+
+def prunadag_part(n: int, T: int, variants: Sequence[Variant],
+                  varsigma: float = DEFAULT_VARSIGMA) -> Part:
+    """The :data:`Part` of the pruning-aware optimizer over one row of
+    length ``n`` per variant; the rows share ``T`` and ``varsigma``. The
+    state holds both weight blocks and the kernel's variant flags."""
+    _check_params(n, T, varsigma)
+
+    def step(X, G, grad_norm, k, state):
+        S, _, _, stats = _advance(X, G, k, T, state)
+        return X + S, stats
+
+    rescale, bound, relevant_only = _kernels.variant_flags(variants)
+    w_opt, w_dec = np.full((2, len(variants), n), np.sqrt(varsigma))
+    return step, {"w_opt": w_opt, "w_dec": w_dec, "rescale": rescale,
+                  "bound": bound, "relevant_only": relevant_only}
 
 
 def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
@@ -353,16 +376,8 @@ def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
     ``stop`` takes the keyword arguments of :func:`drive`: ``oracle``,
     ``grad_tol`` and ``max_iters``.
     """
-    X0 = np.asarray(X0, dtype=np.float64)
-    _check_params(X0.shape[1], T, varsigma)
-    weights = np.full(X0.shape, np.sqrt(varsigma))
-    state = _block_state(weights, weights.copy(), variants)
-
-    def step(X, G, grad_norm, k, state):
-        S, _, _, stats = _advance(X, G, k, T, state)
-        return X + S, stats
-
-    return drive(problems, X0, step, state, **stop)
+    return drive(problems, X0, *prunadag_part(len(X0[0]), T, variants,
+                                              varsigma), **stop)
 
 
 def run(problem: Problem, x0: np.ndarray, T: Optional[int] = None,

@@ -437,42 +437,40 @@ class Stack:
         self.filled += 1
 
     def oracle(self, slots: Sequence[int]) -> "BlockOracle":
-        """The block oracle of the rows whose instances are ``slots``.
-        Raises ValueError unless the stack is full and the rows are
-        seed-major over a range of slots: every slot from the first to
-        the last in order, the same number of rows each."""
-        slots = list(slots)
-        lo, hi = (slots[0], slots[-1] + 1) if slots else (0, 0)
-        rows = len(slots) // max(hi - lo, 1)
-        if (self.filled < self.size or not rows or lo < 0 or hi > self.size
-                or slots != [s for s in range(lo, hi) for _ in range(rows)]):
-            raise ValueError(f"a block oracle needs seed-major rows over a "
-                             f"range of the {self.size} instances, got slots "
-                             f"{slots} with {self.filled} filled")
-        return BlockOracle(self, range(lo, hi), rows)
+        """The block oracle of the rows whose instances are ``slots``,
+        one slot per row, in any order. Raises ValueError unless the
+        stack is full and every row has one of its slots."""
+        slots = np.asarray(slots, dtype=np.intp)
+        if (self.filled < self.size or not slots.size or slots.min() < 0
+                or slots.max() >= self.size):
+            raise ValueError(f"a block oracle needs one of the {self.size} "
+                             f"slots per row, got {slots.tolist()}, "
+                             f"{self.filled} filled")
+        return BlockOracle(self, slots)
 
 
 class BlockOracle:
-    """Gradients and objectives of the S * V rows of a block over the
-    slots ``slots`` of a :class:`Stack`, all from one stacked
-    evaluation; row s * V + v runs on instance ``slots[s]``. Each row is
-    bitwise its instance's own ``family(x)``.
+    """Gradients and objectives of the rows of a block whose instances
+    are the ``slots`` of a :class:`Stack`, one per row, all from one
+    stacked evaluation. Each row is bitwise its instance's own
+    ``family(x)``.
 
     ``oracle(X, runs)`` evaluates the vectors ``X`` of the ascending
     rows ``runs``: in drive the rows still running, in the pruning sweep
-    several vectors per row. Only the slots from the first to the last
-    in ``runs`` are evaluated, each with as many vectors as the slot
-    with the most: a slot's vectors fill the first places of a zero
-    buffer, and a row not in ``runs`` is never evaluated. The buffer is
+    several vectors per row. Only the slots from the lowest to the
+    highest in ``runs`` are evaluated, each with as many vectors as the
+    slot with the most: a slot's vectors fill the first places of its
+    row of an (S, V, n) zero buffer, so that its matrix serves them in
+    turn, and a row not in ``runs`` is never evaluated. The buffer is
     laid out once at the first call and again each time rows leave.
     Returns ``(G, F, {})``.
     """
 
-    def __init__(self, stack: Stack, slots: range, rows_per_slot: int):
-        family = stack.family
-        self.shape = (len(slots), rows_per_slot)
+    def __init__(self, stack: Stack, slots: np.ndarray):
+        family, lo = stack.family, int(slots.min())
+        self.slots = slots - lo   # each row's slot among the arrays'
         self.evaluate = family.block_oracle
-        self.arrays = {name: stack.arrays[name][slots.start:slots.stop, None]
+        self.arrays = {name: stack.arrays[name][lo:slots.max() + 1, None]
                        for name in family.STACKED}
         self.runs = None   # the rows the layout holds
 
@@ -488,16 +486,17 @@ class BlockOracle:
     def _pack(self, runs: list, n: int) -> None:
         """Lay out the vectors of the rows ``runs``: slot s - lo of the
         buffer holds the vectors of slot s's rows in order, and ``place``
-        is each vector's place in the flattened buffer: a slice when the
-        vectors fill it in order, so that no gather copies them."""
-        slot = np.array(runs) // self.shape[1]
-        lo = int(slot[0])
+        is each vector's place in the flattened buffer: a slice when they
+        fill its first places in order, so that no gather copies them."""
+        slot = self.slots[runs]
+        lo, order = int(slot.min()), np.argsort(slot, kind="stable")
         counts = np.bincount(slot - lo)
         width = int(counts.max())
-        column = np.arange(len(runs)) - np.repeat(np.cumsum(counts) - counts,
-                                                  counts)
-        self.place = (slice(None) if len(runs) == len(counts) * width
-                      else (slot - lo) * width + column)
+        place = np.empty(len(runs), dtype=np.intp)
+        place[order] = (np.sort(slot) - lo) * width + np.arange(len(runs)) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        self.place = (slice(len(runs)) if (place == np.arange(len(runs))).all()
+                      else place)
         self.buffer = np.zeros((len(counts), width, n))
         self.packed = {name: array[lo:lo + len(counts)]
                        for name, array in self.arrays.items()}

@@ -157,9 +157,9 @@ def test_criterion_03_algorithmic_invariants():
         X = np.array(X)
         A = np.stack([ls.A for ls in picks])[:, None]
         b = np.stack([ls.b for ls in picks])[:, None]
-        root = np.full(X.shape, math.sqrt(VARSIGMA))
-        state = optimizer._block_state(root, root.copy(),
-                                       [variant] * len(X))
+        # both weight blocks start at sqrt(VARSIGMA)
+        _, state = optimizer.prunadag_part(n, T, [variant] * len(X),
+                                           VARSIGMA)
         sq_opt, sq_dec = np.zeros(X.shape), np.zeros(X.shape)
         found = [[] for _ in X]   # each trajectory's violations in order
         for k in range(iters_per_traj):

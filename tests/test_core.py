@@ -66,6 +66,12 @@ class TestProblem:
             Problem(dim=1, grad=lambda x: x, objective=lambda x: 0.0,
                     lipschitz=-1.0)
 
+    def test_rejects_nan_lipschitz(self):
+        # NaN < 0 is False, so a NaN bound must be refused explicitly
+        with pytest.raises(ValueError, match="nonnegative"):
+            Problem(dim=1, grad=lambda x: x, objective=lambda x: 0.0,
+                    lipschitz=float("nan"))
+
     def test_gradient_shape_validated(self):
         p = Problem(dim=3, grad=lambda x: np.zeros(2),
                     objective=lambda x: 0.0)

@@ -445,6 +445,17 @@ STOPPING_CONFIG = (BASE_CONFIG.replace("A1", "A3")
                             "grad_tol = 0.01\nmax_iters = 300"))
 
 
+# 3 seeds, 7 methods, each shard one block: Adagrad and Frank-Wolfe rows
+# leave on grad_tol while pruning-aware rows run on, and rows of every
+# family reach max_iters
+MIXED_CONFIG = (BASE_CONFIG.replace("A1", "A2")
+                .replace("seeds = 2", "seeds = 3")
+                .replace("v3, adagrad", "v1, v2, v3, v4, adagrad, fw1, fw2\n"
+                         "tau1 = 10\ntau2 = 10\nbeta = 0.9")
+                .replace("max_iters = 40", "grad_tol = 0.1\nmax_iters = 35")
+                + "jobs = {jobs}\n")
+
+
 class TestStackedGrid:
     """A grid of built-in problems evaluates its oracles through the
     stack of its instances."""
@@ -506,6 +517,54 @@ class TestStackedGrid:
         for (method, i), grid in result.records.items():
             assert_same_record(harness._run_one(cfg, method, i,
                                                 result.instances[i]), grid)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mixed_block_rows_leave_at_different_iterations(self, tmp_path,
+                                                            jobs):
+        # at jobs 2 the shards are uneven (seed 0; seeds 1 and 2): every
+        # cell is bitwise its run alone, with its family's untraced fields
+        cfg = load_config(write_config(tmp_path, MIXED_CONFIG, jobs=jobs))
+        result = run_experiment(cfg)
+        assert not result.failures and len(result.records) == 21
+        K = {key: rec.iterations for key, rec in result.records.items()}
+        family = {m: harness.METHODS[m][0] for m in cfg.methods}
+        for fam in ("adagrad", "fw"):
+            assert any(K[(m, i)] < K[(p, i)] and result.records[(m, i)].reason
+                       == "gradient tolerance" for m in cfg.methods
+                       for p in cfg.methods for i in range(3)
+                       if family[m] == fam and family[p] == "prunadag")
+        assert {rec.reason for rec in result.records.values()} == {
+            "gradient tolerance", "max iterations"}
+        for (method, i), rec in result.records.items():
+            assert rec.untraced == (() if family[method] == "prunadag"
+                                    else TRACE_COLUMNS[7:])
+            assert_same_record(harness._run_one(cfg, method, i,
+                                                result.instances[i]), rec)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_drive_loop_and_one_sweep_per_shard(self, tmp_path,
+                                                    monkeypatch, jobs):
+        # every method's cells of a shard advance in one drive loop and
+        # are pruned in one sweep; forked workers append to the same log
+        log = tmp_path / "calls.log"
+
+        def logged(name, real):
+            def call(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(name + "\n")
+                return real(*args, **kwargs)
+            return call
+        monkeypatch.setattr(harness.optimizer, "drive",
+                            logged("drive", harness.optimizer.drive))
+        monkeypatch.setattr(harness.pruning, "prune_report",
+                            logged("sweep", harness.pruning.prune_report))
+        cfg = load_config(write_config(tmp_path, MIXED_CONFIG, jobs=jobs))
+        result = run_experiment(cfg)
+        assert not result.failures and len(result.prune_rows) == 21
+        shards = len(harness._shards(cfg.methods, cfg.seeds, jobs))
+        assert shards == jobs
+        assert sorted(log.read_text().split()) == (["drive"] * shards
+                                                   + ["sweep"] * shards)
 
     def test_instances_share_the_stack(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -612,23 +671,23 @@ jobs = {jobs}
 
 def _fault_at(patch, cfg, cell, t, fault):
     """Make ``fault`` happen at the (t + 1)-th block oracle call of the
-    block that runs ``cell`` (at jobs > 1 its shard), counted in the
-    process that runs it. While every row of the block runs, that is the
-    call of x_t, x_final included; after x_final at max_iters it is the
-    pruning sweep's call, where the fault hits the cell's unpruned x.
-    ``fault`` is "nan" for the cell's gradient, "inf" for its objective,
-    or an exception that the whole call raises."""
+    shard that runs ``cell``, counted in the process that runs it. While
+    every row of the shard runs, that is the call of x_t, x_final
+    included; after x_final at max_iters it is the pruning sweep's call,
+    where the fault hits the cell's unpruned x. ``fault`` is "nan" for
+    the cell's gradient, "inf" for its objective, or an exception that
+    the whole call raises."""
     method, seed = cell
-    family = [m for m in cfg.methods
-              if harness.METHODS[m][0] == harness.METHODS[method][0]]
     block = {}
     run_cells = harness._run_cells
     real = problems.LeastSquaresProblem.block_oracle
 
     def tracked(cfg, cells, instances, stack):
         if cell in cells:
-            block.update(calls=0, slots=len(cells) // len(family),
-                         slot=seed - cells[0][1])
+            first = cells[0][1]
+            block.update(calls=0, slot=seed - first,
+                         slots=len({i for _, i in cells}),
+                         methods=[m for m, i in cells if i == first])
         try:
             return run_cells(cfg, cells, instances, stack)
         finally:
@@ -643,9 +702,11 @@ def _fault_at(patch, cfg, cell, t, fault):
             return G, F
         if isinstance(fault, BaseException):
             raise fault
-        # a slot holds its rows' vectors in order, as many per row
+        # a slot holds its rows' vectors in order, as many per row; a
+        # slot's rows are the shard's methods in order
+        methods = block["methods"]
         row = (block["slot"],
-               family.index(method) * (X.shape[1] // len(family)))
+               methods.index(method) * (X.shape[1] // len(methods)))
         if fault == "nan":
             G[row] = np.nan
         else:
@@ -668,11 +729,17 @@ class TestProcessPool:
     """jobs > 1 runs shards of whole instances in forked processes."""
 
     def test_shards_are_ranges_of_whole_instances(self):
-        cells = [(m, i) for i in range(3) for m in ("v3", "adagrad")]
-        assert harness._shards([cells], 1) == [cells]
-        assert harness._shards([cells], 2) == [cells[:2], cells[2:]]
-        assert harness._shards([cells, cells[:2]], 4) == [
-            cells[:2], cells[2:4], cells[4:], cells[:2]]
+        # every method over a range of seeds: family-major, so that each
+        # family's cells are contiguous, then seed-major
+        def cells(seeds):
+            return [(m, i) for family in (("v3", "v1"), ("adagrad",),
+                                          ("fw1",))
+                    for i in seeds for m in family]
+        methods = ["v3", "adagrad", "v1", "fw1"]
+        assert harness._shards(methods, 3, 1) == [cells(range(3))]
+        assert harness._shards(methods, 3, 2) == [cells([0]), cells([1, 2])]
+        assert harness._shards(methods, 3, 4) == [cells([0]), cells([1]),
+                                                  cells([2])]
 
     @pytest.mark.parametrize("faulty_row", [False, True])
     def test_parallel_matches_serial(self, tmp_path, monkeypatch,
@@ -940,27 +1007,29 @@ class TestFailures:
 
     def test_non_diverged_oracle_exception_is_recorded(self, tmp_path,
                                                        monkeypatch):
-        # the v3 block's call of x_9 raises, so both of its cells fail
+        # the grid's one block oracle call of x_9 raises, so every cell,
+        # still running, fails
         cfg = load_config(write_config(tmp_path))
         _fault_at(monkeypatch, cfg, ("v3", 1), 9, ZeroDivisionError("boom"))
         result = run_experiment(cfg)
-        failed = {("v3", i): "ZeroDivisionError: boom" for i in range(2)}
+        failed = {(m, i): "ZeroDivisionError: boom"
+                  for m in ("adagrad", "v3") for i in range(2)}
         assert result.failures == failed
         # the exception carries the 9 rows recorded before call 10
         for key in failed:
             rec = result.records[key]
             rec.validate()
             assert rec.iterations == 9 and rec.reason == "failed"
-        assert set(result.prune_rows) == {("adagrad", 0), ("adagrad", 1)}
+        assert not result.prune_rows
         _, runs, records = load_bundle(cfg.out_dir)
         assert records[("v3", 1)].iterations == 9
         assert runs[("v3", 1)]["reason"] == "failed"
         with open(os.path.join(cfg.out_dir, "meta.json")) as fh:
             meta = json.load(fh)
-        assert meta["diverged_count"] == 2
-        assert meta["diverged"] == [{"optimizer": "v3", "seed": i,
+        assert meta["diverged_count"] == 4
+        assert meta["diverged"] == [{"optimizer": m, "seed": i,
                                      "reason": "ZeroDivisionError: boom"}
-                                    for i in range(2)]
+                                    for m, i in sorted(failed)]
         outcomes = verify_bundle(cfg.out_dir)
         assert [(o.optimizer, o.seed, o.ok) for o in outcomes] == [
             ("v3", 0, True), ("v3", 1, True)]
@@ -1034,12 +1103,12 @@ class TestFailures:
 
     def test_block_that_raises_fails_each_of_its_cells(self, tmp_path,
                                                       monkeypatch):
-        # the Adagrad batch raises as a whole: each of its cells fails
-        # with the exception, and the other blocks and the bundle stay
+        # the Adagrad part cannot be built: each of its cells fails with
+        # the exception, and the other families' rows and the bundle stay
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(harness.baselines, "adagrad_batch", boom)
+        monkeypatch.setattr(harness.baselines, "adagrad_part", boom)
         cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace(
             "v3, adagrad", "v3, adagrad, fw1")))
         result = run_experiment(cfg)
@@ -1059,8 +1128,8 @@ class TestFailures:
 
     def test_sweep_that_raises_fails_each_cell_of_its_block(self, tmp_path,
                                                             monkeypatch):
-        # the pruning sweep of the first block, the pruning-aware one,
-        # raises as a whole: its cells keep their records and fail
+        # the pruning sweep of the grid's one block raises as a whole:
+        # every cell keeps its record and fails
         clean = run_experiment(load_config(write_config(
             tmp_path, out=str(tmp_path / "clean"))))
         real, calls = pruning.prune_report, itertools.count()
@@ -1072,9 +1141,10 @@ class TestFailures:
 
         monkeypatch.setattr(harness.pruning, "prune_report", sweep)
         result = run_experiment(load_config(write_config(tmp_path)))
-        assert result.failures == {("v3", i): "ValueError: sweep"
+        assert result.failures == {(m, i): "ValueError: sweep"
+                                   for m in ("v3", "adagrad")
                                    for i in range(2)}
-        assert set(result.prune_rows) == {("adagrad", 0), ("adagrad", 1)}
+        assert not result.prune_rows
         assert result.records.keys() == clean.records.keys()
         for key, rec in result.records.items():
             assert_same_record(rec, clean.records[key])
@@ -1155,12 +1225,9 @@ class TestFaultInjection:
         reached = {cell}
         if fault == "raise":
             # a block oracle call that raises fails every row it evaluates:
-            # the cell's block, or at jobs 2 its shard
-            blocks = {}
-            for i, m in itertools.product(range(3), cfg.methods):
-                blocks.setdefault(harness.METHODS[m][0], []).append((m, i))
+            # the cell's shard, every cell of the grid at jobs 1
             reached = next(set(cells) for cells in harness._shards(
-                blocks.values(), jobs) if cell in cells)
+                cfg.methods, 3, jobs) if cell in cells)
         message = FAULT_MESSAGES[fault].format(t=t)
         assert result.failures == dict.fromkeys(reached, message)
         assert result.records.keys() == set(FAULT_CELLS)

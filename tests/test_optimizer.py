@@ -306,9 +306,9 @@ class TestTraceStatistics:
         X = rng.standard_normal((B, n))
         X[rng.random((B, n)) < 0.2] = 0.0
         G = rng.standard_normal((B, n))
-        state = optimizer._block_state(rng.uniform(0.1, 2.0, (B, n)),
-                                       rng.uniform(0.1, 2.0, (B, n)),
-                                       [*ALL_VARIANTS, Variant.V3])
+        _, state = optimizer.prunadag_part(n, T, [*ALL_VARIANTS, Variant.V3])
+        state.update(w_opt=rng.uniform(0.1, 2.0, (B, n)),
+                     w_dec=rng.uniform(0.1, 2.0, (B, n)))
         _, o, r, stats = optimizer._advance(X, G, 3, T, state)
         stats = dict(zip(STEP_FIELDS, stats))
         W_opt, W_dec = state["w_opt"], state["w_dec"]
@@ -687,6 +687,87 @@ class TestBatch:
         for b in range(4):
             got = outcomes[b]
             assert_same_record(getattr(got, "record", got), alone[b])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_block_of_parts_matches_solo_runs(self, seed):
+        # one block of the three families' parts, in a random order and
+        # sizes, a part of no rows included (Frank-Wolfe needs a config):
+        # each row is bitwise its run alone, with its own untraced
+        # fields, as rows leave at different iterations
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 20))
+        T = int(rng.integers(2, n + 1))
+        sizes = rng.integers([0, 0, 1], 4)
+        variants = [ALL_VARIANTS[i] for i in rng.integers(0, 5, sizes[0])]
+        cfgs = [FwConfig(T=T, tau=float(rng.uniform(0.5, 20.0)),
+                         rate=FwRate.RESCALED if rng.integers(2)
+                         else FwRate.LINEAR, beta=0.3)
+                for _ in range(sizes[2])]
+        parts = [(optimizer.prunadag_part(n, T, variants),
+                  lambda p, x: run(p, x, T, variants[len(alone)], **stop)),
+                 (baselines.adagrad_part(n, sizes[1]),
+                  lambda p, x: adagrad_run(p, x, **stop)),
+                 (baselines.fw_part(n, cfgs),
+                  lambda p, x: fw_run(p, x, cfgs[len(alone)], **stop))]
+        order = rng.permutation(3)
+        stop = dict(max_iters=int(rng.integers(1, 40)), grad_tol=0.25)
+        problems = [tied_problem(rng, n) for _ in range(sum(sizes))]
+        X0 = rng.integers(-3, 4, (len(problems), n)) * 0.5
+        out = optimizer.drive(problems, X0, [parts[p][0] for p in order],
+                              **stop)
+        b = 0
+        for p in order:
+            alone = []
+            for _ in range(sizes[p]):
+                alone.append(solo(lambda: parts[p][1](problems[b], X0[b])))
+                assert_same_record(getattr(out[b], "record", out[b]),
+                                   alone[-1])
+                b += 1
+
+    def test_step_exception_ends_its_part_only(self):
+        # the first part, Adagrad's two rows, raises at step 2; the
+        # pruning-aware rows after it run on as alone
+        problems = [quadratic_problem(4)] * 4
+        X0 = np.arange(16.0).reshape(4, 4) + 1.0
+        step, state = baselines.adagrad_part(4, 2)
+
+        def raising(X, G, grad_norm, k, state):
+            if k == 2:
+                raise ZeroDivisionError("boom")
+            return step(X, G, grad_norm, k, state)
+        out = optimizer.drive(problems, X0, [
+            (raising, state), optimizer.prunadag_part(4, 2, [Variant.V3] * 2)],
+            max_iters=5)
+        for b in range(2):
+            assert isinstance(out[b], ZeroDivisionError)
+            assert out[b].record.iterations == 2
+            assert out[b].record.untraced == STEP_FIELDS[4:]
+            assert out[b].record.trace.tobytes() == adagrad_run(
+                problems[b], X0[b], max_iters=2).trace.tobytes()
+        for b in range(2, 4):
+            assert_same_record(out[b], run(problems[b], X0[b], 2, Variant.V3,
+                                           max_iters=5))
+
+    def test_trust_region_error_names_its_row_in_the_block(self):
+        # as in test_trust_region_error_ends_its_row_only, behind an
+        # Adagrad part of two rows: the NaN row is row 3 of the block
+        g = np.array([5.0, 4.0, 0.5])
+        problems = [Problem(dim=3, grad=lambda x: g.copy(),
+                            objective=lambda x: 0.0)] * 4
+        X0 = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                       [1.0, 1.0, np.nan]])
+        out = optimizer.drive(problems, X0, [
+            baselines.adagrad_part(3, 2),
+            optimizer.prunadag_part(3, 2, [Variant.V2] * 2)], max_iters=3)
+        assert isinstance(out[3], steps.TrustRegionError)
+        assert out[3].row == 3 and str(out[3]).startswith("row 3: ")
+        assert out[3].record.iterations == 0
+        assert_same_record(out[2], run(problems[2], X0[2], 2, Variant.V2,
+                                       max_iters=3))
+        for b in range(2):
+            assert_same_record(out[b], adagrad_run(problems[b], X0[b],
+                                                   max_iters=3))
 
     def test_rows_must_match(self):
         problems = [quadratic_problem(4)] * 2

@@ -599,29 +599,26 @@ class TestStack:
                 assert same_bits(G[pos], solo[b // 4].gradient(X[b]))
                 assert same_bits(F[pos], solo[b // 4].value(X[b]))
 
-    def test_oracle_needs_seed_major_rows(self):
-        stack = stacked([gen_least_squares("A1", 4, 10, seed=s)
-                         for s in range(2)])
-        full = stack.oracle([0, 0, 1, 1])
-        assert full.shape == (2, 2)
-        X = np.random.default_rng(0).standard_normal((4, 10))
-        G, F, _ = full(X, [0, 1, 2, 3])
-        # a shard of a range of slots holds views of the stack's arrays
-        # and gives the rows of the full block
-        for slots, rows in (([0, 0], [0, 1]), ([1], [2])):
-            shard = stack.oracle(slots)
+    def test_oracle_needs_a_slot_of_a_full_stack_per_row(self):
+        members = [gen_least_squares("A1", 4, 10, seed=s) for s in range(3)]
+        solo = list(members)
+        stack = stacked(members)
+        X = np.random.default_rng(0).standard_normal((6, 10))
+        # rows in any order over any slots, a grid shard's family-major
+        # rows included; the oracle holds views of the stack's arrays
+        for slots in ([0, 0, 1, 1], [0, 1, 0, 1], [1, 2, 1, 2, 1, 2],
+                      [1, 1, 0, 0], [0, 0, 1], [2, 0], [0, 2], [1]):
+            oracle = stack.oracle(slots)
             assert all(np.shares_memory(array, stack.arrays[name])
-                       for name, array in shard.arrays.items())
-            G_shard, F_shard, _ = shard(X[rows], range(len(rows)))
-            assert same_bits(G_shard, G[rows]) and same_bits(F_shard, F[rows])
-        for slots in ([0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0], [], [2]):
-            with pytest.raises(ValueError, match="seed-major"):
+                       for name, array in oracle.arrays.items())
+            G, F, _ = oracle(X[:len(slots)], range(len(slots)))
+            for b, slot in enumerate(slots):
+                assert same_bits(G[b], solo[slot].gradient(X[b])), slots
+                assert same_bits(F[b], solo[slot].value(X[b])), slots
+        for slots in ([], [3], [-1], [0, 3, 1]):
+            with pytest.raises(ValueError, match="one of the 3 slots"):
                 stack.oracle(slots)
-        gapped = stacked([gen_least_squares("A1", 4, 10, seed=s)
-                          for s in range(3)])
-        with pytest.raises(ValueError, match="seed-major"):
-            gapped.oracle([0, 2])
         partial = Stack(2)
         partial.add(gen_least_squares("A1", 4, 10, seed=0))
-        with pytest.raises(ValueError, match="seed-major"):
+        with pytest.raises(ValueError, match="1 filled"):
             partial.oracle([0, 1])
