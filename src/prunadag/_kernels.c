@@ -1,12 +1,14 @@
 /* The compiled kernels: the iteration of the pruning-aware method and
- * the Frank-Wolfe step, per row, on one top-T selection.
+ * the Frank-Wolfe step, per row, on one top-T selection; and the block
+ * products of the problem families' oracles.
  *
  * _kernels.py builds this file into an extension module on first
- * import and documents the kernels. Every operation is the float64
- * operation of the step-by-step reference (steps.py for the
+ * import and documents the kernels. Every operation of the steps is the
+ * float64 operation of the step-by-step reference (steps.py for the
  * pruning-aware method, the numpy Frank-Wolfe step in
  * tests/test_baselines.py), in the same order, so a row's outputs are
- * bitwise the reference's. Build it without -ffast-math and with
+ * bitwise the reference's. Each product has one fixed order of its own,
+ * the same on every ISA path. Build it without -ffast-math and with
  * -ffp-contract=off: a fused multiply-add or a reassociated sum changes
  * the last bits.
  */
@@ -289,6 +291,207 @@ static double step_size(double kp1, int rescaled, double beta, double norm,
     return (rate < 1.0) | (rate != rate) ? rate : 1.0;
 }
 
+/* The block products: out[b] = M[slot[b]] @ X[b] and
+ * out[b] = M[slot[b]].T @ R[b], each in one fixed order.
+ *
+ * A dot product of length n keeps 8 lanes, lane j the sum from 0.0 of
+ * the j-th products of the 8-entry chunks in ascending order; then
+ * ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), then the n mod 8
+ * tail products in order. An entry of a transposed product is the sum
+ * from 0.0 of its column's products over the rows in ascending order.
+ *
+ * The rows of a call are grouped by slot, so that each slot's matrix
+ * is read once per call for all of its rows, in blocks of matrix rows
+ * by vectors. Each ISA path has its own vector type and block sizes,
+ * those that keep its accumulators in its registers. Every lane does
+ * the same IEEE operation whatever the width and the blocks, so every
+ * path gives the same bits, and so does a row whatever the other rows
+ * of its call. A path's vectors stay inside its own functions: none is
+ * passed to or returned from a function. */
+
+/* vectors of 8, 4 and 2 doubles, loaded from and stored to any double */
+typedef double v8 __attribute__((vector_size(64), aligned(8), may_alias));
+typedef double v4 __attribute__((vector_size(32), aligned(8), may_alias));
+typedef double v2 __attribute__((vector_size(16), aligned(8), may_alias));
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* out[v] = M @ in[v] (matvec) or M.T @ in[v] (rmatvec) for the V
+ * vectors of one slot's m x n matrix M */
+typedef void slot_product(const double *M, Py_ssize_t m, Py_ssize_t n,
+                          Py_ssize_t V, const double *const *in,
+                          double *const *out);
+
+/* ``op`` on the rows from ``row`` and every vector: blocks of VB
+ * vectors, then one of the fewer left; the guards keep out the sizes
+ * above VB, so that ``op`` is inlined with constant sizes only */
+#define EACH_VECTOR(op, R, VB)                                          \
+    do {                                                                \
+        Py_ssize_t v = 0;                                               \
+        for (; v + (VB) <= V; v += (VB))                                \
+            op(M, n, row, R, VB, in + v, out + v);                      \
+        switch (V - v) {                                                \
+        case 3: if (3 < (VB)) op(M, n, row, R, 3, in + v, out + v);     \
+                break;                                                  \
+        case 2: if (2 < (VB)) op(M, n, row, R, 2, in + v, out + v);     \
+                break;                                                  \
+        case 1: if (1 < (VB)) op(M, n, row, R, 1, in + v, out + v);     \
+                break;                                                  \
+        }                                                               \
+    } while (0)
+
+/* ``op`` on every row of the m x n matrix M, RB rows at a time */
+#define EACH_ROW(op, RB, VB)                                            \
+    do {                                                                \
+        Py_ssize_t row = 0;                                             \
+        for (; row + (RB) <= m; row += (RB))                            \
+            EACH_VECTOR(op, RB, VB);                                    \
+        switch (m - row) {                                              \
+        case 3: if (3 < (RB)) EACH_VECTOR(op, 3, VB); break;            \
+        case 2: if (2 < (RB)) EACH_VECTOR(op, 2, VB); break;            \
+        case 1: if (1 < (RB)) EACH_VECTOR(op, 1, VB); break;            \
+        }                                                               \
+    } while (0)
+
+/* lane j of the accumulator of row r and vector v, W lanes a vector */
+#define LANE(j) acc[r][v][(j) / W][(j) % W]
+
+/* One path's products, matvec_<path> and rmatvec_<path>, on vectors of
+ * type ``vec``: matvec in blocks of RB matrix rows by VB vectors, each
+ * 8-lane accumulator 8 / W vectors; rmatvec in blocks of TRB rows by
+ * TVB vectors. dots_<path> does one block of R <= RB rows by NV <= VB
+ * vectors, axpys_<path> one of R <= TRB rows by NV <= TVB vectors. */
+#define PRODUCTS(path, vec, RB, VB, TRB, TVB)                              \
+INLINE void dots_##path(const double *M, Py_ssize_t n, Py_ssize_t row,      \
+                        int R, int NV, const double *const *x,              \
+                        double *const *out)                                 \
+{                                                                           \
+    enum { W = sizeof(vec) / sizeof(double), H = 8 / W };                   \
+    vec acc[RB][VB][H], a[RB][H];                                           \
+    for (int r = 0; r < R; r++)                                             \
+        for (int v = 0; v < NV; v++)                                        \
+            for (int h = 0; h < H; h++)                                     \
+                acc[r][v][h] = (vec){0.0};                                  \
+    Py_ssize_t n8 = n - n % 8;                                              \
+    for (Py_ssize_t k = 0; k < n8; k += 8) {                                \
+        for (int r = 0; r < R; r++)                                         \
+            for (int h = 0; h < H; h++)                                     \
+                a[r][h] = *(const vec *)(M + (row + r) * n + k + h * W);    \
+        for (int v = 0; v < NV; v++)                                        \
+            for (int h = 0; h < H; h++) {                                   \
+                vec b = *(const vec *)(x[v] + k + h * W);                   \
+                for (int r = 0; r < R; r++)                                 \
+                    acc[r][v][h] += a[r][h] * b;                            \
+            }                                                               \
+    }                                                                       \
+    for (int r = 0; r < R; r++) {                                           \
+        const double *m = M + (row + r) * n;                                \
+        for (int v = 0; v < NV; v++) {                                      \
+            double s = ((LANE(0) + LANE(1)) + (LANE(2) + LANE(3)))          \
+                       + ((LANE(4) + LANE(5)) + (LANE(6) + LANE(7)));       \
+            for (Py_ssize_t k = n8; k < n; k++)                             \
+                s += m[k] * x[v][k];                                        \
+            out[v][row + r] = s;                                            \
+        }                                                                   \
+    }                                                                       \
+}                                                                           \
+                                                                            \
+INLINE void axpys_##path(const double *M, Py_ssize_t n, Py_ssize_t row,     \
+                         int R, int NV, const double *const *r,             \
+                         double *const *out)                                \
+{                                                                           \
+    enum { W = sizeof(vec) / sizeof(double) };                              \
+    const double *m[TRB];                                                   \
+    vec c[TRB][TVB], a[TRB];                                                \
+    for (int i = 0; i < R; i++) {                                           \
+        m[i] = M + (row + i) * n;                                           \
+        for (int v = 0; v < NV; v++)                                        \
+            c[i][v] = (vec){0.0} + r[v][row + i];                           \
+    }                                                                       \
+    Py_ssize_t nw = n - n % W;                                              \
+    for (Py_ssize_t k = 0; k < nw; k += W) {                                \
+        for (int i = 0; i < R; i++)                                         \
+            a[i] = *(const vec *)(m[i] + k);                                \
+        for (int v = 0; v < NV; v++) {                                      \
+            vec o = *(vec *)(out[v] + k);                                   \
+            for (int i = 0; i < R; i++)                                     \
+                o += a[i] * c[i][v];                                        \
+            *(vec *)(out[v] + k) = o;                                       \
+        }                                                                   \
+    }                                                                       \
+    for (Py_ssize_t k = nw; k < n; k++)                                     \
+        for (int v = 0; v < NV; v++) {                                      \
+            double s = out[v][k];                                           \
+            for (int i = 0; i < R; i++)                                     \
+                s += m[i][k] * r[v][row + i];                               \
+            out[v][k] = s;                                                  \
+        }                                                                   \
+}                                                                           \
+                                                                            \
+static void matvec_##path(const double *M, Py_ssize_t m, Py_ssize_t n,      \
+                          Py_ssize_t V, const double *const *in,            \
+                          double *const *out)                               \
+{                                                                           \
+    EACH_ROW(dots_##path, RB, VB);                                          \
+}                                                                           \
+                                                                            \
+static void rmatvec_##path(const double *M, Py_ssize_t m, Py_ssize_t n,     \
+                           Py_ssize_t V, const double *const *in,           \
+                           double *const *out)                              \
+{                                                                           \
+    for (Py_ssize_t v = 0; v < V; v++)                                      \
+        memset(out[v], 0, n * sizeof(double));                              \
+    EACH_ROW(axpys_##path, TRB, TVB);                                       \
+}
+
+/* The ISA paths, widest first, the order pick_path counts on. The
+ * blocks are the fastest of those tried at the grids' shapes (20 x 200
+ * to 700 x 200 and 500 x 5000, 1 to 7 vectors a slot). On AVX-512, 16
+ * 8-lane accumulators fill half of its 32 registers. AVX2 and SSE2
+ * have 16, so their dot products take one matrix row by 4 vectors (8
+ * registers of accumulators) or by 3 (12). */
+#if defined(__x86_64__)
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+PRODUCTS(avx512f, v8, 4, 4, 4, 4)
+#pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx2")
+PRODUCTS(avx2, v4, 1, 4, 4, 3)
+#pragma GCC pop_options
+#endif
+PRODUCTS(default, v2, 1, 3, 4, 3)
+
+static const struct path {
+    const char *name;
+    slot_product *matvec, *rmatvec;
+} PATHS[] = {
+#if defined(__x86_64__)
+    {"avx512f", matvec_avx512f, rmatvec_avx512f},
+    {"avx2", matvec_avx2, rmatvec_avx2},
+#endif
+    {"default", matvec_default, rmatvec_default},
+};
+
+/* The path the products run: the widest the CPU has, or the one a test
+ * build names with -DISA_PATH='"<name>"' (the production build names
+ * none). */
+static const struct path *pick_path(void)
+{
+    const struct path *p = PATHS;
+#ifdef ISA_PATH
+    while (strcmp(p->name, ISA_PATH) != 0 && strcmp(p->name, "default") != 0)
+        p++;
+#elif defined(__x86_64__)
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx512f"))
+        p += __builtin_cpu_supports("avx2") ? 1 : 2;
+#endif
+    return p;
+}
+
+static const struct path *path;
+
 /* The arguments of a C entry that are buffers: a C-contiguous buffer of
  * ``count`` items of a struct format among ``format``; ``what`` names
  * it in the error. */
@@ -339,21 +542,33 @@ static int get_all(PyObject **obj, Py_buffer *view, const struct spec *spec,
     return 0;
 }
 
+/* The shape of ``obj``, which must have ``ndim`` dimensions; ``what``
+ * names it in the error */
+static int dims(PyObject *obj, const char *what, int ndim, Py_ssize_t *shape)
+{
+    Py_buffer view;
+    if (PyObject_GetBuffer(obj, &view, PyBUF_ND) < 0)
+        return -1;
+    int got = view.ndim;
+    for (int i = 0; i < ndim && got == ndim; i++)
+        shape[i] = view.shape[i];
+    PyBuffer_Release(&view);
+    if (got != ndim) {
+        PyErr_Format(PyExc_ValueError, "%s must have %d dimensions, got %d",
+                     what, ndim, got);
+        return -1;
+    }
+    return 0;
+}
+
 /* The shape (B, n) of the block X */
 static int block_shape(PyObject *X, Py_ssize_t *B, Py_ssize_t *n)
 {
-    Py_buffer shape;
-    if (PyObject_GetBuffer(X, &shape, PyBUF_ND) < 0)
+    Py_ssize_t shape[2];
+    if (dims(X, "X", 2, shape) < 0)
         return -1;
-    int ndim = shape.ndim;
-    *B = ndim == 2 ? shape.shape[0] : 0;
-    *n = ndim == 2 ? shape.shape[1] : 0;
-    PyBuffer_Release(&shape);
-    if (ndim != 2) {
-        PyErr_Format(PyExc_ValueError, "X must be a (B, n) block, got %d "
-                     "dimensions", ndim);
-        return -1;
-    }
+    *B = shape[0];
+    *n = shape[1];
     return 0;
 }
 
@@ -371,7 +586,7 @@ static int block_shape_T(PyObject *X, Py_ssize_t T, Py_ssize_t *B,
     return 0;
 }
 
-enum { N_ITERATE = 11, N_VERTEX = 5, N_MOVE = 7 };
+enum { N_ITERATE = 11, N_VERTEX = 5, N_MOVE = 7, N_PRODUCT = 4 };
 
 static PyObject *iterate(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -487,6 +702,85 @@ static PyObject *fw_move(PyObject *Py_UNUSED(self), PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* matvec and rmatvec: out[b] = M[slot[b]] @ X[b], or M[slot[b]].T @ X[b]
+ * when ``transposed``. Every argument and slot is checked before any
+ * write. */
+static PyObject *product(PyObject *args, int transposed)
+{
+    PyObject *obj[N_PRODUCT];
+    Py_ssize_t shape[3], block[2];
+    const char *name = transposed ? "R" : "X";
+    if (!PyArg_ParseTuple(args, "OOOO", &obj[0], &obj[1], &obj[2], &obj[3])
+            || dims(obj[0], "M", 3, shape) < 0
+            || dims(obj[1], name, 2, block) < 0)
+        return NULL;
+    Py_ssize_t S = shape[0], m = shape[1], n = shape[2], B = block[0];
+    Py_ssize_t len_in = transposed ? m : n, len_out = transposed ? n : m;
+    if (block[1] != len_in)
+        return PyErr_Format(PyExc_ValueError, "%s must have %zd columns, "
+                            "got %zd", name, len_in, block[1]);
+    const struct spec spec[N_PRODUCT] = {
+        {"M", "d", 8, S * m * n, 0}, {name, "d", 8, B * len_in, 0},
+        {"slot", "lq", 8, B, 0}, {"out", "d", 8, B * len_out, 1}};
+    Py_buffer view[N_PRODUCT];
+    if (get_all(obj, view, spec, N_PRODUCT) < 0)
+        return NULL;
+    const double *M = view[0].buf, *X = view[1].buf;
+    const int64_t *slot = view[2].buf;
+    double *out = view[3].buf;
+    for (Py_ssize_t b = 0; b < B; b++)
+        if (slot[b] < 0 || slot[b] >= S) {
+            release(view, N_PRODUCT);
+            return PyErr_Format(PyExc_ValueError, "slot[%zd] is %lld, "
+                                "outside [0, %zd)", b, (long long)slot[b],
+                                S);
+        }
+    /* the rows of each slot in order; end[s] ends up where slot s ends.
+     * B + 1 pointers: a request of 0 bytes may return NULL */
+    Py_ssize_t *end = calloc(S + 1, sizeof *end);
+    const double **in = malloc((B + 1) * sizeof *in);
+    double **to = malloc((B + 1) * sizeof *to);
+    if (end == NULL || in == NULL || to == NULL) {
+        free(end);
+        free(in);
+        free(to);
+        release(view, N_PRODUCT);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t b = 0; b < B; b++)
+        end[slot[b] + 1]++;
+    for (Py_ssize_t s = 0; s < S; s++)
+        end[s + 1] += end[s];
+    for (Py_ssize_t b = 0; b < B; b++) {
+        Py_ssize_t at = end[slot[b]]++;
+        in[at] = X + b * len_in;
+        to[at] = out + b * len_out;
+    }
+    for (Py_ssize_t s = 0, lo = 0; s < S; lo = end[s++]) {
+        if (end[s] == lo)
+            continue;
+        if (transposed)
+            path->rmatvec(M + s * m * n, m, n, end[s] - lo, in + lo, to + lo);
+        else
+            path->matvec(M + s * m * n, m, n, end[s] - lo, in + lo, to + lo);
+    }
+    free(end);
+    free(in);
+    free(to);
+    release(view, N_PRODUCT);
+    Py_RETURN_NONE;
+}
+
+static PyObject *matvec(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return product(args, 0);
+}
+
+static PyObject *rmatvec(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    return product(args, 1);
+}
+
 static PyMethodDef methods[] = {
     {"iterate", iterate, METH_VARARGS,
      "iterate(X, G, W_opt_prev, W_dec_prev, k, T, rescale, bound, "
@@ -495,6 +789,10 @@ static PyMethodDef methods[] = {
      "fw_vertex(X, G, T, tau, D, norm_r) -> None"},
     {"fw_move", fw_move, METH_VARARGS,
      "fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next) -> None"},
+    {"matvec", matvec, METH_VARARGS,
+     "matvec(M, X, slot, out) -> None: out[b] = M[slot[b]] @ X[b]"},
+    {"rmatvec", rmatvec, METH_VARARGS,
+     "rmatvec(M, R, slot, out) -> None: out[b] = M[slot[b]].T @ R[b]"},
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_ckernel", NULL,
@@ -502,5 +800,10 @@ static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_ckernel", NULL,
 
 PyMODINIT_FUNC PyInit__ckernel(void)
 {
-    return PyModule_Create(&module);
+    path = pick_path();
+    PyObject *mod = PyModule_Create(&module);
+    if (mod != NULL && PyModule_AddStringConstant(mod, "isa_path",
+                                                  path->name) < 0)
+        Py_CLEAR(mod);
+    return mod;
 }

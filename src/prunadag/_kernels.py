@@ -1,5 +1,6 @@
 """The production kernels: the iteration of the pruning-aware method
-and the Frank-Wolfe step, on one top-T selection.
+and the Frank-Wolfe step, on one top-T selection, and the block
+products of the problem families' oracles.
 
 The optimizer's inner loop is the hot path: at desk scale (n in the
 hundreds, 10^4 iterations, dozens of seeds) an iteration is cheap
@@ -28,6 +29,13 @@ reference and with the same run advanced alone.
 * ``stats``   -- per row, the trace entries of ``optimizer.STEP_FIELDS``;
                  a sum among them runs over a whole row, zeros off its set.
 
+``matvec`` and ``rmatvec``, the oracles' products, read each slot's
+matrix once per call for all of its rows, and sum in one fixed order
+(see ``_kernels.c``) whatever the other rows, the ISA path that runs
+or the BLAS thread count: they use no BLAS. On x86-64 the module runs
+the widest of its AVX-512, AVX2 and SSE2 paths that the CPU has, and
+``_c.isa_path`` names it.
+
 The C source is built with gcc on the first import, into
 ``__pycache__/`` beside this file, under a name keyed by the sha256 of
 the source and the build command; later imports load the cached
@@ -51,8 +59,8 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 CC = "gcc"
 # no -march=native, -ffast-math or FMA contraction: each would change
-# the last bits of the outputs
-CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+# the last bits of the outputs; -O3 keeps the products' sums in registers
+CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _build(target: Path) -> None:
@@ -149,3 +157,20 @@ def frank_wolfe(X, G, k, T, tau, rescaled, beta):
     diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
     _c.fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next)
     return D, X_next, norm_r
+
+
+def matvec(M, X, slot):
+    """``M[slot[b]] @ X[b]`` for each row b of the (B, n) block ``X``,
+    ``M`` an (S, m, n) stack and ``slot`` (B,) intp, all C-contiguous;
+    the C function checks each argument and slot before it writes."""
+    out = np.empty((len(X), M.shape[1]))
+    _c.matvec(M, X, slot, out)
+    return out
+
+
+def rmatvec(M, R, slot):
+    """``M[slot[b]].T @ R[b]`` for each row b of the (B, m) block ``R``;
+    otherwise as :func:`matvec`."""
+    out = np.empty((len(R), M.shape[2]))
+    _c.rmatvec(M, R, slot, out)
+    return out

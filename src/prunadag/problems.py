@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .core import InputFileError, read_input
 
 MATRIX_MAGIC = b"PADM"
@@ -88,13 +89,17 @@ class _Family:
     """A built-in family is its own problem: ``family(x)`` gives g and f
     from one row of ``block_oracle``, the one statement of its math,
     which ``gradient`` and ``value`` read; ``dim`` is the last axis of
-    the first ``STACKED`` array."""
+    the first ``STACKED`` array. ``block_oracle(X, slot, **arrays)``
+    gives G and F of each row b of ``X`` on the stacked ``arrays``'
+    instance ``slot[b]``, all C-contiguous float64."""
 
     def __call__(self, x: np.ndarray):
-        arrays = {name: getattr(self, name)[None, None]
+        arrays = {name: np.ascontiguousarray(getattr(self, name),
+                                             dtype=np.float64)[None]
                   for name in self.STACKED}
-        return tuple(out[0, 0] for out in self.block_oracle(
-            np.asarray(x, dtype=np.float64)[None, None], **arrays))
+        return tuple(out[0] for out in self.block_oracle(
+            np.ascontiguousarray(x, dtype=np.float64)[None],
+            np.zeros(1, dtype=np.intp), **arrays))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self(x)[0]
@@ -131,11 +136,10 @@ class LeastSquaresProblem(_Family):
     STACKED = ("A", "b")
 
     @staticmethod
-    def block_oracle(X, A, b):
-        """G and F of every row of ``X`` (S, V, n) from one residual;
-        ``A`` (S, 1, m, n) and ``b`` (S, 1, m) broadcast over V."""
-        R = _matvec(A, X) - b
-        G = _matvec(A.swapaxes(-1, -2), R)
+    def block_oracle(X, slot, A, b):
+        """G and F of every row of ``X`` from one residual."""
+        R = _kernels.matvec(A, X, slot) - b[slot]
+        G = _kernels.rmatvec(A, R, slot)
         return G, 0.5 * np.sum(R ** 2, axis=-1)
 
 
@@ -216,11 +220,11 @@ class SparseCodingProblem(_Family):
     STACKED = ("D", "y")
 
     @staticmethod
-    def block_oracle(X, D, y):
+    def block_oracle(X, slot, D, y):
         """As :meth:`LeastSquaresProblem.block_oracle`; doubling the
         product, which is exact, needs no doubled copy of ``D``."""
-        R = _matvec(D, X) - y
-        G = 2.0 * _matvec(D.swapaxes(-1, -2), R)
+        R = _kernels.matvec(D, X, slot) - y[slot]
+        G = 2.0 * _kernels.rmatvec(D, R, slot)
         return G, np.sum(R ** 2, axis=-1)
 
 
@@ -255,15 +259,15 @@ class LogisticProblem(_Family):
     STACKED = ("samples", "labels")
 
     @staticmethod
-    def block_oracle(X, samples, labels):
-        """G and F of every row of ``X`` (S, V, n) from one set of
-        margins t and e = exp(-|t|); ``samples`` (S, 1, N, n) and
-        ``labels`` (S, 1, N) broadcast over V."""
-        t = labels * _matvec(samples, X)
+    def block_oracle(X, slot, samples, labels):
+        """G and F of every row of ``X`` from one set of margins t and
+        e = exp(-|t|)."""
+        y = labels[slot]
+        t = y * _kernels.matvec(samples, X, slot)
         e = np.exp(-np.abs(t))
         # sigma(-t) = 1 / (1 + exp(t)), computed stably on both tails
-        sig = np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-        G = -_matvec(samples.swapaxes(-1, -2), sig * labels) / t.shape[-1]
+        sig = np.where(t >= 0, e, 1.0) / (1.0 + e)
+        G = -_kernels.rmatvec(samples, sig * y, slot) / t.shape[-1]
         # log(1 + exp(-t)) without overflow for any |t|
         loss = np.log1p(e)
         return G, np.mean(np.where(t >= 0, loss, -t + loss), axis=-1)
@@ -389,21 +393,14 @@ def split_libsvm(X: np.ndarray, y: np.ndarray, seed: int
 # Stacked instances and block oracles
 # ---------------------------------------------------------------------------
 
-def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ x for every vector x on the last axis of ``X``, with M
-    broadcast over the leading axes. Each product is the same BLAS gemv
-    as the one-vector ``M @ x``, so it is bitwise equal to it."""
-    return (M @ X[..., None])[..., 0]
-
-
 class Stack:
     """The S instances of one problem family in a grid; slot s holds
     instance s.
 
-    Each array the family lists in ``STACKED`` is one (S, ...) array,
-    and the instance's attribute is its slice, so the stack is the
-    instances' own storage, not a second copy. :meth:`oracle` gives the
-    block oracle of the stack's instances.
+    Each array the family lists in ``STACKED`` is one C-contiguous
+    (S, ...) array, and the instance's attribute is its slice, so the
+    stack is the instances' own storage, not a second copy.
+    :meth:`oracle` gives the block oracle of the stack's instances.
     """
 
     def __init__(self, size: int):
@@ -415,7 +412,8 @@ class Stack:
     def add(self, member) -> None:
         """Move ``member``'s data into the next slot and point the
         member at it. A stack of one slot is a view of the member's
-        arrays; a larger one copies them in, one instance at a time."""
+        arrays, made C-contiguous; a larger one copies them in, one
+        instance at a time."""
         if self.family is None:
             self.family = type(member)
         if type(member) is not self.family or self.filled == self.size:
@@ -423,16 +421,17 @@ class Stack:
                              "family")
         slot = self.filled
         for name in self.family.STACKED:
-            value = getattr(member, name)
+            value = np.ascontiguousarray(getattr(member, name),
+                                         dtype=np.float64)
             if self.size == 1:
                 self.arrays[name] = value[None]
-                continue
-            if name not in self.arrays:
-                self.arrays[name] = np.empty((self.size, *value.shape))
-            elif self.arrays[name].shape[1:] != value.shape:
-                raise ValueError(f"{name} has shape {value.shape}, expected "
-                                 f"{self.arrays[name].shape[1:]}")
-            self.arrays[name][slot] = value
+            else:
+                if name not in self.arrays:
+                    self.arrays[name] = np.empty((self.size, *value.shape))
+                elif self.arrays[name].shape[1:] != value.shape:
+                    raise ValueError(f"{name} has shape {value.shape}, "
+                                     f"expected {self.arrays[name].shape[1:]}")
+                self.arrays[name][slot] = value
             setattr(member, name, self.arrays[name][slot])
         self.filled += 1
 
@@ -455,52 +454,19 @@ class BlockOracle:
     stacked evaluation. Each row is bitwise its instance's own
     ``family(x)``.
 
-    ``oracle(X, runs)`` evaluates the vectors ``X`` of the ascending
-    rows ``runs``: in drive the rows still running, in the pruning sweep
-    several vectors per row. Only the slots from the lowest to the
-    highest in ``runs`` are evaluated, each with as many vectors as the
-    slot with the most: a slot's vectors fill the first places of its
-    row of an (S, V, n) zero buffer, so that its matrix serves them in
-    turn, and a row not in ``runs`` is never evaluated. The buffer is
-    laid out once at the first call and again each time rows leave.
+    ``oracle(X, runs)`` evaluates the vectors ``X`` of the rows
+    ``runs``: in drive the rows still running, in the pruning sweep
+    several vectors per row. A row not in ``runs`` is never evaluated.
     Returns ``(G, F, {})``.
     """
 
     def __init__(self, stack: Stack, slots: np.ndarray):
-        family, lo = stack.family, int(slots.min())
-        self.slots = slots - lo   # each row's slot among the arrays'
-        self.evaluate = family.block_oracle
-        self.arrays = {name: stack.arrays[name][lo:slots.max() + 1, None]
-                       for name in family.STACKED}
-        self.runs = None   # the rows the layout holds
+        self.slots = slots
+        self.evaluate = stack.family.block_oracle
+        self.arrays = stack.arrays
 
     def __call__(self, X: np.ndarray, runs: Sequence[int]):
-        if list(runs) != self.runs:
-            self._pack(list(runs), X.shape[1])
-        flat = self.buffer.reshape(-1, X.shape[1])
-        flat[self.place] = X
-        G, F = self.evaluate(self.buffer, **self.packed)
-        return (G.reshape(len(flat), -1)[self.place],
-                F.reshape(-1)[self.place], {})
-
-    def _pack(self, runs: list, n: int) -> None:
-        """Lay out the vectors of the rows ``runs``: slot s - lo of the
-        buffer holds the vectors of slot s's rows in order, and ``place``
-        is each vector's place in the flattened buffer: a slice when they
-        fill its first places in order, so that no gather copies them."""
-        slot = self.slots[runs]
-        lo, order = int(slot.min()), np.argsort(slot, kind="stable")
-        counts = np.bincount(slot - lo)
-        width = int(counts.max())
-        place = np.empty(len(runs), dtype=np.intp)
-        place[order] = (np.sort(slot) - lo) * width + np.arange(len(runs)) \
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        self.place = (slice(len(runs)) if (place == np.arange(len(runs))).all()
-                      else place)
-        self.buffer = np.zeros((len(counts), width, n))
-        self.packed = {name: array[lo:lo + len(counts)]
-                       for name, array in self.arrays.items()}
-        self.runs = runs
+        return (*self.evaluate(X, self.slots[runs], **self.arrays), {})
 
 
 # ---------------------------------------------------------------------------

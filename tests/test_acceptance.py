@@ -155,8 +155,9 @@ def test_criterion_03_algorithmic_invariants():
             picks.append(pool[int(rng.integers(len(pool)))])
             X.append(rng.standard_normal(n) * float(rng.uniform(0.01, 3.0)))
         X = np.array(X)
-        A = np.stack([ls.A for ls in picks])[:, None]
-        b = np.stack([ls.b for ls in picks])[:, None]
+        A = np.stack([ls.A for ls in picks])
+        b = np.stack([ls.b for ls in picks])
+        slot = np.arange(len(picks))
         # both weight blocks start at sqrt(VARSIGMA)
         _, state = optimizer.prunadag_part(n, T, [variant] * len(X),
                                            VARSIGMA)
@@ -164,7 +165,7 @@ def test_criterion_03_algorithmic_invariants():
         found = [[] for _ in X]   # each trajectory's violations in order
         for k in range(iters_per_traj):
             # each row bitwise its problem's gradient
-            G = LeastSquaresProblem.block_oracle(X[:, None], A, b)[0][:, 0]
+            G = LeastSquaresProblem.block_oracle(X, slot, A, b)[0]
             w_dec_before = state["w_dec"]
             S, o, r, stats = optimizer._advance(X, G, k, T, state)
             X_next = X + S

@@ -677,36 +677,31 @@ def _fault_at(patch, cfg, cell, t, fault):
     where the fault hits the cell's unpruned x. ``fault`` is "nan" for
     the cell's gradient, "inf" for its objective, or an exception that
     the whole call raises."""
-    method, seed = cell
     block = {}
     run_cells = harness._run_cells
     real = problems.LeastSquaresProblem.block_oracle
 
     def tracked(cfg, cells, instances, stack):
         if cell in cells:
-            first = cells[0][1]
-            block.update(calls=0, slot=seed - first,
-                         slots=len({i for _, i in cells}),
-                         methods=[m for m, i in cells if i == first])
+            block.update(calls=0, row=cells.index(cell), rows=len(cells))
         try:
             return run_cells(cfg, cells, instances, stack)
         finally:
             block.clear()
 
-    def block_oracle(X, **arrays):
-        G, F = real(X, **arrays)
-        if not block or X.shape[0] != block["slots"]:
+    def block_oracle(X, slot, **arrays):
+        G, F = real(X, slot, **arrays)
+        if not block:
             return G, F
         block["calls"] += 1
         if block["calls"] != t + 1:
             return G, F
         if isinstance(fault, BaseException):
             raise fault
-        # a slot holds its rows' vectors in order, as many per row; a
-        # slot's rows are the shard's methods in order
-        methods = block["methods"]
-        row = (block["slot"],
-               methods.index(method) * (X.shape[1] // len(methods)))
+        # the shard's rows are its cells in order, each with as many
+        # vectors in turn: one in drive, x and its pruned vectors in the
+        # pruning sweep
+        row = block["row"] * (len(X) // block["rows"])
         if fault == "nan":
             G[row] = np.nan
         else:
@@ -825,10 +820,7 @@ class TestProcessPool:
 
 BLAS_GRID = """\
 [problem]
-kind = least_squares
-matrix = A3
-m = {m}
-n = {n}
+{problem}
 seeds = {seeds}
 
 [optimizers]
@@ -844,23 +836,32 @@ sigma = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9
 [output]
 dir = {{out}}
 """
+A3 = "kind = least_squares\nmatrix = A3\nm = {m}\nn = {n}"
 
 
 @pytest.mark.parametrize("shape", [
     # the ls_desk benchmark grid, 4 seeds and 100 iterations
-    dict(m=20, n=200, seeds=4, iters=100,
+    dict(problem=A3.format(m=20, n=200), seeds=4, iters=100,
          methods="v1, v2, v3, v4, adagrad, fw1, fw2"),
-    # the ls_wide benchmark shape: OpenBLAS gemm (Q @ G in the A3
-    # generator) and gemv give other bits at 2 threads than at 1, so the
-    # matrix, lipschitz, f0 and every trace differ; OpenBLAS runs one
-    # thread on one CPU
-    pytest.param(dict(m=500, n=5000, seeds=2, iters=20,
+    # the ls_wide benchmark shape. The oracles use no BLAS, but the A3
+    # generator's gemm (Q @ G) and spectral_norm_sq's Gram product do,
+    # and OpenBLAS splits them over 2 threads at this size with other
+    # bits: the matrix and lipschitz differ, and so every trace. It
+    # runs one thread on one CPU.
+    pytest.param(dict(problem=A3.format(m=500, n=5000), seeds=2, iters=20,
                       methods="v3, adagrad, fw2"),
                  marks=pytest.mark.xfail(
                      len(os.sched_getaffinity(0)) >= 2, strict=True,
-                     reason="BLAS results depend on the thread count at "
-                            "this size")),
-], ids=["desk", "wide"])
+                     reason="the A3 generator's and the Lipschitz "
+                            "constant's BLAS products depend on the thread "
+                            "count at this size")),
+    # the logistic_pool benchmark grid: its oracles use no BLAS, and its
+    # generator's and Lipschitz constant's BLAS products give the same
+    # bits at 1 and 2 threads at this size
+    dict(problem="kind = logistic_synthetic\nn = 200\ninformative = 50\n"
+                 "samples = 1000", seeds=2, iters=100,
+         methods="v1, v2, v3, v4, adagrad"),
+], ids=["desk", "wide", "logistic"])
 def test_bundle_independent_of_blas_threads(tmp_path, shape):
     path = write_config(tmp_path, BLAS_GRID.format(**shape))
     bundles = []
@@ -1744,9 +1745,9 @@ dir = {{out}}
         calls = []
         real = problems.LeastSquaresProblem.block_oracle
 
-        def counting(X, A, b):
-            calls.append(X.shape)
-            return real(X, A, b)
+        def counting(X, slot, A, b):
+            calls.append((X.shape, slot.tolist()))
+            return real(X, slot, A, b)
 
         path = write_config(tmp_path)
         sol = tmp_path / "x.bin"
@@ -1755,7 +1756,7 @@ dir = {{out}}
                             staticmethod(counting))
         assert cli.main(["prune", str(sol), "--sigma", "0.3,0.5,1",
                          "--config", str(path)]) == 0
-        assert calls == [(1, 4, 30)]
+        assert calls == [((4, 30), [0, 0, 0, 0])]
         assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_verify_on_a_bundle_of_baselines_exits_1(self, tmp_path, capsys):

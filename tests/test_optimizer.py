@@ -20,8 +20,7 @@ from prunadag.optimizer import (CODE_ACCEPTABLE, CODE_DECREASABLE,
                                 DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
                                 DEFAULT_VARSIGMA, STEP_FIELDS, default_target,
                                 run_batch)
-from prunadag.problems import (BlockOracle, LeastSquaresProblem, Stack,
-                               gen_least_squares)
+from prunadag.problems import LeastSquaresProblem, Stack, gen_least_squares
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -877,19 +876,15 @@ class TestBlockOracle:
     # iterations, and the last row runs to max_iters
     STOPPING = dict(grad_tol=0.1, max_iters=60)
 
-    def test_one_call_per_pass_and_one_pack_per_exit(self, monkeypatch):
+    def test_one_call_per_pass(self):
         # each pass is one oracle call over the rows that reach it, the
-        # x_final of the rows that end there included, and the packed
-        # layout is built at the first call and again each time rows
-        # leave while others run on
+        # x_final of the rows that end there included
         rows, X0, oracle = self.block()
-        calls, packs, pack = [], [], BlockOracle._pack
+        calls = []
 
         def counted(X, runs):
             calls.append(list(runs))
             return oracle(X, runs)
-        monkeypatch.setattr(BlockOracle, "_pack", lambda self, *args: (
-            packs.append(args), pack(self, *args)))
         out = adagrad_batch(rows, X0, oracle=counted, **self.STOPPING)
         K = [rec.iterations for rec in out]
         assert K == [19, 20, 43, 60]
@@ -897,7 +892,6 @@ class TestBlockOracle:
             "max iterations"]
         assert calls == [[b for b in range(4) if K[b] >= k]
                          for k in range(61)]
-        assert len(packs) == 4
 
     def test_raise_where_a_row_ends_fails_that_row(self):
         # the oracle call of iteration 19 raises: it evaluates x_19 of
@@ -930,10 +924,10 @@ class TestBlockOracle:
         real = LeastSquaresProblem.block_oracle
         calls = iter(range(10 ** 6))
 
-        def nan_objective(X, **arrays):
-            G, F = real(X, **arrays)
+        def nan_objective(X, slot, **arrays):
+            G, F = real(X, slot, **arrays)
             if next(calls) == 1:
-                F[1, 0] = np.nan    # instance 1, its first row: row 2
+                F[2] = np.nan
             return G, F
         monkeypatch.setattr(LeastSquaresProblem, "block_oracle",
                             staticmethod(nan_objective))
@@ -957,9 +951,9 @@ class TestOneCallPerVector:
     def counted(monkeypatch) -> dict:
         calls, real = {"n": 0}, LeastSquaresProblem.block_oracle
 
-        def block_oracle(X, **arrays):
+        def block_oracle(X, slot, **arrays):
             calls["n"] += 1
-            return real(X, **arrays)
+            return real(X, slot, **arrays)
         monkeypatch.setattr(LeastSquaresProblem, "block_oracle",
                             staticmethod(block_oracle))
         return calls

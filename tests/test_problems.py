@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prunadag.core import InputFileError, finite_difference_gradient
-from prunadag.problems import (LS_KINDS, PAIRS, LibsvmParseError,
-                               LogisticProblem, SparseCodingProblem, Stack,
+from prunadag.problems import (LS_KINDS, PAIRS, LeastSquaresProblem,
+                               LibsvmParseError, LogisticProblem,
+                               SparseCodingProblem, Stack,
                                classify_accuracy, dct_matrix,
                                gen_dct_sparse_recovery,
                                gen_least_squares,
@@ -259,6 +260,21 @@ class TestSparseCoding:
         fd = finite_difference_gradient(p, x)
         rel = np.linalg.norm(fd - p.gradient(x)) / np.linalg.norm(fd)
         assert rel < 1e-5
+
+
+@pytest.mark.parametrize("family", [LeastSquaresProblem,
+                                    SparseCodingProblem, LogisticProblem])
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_arrays_of_another_dtype_give_the_float64_bits(family, dtype):
+    # the compiled products take float64 only: the oracle converts
+    rng = np.random.default_rng(5)
+    M = rng.integers(-3, 4, (7, 10))
+    v = np.where(rng.random(7) < 0.5, 1, -1)
+    x = rng.standard_normal(10)
+    got = family(M.astype(dtype), v.astype(dtype))
+    want = family(M.astype(np.float64), v.astype(np.float64))
+    assert got.gradient(x).tobytes() == want.gradient(x).tobytes()
+    assert got.value(x) == want.value(x)
 
 
 class TestLogistic:
@@ -557,7 +573,7 @@ class TestStack:
 
     @pytest.mark.parametrize("family, m, n", [
         ("A3", 300, 600),                   # past numpy's 128-term pairwise sums
-        ("A3", 500, 5000),                  # the wide grid's size and BLAS
+        ("A3", 500, 5000),                  # the wide grid's size
         ("logistic_synthetic", 998, 200),   # 700 training samples
         ("logistic_synthetic", 1427, 200),  # 1,000 training samples
     ])
@@ -580,21 +596,18 @@ class TestStack:
         members = [gen_least_squares("A1", 4, 10, seed=s) for s in range(3)]
         solo = list(members)
         oracle = stacked(members).oracle(np.repeat(np.arange(3), 4))
-        shapes, evaluate = [], oracle.evaluate
+        calls, evaluate = [], oracle.evaluate
 
-        def recorded(X, *args, **kwargs):
-            shapes.append(X.shape)
-            return evaluate(X, *args, **kwargs)
+        def recorded(X, slot, **arrays):
+            calls.append((X.shape, slot.tolist()))
+            return evaluate(X, slot, **arrays)
         oracle.evaluate = recorded
         X = np.random.default_rng(0).standard_normal((12, 10))
-        # the slots from the first to the last running row, each as wide
-        # as the slot with the most running rows
-        for runs, shape in ((list(range(12)), (3, 4, 10)),
-                            ([4, 5, 6, 7, 8], (2, 4, 10)),
-                            ([1, 3, 6], (2, 2, 10)), ([1, 3, 6], (2, 2, 10)),
-                            ([0, 11], (3, 1, 10)), ([5], (1, 1, 10))):
+        # the running rows alone, each on its own slot
+        for runs in (list(range(12)), [4, 5, 6, 7, 8], [1, 3, 6], [1, 3, 6],
+                     [0, 11], [5]):
             G, F, _ = oracle(X[runs], runs)
-            assert shapes.pop() == shape
+            assert calls.pop() == ((len(runs), 10), [b // 4 for b in runs])
             for pos, b in enumerate(runs):
                 assert same_bits(G[pos], solo[b // 4].gradient(X[b]))
                 assert same_bits(F[pos], solo[b // 4].value(X[b]))
