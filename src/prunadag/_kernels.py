@@ -152,11 +152,15 @@ def frank_wolfe(X, G, k, T, tau, rescaled, beta):
     B, n = X.shape
     D, X_next, norm_r = np.empty((B, n)), np.empty((B, n)), np.empty(B)
     _c.fw_vertex(X, G, T, tau, D, norm_r)
-    # ||v - x|| per row, bitwise np.linalg.norm of the row: BLAS's dot,
-    # whose order of summation depends on the CPU, so it stays numpy's
-    diff = np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
-    _c.fw_move(X, D, k, diff, norm_r, rescaled, beta, X_next)
+    _c.fw_move(X, D, k, row_norms(D), norm_r, rescaled, beta, X_next)
     return D, X_next, norm_r
+
+
+def row_norms(M):
+    """The Euclidean norm of each row of the (B, n) block ``M``, bitwise
+    ``np.linalg.norm`` of the row: BLAS's dot, whose order of summation
+    depends on the CPU."""
+    return np.sqrt(M[:, None, :] @ M[:, :, None]).reshape(-1)
 
 
 def matvec(M, X, slot):

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .core import Problem, RunRecord
-from .optimizer import (DEFAULT_VARSIGMA, Outcome, check_varsigma, drive,
-                        unwrap)
+from .optimizer import DEFAULT_VARSIGMA, check_varsigma, drive, unwrap
 
 
 def adagrad_step(x: np.ndarray, g: np.ndarray, w_prev: np.ndarray
@@ -48,20 +47,12 @@ def adagrad_part(n: int, rows: int, varsigma: float = DEFAULT_VARSIGMA):
     return _adagrad_step, {"w": np.full((rows, n), np.sqrt(varsigma))}
 
 
-def adagrad_batch(problems: Sequence[Problem], X0: np.ndarray,
-                  varsigma: float = DEFAULT_VARSIGMA, **stop
-                  ) -> list[Outcome]:
-    """:func:`adagrad_part` on a (B, n) block through :func:`drive`;
-    ``stop`` takes drive's keyword arguments."""
-    return drive(problems, X0, *adagrad_part(len(X0[0]), len(X0), varsigma),
-                 **stop)
-
-
 def adagrad_run(problem: Problem, x0: np.ndarray,
                 varsigma: float = DEFAULT_VARSIGMA, **stop) -> RunRecord:
-    """:func:`adagrad_batch` on one row; raises the exception that ends
-    the run."""
-    return unwrap(adagrad_batch([problem], [x0], varsigma, **stop))
+    """:func:`drive` over one :func:`adagrad_part` row; ``stop`` takes
+    drive's keyword arguments. Raises the exception that ends the run."""
+    return unwrap(drive([problem], [x0], [adagrad_part(len(x0), 1,
+                                                       varsigma)], **stop))
 
 
 class FwRate(enum.Enum):
@@ -135,15 +126,8 @@ def fw_part(n: int, cfgs: Sequence[FwConfig]):
     return step, _fw_state(cfgs)
 
 
-def fw_batch(problems: Sequence[Problem], X0: np.ndarray,
-             cfgs: Sequence[FwConfig], **stop) -> list[Outcome]:
-    """:func:`fw_part` on a (B, n) block through :func:`drive`, one config
-    per row; ``stop`` takes drive's keyword arguments."""
-    return drive(problems, X0, *fw_part(len(X0[0]), cfgs), **stop)
-
-
 def fw_run(problem: Problem, x0: np.ndarray, cfg: FwConfig,
            **stop) -> RunRecord:
-    """:func:`fw_batch` on one row; raises the exception that ends the
-    run."""
-    return unwrap(fw_batch([problem], [x0], [cfg], **stop))
+    """:func:`drive` over one :func:`fw_part` row; ``stop`` takes drive's
+    keyword arguments. Raises the exception that ends the run."""
+    return unwrap(drive([problem], [x0], [fw_part(len(x0), [cfg])], **stop))

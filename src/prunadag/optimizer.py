@@ -104,7 +104,7 @@ def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
     except Exception as err:
         failed = dict.fromkeys(range(len(X)), err)
         G, F = np.zeros_like(X), np.zeros(len(X))
-    norm = np.sqrt(G[:, None, :] @ G[:, :, None]).reshape(-1)
+    norm = _kernels.row_norms(G)
     # finite entries can still overflow the norm, so only a non-finite
     # norm needs the entries checked
     finite = np.isfinite(norm)
@@ -118,22 +118,22 @@ def checked_oracles(oracle: Oracle, X: np.ndarray, runs: Sequence[int],
     return G, norm, F, failed
 
 
-def drive(problems: Sequence[Problem], X0: np.ndarray,
-          step: Union[StepFn, list[Part]], state: Optional[dict] = None,
+def drive(problems: Sequence[Problem], X0: np.ndarray, parts: list[Part],
           oracle: Optional[Oracle] = None, grad_tol: float = DEFAULT_GRAD_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> list[Outcome]:
-    """Iterate ``step`` over a (B, n) block of runs, run b on
-    ``problems[b]`` from ``X0[b]``, until its gradient norm drops below
-    ``grad_tol`` or ``max_iters`` iterations have been performed.
+    """Iterate the steps of ``parts`` over a (B, n) block of runs, run b
+    on ``problems[b]`` from ``X0[b]``, until its gradient norm drops
+    below ``grad_tol`` or ``max_iters`` iterations have been performed.
 
     At each iteration one ``oracle`` call gives the gradients and the
     objectives of every row; the default is :func:`row_oracle` over
     ``problems``, and :class:`prunadag.problems.BlockOracle` evaluates
-    the stacked instances of a grid at once. One ``step`` call advances
-    every row, or each :data:`Part` of a list as ``step`` the next rows,
-    as many as its state has. A stopping run's x_final is evaluated in
-    the running rows' next call, with the same checks. A run that stops
-    or fails leaves the block, its outcome bitwise that of it alone.
+    the stacked instances of a grid at once. Each :data:`Part` in turn
+    advances the next rows with one call of its step, as many rows as
+    its state has (all of them for an empty state). A stopping run's
+    x_final is evaluated in the running rows' next call, with the same
+    checks. A run that stops or fails leaves the block, its outcome
+    bitwise that of it alone.
 
     Row k of a trace describes x_k, before step k. drive records the
     first three fields of :data:`prunadag.core.TRACE_FIELDS` (gradient
@@ -157,8 +157,7 @@ def drive(problems: Sequence[Problem], X0: np.ndarray,
         raise ValueError(f"grad_tol must be positive, got {grad_tol}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    block = _Block(np.array(X0, dtype=np.float64),
-                   step if isinstance(step, list) else [(step, state or {})])
+    block = _Block(np.array(X0, dtype=np.float64), parts)
     rows = len(block.runs)
     if len(problems) != rows or block.bounds[-1] != rows:
         raise ValueError(f"{rows} runs need {rows} problems and state rows")
@@ -366,27 +365,14 @@ def prunadag_part(n: int, T: int, variants: Sequence[Variant],
                   "bound": bound, "relevant_only": relevant_only}
 
 
-def run_batch(problems: Sequence[Problem], X0: np.ndarray, T: int,
-              variants: Sequence[Variant],
-              varsigma: float = DEFAULT_VARSIGMA, **stop) -> list[Outcome]:
-    """Run the pruning-aware optimizer on a (B, n) block through
-    :func:`drive`: run b solves ``problems[b]`` from ``X0[b]`` with
-    ``variants[b]``; the runs share ``T`` and ``varsigma``.
-
-    ``stop`` takes the keyword arguments of :func:`drive`: ``oracle``,
-    ``grad_tol`` and ``max_iters``.
-    """
-    return drive(problems, X0, *prunadag_part(len(X0[0]), T, variants,
-                                              varsigma), **stop)
-
-
 def run(problem: Problem, x0: np.ndarray, T: Optional[int] = None,
         variant: Variant = Variant.V3, varsigma: float = DEFAULT_VARSIGMA,
         **stop) -> RunRecord:
-    """Run the pruning-aware optimizer: :func:`run_batch` on one row.
-    Raises the exception that ends the run, with the partial record
-    attached."""
+    """Run the pruning-aware optimizer from ``x0``: :func:`drive` over
+    one :func:`prunadag_part` row; ``stop`` takes drive's keyword
+    arguments. Raises the exception that ends the run, with the partial
+    record attached."""
     if T is None:
         T = default_target(problem.dim)
-    return unwrap(run_batch([problem], [x0], T, [variant], varsigma,
-                            **stop))
+    return unwrap(drive([problem], [x0], [prunadag_part(
+        len(x0), T, [variant], varsigma)], **stop))

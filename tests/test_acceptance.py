@@ -16,12 +16,12 @@ import pytest
 
 from prunadag import Variant, optimizer, run
 from prunadag._kernels import iterate, variant_flags
-from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_step,
+from prunadag.baselines import (FwConfig, FwRate, adagrad_part, adagrad_step,
                                 fw_lmo, fw_step)
 from prunadag.core import Problem, finite_difference_gradient
 from prunadag.harness import derive_seed, starting_point
-from prunadag.optimizer import (STEP_FIELDS, PrunAdagState, prunadag_iterate,
-                                run_batch, unwrap)
+from prunadag.optimizer import (STEP_FIELDS, PrunAdagState, drive,
+                                prunadag_iterate, unwrap)
 from prunadag.problems import (LS_KINDS, LeastSquaresProblem, LogisticProblem,
                                SparseCodingProblem, Stack, classify_accuracy,
                                gen_dct_sparse_recovery, gen_least_squares,
@@ -56,7 +56,7 @@ def desk_x0(seed_index):
 @pytest.fixture(scope="module")
 def bound_traces():
     """2000-iteration runs on all six ensembles for every variant: one
-    kind-major run_batch block over a problems.Stack of the six
+    kind-major drive block over a problems.Stack of the six
     instances, each row bitwise its solo run."""
     stack, probs = Stack(len(LS_KINDS)), []
     for kind in LS_KINDS:
@@ -65,9 +65,10 @@ def bound_traces():
         probs.append(ls)
         stack.add(ls)
     rows = [(s, v) for s in range(len(LS_KINDS)) for v in ALL_VARIANTS]
-    runs = run_batch(
-        [probs[s] for s, _ in rows], [desk_x0(0)] * len(rows), T_DESK,
-        [v for _, v in rows], varsigma=VARSIGMA,
+    runs = drive(
+        [probs[s] for s, _ in rows], [desk_x0(0)] * len(rows),
+        [optimizer.prunadag_part(N_DESK, T_DESK, [v for _, v in rows],
+                                 VARSIGMA)],
         oracle=stack.oracle([s for s, _ in rows]), max_iters=2000)
     return {(LS_KINDS[s], v): (unwrap([rec]), probs[s])
             for (s, v), rec in zip(rows, runs)}
@@ -76,9 +77,9 @@ def bound_traces():
 @pytest.fixture(scope="module")
 def a3_runs():
     """Full-protocol A3 desk runs for V1/V3/relevant-only/adagrad, 20
-    seeds: one seed-major run_batch block of the three variants and one
-    adagrad_batch block over a problems.Stack of the 20 instances, each
-    row bitwise its solo run."""
+    seeds: one seed-major drive block of the three variants and one
+    Adagrad block over a problems.Stack of the 20 instances, each row
+    bitwise its solo run."""
     stack, probs = Stack(SEEDS), []
     for i in range(SEEDS):
         ls = gen_least_squares("A3", M_DESK, N_DESK,
@@ -88,11 +89,13 @@ def a3_runs():
     X0 = [desk_x0(i) for i in range(SEEDS)]
     rows = [(i, v) for i in range(SEEDS)
             for v in (Variant.V1, Variant.V3, Variant.RELEVANT_ONLY)]
-    runs = run_batch(
-        [probs[i] for i, _ in rows], [X0[i] for i, _ in rows], T_DESK,
-        [v for _, v in rows], varsigma=VARSIGMA,
+    runs = drive(
+        [probs[i] for i, _ in rows], [X0[i] for i, _ in rows],
+        [optimizer.prunadag_part(N_DESK, T_DESK, [v for _, v in rows],
+                                 VARSIGMA)],
         oracle=stack.oracle([i for i, _ in rows]))
-    runs += adagrad_batch(probs, X0, oracle=stack.oracle(range(SEEDS)))
+    runs += drive(probs, X0, [adagrad_part(N_DESK, SEEDS)],
+                  oracle=stack.oracle(range(SEEDS)))
     keys = [(v.value, i) for i, v in rows] + [("adagrad", i)
                                               for i in range(SEEDS)]
     out = {key: unwrap([rec]) for key, rec in zip(keys, runs)}
@@ -358,8 +361,8 @@ def test_criterion_09_lambert_w_accuracy():
 
 def test_criterion_10_classification_pruning_robustness():
     # the grid path: the 20 instances in one problems.Stack, the 80
-    # variant runs one seed-major run_batch block and the 20 Adagrad runs
-    # one adagrad_batch block, each row bitwise its solo run
+    # variant runs one seed-major drive block and the 20 Adagrad runs
+    # one Adagrad block, each row bitwise its solo run
     stack, probs, tests = Stack(SEEDS), [], []
     for i in range(SEEDS):
         train, test = gen_separable_classification(
@@ -370,12 +373,13 @@ def test_criterion_10_classification_pruning_robustness():
     X0 = [desk_x0(i) for i in range(SEEDS)]
     stop = dict(max_iters=2000)
     rows = [(i, v) for i in range(SEEDS) for v in TABLE_VARIANTS]
-    variant_runs = run_batch(
-        [probs[i] for i, _ in rows], [X0[i] for i, _ in rows], T_DESK,
-        [v for _, v in rows], varsigma=VARSIGMA,
+    variant_runs = drive(
+        [probs[i] for i, _ in rows], [X0[i] for i, _ in rows],
+        [optimizer.prunadag_part(N_DESK, T_DESK, [v for _, v in rows],
+                                 VARSIGMA)],
         oracle=stack.oracle([i for i, _ in rows]), **stop)
-    ada_runs = adagrad_batch(probs, X0, oracle=stack.oracle(range(SEEDS)),
-                             **stop)
+    ada_runs = drive(probs, X0, [adagrad_part(N_DESK, SEEDS)],
+                     oracle=stack.oracle(range(SEEDS)), **stop)
 
     def pruning_loss_pp(outcome, test):
         x = unwrap([outcome]).x_final    # raises the error that ended a run

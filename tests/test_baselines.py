@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from prunadag import PrunAdagState, Variant, baselines, prunadag_iterate
+from prunadag import (PrunAdagState, Variant, baselines, optimizer,
+                      prunadag_iterate)
 from prunadag._kernels import frank_wolfe, iterate, variant_flags
 from prunadag.baselines import (FwConfig, FwRate, adagrad_run, adagrad_step,
                                 fw_lmo, fw_run, fw_step)
 from prunadag.core import DivergedError, Problem
-from prunadag.optimizer import run_batch
 from prunadag.problems import gen_least_squares
 from prunadag.steps import relevant_mask
 
@@ -110,16 +110,19 @@ class TestAdagradRun:
 
     @pytest.mark.parametrize("varsigma", [-0.5, 0.0, 1.0, 2.0, np.nan])
     def test_refuses_varsigma_outside_unit_interval(self, varsigma):
-        # run_batch's rule and message: -0.5 would give NaN weights
+        # the pruning-aware part's rule and message: -0.5 would give NaN
+        # weights
         problem = Problem(dim=2, grad=lambda x: x.copy(),
                           objective=lambda x: 0.0)
         match = "varsigma must be in \\(0, 1\\)"
         with pytest.raises(ValueError, match=match):
             adagrad_run(problem, np.ones(2), varsigma, max_iters=5)
         with pytest.raises(ValueError, match=match):
-            baselines.adagrad_batch([problem], np.ones((1, 2)), varsigma)
+            optimizer.drive([problem], np.ones((1, 2)),
+                            [baselines.adagrad_part(2, 1, varsigma)])
         with pytest.raises(ValueError, match=match):
-            run_batch([problem], np.ones((1, 2)), 2, [Variant.V3], varsigma)
+            optimizer.drive([problem], np.ones((1, 2)), [
+                optimizer.prunadag_part(2, 2, [Variant.V3], varsigma)])
 
 
 class TestFwConfig:

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 from prunadag import PrunAdagState, Variant, prunadag_iterate, run
 from prunadag import _kernels, baselines, harness, optimizer, steps
 from prunadag._kernels import iterate, variant_flags
-from prunadag.baselines import (FwConfig, FwRate, adagrad_batch, adagrad_run,
-                                fw_batch, fw_run)
+from prunadag.baselines import FwConfig, FwRate, adagrad_run, fw_run
 from prunadag.core import TRACE_FIELDS, DivergedError, Problem, RunRecord
 from prunadag.optimizer import (CODE_ACCEPTABLE, CODE_DECREASABLE,
                                 DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS,
-                                DEFAULT_VARSIGMA, STEP_FIELDS, default_target,
-                                run_batch)
+                                DEFAULT_VARSIGMA, STEP_FIELDS, default_target)
 from prunadag.problems import LeastSquaresProblem, Stack, gen_least_squares
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -123,7 +121,7 @@ class TestRunLoop:
         # a NaN tolerance would run every row to max_iters
         with pytest.raises(ValueError, match="grad_tol must be positive"):
             optimizer.drive([quadratic_problem(4)], np.ones((1, 4)),
-                            lambda *args: None, grad_tol=grad_tol)
+                            [(lambda *args: None, {})], grad_tol=grad_tol)
 
     def test_max_iters_respected(self):
         rec = run(quadratic_problem(4), x0=np.ones(4), T=2, max_iters=7)
@@ -636,7 +634,8 @@ class TestBatch:
         problems = [tied_problem(rng, n) for _ in range(B)]
         X0 = rng.integers(-3, 4, (B, n)) * float(rng.choice([1.0, 0.5, 1e-3]))
         stop = dict(max_iters=int(rng.integers(1, 40)), grad_tol=0.25)
-        outcomes = run_batch(problems, X0, T, variants, **stop)
+        outcomes = optimizer.drive(
+            problems, X0, [optimizer.prunadag_part(n, T, variants)], **stop)
         for b in range(B):
             assert isinstance(outcomes[b], RunRecord)
             assert_same_record(outcomes[b], run(problems[b], X0[b], T,
@@ -655,9 +654,11 @@ class TestBatch:
         cfgs = [FwConfig(T=T, tau=float(rng.uniform(0.5, 20.0)),
                          rate=FwRate.RESCALED if rng.integers(2)
                          else FwRate.LINEAR, beta=0.3) for _ in range(B)]
-        for b, out in enumerate(fw_batch(problems, X0, cfgs, **stop)):
+        for b, out in enumerate(optimizer.drive(
+                problems, X0, [baselines.fw_part(n, cfgs)], **stop)):
             assert_same_record(out, fw_run(problems[b], X0[b], cfgs[b], **stop))
-        for b, out in enumerate(adagrad_batch(problems, X0, **stop)):
+        for b, out in enumerate(optimizer.drive(
+                problems, X0, [baselines.adagrad_part(n, B)], **stop)):
             assert_same_record(out, adagrad_run(problems[b], X0[b], **stop))
 
     def test_stopped_and_failed_rows_leave_the_block(self):
@@ -673,7 +674,8 @@ class TestBatch:
         X0[1] *= 1e-3
         variants = [Variant.V1, Variant.V3, Variant.V2, Variant.RELEVANT_ONLY]
         stop = dict(max_iters=60, grad_tol=1e-4)
-        outcomes = run_batch(problems(), X0, 4, variants, **stop)
+        outcomes = optimizer.drive(
+            problems(), X0, [optimizer.prunadag_part(40, 4, variants)], **stop)
         alone = [solo(lambda: run(p, X0[b], 4, variants[b], **stop))
                  for b, p in enumerate(problems())]
         assert outcomes[0].reason == "max iterations"
@@ -769,11 +771,15 @@ class TestBatch:
                                                    max_iters=3))
 
     def test_rows_must_match(self):
+        # a part of one row for two rows of X0, then two rows for one
+        # problem
         problems = [quadratic_problem(4)] * 2
         with pytest.raises(ValueError, match="2 runs"):
-            run_batch(problems, np.ones((2, 4)), 2, [Variant.V3])
+            optimizer.drive(problems, np.ones((2, 4)),
+                            [optimizer.prunadag_part(4, 2, [Variant.V3])])
         with pytest.raises(ValueError, match="2 runs"):
-            adagrad_batch(problems[:1], np.ones((2, 4)))
+            optimizer.drive(problems[:1], np.ones((2, 4)),
+                            [baselines.adagrad_part(4, 2)])
 
     def test_trust_region_error_ends_its_row_only(self):
         # as in TestTrustRegionChecks, the NaN entry of row 0 fails its
@@ -782,7 +788,9 @@ class TestBatch:
         problems = [Problem(dim=3, grad=lambda x: g.copy(),
                             objective=lambda x: 0.0)] * 2
         X0 = np.array([[1.0, 1.0, np.nan], [1.0, 1.0, 1.0]])
-        out = run_batch(problems, X0, 2, [Variant.V2] * 2, max_iters=3)
+        out = optimizer.drive(
+            problems, X0, [optimizer.prunadag_part(3, 2, [Variant.V2] * 2)],
+            max_iters=3)
         assert isinstance(out[0], steps.TrustRegionError)
         assert out[0].row == 0 and out[0].record.reason == "failed"
         assert out[0].record.iterations == 0
@@ -800,7 +808,7 @@ class TestBatch:
                 raise ZeroDivisionError("boom")
             return X - 0.5 * G, ()
 
-        out = optimizer.drive(problems, X0, step, max_iters=10)
+        out = optimizer.drive(problems, X0, [(step, {})], max_iters=10)
         assert [type(o) for o in out] == [ZeroDivisionError] * 3
         assert len({id(o.record) for o in out}) == 3
         for b, err in enumerate(out):
@@ -829,6 +837,11 @@ class TestBlockOracle:
         X0 = np.random.default_rng(3).standard_normal((len(rows), 40))
         return rows, X0, stack.oracle(np.repeat(np.arange(self.S), self.V))
 
+    @staticmethod
+    def adagrad(X0):
+        """The parts of an Adagrad block over the rows of ``X0``."""
+        return [baselines.adagrad_part(X0.shape[1], len(X0))]
+
     @pytest.mark.parametrize("fault", ["nan", "overflow"])
     def test_fault_ends_only_its_row(self, monkeypatch, fault):
         # after step 4, row 2's iterate turns NaN (a non-finite gradient
@@ -846,11 +859,12 @@ class TestBlockOracle:
             return X_next, stats
         monkeypatch.setattr(baselines, "_adagrad_step", faulty_step)
         with np.errstate(over="ignore", invalid="ignore"):
-            per_row = adagrad_batch(rows, X0, **stop)
+            per_row = optimizer.drive(rows, X0, self.adagrad(X0), **stop)
             with monkeypatch.context() as m:
                 m.setattr(Problem, "gradient", None)   # the block path only
                 m.setattr(Problem, "value", None)
-                stacked = adagrad_batch(rows, X0, oracle=oracle, **stop)
+                stacked = optimizer.drive(rows, X0, self.adagrad(X0),
+                                          oracle=oracle, **stop)
         for b in range(len(rows)):
             got, want = stacked[b], per_row[b]
             assert type(got) is type(want)
@@ -885,7 +899,8 @@ class TestBlockOracle:
         def counted(X, runs):
             calls.append(list(runs))
             return oracle(X, runs)
-        out = adagrad_batch(rows, X0, oracle=counted, **self.STOPPING)
+        out = optimizer.drive(rows, X0, self.adagrad(X0), oracle=counted,
+                              **self.STOPPING)
         K = [rec.iterations for rec in out]
         assert K == [19, 20, 43, 60]
         assert [rec.reason for rec in out] == ["gradient tolerance"] * 3 + [
@@ -898,14 +913,16 @@ class TestBlockOracle:
         # rows 1-3 and row 0's x_final, so each row fails with its 19
         # rows of trace
         rows, X0, oracle = self.block()
-        clean = adagrad_batch(rows, X0, oracle=oracle, **self.STOPPING)
+        clean = optimizer.drive(rows, X0, self.adagrad(X0), oracle=oracle,
+                                **self.STOPPING)
         calls = iter(range(10 ** 6))
 
         def raising(X, runs):
             if next(calls) == 19:
                 raise RuntimeError("oracle lost at iteration 19")
             return oracle(X, runs)
-        out = adagrad_batch(rows, X0, oracle=raising, **self.STOPPING)
+        out = optimizer.drive(rows, X0, self.adagrad(X0), oracle=raising,
+                              **self.STOPPING)
         for b in range(4):
             assert isinstance(out[b], RuntimeError)
             assert str(out[b]) == "oracle lost at iteration 19"
@@ -932,7 +949,8 @@ class TestBlockOracle:
         monkeypatch.setattr(LeastSquaresProblem, "block_oracle",
                             staticmethod(nan_objective))
         rows, X0, oracle = self.block()
-        out = adagrad_batch(rows, X0, oracle=oracle, max_iters=6)
+        out = optimizer.drive(rows, X0, self.adagrad(X0), oracle=oracle,
+                              max_iters=6)
         assert isinstance(out[2], DivergedError)
         assert str(out[2]) == "non-finite objective at iteration 1"
         assert out[2].record.iterations == 1
@@ -1009,7 +1027,8 @@ class TestPickling:
     def test_diverged_error_keeps_record(self):
         problem = Problem(dim=4, grad=TestDriver.failing_after(
             3, lambda x: x - 0.3), objective=lambda x: 0.0)
-        (err,) = run_batch([problem], np.ones((1, 4)), 2, [Variant.V3])
+        (err,) = optimizer.drive([problem], np.ones((1, 4)),
+                                 [optimizer.prunadag_part(4, 2, [Variant.V3])])
         assert isinstance(err, DivergedError) and err.record.iterations == 3
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is DivergedError and str(back) == str(err)
@@ -1020,8 +1039,9 @@ class TestPickling:
         problem = Problem(dim=3, grad=lambda x: g.copy(),
                           objective=lambda x: 0.0)
         X0 = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.nan]])
-        err = run_batch([problem] * 2, X0, 2, [Variant.V2] * 2,
-                        max_iters=3)[1]
+        err = optimizer.drive(
+            [problem] * 2, X0,
+            [optimizer.prunadag_part(3, 2, [Variant.V2] * 2)], max_iters=3)[1]
         assert isinstance(err, steps.TrustRegionError) and err.row == 1
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is steps.TrustRegionError and back.row == 1

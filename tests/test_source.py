@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import importlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -227,13 +229,22 @@ def test_each_iterate_and_instance_is_evaluated_once():
 def test_drive_takes_no_trace_switch():
     """``optimizer.drive`` always records the objective and counts the
     entries below the one threshold ``optimizer.DELTA_TRACE``: it takes
-    the block, its step and oracle, and the stopping rule, nothing
-    more."""
+    the block, its list of parts and oracle, and the stopping rule,
+    nothing more."""
     args = _drive().args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
-        == ["problems", "X0", "step", "state", "oracle", "grad_tol",
-            "max_iters"]
+        == ["problems", "X0", "parts", "oracle", "grad_tol", "max_iters"]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_blocks_run_only_through_drive():
+    """A block of runs is ``optimizer.drive`` over a list of parts: no
+    optimizer module defines a ``*_batch`` wrapper around it."""
+    found = [f"{name}:{node.name}" for name in ("optimizer.py", "baselines.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
+             if isinstance(node, ast.FunctionDef)
+             and node.name.endswith("_batch")]
+    assert not found, f"batch wrappers: {found}"
 
 
 def test_oracles_take_no_objective_switch():
@@ -290,6 +301,46 @@ def test_kernel_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "kernel.so"), "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_references(text: str) -> list:
+    """The backticked ``prunadag.<module>.<name>`` and ``<module>.<name>``
+    references of a README text, fenced code blocks and file names such
+    as ``_kernels.c`` left out."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    modules = "|".join(p.stem for p in SRC.glob("*.py")
+                       if p.stem != "__init__")
+    name = re.compile(rf"(?<![\w./])(?:prunadag\.)?(?:{modules})"
+                      rf"(?!\.(?:py|c)\b)(?:\.\w+)+")
+    return sorted({ref for span in re.findall(r"`([^`]+)`", text)
+                   for ref in name.findall(span)})
+
+
+def test_readme_names_resolve():
+    """Every module attribute that README.md names in backticks exists,
+    so a removed or renamed function cannot stay documented; a config
+    key such as ``pruning.sigma`` is not an attribute."""
+    from prunadag import harness
+
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    refs = readme_references(readme)
+    assert "optimizer.drive" in refs and "prunadag.core.TRACE_DTYPE" in refs
+    assert readme_references("`prunadag.optimizer.gone`, `optimizer.py`, "
+                             "`src/prunadag/_kernels.c`, `np.save`") == [
+        "prunadag.optimizer.gone"]
+    missing = []
+    for ref in refs:
+        module, *names = ref.removeprefix("prunadag.").split(".")
+        if len(names) == 1 and (module, names[0]) in harness._KEYS:
+            continue
+        obj = importlib.import_module(f"prunadag.{module}")
+        for attr in names:
+            if not hasattr(obj, attr):
+                missing.append(ref)
+                break
+            obj = getattr(obj, attr)
+    assert not missing, f"README names that do not resolve: {missing}"
 
 
 def test_readme_quick_start_runs():
